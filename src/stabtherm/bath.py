@@ -27,7 +27,7 @@ from .lindblad import (
     LindbladGenerator,
     thermal_qubit,
     trace_distance,
-    vec,
+    trajectory,
 )
 from .pauli import PauliString, PauliSum
 from .toric import EigenoperatorDecomposition, StabilizerHamiltonian
@@ -400,29 +400,16 @@ def rwa_validity_probe(
         h0 = h0 + model.ancilla_pauli(i, "z") * (-a.omega / 2.0)
     H0 = h0.to_dense()
 
-    from .lindblad import build_superoperator
-
-    L_lab = build_superoperator(lab_gen).toarray()
-    L_rwa = build_superoperator(rwa_gen).toarray()
     times = np.linspace(0.0, t_max, n_points)
-    dt = times[1] - times[0] if n_points > 1 else 0.0
-    U_lab = dense_expm(L_lab * dt)
-    U_rwa = dense_expm(L_rwa * dt)
-    U0_dt = dense_expm(-1j * H0 * dt)
-
-    v_lab = vec(rho0_dm.mat)
-    v_rwa = vec(rho0_dm.mat)
+    lab = trajectory(lab_gen, rho0_dm, t_max, n_points)
+    rwa = trajectory(rwa_gen, rho0_dm, t_max, n_points)
+    U0_dt = dense_expm(-1j * H0 * (times[1] - times[0]))
     U0_t = np.eye(dim, dtype=complex)
     div = np.zeros(n_points)
-    for i, t in enumerate(times):
+    for i, (m_lab, m_int) in enumerate(zip(lab, rwa)):
         if i > 0:
-            v_lab = U_lab @ v_lab
-            v_rwa = U_rwa @ v_rwa
             U0_t = U0_dt @ U0_t
-        m_lab = v_lab.reshape((dim, dim), order="F")
-        m_int = v_rwa.reshape((dim, dim), order="F")
-        m_rwa_lab = U0_t @ m_int @ U0_t.conj().T
-        div[i] = trace_distance(m_lab, m_rwa_lab)
+        div[i] = trace_distance(m_lab.mat, U0_t @ m_int.mat @ U0_t.conj().T)
 
     omega_scale = max((a.omega for a in model.ancillas), default=0.0)
     return RwaProbeReport(times=times, divergence=div, g=g,

@@ -372,9 +372,20 @@ class _ScheduleRunner:
                 live |= {b for b, _ in g.condition}
         return out
 
-    def _unitary(self, key, small_fn, qubits):
+    def _gate_unitary(self, g: Gate) -> np.ndarray:
+        """Embedded unitary of a ROT1, CPHASE or COND_PULSE gate, cached per key."""
+        if g.kind == CPHASE:
+            angle = math.pi if g.angle is None else g.angle
+            key = (CPHASE, g.qubit, g.qubit2, angle)
+        else:
+            key = (ROT1, g.qubit, g.axis, g.angle)
         if key not in self._unitary_cache:
-            self._unitary_cache[key] = _embed_unitary(small_fn(), qubits, self.n)
+            if g.kind == CPHASE:
+                small = np.diag([1, 1, 1, np.exp(1j * angle)]).astype(complex)
+                self._unitary_cache[key] = _embed_unitary(small, (g.qubit, g.qubit2), self.n)
+            else:
+                self._unitary_cache[key] = _embed_unitary(
+                    _rot1_matrix(g.axis, g.angle), (g.qubit,), self.n)
         return self._unitary_cache[key]
 
     def _kraus(self, g: Gate):
@@ -407,21 +418,12 @@ class _ScheduleRunner:
                 else:
                     new[key] = m
 
-            if g.kind == ROT1:
-                U = self._unitary((ROT1, g.qubit, g.axis, g.angle),
-                                  lambda: _rot1_matrix(g.axis, g.angle), (g.qubit,))
-                for bits, m in branches.items():
-                    emit(dict(bits), U @ m @ U.conj().T)
-            elif g.kind == CPHASE:
-                angle = math.pi if g.angle is None else g.angle
-                U = self._unitary((CPHASE, g.qubit, g.qubit2, angle),
-                                  lambda: np.diag([1, 1, 1, np.exp(1j * angle)]).astype(complex),
-                                  (g.qubit, g.qubit2))
+            if g.kind in (ROT1, CPHASE):
+                U = self._gate_unitary(g)
                 for bits, m in branches.items():
                     emit(dict(bits), U @ m @ U.conj().T)
             elif g.kind == COND_PULSE:
-                U = self._unitary((ROT1, g.qubit, g.axis, g.angle),
-                                  lambda: _rot1_matrix(g.axis, g.angle), (g.qubit,))
+                U = self._gate_unitary(g)
                 cond = dict(g.condition)
                 for bits, m in branches.items():
                     assign = dict(bits)
@@ -481,17 +483,9 @@ def schedule_unitary(schedule: GateSchedule) -> np.ndarray:
     runner = _ScheduleRunner(schedule)
     U = np.eye(dim, dtype=complex)
     for g in schedule.gates:
-        if g.kind == ROT1:
-            Ug = runner._unitary((ROT1, g.qubit, g.axis, g.angle),
-                                 lambda: _rot1_matrix(g.axis, g.angle), (g.qubit,))
-        elif g.kind == CPHASE:
-            angle = math.pi if g.angle is None else g.angle
-            Ug = runner._unitary((CPHASE, g.qubit, g.qubit2, angle),
-                                 lambda: np.diag([1, 1, 1, np.exp(1j * angle)]).astype(complex),
-                                 (g.qubit, g.qubit2))
-        else:
+        if g.kind not in (ROT1, CPHASE):
             raise ScheduleError("schedule_unitary needs a unitary-only schedule")
-        U = Ug @ U
+        U = runner._gate_unitary(g) @ U
     return U
 
 

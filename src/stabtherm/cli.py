@@ -22,7 +22,7 @@ from .errors import (
     ParameterError,
     ScheduleError,
 )
-from .lindblad import DensityMatrix, evolve, gibbs_state, steady_states
+from .lindblad import DensityMatrix, gibbs_state, steady_states, trajectory
 from .pauli import PauliString
 from .serialize import (
     config_hash,
@@ -131,22 +131,23 @@ def cmd_decompose(args) -> int:
     return 0
 
 
-def cmd_thermalize(args) -> int:
+def _thermalize_rows(H, lat, beta: float, gamma0: float, t: float, points: int,
+                     method: str, names: list[str]) -> list[list[float]]:
+    """Observables along a Davies trajectory from the maximally mixed state."""
     from .bath import davies_reduction
 
-    model_spec = _model_spec_from_args(args)
-    H, lat = _build_model(model_spec)
-    gen = davies_reduction(H, _full_decompositions(H), args.beta, args.gamma0)
-    dim = 1 << H.n_qubits
-    rho = DensityMatrix.maximally_mixed(dim)
-    times = np.linspace(0.0, args.t, args.points)
+    gen = davies_reduction(H, _full_decompositions(H), beta, gamma0)
+    rho0 = DensityMatrix.maximally_mixed(1 << H.n_qubits)
+    states = trajectory(gen, rho0, t, points, method=method)
+    return [[ti] + [_observable_values(n, H, lat, rho.mat, beta) for n in names]
+            for ti, rho in zip(np.linspace(0.0, t, points), states)]
+
+
+def cmd_thermalize(args) -> int:
+    H, lat = _build_model(_model_spec_from_args(args))
     names = args.observables.split(",") if args.observables else ["energy"]
-    rows = []
-    for i, t in enumerate(times):
-        if i > 0:
-            rho = evolve(gen, rho, times[i] - times[i - 1], method=args.method)
-        rows.append([t] + [_observable_values(n, H, lat, rho.mat, args.beta)
-                           for n in names])
+    rows = _thermalize_rows(H, lat, args.beta, args.gamma0, args.t, args.points,
+                            args.method, names)
     header = ["t"] + names
     if args.output:
         write_csv(args.output, header, rows)
@@ -262,6 +263,7 @@ def cmd_simulate_schedule(args) -> int:
 # ---------------------------------------------------------------------------
 
 _EXPERIMENTS = ("gibbs-sweep", "verify-appendix", "steady-state", "thermalize")
+_METHODS = ("auto", "expm", "krylov")
 
 
 def validate_config(cfg: dict) -> None:
@@ -288,6 +290,10 @@ def validate_config(cfg: dict) -> None:
     for key in ("beta", "gamma0", "t"):
         if key in dyn and not (isinstance(dyn[key], (int, float)) and dyn[key] >= 0):
             raise ConfigError(f"dynamics.{key} must be a nonnegative number")
+    if "points" in dyn and not (isinstance(dyn["points"], int) and dyn["points"] >= 2):
+        raise ConfigError("dynamics.points must be an integer >= 2")
+    if "method" in dyn and dyn["method"] not in _METHODS:
+        raise ConfigError(f"dynamics.method must be one of {_METHODS}, got {dyn['method']!r}")
     if "beta_grid" in cfg:
         grid = cfg["beta_grid"]
         if (not isinstance(grid, list) or not grid
@@ -346,21 +352,9 @@ def cmd_run(args) -> int:
                 n: _observable_values(n, H, lat, rho, beta) for n in observables
             }
     elif exp == "thermalize":
-        from .bath import davies_reduction
-
-        gen = davies_reduction(H, _full_decompositions(H), beta,
-                               float(dyn.get("gamma0", 0.5)))
-        t_total = float(dyn.get("t", 1.0))
-        n_points = int(dyn.get("points", 11))
-        rho = DensityMatrix.maximally_mixed(1 << H.n_qubits)
-        times = np.linspace(0.0, t_total, n_points)
-        rows = []
-        for i, t in enumerate(times):
-            if i > 0:
-                rho = evolve(gen, rho, times[i] - times[i - 1],
-                             method=dyn.get("method", "auto"))
-            rows.append([t] + [_observable_values(n, H, lat, rho.mat, beta)
-                               for n in observables])
+        rows = _thermalize_rows(H, lat, beta, float(dyn.get("gamma0", 0.5)),
+                                float(dyn.get("t", 1.0)), int(dyn.get("points", 11)),
+                                dyn.get("method", "auto"), observables)
         csv_path = outdir / "thermalize.csv"
         write_csv(csv_path, ["t"] + observables, rows)
         result["csv"] = str(csv_path)
@@ -415,7 +409,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--gamma0", type=float, default=0.5)
     p.add_argument("--t", type=float, default=10.0)
     p.add_argument("--points", type=int, default=11)
-    p.add_argument("--method", default="auto", choices=["auto", "rk4", "expm", "krylov"])
+    p.add_argument("--method", default="auto", choices=_METHODS)
     p.add_argument("--observables", default="energy,gibbs_distance")
     p.add_argument("-o", "--output")
     p.set_defaults(func=cmd_thermalize)

@@ -1,4 +1,6 @@
-"""Lindblad generators on vectorized density matrices.
+"""Lindblad generators on vectorized density matrices: superoperators, exact
+time evolution (dense exponential or Krylov, one superoperator per
+trajectory), steady-state kernels and Gibbs states.
 
 Conventions (fixed package-wide):
 
@@ -28,8 +30,10 @@ from .pauli import PauliString
 
 #: Hilbert-space dimension above which build_superoperator refuses.
 SUPEROP_DIM_LIMIT = 256
-#: Superoperator dimension up to which evolve() uses the exact exponential.
+#: Superoperator dimension up to which trajectory() uses the exact exponential.
 EXACT_EXPM_LIMIT = 4096
+#: An evolved state with an eigenvalue below -POSITIVITY_TOL raises a warning.
+POSITIVITY_TOL = 1e-6
 
 
 def vec(rho: np.ndarray) -> np.ndarray:
@@ -206,105 +210,67 @@ def _superop_scale(L: sparse.spmatrix) -> float:
 # time evolution
 # ---------------------------------------------------------------------------
 
-def evolve(
+def trajectory(
     g: LindbladGenerator,
     rho0: DensityMatrix,
     t: float,
-    dt: float | None = None,
+    points: int,
     method: str = "auto",
-    rtol: float = 1e-8,
-    atol: float = 1e-10,
-    positivity_tol: float = 1e-6,
-    check_every: int = 25,
-) -> DensityMatrix:
-    """Propagate rho0 for time t.
+) -> list[DensityMatrix]:
+    """States at np.linspace(0, t, points), all from one superoperator.
 
-    method "auto" uses the exact exponential when the superoperator dimension
-    is at most 4096, otherwise adaptive RK4 with step doubling. "krylov"
-    selects scipy's exact expm_multiply (Al-Mohy/Higham), useful for long
-    stiff runs at dim 256. Hermiticity is enforced by symmetrization each
-    accepted step; trace is preserved to 1e-9 and positivity is monitored.
+    "expm" steps with one dense exponential exp(L dt); "krylov" makes one
+    call to scipy's expm_multiply (Al-Mohy/Higham), which returns the whole
+    uniform grid; "auto" uses expm while the superoperator dimension is at
+    most EXACT_EXPM_LIMIT and krylov above it. Each returned state is
+    Hermitized; trace is preserved to 1e-9 and positivity is monitored.
     """
     d = g.n_levels
     if rho0.dim != d:
         raise ParameterError("state dimension does not match the generator")
     if t < 0:
         raise ParameterError("t must be nonnegative")
+    if points < 2:
+        raise ParameterError(f"a trajectory needs at least 2 points, got {points}")
+    if method == "auto":
+        method = "expm" if d * d <= EXACT_EXPM_LIMIT else "krylov"
+    if method not in ("expm", "krylov"):
+        raise ParameterError(f"unknown method {method!r}")
     if t == 0:
-        return rho0
+        return [rho0] * points
 
     L = build_superoperator(g)
     v0 = vec(rho0.mat)
-
-    if method == "auto":
-        method = "expm" if d * d <= EXACT_EXPM_LIMIT else "rk4"
-
     if method == "expm":
-        U = expm((L * t).toarray())
-        out = unvec(U @ v0)
-        return _finalize_state(out, positivity_tol)
-    if method == "krylov":
-        out = unvec(expm_multiply(L * t, v0))
-        return _finalize_state(out, positivity_tol)
-    if method != "rk4":
-        raise ParameterError(f"unknown method {method!r}")
-
-    scale = _superop_scale(L)
-    h = dt if dt is not None else 0.05 / scale
-    if dt is not None and dt > 0.1 / scale * 10:
-        warnings.warn("dt is large compared to 1/||L||; accuracy may suffer")
-    h_min = t * 1e-12
-
-    def rk4_step(y, h):
-        k1 = L @ y
-        k2 = L @ (y + 0.5 * h * k1)
-        k3 = L @ (y + 0.5 * h * k2)
-        k4 = L @ (y + h * k3)
-        return y + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
-
-    y = v0.astype(complex)
-    time = 0.0
-    n_accepted = 0
-    while time < t:
-        h = min(h, t - time)
-        y_full = rk4_step(y, h)
-        y_half = rk4_step(rk4_step(y, h / 2), h / 2)
-        err = np.linalg.norm(y_full - y_half) / 15.0
-        tol = atol + rtol * np.linalg.norm(y)
-        if err <= tol or h <= h_min:
-            if h <= h_min and err > tol:
-                raise NumericalError(
-                    f"step size underflow at t={time:.3g} (err {err:.2e} > tol {tol:.2e})"
-                )
-            # accept the richer two-half-step solution, symmetrized
-            m = unvec(y_half)
-            m = (m + m.conj().T) / 2
-            y = vec(m)
-            time += h
-            n_accepted += 1
-            if n_accepted % check_every == 0:
-                lam_min = np.linalg.eigvalsh(m).min()
-                if lam_min < -positivity_tol:
-                    warnings.warn(
-                        f"positivity violation {lam_min:.2e} at t={time:.3g}"
-                    )
-        factor = 0.9 * (tol / err) ** 0.2 if err > 0 else 2.0
-        h = h * min(2.0, max(0.2, factor))
-
-    out = unvec(y)
-    return _finalize_state(out, positivity_tol)
+        U = expm((L * (t / (points - 1))).toarray())
+        vs = [v0]
+        for _ in range(points - 1):
+            vs.append(U @ vs[-1])
+    else:
+        vs = expm_multiply(L, v0, start=0.0, stop=t, num=points, endpoint=True)
+    return [rho0] + [_finalize_state(unvec(v)) for v in vs[1:]]
 
 
-def _finalize_state(m: np.ndarray, positivity_tol: float) -> DensityMatrix:
+def evolve(
+    g: LindbladGenerator,
+    rho0: DensityMatrix,
+    t: float,
+    method: str = "auto",
+) -> DensityMatrix:
+    """Propagate rho0 for time t: the last state of a two-point trajectory."""
+    return trajectory(g, rho0, t, 2, method)[-1]
+
+
+def _finalize_state(m: np.ndarray) -> DensityMatrix:
     m = (m + m.conj().T) / 2
     tr = np.trace(m).real
     if abs(tr - 1.0) > 1e-9:
         raise NumericalError(f"trace drifted to {tr} during evolution")
     lam, u = np.linalg.eigh(m)
-    if lam.min() < -positivity_tol:
-        warnings.warn(f"positivity violation {lam.min():.2e} in the final state")
+    if lam.min() < -POSITIVITY_TOL:
+        warnings.warn(f"positivity violation {lam.min():.2e} in an evolved state")
     if lam.min() < -1e-8:
-        # clip integrator noise so the state satisfies the DensityMatrix contract
+        # clip propagation noise so the state satisfies the DensityMatrix contract
         lam = np.clip(lam, 0.0, None)
         m = (u * lam) @ u.conj().T
         m = m / np.trace(m).real

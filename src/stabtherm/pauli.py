@@ -12,7 +12,7 @@ Phases are exact: products, adjoints and squares are integer arithmetic mod 4.
 
 Dense realizations use the little-endian basis convention: qubit 0 is the
 least significant bit of the computational-basis index, i.e.
-``to_dense(P) == kron(M_{n-1}, ..., M_1, M_0)`` for single-site matrices M_j.
+``P.to_dense() == kron(M_{n-1}, ..., M_1, M_0)`` for single-site matrices M_j.
 
 Text serialization is ``"<phase> <letters>"`` with one letter per qubit in
 qubit order, e.g. ``"+1 IXYZ"`` or ``"-i ZZII"``.
@@ -36,13 +36,6 @@ _TOKEN_PHASES = {"+1": 0, "1": 0, "+i": 1, "i": 1, "-1": 2, "-i": 3}
 
 # per-letter (x, z, phase exponent) under Y = i X Z
 _LETTER_XZK = {"I": (0, 0, 0), "X": (1, 0, 0), "Z": (0, 1, 0), "Y": (1, 1, 1)}
-
-_SINGLE_QUBIT_DENSE = {
-    "I": np.eye(2, dtype=complex),
-    "X": np.array([[0, 1], [1, 0]], dtype=complex),
-    "Y": np.array([[0, -1j], [1j, 0]], dtype=complex),
-    "Z": np.array([[1, 0], [0, -1]], dtype=complex),
-}
 
 
 def _popcount(v: int) -> int:
@@ -188,13 +181,7 @@ class PauliString:
             raise CapacityError(
                 f"dense realization of {self.n} qubits exceeds the limit {limit}"
             )
-        dim = 1 << self.n
-        cols = np.arange(dim, dtype=np.int64)
-        rows = cols ^ self.x
-        signs = 1.0 - 2.0 * (np.bitwise_count(cols & self.z) & 1).astype(np.float64)
-        mat = np.zeros((dim, dim), dtype=complex)
-        mat[rows, cols] = self.phase * signs
-        return mat
+        return self.to_sparse().toarray()
 
     def to_sparse(self, sparse_limit: int = 24):
         """CSR realization; one nonzero per column. Cheap up to ~24 qubits."""
@@ -223,19 +210,6 @@ class PauliString:
 
     def __repr__(self) -> str:
         return f"PauliString({self.label!r})"
-
-
-def multiply(p: PauliString, q: PauliString) -> PauliString:
-    """Exact product p*q including phase."""
-    return p * q
-
-
-def commutes(p: PauliString, q: PauliString) -> bool:
-    return p.commutes(q)
-
-
-def to_dense(p: PauliString, dense_limit: int | None = None) -> np.ndarray:
-    return p.to_dense(dense_limit)
 
 
 class PauliSum:

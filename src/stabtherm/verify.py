@@ -118,22 +118,24 @@ def commutant_dimension(
     """Nullity of X -> sum_O ||[X, O]||^2 over dim x dim matrices.
 
     Includes adjoints automatically. Returns (count, inspected eigenvalues);
-    count == max_dim means "at least max_dim". Dense exact path below
-    dim 32; matrix-free LOBPCG above.
+    count == max_dim means "at least max_dim". Eigenvalues of
+    M = sum_O ad_O^dag ad_O below tol * scale count as zero: all of them
+    from a dense eigvalsh up to dim 32, the lowest max_dim from matrix-free
+    LOBPCG above.
     """
     mats = _as_sparse_list(ops)
     mats = mats + [m.conj().T.tocsr() for m in mats]
     scale = max(abs(m).max() ** 2 for m in mats) * len(mats)
+    thresh = tol * scale
 
     if dim <= 32:
         eye = sparse.identity(dim, format="csr")
-        rows = [sparse.kron(eye, m, format="csr") - sparse.kron(m.T, eye, format="csr")
-                for m in mats]
-        A = sparse.vstack(rows).toarray()
-        svals = np.linalg.svd(A, compute_uv=False)
-        thresh = max(1e-10 * svals.max(), 1e-12)
-        nullity = int(np.sum(svals < thresh)) + (dim * dim - len(svals) if A.shape[0] < dim * dim else 0)
-        return nullity, svals[::-1][: max_dim] ** 2
+        M = sparse.csr_matrix((dim * dim, dim * dim), dtype=complex)
+        for m in mats:
+            C = sparse.kron(eye, m, format="csr") - sparse.kron(m.T, eye, format="csr")
+            M = M + C.conj().T @ C
+        vals = np.linalg.eigvalsh(M.toarray())
+        return min(int(np.sum(vals < thresh)), max_dim), vals[:max_dim]
 
     matsH = [m.conj().T.tocsr() for m in mats]
 
@@ -157,7 +159,6 @@ def commutant_dimension(
         warnings.simplefilter("ignore")
         vals, _ = lobpcg(Mop, X0, largest=False, tol=1e-5, maxiter=300)
     vals = np.sort(np.real(vals))
-    thresh = tol * scale
     count = int(np.sum(vals < thresh))
     return count, vals
 

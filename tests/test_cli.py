@@ -147,6 +147,12 @@ def test_validate_config_rejects_bad_documents():
     with pytest.raises(ConfigError):
         validate_config({"experiment": "gibbs-sweep",
                          "model": {"type": "toric"}, "observables": "energy"})
+    with pytest.raises(ConfigError):
+        validate_config({"experiment": "thermalize", "model": {"type": "toric"},
+                         "dynamics": {"method": "rk4"}})
+    with pytest.raises(ConfigError):
+        validate_config({"experiment": "thermalize", "model": {"type": "toric"},
+                         "dynamics": {"points": 1}})
 
 
 def test_bad_config_json_exits_2(tmp_path):

@@ -117,6 +117,14 @@ def test_ergodicity_verdict_invariant_under_basis_change():
     assert dim_before == dim_after == 1
 
 
+def test_commutant_count_is_capped_at_max_dim():
+    # Z on qubit 0 of two: the commutant span{I, Z} x M_2 is 8-dimensional,
+    # and a count reaching max_dim means "at least max_dim"
+    z0 = np.kron(np.eye(2), np.diag([1.0, -1.0]))
+    assert commutant_dimension([z0], 4, max_dim=4)[0] == 4
+    assert commutant_dimension([z0], 4, max_dim=8)[0] == 8
+
+
 def test_loop_operators_not_in_commutant_of_full_set(l2):
     lat, H, _ = l2
     gen = davies_reduction(H, decomps(H), 1.0, 0.5)
