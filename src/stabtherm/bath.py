@@ -30,7 +30,7 @@ from .lindblad import (
     trajectory,
 )
 from .pauli import PauliString, PauliSum
-from .toric import EigenoperatorDecomposition, StabilizerHamiltonian
+from .toric import EigenComponent, EigenoperatorDecomposition, StabilizerHamiltonian
 
 #: Hard cap on composite Hilbert dimension for dense generator assembly.
 COMPOSITE_DIM_LIMIT = 1 << 14
@@ -77,12 +77,17 @@ class AncillaSpec:
 
 @dataclass(frozen=True)
 class CompositeModel:
-    """System qubits first, ancillas after, in AncillaSpec declaration order."""
+    """System qubits first, ancillas after, in AncillaSpec declaration order.
+
+    ``components[i]`` is the Fourier component ancilla i is matched to, and
+    every ancilla is thermal at inverse temperature ``beta``.
+    """
 
     system: StabilizerHamiltonian
     ancillas: tuple[AncillaSpec, ...]
-    decompositions: tuple[EigenoperatorDecomposition, ...]
+    components: tuple[EigenComponent, ...]
     coupling: float  # g
+    beta: float
 
     @property
     def n_system(self) -> int:
@@ -121,6 +126,13 @@ class CompositeModel:
             return (x + y * (-1j)) * 0.5
         return (x + y * (1j)) * 0.5
 
+    def bare_hamiltonian(self) -> PauliSum:
+        """H_sys - sum_i (omega_i/2) Sigma^z_i: the composite without coupling."""
+        h = self.embed_system(self.system.as_sum())
+        for i, a in enumerate(self.ancillas):
+            h = h + self.ancilla_pauli(i, "z") * (-a.omega / 2.0)
+        return h
+
     def thermal_ancilla_state(self, beta: float) -> np.ndarray:
         """Joint thermal state of the ancilla block (little-endian kron order)."""
         out = np.array([[1.0]], dtype=complex)
@@ -140,20 +152,17 @@ class CompositeModel:
 
 def _dressing_ancillas(
     decomps: tuple[EigenoperatorDecomposition, ...], beta: float, gamma_minus: float
-) -> tuple[tuple[AncillaSpec, ...], tuple[tuple[int, int], ...]]:
-    """One ancilla per (site, axis, frequency); returns specs and the map
-    (decomp index, component index) -> ancilla index implicitly by order."""
+) -> tuple[tuple[AncillaSpec, ...], tuple[EigenComponent, ...]]:
+    """One ancilla per (site, axis, frequency); returns the specs and the
+    component each one is matched to, in the same order."""
     specs = []
-    owners = []
-    for di, dec in enumerate(decomps):
-        comps = sorted(range(len(dec.components)),
-                       key=lambda ci: -dec.components[ci].epsilon)
-        for ci in comps:
-            comp = dec.components[ci]
+    components = []
+    for dec in decomps:
+        for comp in sorted(dec.components, key=lambda c: -c.epsilon):
             specs.append(AncillaSpec.for_component(
                 dec.site, dec.axis, comp.epsilon, beta, gamma_minus))
-            owners.append((di, ci))
-    return tuple(specs), tuple(owners)
+            components.append(comp)
+    return tuple(specs), tuple(components)
 
 
 def _composite_dim_guard(n_qubits: int):
@@ -164,17 +173,17 @@ def _composite_dim_guard(n_qubits: int):
         )
 
 
-def _ancilla_jumps(model: CompositeModel, beta: float) -> list[JumpOp]:
+def _ancilla_jumps(model: CompositeModel) -> list[JumpOp]:
     jumps = []
     for i, a in enumerate(model.ancillas):
         sm = model.ancilla_sigma_pm(i, "-").to_sparse()
         sp = model.ancilla_sigma_pm(i, "+").to_sparse()
         q = model.ancilla_qubit(i)
         jumps.append(JumpOp(sm, a.gamma_minus, f"anc{i}-",
-                            reset={"qubit": q, "beta": beta, "omega": a.omega,
+                            reset={"qubit": q, "beta": model.beta, "omega": a.omega,
                                    "direction": "minus"}))
         jumps.append(JumpOp(sp, a.gamma_plus, f"anc{i}+",
-                            reset={"qubit": q, "beta": beta, "omega": a.omega,
+                            reset={"qubit": q, "beta": model.beta, "omega": a.omega,
                                    "direction": "plus"}))
     return jumps
 
@@ -190,17 +199,16 @@ def attach_ancillas(
     with Sigma^-/Sigma^+ dissipators at detailed-balance rates (no RWA)."""
     decomps = tuple(decomps)
     _validate_decomps(H, decomps)
-    specs, owners = _dressing_ancillas(decomps, beta, gamma_minus)
+    specs, components = _dressing_ancillas(decomps, beta, gamma_minus)
     _composite_dim_guard(H.n_qubits + len(specs))
 
     omega_max = max((a.omega for a in specs), default=0.0)
     if g is None:
         g = DEFAULT_COUPLING_FRACTION * omega_max if omega_max > 0 else DEFAULT_COUPLING_FRACTION
-    model = CompositeModel(H, specs, decomps, float(g))
+    model = CompositeModel(H, specs, components, float(g), float(beta))
 
-    h_sum = model.embed_system(H.as_sum())
+    h_sum = model.bare_hamiltonian()
     for i, a in enumerate(model.ancillas):
-        h_sum = h_sum + model.ancilla_pauli(i, "z") * (-a.omega / 2.0)
         src = PauliString.single(H.n_qubits, a.site, a.axis)
         coupling = model.embed_system(PauliSum.from_string(src)) * model.ancilla_pauli(i, "x")
         h_sum = h_sum + coupling * g
@@ -209,40 +217,21 @@ def attach_ancillas(
     gen = LindbladGenerator(
         n_levels=model.dim,
         H=h_sum.to_sparse(),
-        jumps=tuple(_ancilla_jumps(model, beta)),
+        jumps=tuple(_ancilla_jumps(model)),
         hamiltonian_terms=_real_terms(h_sum),
     )
     return model, gen
 
 
-def rwa_generator(
-    model: CompositeModel,
-    decomps: list[EigenoperatorDecomposition] | None = None,
-    g: float | None = None,
-) -> LindbladGenerator:
+def rwa_generator(model: CompositeModel) -> LindbladGenerator:
     """Interaction-picture generator under the rotating wave approximation.
 
     H_RWA = g * sum_k (a_k x Sigma^+_k + a_k^dag x Sigma^-_k) for delta-type
     ancillas and g * T x Sigma^x for zero-type, plus the ancilla dissipators.
     """
-    decomps = tuple(decomps) if decomps is not None else model.decompositions
-    g = model.coupling if g is None else float(g)
-    specs, owners = _dressing_ancillas(
-        decomps, _beta_of(model), model.ancillas[0].gamma_minus if model.ancillas else 0.0
-    )
-    if len(specs) != model.n_ancilla:
-        raise ModelError("decompositions do not match the model's ancilla count")
-
+    g = model.coupling
     h_sum = PauliSum(model.n_qubits)
-    for i, (di, ci) in enumerate(owners):
-        comp = decomps[di].components[ci]
-        a_spec = model.ancillas[i]
-        expect_omega = 2.0 * comp.epsilon
-        if abs(a_spec.omega - expect_omega) > 1e-9 * max(1.0, expect_omega):
-            raise ModelError(
-                f"ancilla {i} frequency {a_spec.omega} does not match component "
-                f"transition {expect_omega}"
-            )
+    for i, comp in enumerate(model.components):
         if comp.is_zero_mode:
             t_emb = model.embed_system(comp.translation)
             h_sum = h_sum + t_emb * model.ancilla_pauli(i, "x") * g
@@ -256,18 +245,9 @@ def rwa_generator(
     return LindbladGenerator(
         n_levels=model.dim,
         H=h_sum.to_sparse(),
-        jumps=tuple(_ancilla_jumps(model, _beta_of(model))),
+        jumps=tuple(_ancilla_jumps(model)),
         hamiltonian_terms=_real_terms(h_sum),
     )
-
-
-def _beta_of(model: CompositeModel) -> float:
-    """Recover beta from any delta-type ancilla's detailed-balance ratio."""
-    for a in model.ancillas:
-        if a.kind == "delta" and a.gamma_minus > 0:
-            ratio = a.gamma_plus / a.gamma_minus
-            return float(-np.log(ratio) / a.omega) if ratio > 0 else np.inf
-    return 0.0
 
 
 def _real_terms(h_sum: PauliSum) -> tuple[tuple[float, PauliString], ...]:
@@ -301,7 +281,6 @@ def davies_reduction(
     beta: float,
     gamma0: float,
     include: tuple[str, ...] = ("lower", "raise", "translate"),
-    require_full_coverage: bool = True,
 ) -> LindbladGenerator:
     """System-only thermal generator built from the Fourier components.
 
@@ -312,12 +291,11 @@ def davies_reduction(
     """
     decomps = tuple(decomps)
     _validate_decomps(H, decomps)
-    if require_full_coverage:
-        covered = {(d.site, d.axis) for d in decomps}
-        needed = {(j, a) for j in range(H.n_qubits) for a in ("x", "z")}
-        if not needed <= covered:
-            missing = sorted(needed - covered)[:4]
-            raise ModelError(f"decompositions do not cover every (site, sector); missing {missing}")
+    covered = {(d.site, d.axis) for d in decomps}
+    needed = {(j, a) for j in range(H.n_qubits) for a in ("x", "z")}
+    if not needed <= covered:
+        missing = sorted(needed - covered)[:4]
+        raise ModelError(f"decompositions do not cover every (site, sector); missing {missing}")
     if gamma0 <= 0:
         raise ParameterError("gamma0 must be positive")
 
@@ -383,7 +361,7 @@ def rwa_validity_probe(
     from scipy.linalg import expm as dense_expm
 
     model, lab_gen = attach_ancillas(H, decomps, beta, gamma_minus, g=g)
-    rwa_gen = rwa_generator(model, decomps, g=g)
+    rwa_gen = rwa_generator(model)
     dim = model.dim
     if dim * dim > 1 << 20:
         raise CapacityError("probe needs a small composite (dense dual evolution)")
@@ -395,10 +373,7 @@ def rwa_validity_probe(
         rho = np.asarray(rho0, dtype=complex)
     rho0_dm = DensityMatrix(rho)
 
-    h0 = model.embed_system(H.as_sum())
-    for i, a in enumerate(model.ancillas):
-        h0 = h0 + model.ancilla_pauli(i, "z") * (-a.omega / 2.0)
-    H0 = h0.to_dense()
+    H0 = model.bare_hamiltonian().to_dense()
 
     times = np.linspace(0.0, t_max, n_points)
     lab = trajectory(lab_gen, rho0_dm, t_max, n_points)

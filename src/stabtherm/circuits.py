@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, asdict
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
@@ -79,6 +79,8 @@ class Gate:
 
 @dataclass(frozen=True)
 class GateSchedule:
+    """``gates`` is one segment, applied ``steps`` times in order."""
+
     n_qubits: int
     gates: tuple[Gate, ...]
     n_classical: int = 0
@@ -107,7 +109,8 @@ class GateSchedule:
                         )
 
     def __len__(self) -> int:
-        return len(self.gates)
+        """Number of gates applied: the segment length times ``steps``."""
+        return len(self.gates) * self.steps
 
     def to_jsonl(self) -> str:
         header = {
@@ -202,13 +205,13 @@ def compile_pauli_exponential(p: PauliString, phi: float) -> GateSchedule:
 
 
 def reset_channel(beta: float, omega: float, qubit: int = 0, n_qubits: int = 1,
-                  implementation: str = "direct",
-                  cbits: tuple[int, int] = (0, 1)) -> GateSchedule:
+                  implementation: str = "direct") -> GateSchedule:
     """Thermal reset of one qubit; output diag(p0, p1) with p1/p0 = e^{-beta*omega}.
 
     implementation "direct" is the THERMAL_RESET primitive; "measured" is
-    MEASURE_Z + SAMPLE_BOLTZMANN_BIT + conditional pi-pulses. The two have
-    identical channel semantics (equal Choi matrices).
+    MEASURE_Z + SAMPLE_BOLTZMANN_BIT + conditional pi-pulses on classical
+    bits 0 (measured) and 1 (sampled). The two have identical channel
+    semantics (equal Choi matrices).
     """
     if not (math.isfinite(beta) and math.isfinite(omega)):
         raise ParameterError("beta and omega must be finite")
@@ -219,7 +222,7 @@ def reset_channel(beta: float, omega: float, qubit: int = 0, n_qubits: int = 1,
         return GateSchedule(n_qubits, gates, 0, 0.0, 1)
     if implementation != "measured":
         raise ParameterError(f"unknown implementation {implementation!r}")
-    m_bit, b_bit = cbits
+    m_bit, b_bit = 0, 1
     gates = (
         Gate(MEASURE_Z, qubit=qubit, cbit=m_bit),
         Gate(SAMPLE_BOLTZMANN_BIT, beta=beta, omega=omega, cbit=b_bit),
@@ -229,14 +232,14 @@ def reset_channel(beta: float, omega: float, qubit: int = 0, n_qubits: int = 1,
         Gate(COND_PULSE, qubit=qubit, axis="x", angle=math.pi,
              condition=((m_bit, 1), (b_bit, 0))),
     )
-    return GateSchedule(n_qubits, gates, max(m_bit, b_bit) + 1, 0.0, 1)
+    return GateSchedule(n_qubits, gates, 2, 0.0, 1)
 
 
 def trotterize(g: LindbladGenerator, t: float, n_steps: int,
                pin_resets: bool = False) -> GateSchedule:
     """First-order product schedule approximating exp(L*t).
 
-    Per step: one exact exponential per Hamiltonian Pauli term with angle
+    The schedule stores one step and repeats it ``n_steps`` times. Per step: one exact exponential per Hamiltonian Pauli term with angle
     coeff*dt, then one thermal-relaxation channel per reset-tagged ancilla
     qubit. By default the relaxation strength equals the exact exp(D*dt) for
     that ancilla's dissipator pair, so the schedule converges to exp(L*t) at
@@ -286,7 +289,7 @@ def trotterize(g: LindbladGenerator, t: float, n_steps: int,
         step_gates.append(Gate(THERMAL_RESET, qubit=q, beta=r["beta"],
                                omega=r["omega"], relax=relax))
 
-    return GateSchedule(n_qubits, tuple(step_gates * n_steps), 0, t, n_steps)
+    return GateSchedule(n_qubits, tuple(step_gates), 0, t, n_steps)
 
 
 # ---------------------------------------------------------------------------
@@ -406,7 +409,15 @@ class _ScheduleRunner:
         return self._proj_cache[q]
 
     def run(self, mat: np.ndarray) -> np.ndarray:
-        branches: dict[tuple[tuple[int, int], ...], np.ndarray] = {(): np.array(mat, dtype=complex)}
+        """Apply the segment ``steps`` times. A bit is written before it is read
+        within the segment, so no branch bit is live across a segment boundary."""
+        out = np.array(mat, dtype=complex)
+        for _ in range(self.schedule.steps):
+            out = self._run_segment(out)
+        return out
+
+    def _run_segment(self, mat: np.ndarray) -> np.ndarray:
+        branches: dict[tuple[tuple[int, int], ...], np.ndarray] = {(): mat}
         for i, g in enumerate(self.schedule.gates):
             keep = self._live_after[i]
             new: dict[tuple[tuple[int, int], ...], np.ndarray] = {}
@@ -486,34 +497,14 @@ def schedule_unitary(schedule: GateSchedule) -> np.ndarray:
         if g.kind not in (ROT1, CPHASE):
             raise ScheduleError("schedule_unitary needs a unitary-only schedule")
         U = runner._gate_unitary(g) @ U
-    return U
-
-
-def _periodic_segment(schedule: GateSchedule) -> tuple[GateSchedule, int] | None:
-    """Detect an exactly periodic gate list (as produced by trotterize)."""
-    n = schedule.steps
-    g = schedule.gates
-    if n > 1 and len(g) % n == 0:
-        m = len(g) // n
-        if all(g[i] == g[i % m] for i in range(len(g))):
-            seg = GateSchedule(schedule.n_qubits, g[:m], schedule.n_classical,
-                               schedule.total_time / n, 1)
-            return seg, n
-    return None
+    return np.linalg.matrix_power(U, schedule.steps)
 
 
 def schedule_superoperator(schedule: GateSchedule) -> np.ndarray:
-    """Dense column-stacking superoperator of the schedule's channel.
-
-    Periodic schedules (trotterize output) are raised to the step power
-    instead of being replayed gate by gate.
-    """
-    periodic = _periodic_segment(schedule)
-    if periodic is not None:
-        seg, n = periodic
-        S = _superoperator_by_columns(seg)
-        return np.linalg.matrix_power(S, n)
-    return _superoperator_by_columns(schedule)
+    """Dense column-stacking superoperator of the schedule's channel: the
+    segment's superoperator raised to the step count."""
+    S = _superoperator_by_columns(replace(schedule, steps=1))
+    return np.linalg.matrix_power(S, schedule.steps)
 
 
 def _superoperator_by_columns(schedule: GateSchedule) -> np.ndarray:

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 from pathlib import Path
 
@@ -185,10 +186,6 @@ def cmd_verify(args) -> int:
     from .bath import davies_reduction
     from .verify import check_fixed_point_conditions, ergodicity_check
 
-    if args.what != "appendix":
-        raise ConfigError(f"unknown verification target {args.what!r}")
-    if args.model != "toric":
-        raise ConfigError("appendix verification runs on the toric model")
     lat = build_torus(args.L)
     H = toric_hamiltonian(lat, args.lambda_e, args.lambda_m)
     ops = all_excitation_ops(lat, H)
@@ -264,46 +261,82 @@ def cmd_simulate_schedule(args) -> int:
 
 _EXPERIMENTS = ("gibbs-sweep", "verify-appendix", "steady-state", "thermalize")
 _METHODS = ("auto", "expm", "krylov")
+_MODEL_TYPES = ("toric", "mini-vertex", "single-stabilizer")
+_OBSERVABLES = ("energy", "A_v", "B_p", "gibbs_distance")
+_KEYS = {
+    "config": {"experiment", "model", "dynamics", "beta_grid", "observables",
+               "seed", "output_dir"},
+    "model": {"type", "L", "lambda_e", "lambda_m", "lam", "letters"},
+    "dynamics": {"beta", "gamma0", "t", "points", "method"},
+}
+
+
+def _is_number(x) -> bool:
+    return isinstance(x, (int, float)) and not isinstance(x, bool)
+
+
+def _is_integer(x) -> bool:
+    return _is_number(x) and float(x).is_integer()
+
+
+def _reject_unknown_keys(where: str, doc: dict) -> None:
+    unknown = sorted(set(doc) - _KEYS[where])
+    if unknown:
+        raise ConfigError(f"unknown {where} keys {unknown}")
 
 
 def validate_config(cfg: dict) -> None:
     """Schema validation (the shipped JSON schema, enforced in code)."""
     if not isinstance(cfg, dict):
         raise ConfigError("config must be a JSON object")
+    _reject_unknown_keys("config", cfg)
     exp = cfg.get("experiment")
     if exp not in _EXPERIMENTS:
         raise ConfigError(f"experiment must be one of {_EXPERIMENTS}, got {exp!r}")
     model = cfg.get("model")
     if not isinstance(model, dict) or "type" not in model:
         raise ConfigError("config.model must be an object with a 'type'")
-    if model["type"] not in ("toric", "mini-vertex", "single-stabilizer"):
+    _reject_unknown_keys("model", model)
+    if model["type"] not in _MODEL_TYPES:
         raise ConfigError(f"unknown model type {model['type']!r}")
-    for key in ("L",):
-        if key in model and (not isinstance(model[key], int) or model[key] < 2):
-            raise ConfigError("model.L must be an integer >= 2")
+    if "L" in model and not (_is_integer(model["L"]) and model["L"] >= 2):
+        raise ConfigError("model.L must be an integer >= 2")
     for key in ("lambda_e", "lambda_m", "lam"):
-        if key in model and not (isinstance(model[key], (int, float)) and model[key] > 0):
+        if key in model and not (_is_number(model[key]) and model[key] > 0):
             raise ConfigError(f"model.{key} must be positive")
+    if model["type"] == "single-stabilizer" and "letters" not in model:
+        raise ConfigError("a single-stabilizer model needs letters")
+    if "letters" in model and not (isinstance(model["letters"], str)
+                                   and re.fullmatch("[IXYZ]+", model["letters"])):
+        raise ConfigError("model.letters must be a nonempty string over IXYZ")
     dyn = cfg.get("dynamics", {})
     if not isinstance(dyn, dict):
         raise ConfigError("config.dynamics must be an object")
-    for key in ("beta", "gamma0", "t"):
-        if key in dyn and not (isinstance(dyn[key], (int, float)) and dyn[key] >= 0):
+    _reject_unknown_keys("dynamics", dyn)
+    for key in ("beta", "t"):
+        if key in dyn and not (_is_number(dyn[key]) and dyn[key] >= 0):
             raise ConfigError(f"dynamics.{key} must be a nonnegative number")
-    if "points" in dyn and not (isinstance(dyn["points"], int) and dyn["points"] >= 2):
+    if "gamma0" in dyn and not (_is_number(dyn["gamma0"]) and dyn["gamma0"] > 0):
+        raise ConfigError("dynamics.gamma0 must be positive")
+    if "points" in dyn and not (_is_integer(dyn["points"]) and dyn["points"] >= 2):
         raise ConfigError("dynamics.points must be an integer >= 2")
     if "method" in dyn and dyn["method"] not in _METHODS:
         raise ConfigError(f"dynamics.method must be one of {_METHODS}, got {dyn['method']!r}")
     if "beta_grid" in cfg:
         grid = cfg["beta_grid"]
         if (not isinstance(grid, list) or not grid
-                or not all(isinstance(b, (int, float)) and b >= 0 for b in grid)):
+                or not all(_is_number(b) and b >= 0 for b in grid)):
             raise ConfigError("beta_grid must be a nonempty list of nonnegative numbers")
     obs = cfg.get("observables", [])
-    if not isinstance(obs, list) or not all(isinstance(o, str) for o in obs):
-        raise ConfigError("observables must be a list of names")
-    if "seed" in cfg and not isinstance(cfg["seed"], int):
+    if not isinstance(obs, list) or not all(o in _OBSERVABLES for o in obs):
+        raise ConfigError(f"observables must be a list of names from {_OBSERVABLES}")
+    if model["type"] != "toric" and (exp == "verify-appendix"
+                                     or any(o in ("A_v", "B_p") for o in obs)):
+        raise ConfigError("verify-appendix and the A_v, B_p observables need a toric model")
+    if "seed" in cfg and not _is_integer(cfg["seed"]):
         raise ConfigError("seed must be an integer")
+    if "output_dir" in cfg and not isinstance(cfg["output_dir"], str):
+        raise ConfigError("output_dir must be a string")
 
 
 def cmd_run(args) -> int:
@@ -382,23 +415,22 @@ def build_parser() -> argparse.ArgumentParser:
     ap.add_argument("--version", action="version", version=f"stabtherm {__version__}")
     sub = ap.add_subparsers(dest="command", required=True)
 
-    def add_model_args(p):
-        p.add_argument("--model", default="toric", choices=["toric", "mini-vertex"])
+    def add_lattice_args(p):
         p.add_argument("--L", type=int, default=2)
         p.add_argument("--lambda-e", dest="lambda_e", type=float, default=1.0)
         p.add_argument("--lambda-m", dest="lambda_m", type=float, default=1.0)
 
+    def add_model_args(p):
+        p.add_argument("--model", default="toric", choices=["toric", "mini-vertex"])
+        add_lattice_args(p)
+
     p = sub.add_parser("build-model", help="emit lattice + Hamiltonian JSON")
-    p.add_argument("--L", type=int, default=2)
-    p.add_argument("--lambda-e", dest="lambda_e", type=float, default=1.0)
-    p.add_argument("--lambda-m", dest="lambda_m", type=float, default=1.0)
+    add_lattice_args(p)
     p.add_argument("-o", "--output")
     p.set_defaults(func=cmd_build_model)
 
     p = sub.add_parser("decompose", help="Fourier components of a local Pauli")
-    p.add_argument("--L", type=int, default=2)
-    p.add_argument("--lambda-e", dest="lambda_e", type=float, default=1.0)
-    p.add_argument("--lambda-m", dest="lambda_m", type=float, default=1.0)
+    add_lattice_args(p)
     p.add_argument("--site", type=int, required=True)
     p.add_argument("--axis", choices=["x", "y", "z"], required=True)
     p.set_defaults(func=cmd_decompose)
@@ -424,9 +456,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="numerical Appendix checks")
     p.add_argument("what", choices=["appendix"])
     p.add_argument("--model", default="toric", choices=["toric"])
-    p.add_argument("--L", type=int, default=2)
-    p.add_argument("--lambda-e", dest="lambda_e", type=float, default=1.0)
-    p.add_argument("--lambda-m", dest="lambda_m", type=float, default=1.0)
+    add_lattice_args(p)
     p.add_argument("--beta", type=float, default=1.0)
     p.add_argument("--gamma0", type=float, default=0.5)
     p.add_argument("--ergodicity", action="store_true",

@@ -42,6 +42,12 @@ def _popcount(v: int) -> int:
     return int(v).bit_count()
 
 
+def _check_dense_limit(n: int, dense_limit: int | None) -> None:
+    limit = DENSE_LIMIT if dense_limit is None else dense_limit
+    if n > limit:
+        raise CapacityError(f"dense realization of {n} qubits exceeds the limit {limit}")
+
+
 @dataclass(frozen=True)
 class PauliString:
     """Signed n-qubit Pauli operator in symplectic (x, z, phase) form.
@@ -176,11 +182,7 @@ class PauliString:
 
     def to_dense(self, dense_limit: int | None = None) -> np.ndarray:
         """Exact 2^n x 2^n complex matrix (little-endian qubit ordering)."""
-        limit = DENSE_LIMIT if dense_limit is None else dense_limit
-        if self.n > limit:
-            raise CapacityError(
-                f"dense realization of {self.n} qubits exceeds the limit {limit}"
-            )
+        _check_dense_limit(self.n, dense_limit)
         return self.to_sparse().toarray()
 
     def to_sparse(self, sparse_limit: int = 24):
@@ -302,11 +304,8 @@ class PauliSum:
         return all(abs(c) <= tol for c, _ in diff.terms)
 
     def to_dense(self, dense_limit: int | None = None) -> np.ndarray:
-        dim = 1 << self.n
-        out = np.zeros((dim, dim), dtype=complex)
-        for c, s in self.terms:
-            out += c * s.to_dense(dense_limit)
-        return out
+        _check_dense_limit(self.n, dense_limit)
+        return self.to_sparse().toarray()
 
     def to_sparse(self, sparse_limit: int = 24):
         from scipy import sparse

@@ -123,10 +123,7 @@ def group_from_json(d: dict):
 
 def write_csv(path, header: list[str], rows) -> None:
     with open(path, "w", newline="") as f:
-        w = csv.writer(f)
-        w.writerow(header)
-        for row in rows:
-            w.writerow([_fmt(x) for x in row])
+        f.write(csv_text(header, rows))
 
 
 def csv_text(header: list[str], rows) -> str:

@@ -146,20 +146,22 @@ class StabilizerHamiltonian:
         return tuple(t.coupling for t in self.terms)
 
 
+def _mask(links) -> int:
+    """Bit mask with bit j set for every link j."""
+    m = 0
+    for j in links:
+        m |= 1 << j
+    return m
+
+
 def vertex_string(lat: ToricLattice, v: int) -> PauliString:
     """A_v = prod_{j in v} sigma^z_j."""
-    z = 0
-    for j in lat.vertices[v]:
-        z |= 1 << j
-    return PauliString(lat.n_links, 0, z, 0)
+    return PauliString(lat.n_links, 0, _mask(lat.vertices[v]), 0)
 
 
 def plaquette_string(lat: ToricLattice, p: int) -> PauliString:
     """B_p = prod_{j in p} sigma^x_j."""
-    x = 0
-    for j in lat.plaquettes[p]:
-        x |= 1 << j
-    return PauliString(lat.n_links, x, 0, 0)
+    return PauliString(lat.n_links, _mask(lat.plaquettes[p]), 0, 0)
 
 
 def toric_hamiltonian(lat: ToricLattice, lambda_e: float, lambda_m: float) -> StabilizerHamiltonian:
@@ -203,24 +205,12 @@ def loop_operators(lat: ToricLattice) -> dict[str, PauliString]:
     """
     L = lat.L
     n = lat.n_links
-
-    def xs(links):
-        m = 0
-        for j in links:
-            m |= 1 << j
-        return PauliString(n, m, 0, 0)
-
-    def zs(links):
-        m = 0
-        for j in links:
-            m |= 1 << j
-        return PauliString(n, 0, m, 0)
-
-    wx1 = xs([lat.h_link(x, 0) for x in range(L)])
-    wx2 = xs([lat.v_link(0, y) for y in range(L)])
-    wz1 = zs([lat.v_link(x, 0) for x in range(L)])
-    wz2 = zs([lat.h_link(0, y) for y in range(L)])
-    return {"Wx1": wx1, "Wx2": wx2, "Wz1": wz1, "Wz2": wz2}
+    row_h = _mask(lat.h_link(x, 0) for x in range(L))
+    col_v = _mask(lat.v_link(0, y) for y in range(L))
+    row_v = _mask(lat.v_link(x, 0) for x in range(L))
+    col_h = _mask(lat.h_link(0, y) for y in range(L))
+    return {"Wx1": PauliString(n, row_h, 0, 0), "Wx2": PauliString(n, col_v, 0, 0),
+            "Wz1": PauliString(n, 0, row_v, 0), "Wz2": PauliString(n, 0, col_h, 0)}
 
 
 # ---------------------------------------------------------------------------

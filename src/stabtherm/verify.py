@@ -37,6 +37,13 @@ from .lindblad import (
 from .pauli import PauliSum
 from .toric import ExcitationOps, StabilizerHamiltonian
 
+#: Eigenspaces above this dimension get no projected-commutant detail.
+EIGENSPACE_DIM_CAP = 64
+#: Longest balanced jump word enumerated in the ground-space span.
+BALANCED_WORD_LENGTH = 4
+#: Seed of the random starts and word samples in the ergodicity check.
+ERGODICITY_SEED = 7
+
 
 # ---------------------------------------------------------------------------
 # fixed-point conditions
@@ -200,10 +207,7 @@ def ergodicity_check(
     H: StabilizerHamiltonian,
     jump_ops,
     loop_ops: dict | None = None,
-    eigenspace_dim_cap: int = 64,
-    balanced_word_length: int = 4,
     max_commutant: int = 8,
-    seed: int = 7,
 ) -> ErgodicityReport:
     """Commutant-based ergodicity verdict with per-eigenspace detail.
 
@@ -217,7 +221,8 @@ def ergodicity_check(
     mats = _as_sparse_list(jump_ops)
     full_set = [H.as_sum().to_sparse()] + mats
 
-    cdim, cvals = commutant_dimension(full_set, dim, max_dim=max_commutant, seed=seed)
+    cdim, cvals = commutant_dimension(full_set, dim, max_dim=max_commutant,
+                                      seed=ERGODICITY_SEED)
 
     # eigenspace detail from the dense spectrum: inside each eigenspace the
     # reachable generators at depth <= 2 are the projected jumps (translations
@@ -231,12 +236,13 @@ def ergodicity_check(
         sel = rounded == energy
         V = evecs[:, sel]
         m = V.shape[1]
-        if m > eigenspace_dim_cap:
+        if m > EIGENSPACE_DIM_CAP:
             details.append(EigenspaceDetail(float(energy), m, None,
-                                            f"skipped (dim > {eigenspace_dim_cap})"))
+                                            f"skipped (dim > {EIGENSPACE_DIM_CAP})"))
             continue
         projected = [V.conj().T @ (M @ V) for M in mats + number_words]
-        sub_dim, _ = commutant_dimension(projected, m, max_dim=max_commutant, seed=seed)
+        sub_dim, _ = commutant_dimension(projected, m, max_dim=max_commutant,
+                                         seed=ERGODICITY_SEED)
         details.append(EigenspaceDetail(float(energy), m, sub_dim))
 
     loop_checks = {}
@@ -250,7 +256,7 @@ def ergodicity_check(
             loop_checks[label] = worst
 
     ground_span, ground_comm = _ground_word_span(
-        H, mats, evecs, rounded, balanced_word_length, seed)
+        H, mats, evecs, rounded, BALANCED_WORD_LENGTH, ERGODICITY_SEED)
 
     return ErgodicityReport(
         ergodic=(cdim == 1),
@@ -367,15 +373,15 @@ def uniqueness_and_attractor_probe(
     trials: int,
     t_max: float,
     seed: int = 0,
-    method: str = "krylov",
 ) -> AttractorReport:
-    """Kernel dimension plus convergence of random initial states."""
+    """Kernel dimension plus convergence of random initial states, each
+    evolved by ``evolve``'s automatic method choice."""
     ss = steady_states(gen)
     rng = np.random.default_rng(seed)
     finals = []
     for _ in range(trials):
         rho0 = random_density_matrix(gen.n_levels, rng)
-        rho_t = evolve(gen, rho0, t_max, method=method)
+        rho_t = evolve(gen, rho0, t_max)
         finals.append(rho_t)
     if ss.unique:
         dists = tuple(f.distance(ss.state) for f in finals)

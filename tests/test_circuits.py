@@ -220,15 +220,16 @@ def test_schedule_permutation_covariance():
     assert trace_distance(P @ out1.mat @ P.T, out2.mat) < 1e-12
 
 
-def test_schedule_jsonl_round_trip(tmp_path):
-    beta, omega = 0.4, 1.0
-    sched = reset_channel(beta, omega, implementation="measured")
-    text = sched.to_jsonl()
-    back = GateSchedule.from_jsonl(text)
-    assert back == sched
-    out1 = simulate_schedule(sched, DensityMatrix.maximally_mixed(2))
-    out2 = simulate_schedule(back, DensityMatrix.maximally_mixed(2))
-    assert np.allclose(out1.mat, out2.mat)
+def test_schedule_jsonl_round_trip(mini_composite):
+    for sched, steps in ((reset_channel(0.4, 1.0, implementation="measured"), 1),
+                         (trotterize(mini_composite, 1.0, 5), 5)):
+        back = GateSchedule.from_jsonl(sched.to_jsonl())
+        assert back == sched
+        assert back.steps == steps and len(back) == steps * len(back.gates)
+        rho = DensityMatrix.maximally_mixed(1 << sched.n_qubits)
+        out1 = simulate_schedule(sched, rho)
+        out2 = simulate_schedule(back, rho)
+        assert np.allclose(out1.mat, out2.mat)
 
 
 def test_schedule_validation():
@@ -264,6 +265,21 @@ def test_trotter_commuting_terms_exact_for_any_n():
         assert np.linalg.norm(S - exact) < 1e-12
 
 
+def test_trotter_schedule_stores_one_step(mini_composite):
+    t, N = 1.5, 6
+    sched = trotterize(mini_composite, t, N)
+    one_step = trotterize(mini_composite, t / N, 1)
+    assert sched.gates == one_step.gates and sched.steps == N
+    assert len(sched) == N * len(one_step)
+    # the repeat count means the same as spelling the gate list out N times
+    unrolled = GateSchedule(sched.n_qubits, sched.gates * N, 0, t, 1)
+    rho = DensityMatrix.maximally_mixed(16)
+    assert trace_distance(simulate_schedule(sched, rho).mat,
+                          simulate_schedule(unrolled, rho).mat) < 1e-13
+    assert np.linalg.norm(schedule_superoperator(sched)
+                          - schedule_superoperator(unrolled)) < 1e-12
+
+
 def test_trotter_t_zero_is_empty_identity(mini_composite):
     sched = trotterize(mini_composite, 0.0, 4)
     assert len(sched) == 0
@@ -291,6 +307,20 @@ def test_trotterized_long_time_reaches_gibbs_product():
     out = simulate_schedule(trotterize(gen, 60.0, 600),
                             DensityMatrix.maximally_mixed(model.dim))
     assert out.distance(ss.state) < 1e-2
+
+
+def test_cold_composite_resets_keep_the_model_beta():
+    # at beta = 400 every gamma_plus underflows to 0, so beta cannot be read
+    # back from the detailed-balance rate ratio
+    H = single_stabilizer_model("ZZ", 1.0)
+    decs = [eigenoperator_decomposition(H, j, a)
+            for j in (0, 1) for a in ("x", "z")]
+    model, _ = attach_ancillas(H, decs, beta=400.0, gamma_minus=0.3, g=0.4)
+    gen = rwa_generator(model)
+    assert all(j.reset["beta"] == 400.0 for j in gen.jumps)
+    out = simulate_schedule(trotterize(gen, 1.0, 4),
+                            DensityMatrix.maximally_mixed(model.dim))
+    assert np.all(np.isfinite(out.mat))
 
 
 def test_pinned_resets_leave_fixed_point_unchanged():

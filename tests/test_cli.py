@@ -1,6 +1,7 @@
 """CLI subcommands, config validation, exit codes, file round-trips."""
 
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -153,6 +154,67 @@ def test_validate_config_rejects_bad_documents():
     with pytest.raises(ConfigError):
         validate_config({"experiment": "thermalize", "model": {"type": "toric"},
                          "dynamics": {"points": 1}})
+
+
+_TORIC = {"type": "toric", "L": 2}
+_CONFIG_CORPUS = [
+    # (document, valid)
+    ({"experiment": "gibbs-sweep", "model": _TORIC}, True),
+    ({"experiment": "thermalize", "model": {"type": "mini-vertex", "lam": 0.5},
+      "dynamics": {"beta": 1, "gamma0": 0.5, "t": 2.0, "points": 3, "method": "krylov"},
+      "observables": ["energy", "gibbs_distance"], "seed": 3, "output_dir": "out"}, True),
+    ({"experiment": "steady-state",
+      "model": {"type": "single-stabilizer", "letters": "ZZ", "lam": 1.0}}, True),
+    ({"experiment": "gibbs-sweep", "model": {"type": "toric", "L": 2.0},
+      "beta_grid": [0, 0.5]}, True),
+    ({"experiment": "steady-state", "model": {"type": "single-stabilizer"}}, False),
+    ({"experiment": "steady-state",
+      "model": {"type": "single-stabilizer", "letters": "zz"}}, False),
+    ({"experiment": "steady-state",
+      "model": {"type": "single-stabilizer", "letters": ""}}, False),
+    ({"experiment": "gibbs-sweep", "model": _TORIC, "observables": ["entropy"]}, False),
+    ({"experiment": "gibbs-sweep", "model": _TORIC, "extra": 1}, False),
+    ({"experiment": "gibbs-sweep", "model": {"type": "toric", "size": 2}}, False),
+    ({"experiment": "thermalize", "model": _TORIC, "dynamics": {"type": "rwa"}}, False),
+    ({"experiment": "thermalize", "model": _TORIC, "dynamics": {"g": 0.1}}, False),
+    ({"experiment": "thermalize", "model": _TORIC, "dynamics": {"steps": 4}}, False),
+    ({"experiment": "thermalize", "model": _TORIC, "dynamics": {"gamma0": 0}}, False),
+    ({"experiment": "thermalize", "model": _TORIC, "dynamics": {"beta": True}}, False),
+    ({"experiment": "thermalize", "model": _TORIC, "dynamics": {"points": 2.5}}, False),
+    ({"experiment": "gibbs-sweep", "model": _TORIC, "seed": "1"}, False),
+    ({"experiment": "gibbs-sweep", "model": _TORIC, "output_dir": 5}, False),
+    ({"experiment": "gibbs-sweep"}, False),
+    ({"experiment": "gibbs-sweep", "model": {"type": "toric", "L": 1}}, False),
+    ({"experiment": "gibbs-sweep", "model": _TORIC, "beta_grid": [-1]}, False),
+    ({"experiment": "verify-appendix", "model": {"type": "mini-vertex"}}, False),
+    ({"experiment": "gibbs-sweep", "model": {"type": "mini-vertex"},
+      "observables": ["energy", "B_p"]}, False),
+]
+
+
+def test_validate_config_agrees_with_shipped_schema():
+    jsonschema = pytest.importorskip("jsonschema")
+    path = Path(__file__).resolve().parents[1] / "docs" / "schema" / "config.schema.json"
+    schema = jsonschema.Draft7Validator(json.loads(path.read_text()))
+    for doc, valid in _CONFIG_CORPUS:
+        try:
+            validate_config(doc)
+            code_valid = True
+        except ConfigError:
+            code_valid = False
+        assert schema.is_valid(doc) == code_valid == valid, doc
+
+
+def test_run_rejects_bad_model_and_observables_before_output(tmp_path):
+    for cfg in ({"experiment": "steady-state", "model": {"type": "single-stabilizer"}},
+                {"experiment": "gibbs-sweep", "model": {"type": "toric", "L": 2},
+                 "observables": ["entropy"]},
+                {"experiment": "verify-appendix", "model": {"type": "mini-vertex"}}):
+        out = tmp_path / "out"
+        p = tmp_path / "cfg.json"
+        p.write_text(json.dumps(dict(cfg, output_dir=str(out))))
+        assert run_cli("run", str(p)) == 2
+        assert not out.exists()
 
 
 def test_bad_config_json_exits_2(tmp_path):

@@ -143,8 +143,7 @@ def test_attractor_probe_mini_model():
     H = single_vertex_model(1.0)
     g0 = 0.5
     gen = davies_reduction(H, decomps(H), 1.0, g0)
-    rep = uniqueness_and_attractor_probe(gen, trials=5, t_max=50.0 / g0, seed=1,
-                                         method="expm")
+    rep = uniqueness_and_attractor_probe(gen, trials=5, t_max=50.0 / g0, seed=1)
     assert rep.kernel_dim == 1
     assert rep.max_distance < 1e-4
     assert rep.max_pairwise_distance < 2e-4
@@ -154,8 +153,7 @@ def test_attractor_probe_translation_only_negative_control():
     H = single_vertex_model(1.0)
     g0 = 0.5
     gen = davies_reduction(H, decomps(H), 1.0, g0, include=("translate",))
-    rep = uniqueness_and_attractor_probe(gen, trials=4, t_max=50.0 / g0, seed=2,
-                                         method="expm")
+    rep = uniqueness_and_attractor_probe(gen, trials=4, t_max=50.0 / g0, seed=2)
     assert rep.kernel_dim > 1
     assert rep.max_pairwise_distance > 0.01
 
@@ -177,7 +175,6 @@ def test_attractor_probe_toric_l2():
     H = toric_hamiltonian(lat, 1.0, 1.0)
     g0 = 1.0
     gen = davies_reduction(H, decomps(H), 1.0, g0)
-    rep = uniqueness_and_attractor_probe(gen, trials=5, t_max=50.0 / g0, seed=3,
-                                         method="krylov")
+    rep = uniqueness_and_attractor_probe(gen, trials=5, t_max=50.0 / g0, seed=3)
     assert rep.kernel_dim == 1
     assert rep.max_distance < 1e-4
