@@ -10,20 +10,24 @@ COND_PULSE(qubit, axis, angle, cond)     ROT1 on branches whose classical bits
 SAMPLE_BOLTZMANN_BIT(beta, omega, cbit)  classical bit, P(1)/P(0) = e^{-beta*omega}
 THERMAL_RESET(qubit, beta, omega, relax) the exact one-qubit channel
                                          exp(D_thermal * tau); relax =
-                                         1 - e^{-R tau} in (0, 1], relax = 1 is
+                                         1 - e^{-R tau} in [0, 1], relax = 1 is
                                          a full reset to diag(p0, p1)
 
 Schedules are simulated with channel-sum semantics: measurements and random
 bits expand into weighted branches (no sampling), and branches merge as soon
 as no later gate reads their classical bits, so branch counts stay bounded.
-Results are exact and deterministic.
+Results are exact and deterministic. Each gate is lowered once to its
+outcomes (classical bit value, weight, local Kraus operators), and every
+operator acts on the tensor axes of its own qubits: no 2^n x 2^n gate matrix
+is formed. The whole-channel views run one segment on the stack of all d^2
+basis matrices.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
@@ -38,7 +42,27 @@ COND_PULSE = "COND_PULSE"
 THERMAL_RESET = "THERMAL_RESET"
 SAMPLE_BOLTZMANN_BIT = "SAMPLE_BOLTZMANN_BIT"
 
-_KINDS = {ROT1, CPHASE, MEASURE_Z, COND_PULSE, THERMAL_RESET, SAMPLE_BOLTZMANN_BIT}
+# the fields each gate kind needs
+_NEEDS = {
+    ROT1: ("qubit", "axis", "angle"),
+    CPHASE: ("qubit", "qubit2"),
+    MEASURE_Z: ("qubit", "cbit"),
+    COND_PULSE: ("qubit", "axis", "angle", "condition"),
+    SAMPLE_BOLTZMANN_BIT: ("beta", "omega", "cbit"),
+    THERMAL_RESET: ("qubit", "beta", "omega"),
+}
+_INTEGER_FIELDS = ("qubit", "qubit2", "cbit")
+_HEADER_KEYS = {"n_qubits", "n_classical", "total_time", "steps"}
+
+
+def _number(where: str, v, integral: bool = False):
+    """``v`` checked as a JSON number; with ``integral`` it must be whole and
+    comes back as an int (integral floats pass, as JSON Schema's integer allows)."""
+    expected = "an integer" if integral else "a number"
+    if (isinstance(v, bool) or not isinstance(v, (int, float))
+            or (integral and not float(v).is_integer())):
+        raise ScheduleError(f"{where} must be {expected}, got {v!r}")
+    return int(v) if integral else float(v)
 
 
 @dataclass(frozen=True)
@@ -55,10 +79,17 @@ class Gate:
     relax: float | None = None
 
     def __post_init__(self):
-        if self.kind not in _KINDS:
+        if self.kind not in _NEEDS:
             raise ScheduleError(f"unknown gate kind {self.kind!r}")
+        missing = [f for f in _NEEDS[self.kind] if getattr(self, f) is None]
+        if missing:
+            raise ScheduleError(f"{self.kind} needs {', '.join(missing)}")
+        if self.axis is not None and self.axis not in ("x", "y", "z"):
+            raise ScheduleError(f"axis must be x, y or z, got {self.axis!r}")
         if self.angle is not None and not math.isfinite(self.angle):
             raise ScheduleError("gate angle must be finite")
+        if self.relax is not None and not 0.0 <= self.relax <= 1.0:
+            raise ScheduleError(f"relax must lie in [0, 1], got {self.relax}")
         if self.condition is not None:
             object.__setattr__(self, "condition",
                                tuple((int(b), int(v)) for b, v in self.condition))
@@ -71,9 +102,19 @@ class Gate:
 
     @classmethod
     def from_json(cls, d: dict) -> "Gate":
+        if not isinstance(d, dict) or "kind" not in d or set(d) - {f.name for f in fields(cls)}:
+            raise ScheduleError(f"a gate line is an object with a kind and Gate fields, got {d!r}")
         d = dict(d)
-        if d.get("condition") is not None:
-            d["condition"] = tuple((int(a), int(b)) for a, b in d["condition"])
+        for key in _INTEGER_FIELDS + ("angle", "beta", "omega", "relax"):
+            if d.get(key) is not None:
+                d[key] = _number(key, d[key], integral=key in _INTEGER_FIELDS)
+        cond = d.get("condition")
+        if cond is not None:
+            if not (isinstance(cond, list)
+                    and all(isinstance(p, list) and len(p) == 2 for p in cond)):
+                raise ScheduleError(f"condition must be a list of [bit, value] pairs, got {cond!r}")
+            d["condition"] = tuple((_number("condition", a, True), _number("condition", b, True))
+                                   for a, b in cond)
         return cls(**d)
 
 
@@ -88,15 +129,18 @@ class GateSchedule:
     steps: int = 1
 
     def __post_init__(self):
-        if self.steps < 1:
-            raise ScheduleError("step count must be >= 1")
+        if self.n_qubits < 1 or self.n_classical < 0 or self.steps < 1 or self.total_time < 0:
+            raise ScheduleError("a schedule needs n_qubits >= 1, n_classical >= 0, "
+                                "steps >= 1 and total_time >= 0")
         written: set[int] = set()
         for g in self.gates:
             for q in (g.qubit, g.qubit2):
                 if q is not None and not 0 <= q < self.n_qubits:
                     raise ScheduleError(f"qubit {q} out of range in {g.kind}")
+            if g.kind == CPHASE and g.qubit == g.qubit2:
+                raise ScheduleError(f"CPHASE needs two distinct qubits, got {g.qubit} twice")
             if g.kind in (MEASURE_Z, SAMPLE_BOLTZMANN_BIT):
-                if g.cbit is None or not 0 <= g.cbit < max(self.n_classical, 1):
+                if not 0 <= g.cbit < max(self.n_classical, 1):
                     raise ScheduleError(f"classical bit {g.cbit} out of range")
                 written.add(g.cbit)
             if g.kind == COND_PULSE:
@@ -129,12 +173,17 @@ class GateSchedule:
         if not lines:
             raise ScheduleError("empty schedule file")
         first = json.loads(lines[0])
-        if "header" not in first:
+        h = first.get("header") if isinstance(first, dict) else None
+        if not isinstance(h, dict):
             raise ScheduleError("schedule file is missing its header line")
-        h = first["header"]
+        if "n_qubits" not in h or set(h) - _HEADER_KEYS:
+            raise ScheduleError(f"a header has n_qubits and only {sorted(_HEADER_KEYS)}, "
+                                f"got {sorted(h)}")
         gates = tuple(Gate.from_json(json.loads(ln)) for ln in lines[1:])
-        return cls(int(h["n_qubits"]), gates, int(h.get("n_classical", 0)),
-                   float(h.get("total_time", 0.0)), int(h.get("steps", 1)))
+        return cls(_number("n_qubits", h["n_qubits"], True), gates,
+                   _number("n_classical", h.get("n_classical", 0), True),
+                   _number("total_time", h.get("total_time", 0.0)),
+                   _number("steps", h.get("steps", 1), True))
 
 
 # ---------------------------------------------------------------------------
@@ -300,36 +349,7 @@ def _rot1_matrix(axis: str, angle: float) -> np.ndarray:
     paulis = {"x": np.array([[0, 1], [1, 0]], dtype=complex),
               "y": np.array([[0, -1j], [1j, 0]], dtype=complex),
               "z": np.array([[1, 0], [0, -1]], dtype=complex)}
-    s = paulis[axis.lower()]
-    return math.cos(angle / 2) * np.eye(2) - 1j * math.sin(angle / 2) * s
-
-
-def _embed_unitary(u: np.ndarray, qubits: tuple[int, ...], n: int) -> np.ndarray:
-    """Embed a k-qubit operator (little-endian over ``qubits``) into n qubits."""
-    k = len(qubits)
-    dim = 1 << n
-    rest = [j for j in range(n) if j not in qubits]
-    full = np.zeros((dim, dim), dtype=complex)
-    rest_patterns = []
-    for rest_bits in range(1 << len(rest)):
-        extra = 0
-        for b, q in enumerate(rest):
-            extra |= ((rest_bits >> b) & 1) << q
-        rest_patterns.append(extra)
-    rest_patterns = np.array(rest_patterns, dtype=np.int64)
-    for idx_in in range(1 << k):
-        base_in = 0
-        for b, q in enumerate(qubits):
-            base_in |= ((idx_in >> b) & 1) << q
-        for idx_out in range(1 << k):
-            amp = u[idx_out, idx_in]
-            if amp == 0:
-                continue
-            base_out = 0
-            for b, q in enumerate(qubits):
-                base_out |= ((idx_out >> b) & 1) << q
-            full[base_out + rest_patterns, base_in + rest_patterns] += amp
-    return full
+    return math.cos(angle / 2) * np.eye(2) - 1j * math.sin(angle / 2) * paulis[axis]
 
 
 def _thermal_kraus(beta: float, omega: float, relax: float) -> list[np.ndarray]:
@@ -338,8 +358,6 @@ def _thermal_kraus(beta: float, omega: float, relax: float) -> list[np.ndarray]:
     Populations mix toward (p0, p1) with weight relax = 1 - e^{-R tau};
     coherences shrink by sqrt(1 - relax) = e^{-R tau / 2}.
     """
-    if not 0.0 <= relax <= 1.0:
-        raise ScheduleError(f"relax must lie in [0, 1], got {relax}")
     w = math.exp(-beta * omega)
     p0 = 1.0 / (1.0 + w)
     ge = relax
@@ -350,16 +368,50 @@ def _thermal_kraus(beta: float, omega: float, relax: float) -> list[np.ndarray]:
     return [k0, k1, k2, k3]
 
 
+def _apply_local(op: np.ndarray, qubits: tuple[int, ...], t: np.ndarray, n: int) -> np.ndarray:
+    """Contract a k-qubit matrix (little-endian over ``qubits``) onto the axes
+    of those qubits in a tensor of shape (2,)*n + rest; trailing axes ride along.
+
+    Qubit q is axis n-1-q (row-major order of a little-endian index), so a
+    density-matrix tensor (2,)*2n + rest has its row axes at n and its
+    column axes at 2n.
+    """
+    axes = [n - 1 - q for q in reversed(qubits)]
+    perm = axes + [a for a in range(t.ndim) if a not in axes]
+    out = op @ t.transpose(perm).reshape(len(op), -1)
+    return out.reshape([t.shape[a] for a in perm]).transpose(np.argsort(perm))
+
+
+def _conjugate(k: np.ndarray, qubits: tuple[int, ...], t: np.ndarray, n: int) -> np.ndarray:
+    """K t K^dag for a density-matrix tensor of shape (2,)*2n + rest."""
+    return _apply_local(k.conj(), qubits, _apply_local(k, qubits, t, n), 2 * n)
+
+
+def _lower(g: Gate) -> tuple[tuple[int, ...], tuple]:
+    """A gate's qubits and outcomes: (value written to ``g.cbit`` or None,
+    weight, local Kraus operators); no Kraus operators leaves the state as is."""
+    if g.kind in (ROT1, COND_PULSE):
+        return (g.qubit,), ((None, 1.0, (_rot1_matrix(g.axis, g.angle),)),)
+    if g.kind == CPHASE:
+        angle = math.pi if g.angle is None else g.angle
+        return (g.qubit, g.qubit2), ((None, 1.0, (np.diag([1, 1, 1, np.exp(1j * angle)]),)),)
+    if g.kind == MEASURE_Z:
+        return (g.qubit,), ((0, 1.0, (np.diag([1.0, 0.0]),)), (1, 1.0, (np.diag([0.0, 1.0]),)))
+    if g.kind == SAMPLE_BOLTZMANN_BIT:
+        w = math.exp(-g.beta * g.omega)
+        p1 = w / (1 + w)
+        return (), ((0, 1 - p1, ()), (1, p1, ()))
+    relax = 1.0 if g.relax is None else g.relax
+    return (g.qubit,), ((None, 1.0, tuple(_thermal_kraus(g.beta, g.omega, relax))),)
+
+
 class _ScheduleRunner:
-    """Executes a schedule on arbitrary matrices (linear channel semantics)."""
+    """Executes a schedule on a stack of matrices (linear channel semantics)."""
 
     def __init__(self, schedule: GateSchedule):
         self.schedule = schedule
         self.n = schedule.n_qubits
-        self.dim = 1 << self.n
-        self._unitary_cache: dict = {}
-        self._kraus_cache: dict = {}
-        self._proj_cache: dict = {}
+        self._lowered = [_lower(g) for g in schedule.gates]
         self._live_after = self._liveness(schedule.gates)
 
     @staticmethod
@@ -375,51 +427,22 @@ class _ScheduleRunner:
                 live |= {b for b, _ in g.condition}
         return out
 
-    def _gate_unitary(self, g: Gate) -> np.ndarray:
-        """Embedded unitary of a ROT1, CPHASE or COND_PULSE gate, cached per key."""
-        if g.kind == CPHASE:
-            angle = math.pi if g.angle is None else g.angle
-            key = (CPHASE, g.qubit, g.qubit2, angle)
-        else:
-            key = (ROT1, g.qubit, g.axis, g.angle)
-        if key not in self._unitary_cache:
-            if g.kind == CPHASE:
-                small = np.diag([1, 1, 1, np.exp(1j * angle)]).astype(complex)
-                self._unitary_cache[key] = _embed_unitary(small, (g.qubit, g.qubit2), self.n)
-            else:
-                self._unitary_cache[key] = _embed_unitary(
-                    _rot1_matrix(g.axis, g.angle), (g.qubit,), self.n)
-        return self._unitary_cache[key]
-
-    def _kraus(self, g: Gate):
-        key = (g.qubit, g.beta, g.omega, g.relax)
-        if key not in self._kraus_cache:
-            relax = 1.0 if g.relax is None else g.relax
-            self._kraus_cache[key] = [
-                _embed_unitary(k, (g.qubit,), self.n)
-                for k in _thermal_kraus(g.beta, g.omega, relax)
-            ]
-        return self._kraus_cache[key]
-
-    def _rows(self, q: int):
-        if q not in self._proj_cache:
-            idx = np.arange(self.dim)
-            mask0 = ((idx >> q) & 1) == 0
-            self._proj_cache[q] = (np.where(mask0)[0], np.where(~mask0)[0])
-        return self._proj_cache[q]
-
     def run(self, mat: np.ndarray) -> np.ndarray:
-        """Apply the segment ``steps`` times. A bit is written before it is read
-        within the segment, so no branch bit is live across a segment boundary."""
+        """Apply the segment ``steps`` times to ``mat`` of shape (d, d) + rest,
+        each trailing index an independent input. A bit is written before it
+        is read within the segment, so no branch bit is live across a segment
+        boundary."""
         out = np.array(mat, dtype=complex)
         for _ in range(self.schedule.steps):
             out = self._run_segment(out)
         return out
 
     def _run_segment(self, mat: np.ndarray) -> np.ndarray:
-        branches: dict[tuple[tuple[int, int], ...], np.ndarray] = {(): mat}
-        for i, g in enumerate(self.schedule.gates):
-            keep = self._live_after[i]
+        n = self.n
+        branches: dict[tuple[tuple[int, int], ...], np.ndarray] = {
+            (): mat.reshape((2,) * (2 * n) + mat.shape[2:])}
+        for g, (qubits, outcomes), keep in zip(self.schedule.gates, self._lowered,
+                                               self._live_after):
             new: dict[tuple[tuple[int, int], ...], np.ndarray] = {}
 
             def emit(bits_dict: dict[int, int], m: np.ndarray):
@@ -429,47 +452,23 @@ class _ScheduleRunner:
                 else:
                     new[key] = m
 
-            if g.kind in (ROT1, CPHASE):
-                U = self._gate_unitary(g)
-                for bits, m in branches.items():
-                    emit(dict(bits), U @ m @ U.conj().T)
-            elif g.kind == COND_PULSE:
-                U = self._gate_unitary(g)
-                cond = dict(g.condition)
-                for bits, m in branches.items():
-                    assign = dict(bits)
-                    if all(assign.get(b) == v for b, v in cond.items()):
-                        emit(assign, U @ m @ U.conj().T)
-                    else:
-                        emit(assign, m)
-            elif g.kind == MEASURE_Z:
-                rows0, rows1 = self._rows(g.qubit)
-                for bits, m in branches.items():
-                    assign = dict(bits)
-                    for outcome, rows in ((0, rows0), (1, rows1)):
-                        sub = np.zeros_like(m)
-                        sub[np.ix_(rows, rows)] = m[np.ix_(rows, rows)]
-                        assign[g.cbit] = outcome
-                        emit(assign, sub)
-            elif g.kind == SAMPLE_BOLTZMANN_BIT:
-                w = math.exp(-g.beta * g.omega)
-                p1 = w / (1 + w)
-                for bits, m in branches.items():
-                    assign = dict(bits)
-                    for outcome, p in ((0, 1 - p1), (1, p1)):
-                        assign[g.cbit] = outcome
-                        emit(assign, p * m)
-            elif g.kind == THERMAL_RESET:
-                kraus = self._kraus(g)
-                for bits, m in branches.items():
-                    out = np.zeros_like(m)
-                    for K in kraus:
-                        out += K @ m @ K.conj().T
-                    emit(dict(bits), out)
-            else:
-                raise ScheduleError(f"unhandled gate kind {g.kind}")
+            for bits, m in branches.items():
+                assign = dict(bits)
+                if g.kind == COND_PULSE and not all(
+                        assign.get(b) == v for b, v in dict(g.condition).items()):
+                    emit(assign, m)
+                    continue
+                for value, weight, kraus in outcomes:
+                    if value is not None:
+                        assign[g.cbit] = value
+                    out = m
+                    if kraus:
+                        out = _conjugate(kraus[0], qubits, m, n)
+                        for k in kraus[1:]:
+                            out = out + _conjugate(k, qubits, m, n)
+                    emit(assign, out if weight == 1.0 else weight * out)
             branches = new
-        return sum(branches.values())
+        return sum(branches.values()).reshape(mat.shape)
 
 
 def simulate_schedule(schedule: GateSchedule, rho0: DensityMatrix | np.ndarray) -> DensityMatrix:
@@ -490,47 +489,33 @@ def simulate_schedule(schedule: GateSchedule, rho0: DensityMatrix | np.ndarray) 
 
 def schedule_unitary(schedule: GateSchedule) -> np.ndarray:
     """Dense unitary of a measurement-free schedule, in application order."""
-    dim = 1 << schedule.n_qubits
-    runner = _ScheduleRunner(schedule)
-    U = np.eye(dim, dtype=complex)
+    n = schedule.n_qubits
+    dim = 1 << n
+    U = np.eye(dim, dtype=complex).reshape((2,) * n + (dim,))
     for g in schedule.gates:
         if g.kind not in (ROT1, CPHASE):
             raise ScheduleError("schedule_unitary needs a unitary-only schedule")
-        U = runner._gate_unitary(g) @ U
-    return np.linalg.matrix_power(U, schedule.steps)
+        qubits, ((_, _, (u,)),) = _lower(g)
+        U = _apply_local(u, qubits, U, n)
+    return np.linalg.matrix_power(U.reshape(dim, dim), schedule.steps)
 
 
 def schedule_superoperator(schedule: GateSchedule) -> np.ndarray:
-    """Dense column-stacking superoperator of the schedule's channel: the
-    segment's superoperator raised to the step count."""
-    S = _superoperator_by_columns(replace(schedule, steps=1))
+    """Dense column-stacking superoperator of the schedule's channel: one
+    segment run on the stack of all dim^2 basis matrices |i><j| (column
+    i + dim*j), raised to the step count."""
+    dim = 1 << schedule.n_qubits
+    basis = np.eye(dim * dim, dtype=complex).reshape(dim, dim, dim * dim).transpose(1, 0, 2)
+    images = _ScheduleRunner(schedule)._run_segment(basis)
+    S = images.transpose(1, 0, 2).reshape(dim * dim, dim * dim)
     return np.linalg.matrix_power(S, schedule.steps)
 
 
-def _superoperator_by_columns(schedule: GateSchedule) -> np.ndarray:
-    dim = 1 << schedule.n_qubits
-    runner = _ScheduleRunner(schedule)
-    S = np.zeros((dim * dim, dim * dim), dtype=complex)
-    basis = np.zeros((dim, dim), dtype=complex)
-    for col in range(dim * dim):
-        i, j = col % dim, col // dim
-        basis[i, j] = 1.0
-        S[:, col] = runner.run(basis).reshape(-1, order="F")
-        basis[i, j] = 0.0
-    return S
-
-
 def choi_matrix(schedule: GateSchedule) -> np.ndarray:
-    """Choi matrix sum_{ij} E(|i><j|) (x) |i><j| of the schedule's channel."""
+    """Choi matrix sum_{ij} E(|i><j|) (x) |i><j| of the schedule's channel.
+
+    Entry ((a, i), (b, j)) is E(|i><j|)[a, b] = S[a + dim*b, i + dim*j].
+    """
     dim = 1 << schedule.n_qubits
-    S = schedule_superoperator(schedule)
-    choi = np.zeros((dim * dim, dim * dim), dtype=complex)
-    eij = np.zeros((dim, dim), dtype=complex)
-    for i in range(dim):
-        for j in range(dim):
-            col = i + dim * j
-            block = S[:, col].reshape((dim, dim), order="F")
-            eij[i, j] = 1.0
-            choi += np.kron(block, eij)
-            eij[i, j] = 0.0
-    return choi
+    S = schedule_superoperator(schedule).reshape(dim, dim, dim, dim)
+    return S.transpose(1, 3, 0, 2).reshape(dim * dim, dim * dim)

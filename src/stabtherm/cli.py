@@ -72,9 +72,7 @@ def _model_spec_from_args(args) -> dict:
     if args.model == "toric":
         return {"type": "toric", "L": args.L,
                 "lambda_e": args.lambda_e, "lambda_m": args.lambda_m}
-    if args.model == "mini-vertex":
-        return {"type": "mini-vertex", "lam": args.lambda_e}
-    raise ConfigError(f"unknown model {args.model!r}")
+    return {"type": "mini-vertex", "lam": args.lambda_e}
 
 
 def _full_decompositions(H: StabilizerHamiltonian):
@@ -241,10 +239,8 @@ def cmd_simulate_schedule(args) -> int:
         rho0 = DensityMatrix.pure(psi)
     elif args.initial == "plus":
         rho0 = DensityMatrix.pure(np.ones(dim) / np.sqrt(dim))
-    elif args.initial == "mixed":
+    else:  # mixed
         rho0 = DensityMatrix.maximally_mixed(dim)
-    else:
-        raise ConfigError(f"unknown initial state {args.initial!r}")
     out = simulate_schedule(sched, rho0)
     purity = float(np.real(np.trace(out.mat @ out.mat)))
     print(f"simulated {len(sched)} gates on {sched.n_qubits} qubits; "

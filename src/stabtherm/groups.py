@@ -101,12 +101,6 @@ class FiniteGroup:
         classes.sort(key=lambda c: (c != (self.identity,), len(c), c))
         return tuple(classes)
 
-    def class_of(self, h: int) -> tuple[int, ...]:
-        for c in self.conjugacy_classes():
-            if h in c:
-                return c
-        raise ParameterError(f"element {h} not in group")
-
     def centralizer(self, h: int) -> tuple[int, ...]:
         return tuple(g for g in range(self.order)
                      if self.mult(g, h) == self.mult(h, g))

@@ -163,19 +163,6 @@ class LindbladGenerator:
             ops.append(JumpOp(k.tocsr().astype(complex), j.rate, j.label, j.reset))
         object.__setattr__(self, "jumps", tuple(ops))
 
-    def apply(self, rho: np.ndarray) -> np.ndarray:
-        """Direct evaluation of the generator on a (dense) matrix."""
-        H = self.H
-        out = -1j * (H @ rho - rho @ H)
-        for j in self.jumps:
-            if j.rate == 0:
-                continue
-            K = j.op
-            Kd = K.conj().T
-            KdK = (Kd @ K).toarray()
-            out = out + j.rate * (2 * (K @ rho @ Kd.toarray()) - KdK @ rho - rho @ KdK)
-        return out
-
 
 def build_superoperator(g: LindbladGenerator, dim_limit: int = SUPEROP_DIM_LIMIT) -> sparse.csr_matrix:
     """Sparse column-stacking superoperator of dimension dim^2 x dim^2."""

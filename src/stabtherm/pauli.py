@@ -48,6 +48,11 @@ def _check_dense_limit(n: int, dense_limit: int | None) -> None:
         raise CapacityError(f"dense realization of {n} qubits exceeds the limit {limit}")
 
 
+def _check_sparse_limit(n: int, sparse_limit: int) -> None:
+    if n > sparse_limit:
+        raise CapacityError(f"sparse realization of {n} qubits exceeds the limit {sparse_limit}")
+
+
 @dataclass(frozen=True)
 class PauliString:
     """Signed n-qubit Pauli operator in symplectic (x, z, phase) form.
@@ -189,15 +194,16 @@ class PauliString:
         """CSR realization; one nonzero per column. Cheap up to ~24 qubits."""
         from scipy import sparse
 
-        if self.n > sparse_limit:
-            raise CapacityError(
-                f"sparse realization of {self.n} qubits exceeds the limit {sparse_limit}"
-            )
+        _check_sparse_limit(self.n, sparse_limit)
         dim = 1 << self.n
-        cols = np.arange(dim, dtype=np.int64)
-        rows = cols ^ self.x
+        rows, vals = self._column_entries()
+        return sparse.csr_matrix((vals, (rows, np.arange(dim))), shape=(dim, dim))
+
+    def _column_entries(self) -> tuple[np.ndarray, np.ndarray]:
+        """Row index and value of the one nonzero in each column."""
+        cols = np.arange(1 << self.n, dtype=np.int64)
         signs = 1.0 - 2.0 * (np.bitwise_count(cols & self.z) & 1).astype(np.float64)
-        return sparse.csr_matrix((self.phase * signs, (rows, cols)), shape=(dim, dim))
+        return cols ^ self.x, self.phase * signs
 
     # -- misc -----------------------------------------------------------------
 
@@ -308,20 +314,25 @@ class PauliSum:
         return self.to_sparse().toarray()
 
     def to_sparse(self, sparse_limit: int = 24):
+        """CSR realization assembled from every term's entries at once."""
         from scipy import sparse
 
+        _check_sparse_limit(self.n, sparse_limit)
         dim = 1 << self.n
-        out = sparse.csr_matrix((dim, dim), dtype=complex)
-        for c, s in self.terms:
-            out = out + c * s.to_sparse(sparse_limit)
+        terms = self.terms
+        if not terms:
+            return sparse.csr_matrix((dim, dim), dtype=complex)
+        entries = [s._column_entries() for _, s in terms]
+        rows = np.concatenate([r for r, _ in entries])
+        vals = np.concatenate([c * v for (c, _), (_, v) in zip(terms, entries)])
+        cols = np.tile(np.arange(dim), len(terms))
+        out = sparse.csr_matrix((vals, (rows, cols)), shape=(dim, dim))
+        out.eliminate_zeros()  # terms that cancel leave no stored zeros
         return out
 
     def norm_coeffs(self) -> float:
         """Sum of absolute coefficients (an upper bound on the operator norm)."""
         return float(sum(abs(c) for c in self._terms.values()))
-
-    def max_weight(self) -> int:
-        return max((s.weight for c, s in self.terms), default=0)
 
     def __repr__(self) -> str:
         inner = " + ".join(f"({c:.6g})*{s.letters}" for c, s in self.terms[:6])

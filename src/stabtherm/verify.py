@@ -120,7 +120,6 @@ def commutant_dimension(
     dim: int,
     max_dim: int = 8,
     tol: float = 1e-7,
-    seed: int = 7,
 ) -> tuple[int, np.ndarray]:
     """Nullity of X -> sum_O ||[X, O]||^2 over dim x dim matrices.
 
@@ -156,7 +155,7 @@ def commutant_dimension(
 
     n2 = dim * dim
     Mop = LinearOperator((n2, n2), matvec=mv, dtype=complex)
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(ERGODICITY_SEED)
     k = min(max_dim, n2 - 1)
     X0 = rng.normal(size=(n2, k)) + 1j * rng.normal(size=(n2, k))
     X0[:, 0] = np.eye(dim).reshape(-1)  # the identity is always in the commutant
@@ -221,8 +220,7 @@ def ergodicity_check(
     mats = _as_sparse_list(jump_ops)
     full_set = [H.as_sum().to_sparse()] + mats
 
-    cdim, cvals = commutant_dimension(full_set, dim, max_dim=max_commutant,
-                                      seed=ERGODICITY_SEED)
+    cdim, cvals = commutant_dimension(full_set, dim, max_dim=max_commutant)
 
     # eigenspace detail from the dense spectrum: inside each eigenspace the
     # reachable generators at depth <= 2 are the projected jumps (translations
@@ -241,8 +239,7 @@ def ergodicity_check(
                                             f"skipped (dim > {EIGENSPACE_DIM_CAP})"))
             continue
         projected = [V.conj().T @ (M @ V) for M in mats + number_words]
-        sub_dim, _ = commutant_dimension(projected, m, max_dim=max_commutant,
-                                         seed=ERGODICITY_SEED)
+        sub_dim, _ = commutant_dimension(projected, m, max_dim=max_commutant)
         details.append(EigenspaceDetail(float(energy), m, sub_dim))
 
     loop_checks = {}
@@ -255,8 +252,7 @@ def ergodicity_check(
                 worst = max(worst, float(abs(c).max()) if c.nnz else 0.0)
             loop_checks[label] = worst
 
-    ground_span, ground_comm = _ground_word_span(
-        H, mats, evecs, rounded, BALANCED_WORD_LENGTH, ERGODICITY_SEED)
+    ground_span, ground_comm = _ground_word_span(mats, evecs, rounded)
 
     return ErgodicityReport(
         ergodic=(cdim == 1),
@@ -269,15 +265,17 @@ def ergodicity_check(
     )
 
 
-def _ground_word_span(H, mats, evecs, rounded, max_len: int, seed: int) -> int | None:
+def _ground_word_span(mats, evecs, rounded) -> tuple[int | None, int | None]:
     """Dimension of the span of ground-space blocks of balanced jump words.
 
     String operators decompose as pair creation, translations, then pair
     annihilation, so the systematic enumeration runs over words
-    K_a (K_t)^r K_b with r + 2 <= max_len (balance holds whenever the block is
-    nonzero), plus a seeded random sample at full length. Reported, not
-    asserted: records whether local words alone reconstruct the topological
-    block algebra (span m^2) or leave sector freedom.
+    K_a (K_t)^r K_b with r + 2 <= BALANCED_WORD_LENGTH (balance holds whenever
+    the block is nonzero), plus a seeded random sample at full length.
+    Reported, not asserted: records whether local words alone reconstruct the
+    topological block algebra (span m^2) or leave sector freedom. Returns
+    (span dimension, commutant dimension of the blocks), or (None, None) above
+    an 8-dimensional ground space.
     """
     g_energy = rounded.min()
     V0 = evecs[:, rounded == g_energy]
@@ -285,7 +283,7 @@ def _ground_word_span(H, mats, evecs, rounded, max_len: int, seed: int) -> int |
     if m > 8:
         return None, None
     alphabet = mats + [M.conj().T.tocsr() for M in mats]
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(ERGODICITY_SEED)
     basis: list[np.ndarray] = []
     blocks: list[np.ndarray] = []
     done = False
@@ -307,7 +305,7 @@ def _ground_word_span(H, mats, evecs, rounded, max_len: int, seed: int) -> int |
     lifted = [M @ V0 for M in alphabet]        # op applied to the ground basis
     for right in lifted:
         done = done or add(V0.conj().T @ right)
-    if max_len >= 2 and not done:
+    if BALANCED_WORD_LENGTH >= 2 and not done:
         for right in lifted:
             for Ml in alphabet:
                 if add(V0.conj().T @ (Ml @ right)):
@@ -315,7 +313,7 @@ def _ground_word_span(H, mats, evecs, rounded, max_len: int, seed: int) -> int |
                     break
             if done:
                 break
-    if max_len >= 3 and not done:
+    if BALANCED_WORD_LENGTH >= 3 and not done:
         for right in lifted:
             for Mm in alphabet:
                 mid = Mm @ right
@@ -328,7 +326,7 @@ def _ground_word_span(H, mats, evecs, rounded, max_len: int, seed: int) -> int |
             if done:
                 break
     n_ops = len(alphabet)
-    for length in range(4, max_len + 1):
+    for length in range(4, BALANCED_WORD_LENGTH + 1):
         if done:
             break
         for _ in range(min(800, n_ops ** length)):
@@ -341,7 +339,7 @@ def _ground_word_span(H, mats, evecs, rounded, max_len: int, seed: int) -> int |
                 break
 
     span = len(basis)
-    comm, _ = commutant_dimension(blocks, m, max_dim=min(8, m * m), seed=seed)
+    comm, _ = commutant_dimension(blocks, m, max_dim=min(8, m * m))
     return span, comm
 
 

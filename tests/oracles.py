@@ -38,6 +38,44 @@ def single_site(n: int, j: int, axis: str) -> np.ndarray:
     return dense_pauli("".join(letters))
 
 
+def embed(op: np.ndarray, q: int, n: int) -> np.ndarray:
+    """kron(I, ..., op, ..., I) with the 2x2 ``op`` on qubit q of n."""
+    out = np.array([[1.0]], dtype=complex)
+    for j in range(n):
+        out = np.kron(op if j == q else I2, out)
+    return out
+
+
+def cphase_embedded(a: int, b: int, angle: float, n: int) -> np.ndarray:
+    """I + (e^{i angle} - 1) |1><1|_a |1><1|_b on n qubits."""
+    p1 = np.diag([0.0, 1.0]).astype(complex)
+    return np.eye(1 << n) + (np.exp(1j * angle) - 1) * embed(p1, a, n) @ embed(p1, b, n)
+
+
+def thermal_kraus(beta: float, omega: float, relax: float) -> list[np.ndarray]:
+    """One-qubit exp(D_thermal tau) as damping toward |0> with weight p0 and
+    toward |1> with weight p1; coherences shrink by sqrt(1 - relax)."""
+    p1 = 1.0 / (1.0 + np.exp(beta * omega))
+    p0 = 1.0 - p1
+    keep = np.sqrt(1.0 - relax)
+    sm = np.array([[0, 1], [0, 0]], dtype=complex)  # |0><1|
+    return [np.sqrt(p0) * np.diag([1.0, keep]), np.sqrt(p0 * relax) * sm,
+            np.sqrt(p1) * np.diag([keep, 1.0]), np.sqrt(p1 * relax) * sm.T]
+
+
+def full_reset(rho: np.ndarray, q: int, n: int, p0: float) -> np.ndarray:
+    """Trace out qubit q and put it back in diag(p0, 1 - p0): Kraus set
+    sqrt(p_a) |a><b| over a, b in {0, 1}."""
+    out = np.zeros_like(rho)
+    for a, pa in ((0, p0), (1, 1.0 - p0)):
+        for b in (0, 1):
+            k = np.zeros((2, 2), dtype=complex)
+            k[a, b] = np.sqrt(pa)
+            K = embed(k, q, n)
+            out = out + K @ rho @ K.conj().T
+    return out
+
+
 def lindblad_rhs(H, jumps, rho):
     """Direct evaluation with the factor-2 dissipator convention."""
     out = -1j * (H @ rho - rho @ H)

@@ -7,7 +7,9 @@ from scipy.linalg import expm
 
 from stabtherm.bath import attach_ancillas, rwa_generator
 from stabtherm.circuits import (
+    COND_PULSE,
     CPHASE,
+    MEASURE_Z,
     Gate,
     GateSchedule,
     ROT1,
@@ -32,7 +34,15 @@ from stabtherm.lindblad import (
 from stabtherm.pauli import PauliString
 from stabtherm.toric import eigenoperator_decomposition, single_stabilizer_model
 
-from oracles import dist_up_to_phase
+from oracles import (
+    PAULI,
+    cphase_embedded,
+    dist_up_to_phase,
+    embed,
+    full_reset,
+    random_density,
+    thermal_kraus,
+)
 
 
 @pytest.fixture(scope="module")
@@ -173,6 +183,80 @@ def test_partial_reset_equals_dissipator_exponential():
     assert np.linalg.norm(schedule_superoperator(sched) - exact) < 1e-12
 
 
+# -- gates on their own qubits ---------------------------------------------------
+
+def _rot(axis, angle):
+    return expm(-0.5j * angle * PAULI[axis.upper()])
+
+
+def test_gates_act_on_their_own_qubits():
+    # every gate kind on each qubit of a 3-qubit register against kron-built
+    # embeddings of its 2x2 operators
+    rng = np.random.default_rng(17)
+    rho = random_density(8, rng)
+
+    def run(*gates, n_classical=0):
+        return simulate_schedule(GateSchedule(3, gates, n_classical), rho).mat
+
+    def conj(U):
+        return U @ rho @ U.conj().T
+
+    p0, p1 = np.diag([1.0, 0.0]), np.diag([0.0, 1.0])
+    beta, omega, relax = 0.8, 1.5, 0.35
+    for q in range(3):
+        for axis in "xyz":
+            U = embed(_rot(axis, 0.7), q, 3)
+            assert np.linalg.norm(run(Gate(ROT1, qubit=q, axis=axis, angle=0.7))
+                                  - conj(U)) < 1e-12
+        P0, P1 = embed(p0, q, 3), embed(p1, q, 3)
+        measured = run(Gate(MEASURE_Z, qubit=q, cbit=0), n_classical=1)
+        assert np.linalg.norm(measured - conj(P0) - conj(P1)) < 1e-12
+        # the pulse acts on the branch whose measured bit is 1 only
+        V = embed(_rot("y", 1.1), q, 3)
+        pulsed = run(Gate(MEASURE_Z, qubit=q, cbit=0),
+                     Gate(COND_PULSE, qubit=q, axis="y", angle=1.1, condition=((0, 1),)),
+                     n_classical=1)
+        assert np.linalg.norm(pulsed - conj(P0) - conj(V @ P1)) < 1e-12
+        kraus = [embed(k, q, 3) for k in thermal_kraus(beta, omega, relax)]
+        partial = run(Gate(THERMAL_RESET, qubit=q, beta=beta, omega=omega, relax=relax))
+        assert np.linalg.norm(partial - sum(conj(K) for K in kraus)) < 1e-12
+        expected = full_reset(rho, q, 3, 1.0 / (1.0 + np.exp(-beta * omega)))
+        for impl in ("direct", "measured"):
+            sched = reset_channel(beta, omega, qubit=q, n_qubits=3, implementation=impl)
+            out = simulate_schedule(sched, rho).mat
+            assert np.linalg.norm(out - expected) < 1e-12, (q, impl)
+    for a, b in ((0, 1), (1, 2), (0, 2), (2, 0)):
+        out = run(Gate(CPHASE, qubit=a, qubit2=b, angle=0.9))
+        assert np.linalg.norm(out - conj(cphase_embedded(a, b, 0.9, 3))) < 1e-12
+
+
+def test_choi_matrix_of_known_channels():
+    # Choi entry ((a, i), (b, j)) is E(|i><j|)[a, b]
+    angle = 0.9
+    U = _rot("x", angle)
+    C = choi_matrix(GateSchedule(1, (Gate(ROT1, qubit=0, axis="x", angle=angle),)))
+    v = U.reshape(-1)  # v[a*2 + i] = U[a, i]
+    assert np.linalg.norm(C - np.outer(v, v.conj())) < 1e-13
+    beta, omega = 0.6, 1.7
+    p1 = 1.0 / (1.0 + np.exp(beta * omega))
+    C = choi_matrix(reset_channel(beta, omega))
+    assert np.linalg.norm(C - np.kron(np.diag([1 - p1, p1]), np.eye(2))) < 1e-13
+
+
+def test_superoperator_matches_simulation_through_branches():
+    # a measured reset on the middle qubit branches inside the batched run
+    rng = np.random.default_rng(29)
+    gates = (Gate(ROT1, qubit=0, axis="x", angle=0.4),
+             Gate(CPHASE, qubit=2, qubit2=1, angle=1.3),
+             *reset_channel(0.7, 1.2, qubit=1, n_qubits=3, implementation="measured").gates,
+             Gate(ROT1, qubit=1, axis="y", angle=0.8))
+    sched = GateSchedule(3, gates, 2, 0.0, 2)
+    rho = random_density(8, rng)
+    vec = schedule_superoperator(sched) @ rho.reshape(-1, order="F")
+    out = simulate_schedule(sched, rho).mat
+    assert np.linalg.norm(vec.reshape(8, 8, order="F") - out) < 1e-12
+
+
 # -- schedule simulation --------------------------------------------------------
 
 def test_empty_schedule_is_identity():
@@ -239,6 +323,8 @@ def test_schedule_validation():
         # conditional pulse reading a never-written bit
         GateSchedule(1, (Gate("COND_PULSE", qubit=0, axis="x", angle=np.pi,
                               condition=((0, 1),)),), n_classical=1)
+    with pytest.raises(ScheduleError):
+        GateSchedule(2, (Gate(CPHASE, qubit=1, qubit2=1),))
 
 
 # -- Trotterization ---------------------------------------------------------------

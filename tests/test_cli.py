@@ -6,8 +6,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from stabtherm.circuits import GateSchedule
 from stabtherm.cli import main, validate_config
-from stabtherm.errors import ConfigError
+from stabtherm.errors import ConfigError, ScheduleError
 from stabtherm.serialize import (
     config_hash,
     group_from_json,
@@ -203,6 +204,80 @@ def test_validate_config_agrees_with_shipped_schema():
         except ConfigError:
             code_valid = False
         assert schema.is_valid(doc) == code_valid == valid, doc
+
+
+_HEADER = {"header": {"n_qubits": 2, "n_classical": 2}}
+_ROT = {"kind": "ROT1", "qubit": 0, "axis": "x", "angle": 0.1}
+_MEASURE = {"kind": "MEASURE_Z", "qubit": 1, "cbit": 0}
+# (lines, valid), each line checked alone against the schema. Left out: a
+# CPHASE on one qubit twice, which the schema cannot express (see
+# test_malformed_schedules_exit_2), and out-of-range qubits or bits read before
+# they are written, which need the whole file
+_SCHEDULE_CORPUS = [
+    ([_HEADER], True),
+    ([{"header": {"n_qubits": 2.0, "steps": 3.0, "total_time": 1.5}}], True),
+    ([_HEADER, _ROT, {"kind": "CPHASE", "qubit": 0, "qubit2": 1}], True),
+    ([_HEADER, _MEASURE, {"kind": "COND_PULSE", "qubit": 1, "axis": "y",
+                          "angle": 3.1, "condition": [[0, 1]]}], True),
+    ([_HEADER, {"kind": "SAMPLE_BOLTZMANN_BIT", "beta": 1, "omega": 2, "cbit": 1},
+      {"kind": "THERMAL_RESET", "qubit": 1.0, "beta": 1, "omega": 2, "relax": 0.5}], True),
+    ([_HEADER, dict(_ROT, phase=1)], False),
+    ([_HEADER, {"kind": "ROT1", "qubit": 0, "angle": 0.1}], False),
+    ([_HEADER, dict(_ROT, axis="w")], False),
+    ([_HEADER, dict(_ROT, axis="X")], False),
+    ([_HEADER, {"kind": "THERMAL_RESET", "qubit": 0, "omega": 1.0}], False),
+    ([_HEADER, {"kind": "CPHASE", "qubit": 0}], False),
+    ([_HEADER, {"kind": "MEASURE_Z", "qubit": 0}], False),
+    ([_HEADER, {"qubit": 0}], False),
+    ([_HEADER, 5], False),
+    ([{"header": 5}], False),
+    ([[_HEADER]], False),
+    ([_HEADER, {"kind": "SWAP", "qubit": 0}], False),
+    ([_HEADER, dict(_ROT, qubit=0.5)], False),
+    ([{"header": {"n_qubits": 1.7, "steps": 2.5}}], False),
+    ([{"header": {"n_qubits": 2, "n_classical": 0.5}}], False),
+    ([{"header": {"n_qubits": 2, "steps": True}}], False),
+    ([{"header": {"steps": 2}}], False),
+    ([{"header": {"n_qubits": 2, "depth": 3}}], False),
+    ([{"header": {"n_qubits": 0}}], False),
+    ([{"header": {"n_qubits": 2, "total_time": -1.0}}], False),
+    ([{"header": {"n_qubits": 2, "total_time": "1"}}], False),
+    ([_HEADER, dict(_ROT, angle="0.1")], False),
+    ([_HEADER, {"kind": "THERMAL_RESET", "qubit": 0, "beta": 1, "omega": 2, "relax": 1.5}],
+     False),
+    ([_HEADER, _MEASURE, {"kind": "COND_PULSE", "qubit": 1, "axis": "y",
+                          "angle": 3.1, "condition": [[0]]}], False),
+    ([_HEADER, _MEASURE, {"kind": "COND_PULSE", "qubit": 1, "axis": "y",
+                          "angle": 3.1, "condition": []}], False),
+]
+
+
+def test_schedule_loader_agrees_with_shipped_schema():
+    jsonschema = pytest.importorskip("jsonschema")
+    path = Path(__file__).resolve().parents[1] / "docs" / "schema" / "schedule.schema.json"
+    schema = jsonschema.Draft7Validator(json.loads(path.read_text()))
+    for lines, valid in _SCHEDULE_CORPUS:
+        try:
+            GateSchedule.from_jsonl("\n".join(json.dumps(ln) for ln in lines))
+            code_valid = True
+        except ScheduleError:
+            code_valid = False
+        assert all(schema.is_valid(ln) for ln in lines) == code_valid == valid, lines
+
+
+def test_malformed_schedules_exit_2(tmp_path):
+    rot = json.dumps(_ROT)
+    for header, gate in ((_HEADER, dict(_ROT, phase=1)),
+                         (_HEADER, {"kind": "ROT1", "qubit": 0, "angle": 0.1}),
+                         (_HEADER, dict(_ROT, axis="w")),
+                         (_HEADER, {"kind": "THERMAL_RESET", "qubit": 0, "omega": 1.0}),
+                         ({"header": {"n_qubits": 1.7, "steps": 2.5}}, _ROT),
+                         (_HEADER, {"kind": "CPHASE", "qubit": 1, "qubit2": 1})):
+        p = tmp_path / "s.jsonl"
+        p.write_text(json.dumps(header) + "\n" + json.dumps(gate) + "\n")
+        assert run_cli("simulate-schedule", str(p)) == 2, gate
+    p.write_text(json.dumps(_HEADER) + "\n" + rot + "\n")
+    assert run_cli("simulate-schedule", str(p)) == 0
 
 
 def test_run_rejects_bad_model_and_observables_before_output(tmp_path):
