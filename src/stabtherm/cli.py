@@ -169,6 +169,7 @@ def cmd_steady_state(args) -> int:
         "unique": ss.unique,
         "kernel_residual": ss.residual,
         "trace_distance_to_gibbs": ss.states[0].distance(gs) if ss.states else None,
+        "diagnostics": ss.diagnostics,
     }
     print(json.dumps(out, indent=2))
     if args.output:

@@ -1,6 +1,14 @@
 """Lindblad generators on vectorized density matrices: superoperators, exact
-time evolution (dense exponential or Krylov, one superoperator per
-trajectory), steady-state kernels and Gibbs states.
+time evolution (dense exponential or Krylov), steady-state kernels and Gibbs
+states.
+
+Evolution and steady states work on the superoperator written in an
+orthonormal operator basis: the Hermitian Pauli basis on n qubits (where the
+matrix is real), the matrix units otherwise. The connected components of
+that matrix are exact invariant blocks; for a stabilizer Hamiltonian with
+Pauli jumps dressed by syndrome projectors each lies in a coset of the
+stabilizer group. ``build_superoperator`` (computational basis) is the
+oracle the tests check the blocks against.
 
 Conventions (fixed package-wide):
 
@@ -16,22 +24,33 @@ Conventions (fixed package-wide):
 
 from __future__ import annotations
 
+import time
 import warnings
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 from scipy import sparse
 from scipy.linalg import expm
+from scipy.sparse.csgraph import connected_components
 from scipy.sparse.linalg import eigs as sparse_eigs, expm_multiply
 
 from .errors import CapacityError, NumericalError, ParameterError
 from .pauli import PauliString
 
-#: Hilbert-space dimension above which build_superoperator refuses.
+#: Hilbert-space dimension above which superoperators (either basis) are refused.
 SUPEROP_DIM_LIMIT = 256
-#: Superoperator dimension up to which trajectory() uses the exact exponential.
+#: Block size up to which trajectory(method="auto") uses the exact exponential.
 EXACT_EXPM_LIMIT = 4096
+#: Largest invariant block that steady_states diagonalizes densely.
+DENSE_BLOCK_LIMIT = 1024
+#: Assembled Pauli coefficients below this fraction of their source count as
+#: exact zeros, so rounding noise cannot join two invariant blocks; dropping
+#: them moves eigenvalues far less than the kernel threshold.
+ROUNDOFF = 1e-13
+#: Dense entries per stack of equal-sized blocks (bounds a batch's memory).
+_STACK_ENTRIES = 1 << 22
+_I_POWERS = np.array([1, 1j, -1, -1j])
 #: An evolved state with an eigenvalue below -POSITIVITY_TOL raises a warning.
 POSITIVITY_TOL = 1e-6
 
@@ -164,33 +183,191 @@ class LindbladGenerator:
         object.__setattr__(self, "jumps", tuple(ops))
 
 
+def _sandwich_terms(g: LindbladGenerator) -> list[tuple[sparse.csr_matrix, sparse.csr_matrix]]:
+    """Pairs (A, B) with L rho = sum A rho B."""
+    d = g.n_levels
+    eye = sparse.identity(d, dtype=complex, format="csr")
+    G = sparse.csr_matrix((d, d), dtype=complex)
+    for j in g.jumps:
+        G = G + j.rate * (j.op.conj().T @ j.op)
+    terms = [(-1j * g.H - G, eye), (eye, 1j * g.H - G)]
+    return terms + [(2 * j.rate * j.op, j.op.conj().T) for j in g.jumps if j.rate]
+
+
+def _kron_sum(terms, d: int) -> sparse.csr_matrix:
+    """Column-stacking matrix of rho -> sum A rho B: sum kron(B^T, A)."""
+    L = sum((sparse.kron(B.T, A, format="csr") for A, B in terms),
+            sparse.csr_matrix((d * d, d * d), dtype=complex))
+    L.eliminate_zeros()
+    return L
+
+
 def build_superoperator(g: LindbladGenerator, dim_limit: int = SUPEROP_DIM_LIMIT) -> sparse.csr_matrix:
-    """Sparse column-stacking superoperator of dimension dim^2 x dim^2."""
+    """Sparse column-stacking superoperator of dimension dim^2 x dim^2 in the
+    computational basis: the tests' oracle for the block solvers, which do
+    not call it."""
     d = g.n_levels
     if d > dim_limit:
         raise CapacityError(
             f"superoperator for dim {d} exceeds the configured limit {dim_limit}"
         )
-    eye = sparse.identity(d, dtype=complex, format="csr")
-    H = g.H
-    L = -1j * (sparse.kron(eye, H, format="csr") - sparse.kron(H.T, eye, format="csr"))
-    for j in g.jumps:
-        if j.rate == 0:
-            continue
-        K = j.op
-        Kd = K.conj().T.tocsr()
-        KdK = (Kd @ K).tocsr()
-        L = L + j.rate * (
-            2 * sparse.kron(K.conj(), K, format="csr")
-            - sparse.kron(eye, KdK, format="csr")
-            - sparse.kron(KdK.T, eye, format="csr")
-        )
-    return L.tocsr()
+    return _kron_sum(_sandwich_terms(g), d)
 
 
 def _superop_scale(L: sparse.spmatrix) -> float:
     """Cheap norm estimate used for kernel thresholds."""
     return float(max(abs(L).sum(axis=0).max(), abs(L).sum(axis=1).max(), 1e-300))
+
+
+# ---------------------------------------------------------------------------
+# the superoperator in an operator basis, cut into invariant blocks
+# ---------------------------------------------------------------------------
+
+def _walsh(d: int) -> np.ndarray:
+    """W[z, i] = (-1)^(z.i), the d x d Walsh-Hadamard sign matrix."""
+    i = np.arange(d)
+    return np.where(np.bitwise_count(i[:, None] & i) & 1, -1.0, 1.0)
+
+
+def _pauli_coefficients(M, W: np.ndarray) -> np.ndarray:
+    """m[x, z] with M = sum m[x, z] X^x Z^z, where X^x Z^z |i> = (-1)^(z.i) |i^x>:
+    m[x, z] = (1/d) sum_i (-1)^(z.i) M[i^x, i], one Walsh-Hadamard transform
+    for each x on which M has entries."""
+    d = len(W)
+    M = sparse.coo_matrix(M)
+    M.sum_duplicates()
+    xs, row = np.unique(M.row ^ M.col, return_inverse=True)
+    V = np.zeros((len(xs), d), complex)
+    V[row, M.col] = M.data
+    m = np.zeros((d, d), complex)
+    m[xs] = V @ W / d
+    return m
+
+
+def _pauli_transfer(terms, W: np.ndarray, weight: np.ndarray) -> sparse.csr_matrix:
+    """Real matrix of the Hermiticity-preserving map rho -> sum A rho B over
+    (A, B) in ``terms``, on the Hermitian basis i^weight_b tau_b, where
+    tau_b = X^x Z^z (b = x*d + z) and weight_b = |x & z|.
+
+    On the tau_b it follows from the product rule
+    tau_a tau_b tau_c = (-1)^(za.xb + za.xc + zb.xc) tau_(a^b^c): each pair
+    (a, c) of Pauli terms shifts every input b to b^a^c, with a sign that is
+    an outer product of two Walsh rows over the (xb, zb) grid, so all 4^n
+    inputs of one shift come from one matrix product.
+    """
+    d = len(W)
+    n = d.bit_length() - 1
+    a, c, w = [], [], []
+    for A, B in terms:
+        supports = []
+        for op in (A, B):
+            m = _pauli_coefficients(op, W).ravel()
+            keep = np.flatnonzero(np.abs(m) > ROUNDOFF * np.abs(m).max())
+            supports.append((keep, m[keep]))
+        (ia, ca), (ic, cc) = supports
+        a.append(np.repeat(ia, len(ic)))
+        c.append(np.tile(ic, len(ia)))
+        w.append(np.outer(ca, cc).ravel())
+    a, c, w = np.concatenate(a), np.concatenate(c), np.concatenate(w)
+    za, xc, shift = a & (d - 1), c >> n, a ^ c
+    w = w * np.where(np.bitwise_count(za & xc) & 1, -1.0, 1.0)
+    order = np.argsort(shift, kind="stable")
+    shift, za, xc, w = shift[order], za[order], xc[order], w[order]
+    shifts, starts = np.unique(shift, return_index=True)
+    rows, cols, vals = [], [], []
+    for s, lo, hi in zip(shifts, starts, np.append(starts[1:], len(shift))):
+        v = (W[za[lo:hi]].T @ (w[lo:hi, None] * W[xc[lo:hi]])).ravel()
+        keep = np.flatnonzero(np.abs(v) > ROUNDOFF * np.abs(w[lo:hi]).sum())
+        rows.append(keep ^ s)
+        cols.append(keep)
+        vals.append(v[keep])
+    rows, cols, vals = np.concatenate(rows), np.concatenate(cols), np.concatenate(vals)
+    vals = (vals * _I_POWERS[(weight[cols] - weight[rows]) % 4]).real
+    return sparse.csr_matrix((vals, (rows, cols)), shape=(d * d, d * d))
+
+
+@dataclass(frozen=True)
+class _BlockForm:
+    """The superoperator T in an orthonormal operator basis, and the label of
+    the invariant block (connected component of T) of every basis element.
+
+    ``coefficients(rho)`` expands a d x d matrix in the basis and
+    ``vectors(C)`` maps coefficient columns back to column-stacking vec form;
+    both maps are unitary.
+    """
+
+    basis: str
+    T: sparse.csr_matrix
+    labels: np.ndarray
+    coefficients: Callable[[np.ndarray], np.ndarray]
+    vectors: Callable[[np.ndarray], np.ndarray]
+
+    def blocks(self, among=None):
+        """Member indices of the blocks labelled in ``among`` (default all),
+        as arrays (n_blocks, size) of equal-sized blocks, each array holding
+        at most _STACK_ENTRIES dense entries (or one block)."""
+        order = np.argsort(self.labels, kind="stable")
+        sizes = np.bincount(self.labels)
+        starts = np.cumsum(sizes) - sizes
+        among = np.arange(len(sizes)) if among is None else np.asarray(among)
+        for s in np.unique(sizes[among]):
+            chosen = among[sizes[among] == s]
+            members = order[starts[chosen][:, None] + np.arange(s)]
+            step = max(1, _STACK_ENTRIES // (s * s))
+            for i in range(0, len(members), step):
+                yield members[i:i + step]
+
+    def restrict(self, members: np.ndarray) -> sparse.csr_matrix:
+        """T restricted to the blocks in ``members``, block after block."""
+        flat = members.ravel()
+        return self.T[flat][:, flat]
+
+    def dense(self, members: np.ndarray) -> np.ndarray:
+        """The blocks in ``members`` as a dense stack (n_blocks, size, size)."""
+        nb, s = members.shape
+        sub = self.restrict(members).tocoo()
+        stack = np.zeros((nb, s, s), self.T.dtype)
+        stack[sub.row // s, sub.row % s, sub.col % s] = sub.data
+        return stack
+
+
+def _block_form(g: LindbladGenerator) -> _BlockForm:
+    """Write the generator in the orthonormal Hermitian Pauli basis
+    sigma_(x,z) = i^|x & z| X^x Z^z / sqrt(d) when n_levels = d = 2^n (there
+    the matrix is real, as L maps Hermitian operators to Hermitian ones),
+    else in the matrix units, and label its invariant blocks."""
+    d = g.n_levels
+    if d > SUPEROP_DIM_LIMIT:
+        raise CapacityError(
+            f"superoperator for dim {d} exceeds the configured limit {SUPEROP_DIM_LIMIT}"
+        )
+    terms = _sandwich_terms(g)
+    if d & (d - 1) == 0:
+        n = d.bit_length() - 1
+        W = _walsh(d)
+        b = np.arange(d * d)
+        weight = np.bitwise_count((b >> n) & b & (d - 1)).astype(int)
+        phase = _I_POWERS[weight % 4] / np.sqrt(d)  # sigma_b = phase_b tau_b
+        T = _pauli_transfer(terms, W, weight)
+        i = np.arange(d)
+        positions = ((i ^ i[:, None]) + d * i).ravel()  # vec index of M[i^x, i]
+
+        def coefficients(rho):
+            return (_pauli_coefficients(rho, W).ravel() / phase).real
+
+        def vectors(C):
+            m = (C * phase[:, None]).reshape(d, d, -1)
+            M = np.tensordot(m, W, axes=(1, 0))  # M[x, k, i] = column k's M[i^x, i]
+            out = np.zeros((d * d, C.shape[1]), complex)
+            out[positions] = M.transpose(0, 2, 1).reshape(d * d, -1)
+            return out
+
+        basis = "pauli"
+    else:
+        T = _kron_sum(terms, d)
+        coefficients, vectors, basis = vec, np.asarray, "matrix-unit"
+    _, labels = connected_components(abs(T), directed=True, connection="weak")
+    return _BlockForm(basis, T, labels, coefficients, vectors)
 
 
 # ---------------------------------------------------------------------------
@@ -204,13 +381,15 @@ def trajectory(
     points: int,
     method: str = "auto",
 ) -> list[DensityMatrix]:
-    """States at np.linspace(0, t, points), all from one superoperator.
+    """States at np.linspace(0, t, points), propagating only the invariant
+    blocks of the superoperator that rho0 has weight on.
 
-    "expm" steps with one dense exponential exp(L dt); "krylov" makes one
-    call to scipy's expm_multiply (Al-Mohy/Higham), which returns the whole
-    uniform grid; "auto" uses expm while the superoperator dimension is at
-    most EXACT_EXPM_LIMIT and krylov above it. Each returned state is
-    Hermitized; trace is preserved to 1e-9 and positivity is monitored.
+    Per block, "expm" steps with one dense exponential exp(L dt) (batched
+    over blocks of one size); "krylov" makes one call to scipy's
+    expm_multiply (Al-Mohy/Higham) on the blocks of one size, which returns
+    the whole uniform grid; "auto" uses expm for blocks of at most
+    EXACT_EXPM_LIMIT elements and krylov for larger ones. Each returned state
+    is Hermitized; trace is preserved to 1e-9 and positivity is monitored.
     """
     d = g.n_levels
     if rho0.dim != d:
@@ -219,23 +398,27 @@ def trajectory(
         raise ParameterError("t must be nonnegative")
     if points < 2:
         raise ParameterError(f"a trajectory needs at least 2 points, got {points}")
-    if method == "auto":
-        method = "expm" if d * d <= EXACT_EXPM_LIMIT else "krylov"
-    if method not in ("expm", "krylov"):
+    if method not in ("auto", "expm", "krylov"):
         raise ParameterError(f"unknown method {method!r}")
     if t == 0:
         return [rho0] * points
 
-    L = build_superoperator(g)
-    v0 = vec(rho0.mat)
-    if method == "expm":
-        U = expm((L * (t / (points - 1))).toarray())
-        vs = [v0]
-        for _ in range(points - 1):
-            vs.append(U @ vs[-1])
-    else:
-        vs = expm_multiply(L, v0, start=0.0, stop=t, num=points, endpoint=True)
-    return [rho0] + [_finalize_state(unvec(v)) for v in vs[1:]]
+    form = _block_form(g)
+    c0 = form.coefficients(rho0.mat)
+    cs = np.zeros((points, c0.size), c0.dtype)
+    cs[0] = c0
+    for members in form.blocks(np.unique(form.labels[np.flatnonzero(c0)])):
+        if method == "expm" or (method == "auto" and members.shape[1] <= EXACT_EXPM_LIMIT):
+            U = expm(form.dense(members) * (t / (points - 1)))
+            v = c0[members]
+            for p in range(1, points):
+                v = np.einsum("bij,bj->bi", U, v)
+                cs[p, members] = v
+        else:
+            idx = members.ravel()
+            cs[:, idx] = expm_multiply(form.restrict(members), c0[idx], start=0.0, stop=t,
+                                       num=points, endpoint=True)
+    return [rho0] + [_finalize_state(unvec(v)) for v in form.vectors(cs[1:].T).T]
 
 
 def evolve(
@@ -277,6 +460,9 @@ class SteadyStateResult:
     states: tuple[DensityMatrix, ...]  # Hermitized, trace-normalized candidates
     eigenvalues: np.ndarray            # the small-magnitude spectrum inspected
     residual: float                    # max ||L v|| over kernel basis vectors
+    # basis, blocks, max_block, nnz (of the basis matrix), seconds, and margin:
+    # the smallest non-kernel |lambda| over the threshold (None if none)
+    diagnostics: dict
 
     @property
     def unique(self) -> bool:
@@ -291,53 +477,89 @@ class SteadyStateResult:
         return self.states[0]
 
 
+def _arpack_block(B: sparse.spmatrix, k: int, thresh: float, scale: float, max_kernel: int):
+    """Smallest-|lambda| eigenpairs of one block by shift-invert ARPACK, k grown
+    until the computed set reaches past 100 * thresh (or the cap)."""
+    n = B.shape[0]
+    k_req = min(max(k, 2), n - 2)
+    while True:
+        try:
+            vals, vecs = sparse_eigs(B, k=k_req, sigma=1e-9 * scale, which="LM")
+        except Exception as exc:  # ARPACK failure, singular factorization, ...
+            raise NumericalError(f"sparse eigensolve failed: {exc}") from exc
+        if np.abs(vals).max() >= 100 * thresh or k_req >= min(max_kernel, n - 2):
+            return vals, vecs
+        k_req = min(2 * k_req, n - 2)
+
+
 def steady_states(
     g: LindbladGenerator,
     k: int = 6,
     kernel_tol: float = 1e-10,
     max_kernel: int = 64,
 ) -> SteadyStateResult:
-    """Kernel of the superoperator via sparse shifted eigensolve.
+    """Kernel of the superoperator, solved on its invariant blocks.
 
-    Eigenvalues with |lambda| < kernel_tol * ||L|| count as kernel. k is grown
-    until the kernel cluster is strictly inside the computed set, so degenerate
-    kernels are reported faithfully.
+    The superoperator is written in the Hermitian Pauli basis when n_levels
+    is a power of two (the matrix units otherwise); its connected components
+    are exact invariant blocks. A block of at most DENSE_BLOCK_LIMIT elements
+    gets a dense eigensolve, batched over blocks of one size; a larger one
+    gets shift-invert ARPACK with k grown until the computed set reaches
+    past the kernel cluster and the ambiguous band, so degenerate kernels
+    are reported faithfully. ``eigenvalues`` holds the max(kernel_dim + 4, k)
+    smallest |lambda| of the union of the block spectra computed.
+
+    Eigenvalues with |lambda| < kernel_tol * ||L|| count as kernel. ||L|| is
+    the larger of the maximal column and row 1-norms of the basis matrix, so
+    in the Pauli basis it is not the computational-basis value: for the L=2
+    toric Davies generator at beta = 1, gamma0 = 0.5, lambda = 1 it is 47.7
+    against 45.9. An eigenvalue within a factor 100 of the threshold on
+    either side makes the decision ambiguous and raises NumericalError.
     """
-    L = build_superoperator(g)
-    n = L.shape[0]
-    scale = _superop_scale(L)
+    start = time.perf_counter()
+    form = _block_form(g)
+    T = form.T
+    n = T.shape[0]
+    scale = _superop_scale(T)
     thresh = kernel_tol * scale
 
-    if n <= 1024:
-        # small enough for the full dense spectrum; avoids ARPACK edge cases
-        from scipy.linalg import eig as dense_eig
-
-        vals, vecs = dense_eig(L.toarray())
-        idx = np.argsort(np.abs(vals))
-        vals, vecs = vals[idx], vecs[:, idx]
-        n_kernel = int(np.sum(np.abs(vals) < thresh))
-        vals = vals[: max(n_kernel + 4, min(k, n))]
-        vecs = vecs[:, : len(vals)]
-    else:
-        k_req = min(max(k, 2), n - 2)
-        while True:
-            try:
-                vals, vecs = sparse_eigs(L, k=k_req, sigma=1e-9 * scale, which="LM")
-            except Exception as exc:  # ARPACK failure, singular factorization, ...
-                raise NumericalError(f"sparse eigensolve failed: {exc}") from exc
-            idx = np.argsort(np.abs(vals))
-            vals, vecs = vals[idx], vecs[:, idx]
-            n_kernel = int(np.sum(np.abs(vals) < thresh))
-            if n_kernel < k_req or k_req >= min(max_kernel, n - 2):
-                break
-            k_req = min(2 * k_req, n - 2)
+    spectra, kernel = [], []  # eigenvalues; (members, kernel vectors) per block
+    for members in form.blocks():
+        if members.shape[1] <= DENSE_BLOCK_LIMIT:
+            stack = form.dense(members)
+            vals = np.linalg.eigvals(stack)
+            for b in np.flatnonzero((np.abs(vals) < thresh).any(axis=1)):
+                w, v = np.linalg.eig(stack[b])
+                kernel.append((members[b], v[:, np.abs(w) < thresh]))
+            spectra.append(vals.ravel())
+        else:
+            for idx in members:
+                vals, v = _arpack_block(form.restrict(idx[None]), k, thresh, scale, max_kernel)
+                kernel.append((idx, v[:, np.abs(vals) < thresh]))
+                spectra.append(vals)
+    vals = np.concatenate(spectra)
+    vals = vals[np.argsort(np.abs(vals), kind="stable")]
+    n_kernel = sum(v.shape[1] for _, v in kernel)
     if n_kernel > max_kernel:
         raise NumericalError(f"kernel dimension exceeds the cap {max_kernel}")
+    ambiguous = vals[(np.abs(vals) >= thresh / 100) & (np.abs(vals) < 100 * thresh)]
+    if ambiguous.size:
+        raise NumericalError(
+            f"|lambda| = {abs(ambiguous[0]):.3e} lies within a factor 100 of the "
+            f"kernel threshold {thresh:.3e}: the kernel dimension is ambiguous"
+        )
 
-    basis, _ = np.linalg.qr(vecs[:, :n_kernel]) if n_kernel else (np.zeros((n, 0)), None)
+    coeffs = np.zeros((n, n_kernel), complex)
+    col = 0
+    for idx, v in kernel:
+        coeffs[idx, col:col + v.shape[1]] = v
+        col += v.shape[1]
+    if n_kernel:
+        coeffs, _ = np.linalg.qr(coeffs)
     residual = float(
-        max((np.linalg.norm(L @ basis[:, i]) for i in range(n_kernel)), default=0.0)
+        max((np.linalg.norm(T @ coeffs[:, i]) for i in range(n_kernel)), default=0.0)
     ) / scale
+    basis = form.vectors(coeffs)
 
     states = []
     for i in range(n_kernel):
@@ -352,12 +574,21 @@ def steady_states(
                 states.append(DensityMatrix((m + m.conj().T) / 2))
     # when degenerate, kernel rotations may hide positive combinations; report
     # whatever physical representatives were found without failing.
+    diagnostics = {
+        "basis": form.basis,
+        "blocks": int(form.labels.max()) + 1,
+        "max_block": int(np.bincount(form.labels).max()),
+        "nnz": int(T.nnz),
+        "seconds": time.perf_counter() - start,
+        "margin": float(abs(vals[n_kernel]) / thresh) if n_kernel < len(vals) else None,
+    }
     return SteadyStateResult(
         kernel_dim=n_kernel,
         kernel_basis=basis,
         states=tuple(states),
-        eigenvalues=vals,
+        eigenvalues=vals[: max(n_kernel + 4, min(k, n))],
         residual=residual,
+        diagnostics=diagnostics,
     )
 
 

@@ -73,6 +73,9 @@ def test_steady_state_output_parses(tmp_path, capsys):
     doc = json.loads(out.read_text())
     assert doc["kernel_dim"] == 1
     assert doc["trace_distance_to_gibbs"] < 1e-8
+    diag = doc["diagnostics"]
+    assert diag["basis"] == "pauli" and diag["blocks"] > 1 and diag["margin"] > 100
+    assert json.loads(capsys.readouterr().out.split("wrote")[0])["diagnostics"] == diag
 
 
 def test_unknown_subcommand_exits_2():

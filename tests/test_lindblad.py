@@ -4,8 +4,12 @@ import numpy as np
 import pytest
 from scipy import sparse
 from scipy.linalg import expm
+from scipy.optimize import linear_sum_assignment
+from scipy.sparse.linalg import eigs as sparse_eigs
 
-from stabtherm.errors import CapacityError, ParameterError
+from stabtherm import lindblad
+from stabtherm.bath import attach_ancillas, davies_reduction, rwa_generator
+from stabtherm.errors import CapacityError, NumericalError, ParameterError
 from stabtherm.lindblad import (
     DensityMatrix,
     JumpOp,
@@ -20,7 +24,14 @@ from stabtherm.lindblad import (
     unvec,
     vec,
 )
-from stabtherm.toric import build_torus, toric_hamiltonian
+from stabtherm.pauli import PauliString, PauliSum
+from stabtherm.toric import (
+    build_torus,
+    eigenoperator_decomposition,
+    single_stabilizer_model,
+    single_vertex_model,
+    toric_hamiltonian,
+)
 
 from oracles import lindblad_rhs, random_density, toric_partition_sums
 
@@ -233,3 +244,142 @@ def test_thermal_qubit_ratio():
     for beta, omega in ((0.0, 1.0), (1.0, 0.7), (2.0, 2.0)):
         p = thermal_qubit(beta, omega)
         assert np.isclose(p[1, 1].real / p[0, 0].real, np.exp(-beta * omega))
+
+
+# -- block solvers against the computational-basis oracle ----------------------
+
+def full_decomps(H):
+    return [eigenoperator_decomposition(H, j, a)
+            for j in range(H.n_qubits) for a in ("x", "z")]
+
+
+def mini_davies(include=("lower", "raise", "translate")):
+    H = single_vertex_model(1.0)
+    return davies_reduction(H, full_decomps(H), 1.0, 0.5, include=include)
+
+
+def random_generator(dim, seed):
+    rng = np.random.default_rng(seed)
+    H = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+    K = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+    return LindbladGenerator(dim, (H + H.conj().T) / 2, (JumpOp(sparse.csr_matrix(K), 0.4),))
+
+
+def three_qubit_rwa_composite():
+    # ZZ with one ancilla dressing sigma^x on site 0
+    H = single_stabilizer_model("ZZ", 1.0)
+    model, _ = attach_ancillas(H, [eigenoperator_decomposition(H, 0, "x")],
+                               beta=1.0, gamma_minus=0.3, g=0.4)
+    assert model.dim == 8
+    return rwa_generator(model)
+
+
+def max_matched_distance(a, b):
+    """Largest |a_i - b_pi(i)| under the best one-to-one pairing."""
+    assert len(a) == len(b)
+    dist = np.abs(a[:, None] - b[None, :])
+    rows, cols = linear_sum_assignment(dist)
+    return dist[rows, cols].max()
+
+
+@pytest.mark.parametrize("make, basis", [
+    (lambda: mini_davies(), "pauli"),
+    (lambda: mini_davies(("translate",)), "pauli"),   # degenerate kernel
+    (lambda: random_generator(3, 5), "matrix-unit"),
+])
+def test_block_spectra_match_dense_oracle(make, basis):
+    g = make()
+    n = g.n_levels ** 2
+    ss = steady_states(g, k=n, max_kernel=n)
+    assert ss.diagnostics["basis"] == basis
+    assert len(ss.eigenvalues) == n  # every block is dense at this size
+    oracle = np.linalg.eigvals(build_superoperator(g).toarray())
+    assert max_matched_distance(ss.eigenvalues, oracle) < 1e-10
+    assert ss.kernel_dim == np.sum(np.abs(oracle) < 1e-9)
+
+
+@pytest.mark.parametrize("make", [mini_davies, three_qubit_rwa_composite])
+def test_trajectory_matches_dense_exponential_on_every_block(make):
+    g = make()
+    rho0 = DensityMatrix(random_density(g.n_levels, np.random.default_rng(41)))
+    L = build_superoperator(g).toarray()
+    t, points = 3.0, 4
+    for method in ("expm", "krylov"):
+        states = trajectory(g, rho0, t, points, method=method)
+        for s, tk in zip(states, np.linspace(0, t, points)):
+            exact = unvec(expm(L * tk) @ vec(rho0.mat))
+            assert np.abs(s.mat - exact).max() < 1e-10
+
+
+def test_block_solvers_never_form_the_superoperator(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the computational-basis superoperator was formed")
+
+    monkeypatch.setattr(lindblad, "build_superoperator", refuse)
+    for g in (mini_davies(), random_generator(3, 6)):
+        assert steady_states(g).kernel_dim == 1
+        rho0 = DensityMatrix.maximally_mixed(g.n_levels)
+        for method in ("expm", "krylov"):
+            trajectory(g, rho0, 1.0, 3, method=method)
+
+
+def test_trajectory_from_identity_touches_one_block():
+    g = mini_davies()
+    form = lindblad._block_form(g)
+    c0 = form.coefficients(np.eye(16) / 16)
+    assert len(np.unique(form.labels[np.flatnonzero(c0)])) == 1
+
+
+def test_toric_l2_davies_gap():
+    lat = build_torus(2)
+    H = toric_hamiltonian(lat, 1.0, 1.0)
+    ss = steady_states(davies_reduction(H, full_decomps(H), 1.0, 0.5))
+    assert ss.kernel_dim == 1
+    # 1024 blocks of 64, and no rounding residue stored (3,014,656 nonzeros
+    # in the computational basis)
+    assert ss.diagnostics["blocks"] == 1024 and ss.diagnostics["max_block"] == 64
+    assert ss.diagnostics["nnz"] == 714751
+    assert abs(np.sort(np.abs(ss.eigenvalues))[1] - 0.121675) < 1e-6
+
+
+def test_blocks_above_the_dense_limit_match_sparse_oracle():
+    # 6 damped qubits under a random 8-term Pauli H: two blocks of 2048,
+    # above DENSE_BLOCK_LIMIT, so each goes through shift-invert ARPACK
+    rng = np.random.default_rng(3)
+    n = 6
+    terms = [(rng.normal(), PauliString.from_letters("".join(rng.choice(list("IXYZ"), n))))
+             for _ in range(8)]
+    H = PauliSum(n, terms).to_sparse()
+    jumps = tuple(JumpOp(PauliSum(n, [(0.5, PauliString.single(n, q, "x")),
+                                      (0.5j, PauliString.single(n, q, "y"))]).to_sparse(), 0.3)
+                  for q in range(n))
+    g = LindbladGenerator(1 << n, (H + H.conj().T) / 2, jumps)
+    ss = steady_states(g)
+    assert ss.diagnostics["max_block"] > lindblad.DENSE_BLOCK_LIMIT
+    L = build_superoperator(g)
+    oracle = sparse_eigs(L, k=6, sigma=1e-9, which="LM", return_eigenvectors=False)
+    assert np.allclose(np.sort(np.abs(ss.eigenvalues))[:6], np.sort(np.abs(oracle)), atol=1e-8)
+    assert ss.kernel_dim == 1
+    assert np.linalg.norm(L @ vec(ss.state.mat)) < 1e-10
+
+
+def test_steady_state_diagnostics():
+    g = two_level(1.0, 0.25)
+    ss = steady_states(g)
+    d = ss.diagnostics
+    assert set(d) == {"basis", "blocks", "max_block", "nnz", "seconds", "margin"}
+    assert d["basis"] == "pauli" and d["max_block"] <= 4 and d["nnz"] > 0
+    thresh = 1e-10 * lindblad._superop_scale(lindblad._block_form(g).T)
+    assert np.isclose(d["margin"], np.sort(np.abs(ss.eigenvalues))[1] / thresh)
+    assert d["margin"] > 100
+
+
+def test_ambiguous_kernel_threshold_raises():
+    # populations decay at 2 gamma; kernel_tol * ||L|| is about 2e-10 here
+    def damped(gamma):
+        return LindbladGenerator(2, np.diag([0.0, 1.0]), (JumpOp(sparse.csr_matrix(SM), gamma),))
+
+    with pytest.raises(NumericalError, match="ambiguous"):
+        steady_states(damped(1e-10))
+    assert steady_states(damped(1e-6)).kernel_dim == 1
+    assert steady_states(damped(1e-15)).kernel_dim == 2  # far below the threshold

@@ -169,7 +169,6 @@ def test_gibbs_start_stays_put():
         assert out.distance(gs) < 1e-9
 
 
-@pytest.mark.slow
 def test_attractor_probe_toric_l2():
     lat = build_torus(2)
     H = toric_hamiltonian(lat, 1.0, 1.0)
