@@ -23,7 +23,7 @@ from .errors import (
     ParameterError,
     ScheduleError,
 )
-from .lindblad import DensityMatrix, gibbs_state, steady_states, trajectory
+from .lindblad import DensityMatrix, _check_capacity, gibbs_state, steady_states, trajectory
 from .pauli import PauliString
 from .serialize import (
     config_hash,
@@ -80,6 +80,15 @@ def _full_decompositions(H: StabilizerHamiltonian):
             for j in range(H.n_qubits) for a in ("x", "z")]
 
 
+def _davies_generator(H: StabilizerHamiltonian, beta: float, gamma0: float):
+    """The full Davies generator of H, after checking that its superoperator
+    is within capacity (building the bath is the slow part of a refusal)."""
+    from .bath import davies_reduction
+
+    _check_capacity(1 << H.n_qubits)
+    return davies_reduction(H, _full_decompositions(H), beta, gamma0)
+
+
 def _observable_values(name: str, H, lat, rho: np.ndarray, beta: float) -> float:
     if name in ("A_v", "B_p") and lat is None:
         raise ConfigError(f"observable {name!r} requires a toric model")
@@ -133,9 +142,7 @@ def cmd_decompose(args) -> int:
 def _thermalize_rows(H, lat, beta: float, gamma0: float, t: float, points: int,
                      method: str, names: list[str]) -> list[list[float]]:
     """Observables along a Davies trajectory from the maximally mixed state."""
-    from .bath import davies_reduction
-
-    gen = davies_reduction(H, _full_decompositions(H), beta, gamma0)
+    gen = _davies_generator(H, beta, gamma0)
     rho0 = DensityMatrix.maximally_mixed(1 << H.n_qubits)
     states = trajectory(gen, rho0, t, points, method=method)
     return [[ti] + [_observable_values(n, H, lat, rho.mat, beta) for n in names]
@@ -157,11 +164,9 @@ def cmd_thermalize(args) -> int:
 
 
 def cmd_steady_state(args) -> int:
-    from .bath import davies_reduction
-
     model_spec = _model_spec_from_args(args)
     H, lat = _build_model(model_spec)
-    gen = davies_reduction(H, _full_decompositions(H), args.beta, args.gamma0)
+    gen = _davies_generator(H, args.beta, args.gamma0)
     ss = steady_states(gen)
     gs = gibbs_state(H.to_dense(), args.beta)
     out = {
@@ -182,7 +187,6 @@ def cmd_steady_state(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    from .bath import davies_reduction
     from .verify import check_fixed_point_conditions, ergodicity_check
 
     lat = build_torus(args.L)
@@ -197,7 +201,7 @@ def cmd_verify(args) -> int:
     }
     doc = report.to_json()
     if args.ergodicity:
-        gen = davies_reduction(H, _full_decompositions(H), args.beta, args.gamma0)
+        gen = _davies_generator(H, args.beta, args.gamma0)
         erg = ergodicity_check(H, [j.op for j in gen.jumps],
                                loop_ops=loop_operators(lat))
         ss = steady_states(gen)
@@ -369,10 +373,7 @@ def cmd_run(args) -> int:
         result["fixed_point_report"] = report.to_json()
         result["max_residual"] = report.max_residual()
     elif exp == "steady-state":
-        from .bath import davies_reduction
-
-        gen = davies_reduction(H, _full_decompositions(H), beta,
-                               float(dyn.get("gamma0", 0.5)))
+        gen = _davies_generator(H, beta, float(dyn.get("gamma0", 0.5)))
         ss = steady_states(gen)
         result["kernel_dim"] = ss.kernel_dim
         result["kernel_residual"] = ss.residual

@@ -183,6 +183,14 @@ class LindbladGenerator:
         object.__setattr__(self, "jumps", tuple(ops))
 
 
+def _check_capacity(d: int, dim_limit: int = SUPEROP_DIM_LIMIT) -> None:
+    """Refuse a superoperator (in any basis) for Hilbert dimension d > dim_limit."""
+    if d > dim_limit:
+        raise CapacityError(
+            f"superoperator for dim {d} exceeds the configured limit {dim_limit}"
+        )
+
+
 def _sandwich_terms(g: LindbladGenerator) -> list[tuple[sparse.csr_matrix, sparse.csr_matrix]]:
     """Pairs (A, B) with L rho = sum A rho B."""
     d = g.n_levels
@@ -206,12 +214,8 @@ def build_superoperator(g: LindbladGenerator, dim_limit: int = SUPEROP_DIM_LIMIT
     """Sparse column-stacking superoperator of dimension dim^2 x dim^2 in the
     computational basis: the tests' oracle for the block solvers, which do
     not call it."""
-    d = g.n_levels
-    if d > dim_limit:
-        raise CapacityError(
-            f"superoperator for dim {d} exceeds the configured limit {dim_limit}"
-        )
-    return _kron_sum(_sandwich_terms(g), d)
+    _check_capacity(g.n_levels, dim_limit)
+    return _kron_sum(_sandwich_terms(g), g.n_levels)
 
 
 def _superop_scale(L: sparse.spmatrix) -> float:
@@ -331,17 +335,34 @@ class _BlockForm:
         return stack
 
 
-def _block_form(g: LindbladGenerator) -> _BlockForm:
-    """Write the generator in the orthonormal Hermitian Pauli basis
-    sigma_(x,z) = i^|x & z| X^x Z^z / sqrt(d) when n_levels = d = 2^n (there
-    the matrix is real, as L maps Hermitian operators to Hermitian ones),
-    else in the matrix units, and label its invariant blocks."""
-    d = g.n_levels
-    if d > SUPEROP_DIM_LIMIT:
-        raise CapacityError(
-            f"superoperator for dim {d} exceeds the configured limit {SUPEROP_DIM_LIMIT}"
-        )
-    terms = _sandwich_terms(g)
+def _drop_roundoff(A) -> sparse.csr_matrix:
+    """A as a sparse matrix without the entries below ROUNDOFF times its largest."""
+    A = sparse.csr_matrix(A, copy=True)
+    if A.nnz:
+        A.data[np.abs(A.data) <= ROUNDOFF * np.abs(A.data).max()] = 0
+        A.eliminate_zeros()
+    return A
+
+
+def _matrix_unit_transfer(terms, d: int) -> sparse.csr_matrix:
+    """Column-stacking matrix of rho -> sum A rho B, cut like the Pauli
+    transfer: operator entries below ROUNDOFF of their largest, and assembled
+    entries below ROUNDOFF of the magnitude that summed into them."""
+    terms = [(_drop_roundoff(A), _drop_roundoff(B)) for A, B in terms]
+    T = _kron_sum(terms, d).tocoo()
+    bound = _kron_sum([(abs(A), abs(B)) for A, B in terms], d)
+    keep = np.abs(T.data) > ROUNDOFF * np.asarray(bound[T.row, T.col]).ravel()
+    return sparse.csr_matrix((T.data[keep], (T.row[keep], T.col[keep])), shape=T.shape)
+
+
+def _block_form(terms, d: int) -> _BlockForm:
+    """Write rho -> sum A rho B over (A, B) in ``terms`` (d x d matrices) in
+    the orthonormal Hermitian Pauli basis sigma_(x,z) = i^|x & z| X^x Z^z /
+    sqrt(d) when d = 2^n, else in the matrix units, and label its invariant
+    blocks. In the Pauli basis the matrix is real for a map that takes
+    Hermitian operators to Hermitian ones (a Lindbladian, or the commutant
+    form of ``verify``), and only the real part is kept."""
+    _check_capacity(d)
     if d & (d - 1) == 0:
         n = d.bit_length() - 1
         W = _walsh(d)
@@ -364,7 +385,7 @@ def _block_form(g: LindbladGenerator) -> _BlockForm:
 
         basis = "pauli"
     else:
-        T = _kron_sum(terms, d)
+        T = _matrix_unit_transfer(terms, d)
         coefficients, vectors, basis = vec, np.asarray, "matrix-unit"
     _, labels = connected_components(abs(T), directed=True, connection="weak")
     return _BlockForm(basis, T, labels, coefficients, vectors)
@@ -403,7 +424,7 @@ def trajectory(
     if t == 0:
         return [rho0] * points
 
-    form = _block_form(g)
+    form = _block_form(_sandwich_terms(g), g.n_levels)
     c0 = form.coefficients(rho0.mat)
     cs = np.zeros((points, c0.size), c0.dtype)
     cs[0] = c0
@@ -517,7 +538,7 @@ def steady_states(
     either side makes the decision ambiguous and raises NumericalError.
     """
     start = time.perf_counter()
-    form = _block_form(g)
+    form = _block_form(_sandwich_terms(g), g.n_levels)
     T = form.T
     n = T.shape[0]
     scale = _superop_scale(T)

@@ -13,24 +13,33 @@ fail on anything else; residuals are reported as Frobenius norms.
 Ergodicity is decided from the commutant of {H} + jumps + jump adjoints:
 the commutant is trivial iff the semigroup has a unique attracting steady
 state (given a faithful stationary state). The commutant dimension is the
-nullity of M = sum_O ad_O^dag ad_O, computed densely for small problems and
-matrix-free (LOBPCG) at dimension 256.
+nullity of M = sum_O ad_O^dag ad_O. M is a sandwich map like a Lindbladian,
+so it goes through the same block engine as lindblad's steady states: written
+in the Pauli basis (or the matrix units), cut into invariant blocks and
+diagonalized block by block, exactly.
 """
 
 from __future__ import annotations
 
 import itertools
-import warnings
+import time
 from dataclasses import dataclass
 
 import numpy as np
 from scipy import sparse
-from scipy.sparse.linalg import LinearOperator, lobpcg
+# Not called here, but the benchmark's tracer (perfbench/tracing.py) wraps
+# verify.lobpcg when it installs, so the name stays bound.
+from scipy.sparse.linalg import lobpcg  # noqa: F401
 
-from .errors import CapacityError, ParameterError
+from .errors import CapacityError, NumericalError, ParameterError
 from .lindblad import (
+    DENSE_BLOCK_LIMIT,
+    ROUNDOFF,
+    SUPEROP_DIM_LIMIT,
     DensityMatrix,
     LindbladGenerator,
+    _arpack_block,
+    _block_form,
     evolve,
     steady_states,
 )
@@ -39,9 +48,11 @@ from .toric import ExcitationOps, StabilizerHamiltonian
 
 #: Eigenspaces above this dimension get no projected-commutant detail.
 EIGENSPACE_DIM_CAP = 64
-#: Longest balanced jump word enumerated in the ground-space span.
+#: Longest balanced jump word in the ground-space span.
 BALANCED_WORD_LENGTH = 4
-#: Seed of the random starts and word samples in the ergodicity check.
+#: Words up to this length are all enumerated; longer ones are sampled.
+SYSTEMATIC_WORD_LENGTH = 3
+#: Seed of the word samples in the ergodicity check.
 ERGODICITY_SEED = 7
 
 
@@ -115,58 +126,91 @@ def _as_sparse_list(ops) -> list[sparse.csr_matrix]:
     return out
 
 
+def _commutant_terms(mats, dim: int) -> list:
+    """Sandwich terms (A, B), X -> sum A X B, of M X = sum_O [O^dag, [O, X]]
+    over an adjoint-closed set: (G, I), (I, G) with G = sum O^dag O
+    (= sum O O^dag on such a set), and (-2 O^dag, O) for each O (the set
+    pairs O^dag X O with O X O^dag)."""
+    stacked = sparse.vstack(mats, format="csr")
+    G = (stacked.conj().T @ stacked).tocsr()
+    eye = sparse.identity(dim, dtype=complex, format="csr")
+    return [(G, eye), (eye, G)] + [(-2 * O.conj().T, O) for O in mats]
+
+
 def commutant_dimension(
     ops,
     dim: int,
     max_dim: int = 8,
     tol: float = 1e-7,
-) -> tuple[int, np.ndarray]:
-    """Nullity of X -> sum_O ||[X, O]||^2 over dim x dim matrices.
+) -> tuple[int, np.ndarray, dict]:
+    """Nullity of X -> sum_O ||[X, O]||^2 over dim x dim matrices: the
+    dimension of the commutant of the ops and their adjoints.
 
-    Includes adjoints automatically. Returns (count, inspected eigenvalues);
-    count == max_dim means "at least max_dim". Eigenvalues of
-    M = sum_O ad_O^dag ad_O below tol * scale count as zero: all of them
-    from a dense eigvalsh up to dim 32, the lowest max_dim from matrix-free
-    LOBPCG above.
+    M = sum_O ad_O^dag ad_O is a sandwich map (``_commutant_terms``), so
+    lindblad's block engine writes it in the Pauli basis (dim = 2^n) or the
+    matrix units and cuts it into invariant blocks. A block of at most
+    DENSE_BLOCK_LIMIT elements gets a dense eigvalsh, batched over blocks of
+    one size; a larger one gets the max_dim + 1 smallest eigenvalues from
+    shift-invert ARPACK. Eigenvalues below tol * scale, with scale the
+    largest |O_ij|^2 times the number of ops with adjoints, count as zero;
+    one within a factor 100 of that threshold on either side makes the
+    count ambiguous and raises NumericalError. An all-zero set commutes with
+    every matrix.
+
+    Returns (count, eigenvalues, diagnostics): count = min(nullity, max_dim),
+    so count == max_dim means "at least max_dim"; the max_dim + 1 smallest
+    eigenvalues; and basis, blocks, max_block, nnz (of the basis matrix),
+    seconds, nullity (exact, except above max_dim when a block went to
+    ARPACK) and margin (the smallest eigenvalue over the threshold, None if
+    every eigenvalue inspected is zero).
     """
+    start = time.perf_counter()
     mats = _as_sparse_list(ops)
     mats = mats + [m.conj().T.tocsr() for m in mats]
-    scale = max(abs(m).max() ** 2 for m in mats) * len(mats)
+    scale = max((float(abs(m).max()) for m in mats if m.nnz), default=0.0) ** 2 * len(mats)
     thresh = tol * scale
+    if thresh == 0:
+        n = dim * dim
+        return min(n, max_dim), np.zeros(min(n, max_dim + 1)), {
+            "basis": None, "blocks": n, "max_block": 1, "nnz": 0,
+            "seconds": time.perf_counter() - start, "nullity": n, "margin": None}
 
-    if dim <= 32:
-        eye = sparse.identity(dim, format="csr")
-        M = sparse.csr_matrix((dim * dim, dim * dim), dtype=complex)
-        for m in mats:
-            C = sparse.kron(eye, m, format="csr") - sparse.kron(m.T, eye, format="csr")
-            M = M + C.conj().T @ C
-        vals = np.linalg.eigvalsh(M.toarray())
-        return min(int(np.sum(vals < thresh)), max_dim), vals[:max_dim]
+    form = _block_form(_commutant_terms(mats, dim), dim)
+    spectra = []
+    for members in form.blocks():
+        if members.shape[1] <= DENSE_BLOCK_LIMIT:
+            spectra.append(np.linalg.eigvalsh(form.dense(members)).ravel())
+        else:
+            for idx in members:
+                vals, _ = _arpack_block(form.restrict(idx[None]), max_dim + 1, thresh, scale,
+                                        max_dim + 1)
+                spectra.append(np.abs(vals))
+    vals = np.sort(np.concatenate(spectra))
+    nullity = int(np.sum(vals < thresh))
+    ambiguous = vals[(vals >= thresh / 100) & (vals < 100 * thresh)]
+    if ambiguous.size:
+        raise NumericalError(
+            f"commutant eigenvalue {ambiguous[0]:.3e} lies within a factor 100 of the "
+            f"threshold {thresh:.3e}: the commutant dimension is ambiguous"
+        )
+    diagnostics = {
+        "basis": form.basis,
+        "blocks": int(form.labels.max()) + 1,
+        "max_block": int(np.bincount(form.labels).max()),
+        "nnz": int(form.T.nnz),
+        "seconds": time.perf_counter() - start,
+        "nullity": nullity,
+        "margin": float(vals[nullity] / thresh) if nullity < len(vals) else None,
+    }
+    return min(nullity, max_dim), vals[:max_dim + 1], diagnostics
 
-    matsH = [m.conj().T.tocsr() for m in mats]
 
-    def mv(x):
-        X = x.reshape(dim, dim)
-        out = np.zeros_like(X)
-        for O, Od in zip(mats, matsH):
-            C = O @ X - X @ O
-            out += Od @ C - C @ Od
-        return out.reshape(-1)
-
-    n2 = dim * dim
-    Mop = LinearOperator((n2, n2), matvec=mv, dtype=complex)
-    rng = np.random.default_rng(ERGODICITY_SEED)
-    k = min(max_dim, n2 - 1)
-    X0 = rng.normal(size=(n2, k)) + 1j * rng.normal(size=(n2, k))
-    X0[:, 0] = np.eye(dim).reshape(-1)  # the identity is always in the commutant
-    # the zero cluster sits an O(1) spectral gap below the rest, so a loose
-    # residual tolerance already classifies eigenvalues unambiguously
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        vals, _ = lobpcg(Mop, X0, largest=False, tol=1e-5, maxiter=300)
-    vals = np.sort(np.real(vals))
-    count = int(np.sum(vals < thresh))
-    return count, vals
+def _sector_basis(V: np.ndarray, S) -> np.ndarray:
+    """V rotated by the eigenvectors of V^dag S V, S a weighted sum of the
+    stabilizers, so that each column lies in one syndrome sector (or in
+    several whose weighted syndromes collide)."""
+    _, R = np.linalg.eigh(V.conj().T @ (S @ V))
+    return V @ R
 
 
 @dataclass(frozen=True)
@@ -186,6 +230,7 @@ class ErgodicityReport:
     conserved_loop_checks: dict   # loop label -> max commutator norm with the op set
     ground_word_span_dim: int | None = None
     ground_block_commutant_dim: int | None = None  # 1 <=> words fix the sector
+    diagnostics: dict | None = None  # of the full-set commutant (commutant_dimension)
 
     def to_json(self) -> dict:
         return {
@@ -199,6 +244,7 @@ class ErgodicityReport:
             "conserved_loop_checks": {k: float(v) for k, v in self.conserved_loop_checks.items()},
             "ground_word_span_dim": self.ground_word_span_dim,
             "ground_block_commutant_dim": self.ground_block_commutant_dim,
+            "diagnostics": self.diagnostics,
         }
 
 
@@ -213,33 +259,44 @@ def ergodicity_check(
     ``jump_ops`` may be PauliSums, dense or sparse matrices. ``loop_ops``
     (label -> PauliString) are checked against the op set: a loop operator in
     the commutant would be a conserved topological charge.
+
+    Inside each eigenspace of H the reachable generators at depth <= 2 are
+    the projected jumps (translations survive, pair creators project to ~0)
+    plus the number-type words K^dag K. Each eigenspace basis is first split
+    into syndrome sectors (``_sector_basis``), which the projected ops map
+    to one another, so their commutant form falls into small blocks; projected
+    entries below ROUNDOFF times the largest entry of the unprojected ops are
+    rounding residue and are zeroed.
     """
     dim = 1 << H.n_qubits
-    if dim > 256:
+    if dim > SUPEROP_DIM_LIMIT:
         raise CapacityError("ergodicity_check is a dense desk-scale verification")
     mats = _as_sparse_list(jump_ops)
     full_set = [H.as_sum().to_sparse()] + mats
 
-    cdim, cvals = commutant_dimension(full_set, dim, max_dim=max_commutant)
+    cdim, cvals, diagnostics = commutant_dimension(full_set, dim, max_dim=max_commutant)
 
-    # eigenspace detail from the dense spectrum: inside each eigenspace the
-    # reachable generators at depth <= 2 are the projected jumps (translations
-    # survive, pair creators project to ~0) plus the number-type words K^dag K.
-    Hd = H.to_dense()
-    evals, evecs = np.linalg.eigh(Hd)
+    evals, evecs = np.linalg.eigh(H.to_dense())
     rounded = np.round(evals, 9)
-    number_words = [(M.conj().T @ M).tocsr() for M in mats]
+    # integer eigenvalues, so distinct weighted syndromes are at least 2 apart
+    S = sum(((t + 1) * term.stabilizer.to_sparse() for t, term in enumerate(H.terms)),
+            sparse.csr_matrix((dim, dim), dtype=complex))
+    sources = mats + [(M.conj().T @ M).tocsr() for M in mats]
+    floor = ROUNDOFF * max((float(abs(M).max()) for M in sources if M.nnz), default=0.0)
+    energies = np.unique(rounded)
+    bases = [evecs[:, rounded == energy] for energy in energies]
+    bases = [_sector_basis(V, S) if V.shape[1] <= EIGENSPACE_DIM_CAP else V for V in bases]
     details = []
-    for energy in np.unique(rounded):
-        sel = rounded == energy
-        V = evecs[:, sel]
+    for energy, V in zip(energies, bases):
         m = V.shape[1]
         if m > EIGENSPACE_DIM_CAP:
             details.append(EigenspaceDetail(float(energy), m, None,
                                             f"skipped (dim > {EIGENSPACE_DIM_CAP})"))
             continue
-        projected = [V.conj().T @ (M @ V) for M in mats + number_words]
-        sub_dim, _ = commutant_dimension(projected, m, max_dim=max_commutant)
+        projected = [V.conj().T @ (M @ V) for M in sources]
+        for P in projected:
+            P[np.abs(P) < floor] = 0
+        sub_dim = commutant_dimension(projected, m, max_dim=max_commutant)[0]
         details.append(EigenspaceDetail(float(energy), m, sub_dim))
 
     loop_checks = {}
@@ -252,7 +309,7 @@ def ergodicity_check(
                 worst = max(worst, float(abs(c).max()) if c.nnz else 0.0)
             loop_checks[label] = worst
 
-    ground_span, ground_comm = _ground_word_span(mats, evecs, rounded)
+    ground_span, ground_comm = _ground_word_span(mats, bases[0], floor)
 
     return ErgodicityReport(
         ergodic=(cdim == 1),
@@ -262,85 +319,74 @@ def ergodicity_check(
         conserved_loop_checks=loop_checks,
         ground_word_span_dim=ground_span,
         ground_block_commutant_dim=ground_comm,
+        diagnostics=diagnostics,
     )
 
 
-def _ground_word_span(mats, evecs, rounded) -> tuple[int | None, int | None]:
+def _ground_word_span(mats, V0: np.ndarray, floor: float) -> tuple[int | None, int | None]:
     """Dimension of the span of ground-space blocks of balanced jump words.
 
     String operators decompose as pair creation, translations, then pair
-    annihilation, so the systematic enumeration runs over words
-    K_a (K_t)^r K_b with r + 2 <= BALANCED_WORD_LENGTH (balance holds whenever
-    the block is nonzero), plus a seeded random sample at full length.
+    annihilation, so the systematic enumeration runs over all words
+    V0^dag A_l ... A_r V0 of up to SYSTEMATIC_WORD_LENGTH letters (balance
+    holds whenever the block is nonzero), plus a seeded random sample of 800
+    at each longer length up to BALANCED_WORD_LENGTH. The words of one length
+    are stacked and the span grows by one SVD, stopping once it is all of
+    M_m. Ends A V0 and V0^dag A with entries below ``floor`` are rounding
+    residue and are zeroed, and words through a zero end are skipped.
     Reported, not asserted: records whether local words alone reconstruct the
     topological block algebra (span m^2) or leave sector freedom. Returns
     (span dimension, commutant dimension of the blocks), or (None, None) above
     an 8-dimensional ground space.
     """
-    g_energy = rounded.min()
-    V0 = evecs[:, rounded == g_energy]
     m = V0.shape[1]
     if m > 8:
         return None, None
     alphabet = mats + [M.conj().T.tocsr() for M in mats]
+    n = len(alphabet)
+    right = np.stack([A @ V0 for A in alphabet])                       # A V0
+    left = np.stack([(A.conj().T @ V0).conj().T for A in alphabet])   # V0^dag A
+    right[np.abs(right) < floor] = 0
+    left[np.abs(left) < floor] = 0
+    live_right, live_left = right.any(axis=(1, 2)), left.any(axis=(1, 2))
     rng = np.random.default_rng(ERGODICITY_SEED)
-    basis: list[np.ndarray] = []
-    blocks: list[np.ndarray] = []
-    done = False
-
-    def add(block: np.ndarray) -> bool:
-        v = block.reshape(-1)
-        nrm = np.linalg.norm(v)
-        if nrm < 1e-12:
-            return False
-        v = v / nrm
-        for b in basis:
-            v = v - np.vdot(b, v) * b
-        if np.linalg.norm(v) > 1e-8:
-            basis.append(v / np.linalg.norm(v))
-            blocks.append(block / nrm)
-        return len(basis) == m * m
-
-    add(np.eye(m, dtype=complex))
-    lifted = [M @ V0 for M in alphabet]        # op applied to the ground basis
-    for right in lifted:
-        done = done or add(V0.conj().T @ right)
-    if BALANCED_WORD_LENGTH >= 2 and not done:
-        for right in lifted:
-            for Ml in alphabet:
-                if add(V0.conj().T @ (Ml @ right)):
-                    done = True
-                    break
-            if done:
-                break
-    if BALANCED_WORD_LENGTH >= 3 and not done:
-        for right in lifted:
-            for Mm in alphabet:
-                mid = Mm @ right
-                for Ml in alphabet:
-                    if add(V0.conj().T @ (Ml @ mid)):
-                        done = True
-                        break
-                if done:
-                    break
-            if done:
-                break
-    n_ops = len(alphabet)
-    for length in range(4, BALANCED_WORD_LENGTH + 1):
-        if done:
+    span = np.eye(m, dtype=complex).reshape(1, -1) / np.sqrt(m)
+    for length in range(1, BALANCED_WORD_LENGTH + 1):
+        if len(span) == m * m:
             break
-        for _ in range(min(800, n_ops ** length)):
-            idx = rng.integers(0, n_ops, size=length)
-            W = alphabet[idx[0]] @ V0
-            for i in idx[1:]:
-                W = alphabet[i] @ W
-            if add(V0.conj().T @ W):
-                done = True
-                break
+        if length <= SYSTEMATIC_WORD_LENGTH:
+            idx = np.indices((n,) * length).reshape(length, -1).T
+        else:
+            idx = rng.integers(0, n, size=(min(800, n ** length), length))
+        idx = idx[live_right[idx[:, 0]] & live_left[idx[:, -1]]]
+        words = (np.einsum("da,ndb->nab", V0.conj(), right[idx[:, 0]]) if length == 1
+                 else _word_blocks(left, alphabet, right, idx))
+        words = words.reshape(len(words), m * m)
+        norms = np.linalg.norm(words, axis=1)
+        words = words[norms >= 1e-12] / norms[norms >= 1e-12, None]
+        _, s, vh = np.linalg.svd(np.concatenate([span, words]), full_matrices=False)
+        span = vh[s > 1e-8]
+    comm = commutant_dimension(list(span.reshape(-1, m, m)), m, max_dim=min(8, m * m))[0]
+    return len(span), comm
 
-    span = len(basis)
-    comm, _ = commutant_dimension(blocks, m, max_dim=min(8, m * m))
-    return span, comm
+
+def _word_blocks(left: np.ndarray, alphabet, right: np.ndarray, idx: np.ndarray) -> np.ndarray:
+    """V0^dag A_(idx[-1]) ... A_(idx[0]) V0 for each row of idx (two letters
+    or more), from the ends left[l] = V0^dag A_l and right[r] = A_r V0: per
+    run of middle letters, one product over all the left and right ends."""
+    n, m, d = left.shape
+    out = np.empty((len(idx), m, m), complex)
+    key = idx[:, 1:-1] @ n ** np.arange(idx.shape[1] - 2)
+    for k in np.unique(key):
+        rows = np.flatnonzero(key == k)
+        ls, li = np.unique(idx[rows, -1], return_inverse=True)
+        rs, ri = np.unique(idx[rows, 0], return_inverse=True)
+        Y = right[rs].transpose(1, 0, 2).reshape(d, -1)
+        for j in idx[rows[0], 1:-1]:
+            Y = alphabet[j] @ Y
+        W = (left[ls].reshape(-1, d) @ Y).reshape(len(ls), m, len(rs), m)
+        out[rows] = W.transpose(0, 2, 1, 3)[li, ri]
+    return out
 
 
 # ---------------------------------------------------------------------------

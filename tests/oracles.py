@@ -148,3 +148,24 @@ def trace_dist(a, b):
     d = a - b
     d = (d + d.conj().T) / 2
     return 0.5 * float(np.abs(np.linalg.eigvalsh(d)).sum())
+
+
+def commutant_superoperator(ops):
+    """Dense M = sum_O ad_O^dag ad_O over the ops and their adjoints, with
+    ad_O = kron(I, O) - kron(O^T, I) on column-stacked matrices."""
+    mats = [o.toarray() if hasattr(o, "toarray") else np.asarray(o, dtype=complex)
+            for o in ops]
+    mats = mats + [m.conj().T for m in mats]
+    eye = np.eye(len(mats[0]))
+    M = 0
+    for m in mats:
+        C = np.kron(eye, m) - np.kron(m.T, eye)
+        M = M + C.conj().T @ C
+    return M
+
+
+def commutant_nullity(ops, tol=1e-7):
+    """Eigenvalues of the dense M below tol * max|O_ij|^2 * (2 * len(ops))."""
+    scale = max(np.abs(o.toarray() if hasattr(o, "toarray") else o).max() for o in ops) ** 2
+    vals = np.linalg.eigvalsh(commutant_superoperator(ops))
+    return int(np.sum(vals < tol * scale * 2 * len(ops)))

@@ -6,6 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from stabtherm import bath
 from stabtherm.circuits import GateSchedule
 from stabtherm.cli import main, validate_config
 from stabtherm.errors import ConfigError, ScheduleError
@@ -88,13 +89,29 @@ def test_bad_model_l_exits_2(capsys):
     assert run_cli("build-model", "--L", "1") == 2
 
 
-def test_capacity_error_exits_3(tmp_path):
-    cfg = {"experiment": "steady-state", "model": {"type": "toric", "L": 3},
-           "dynamics": {"beta": 1.0, "gamma0": 0.5}, "observables": [],
-           "output_dir": str(tmp_path)}
-    p = tmp_path / "cfg.json"
-    p.write_text(json.dumps(cfg))
-    assert run_cli("run", str(p)) == 3  # L=3 superoperator exceeds capacity
+def test_capacity_error_exits_3(tmp_path, monkeypatch):
+    # the capacity check comes before the (slow, 2^18-dimensional) bath
+    def refuse(*args, **kwargs):
+        raise AssertionError("the bath was built for a model beyond capacity")
+
+    monkeypatch.setattr(bath, "davies_reduction", refuse)
+    for experiment in ("steady-state", "thermalize"):
+        cfg = {"experiment": experiment, "model": {"type": "toric", "L": 3},
+               "dynamics": {"beta": 1.0, "gamma0": 0.5}, "observables": [],
+               "output_dir": str(tmp_path)}
+        p = tmp_path / "cfg.json"
+        p.write_text(json.dumps(cfg))
+        assert run_cli("run", str(p)) == 3  # L=3 superoperator exceeds capacity
+
+
+def test_verify_ergodicity_records_diagnostics(tmp_path, capsys):
+    out = tmp_path / "verify.json"
+    assert run_cli("verify", "appendix", "--L", "2", "--ergodicity", "-o", str(out)) == 0
+    doc = json.loads(out.read_text())
+    assert doc["ergodic"] is True and doc["ergodicity"]["commutant_dim"] == 1
+    diag = doc["ergodicity"]["diagnostics"]
+    assert {"nullity", "margin", "blocks", "max_block", "seconds"} <= set(diag)
+    assert diag["nullity"] == 1 and diag["margin"] > 100
 
 
 def test_run_gibbs_sweep_matches_partition_oracle(tmp_path):

@@ -325,7 +325,7 @@ def test_block_solvers_never_form_the_superoperator(monkeypatch):
 
 def test_trajectory_from_identity_touches_one_block():
     g = mini_davies()
-    form = lindblad._block_form(g)
+    form = lindblad._block_form(lindblad._sandwich_terms(g), g.n_levels)
     c0 = form.coefficients(np.eye(16) / 16)
     assert len(np.unique(form.labels[np.flatnonzero(c0)])) == 1
 
@@ -369,7 +369,8 @@ def test_steady_state_diagnostics():
     d = ss.diagnostics
     assert set(d) == {"basis", "blocks", "max_block", "nnz", "seconds", "margin"}
     assert d["basis"] == "pauli" and d["max_block"] <= 4 and d["nnz"] > 0
-    thresh = 1e-10 * lindblad._superop_scale(lindblad._block_form(g).T)
+    form = lindblad._block_form(lindblad._sandwich_terms(g), g.n_levels)
+    thresh = 1e-10 * lindblad._superop_scale(form.T)
     assert np.isclose(d["margin"], np.sort(np.abs(ss.eigenvalues))[1] / thresh)
     assert d["margin"] > 100
 

@@ -14,6 +14,9 @@ from stabtherm.toric import (  # noqa: E402
     StabilizerTerm,
     eigenoperator_decomposition,
 )
+from stabtherm.verify import commutant_dimension  # noqa: E402
+
+from oracles import commutant_nullity  # noqa: E402
 
 
 def _gf2_rank(vectors):
@@ -69,3 +72,12 @@ def test_block_kernel_matches_dense_svd(H, beta):
     gen = _davies(H, beta)
     s = np.linalg.svd(build_superoperator(gen).toarray(), compute_uv=False)
     assert steady_states(gen).kernel_dim == np.sum(s < 1e-9 * s[0])
+
+
+@settings(max_examples=25, deadline=None)
+@given(H=stabilizer_hamiltonians(), beta=st.floats(0.0, 1.0))
+def test_commutant_block_nullity_matches_dense_oracle(H, beta):
+    ops = [H.as_sum().to_sparse()] + [j.op for j in _davies(H, beta).jumps]
+    d = 1 << H.n_qubits
+    count, _, diag = commutant_dimension(ops, d, max_dim=d * d)
+    assert count == diag["nullity"] == commutant_nullity(ops)

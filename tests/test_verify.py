@@ -4,8 +4,18 @@ import numpy as np
 import pytest
 
 from stabtherm.bath import davies_reduction
-from stabtherm.lindblad import DensityMatrix, gibbs_state, steady_states
+from stabtherm.errors import NumericalError
+from stabtherm.lindblad import (
+    DENSE_BLOCK_LIMIT,
+    ROUNDOFF,
+    DensityMatrix,
+    gibbs_state,
+    steady_states,
+)
+from stabtherm.pauli import PauliString
 from stabtherm.toric import (
+    StabilizerHamiltonian,
+    StabilizerTerm,
     all_excitation_ops,
     build_torus,
     eigenoperator_decomposition,
@@ -20,6 +30,8 @@ from stabtherm.verify import (
     uniqueness_and_attractor_probe,
 )
 
+from oracles import commutant_nullity
+
 
 def decomps(H):
     return [eigenoperator_decomposition(H, j, a)
@@ -31,6 +43,23 @@ def l2():
     lat = build_torus(2)
     H = toric_hamiltonian(lat, 1.0, 1.0)
     return lat, H, all_excitation_ops(lat, H)
+
+
+@pytest.fixture(scope="module")
+def l2_translation_only(l2):
+    _, H, _ = l2
+    return H, jump_set(H, ("translate",))
+
+
+def five_qubit_code():
+    """[[5,1,3]]: the cyclic shifts of XZZXI."""
+    strings = ["XZZXI"[-k:] + "XZZXI"[:-k] for k in range(4)]
+    return StabilizerHamiltonian(5, tuple(StabilizerTerm(1.0, PauliString.from_letters(s))
+                                          for s in strings))
+
+
+def jump_set(H, include=("lower", "raise", "translate")):
+    return [j.op for j in davies_reduction(H, decomps(H), 1.0, 0.5, include=include).jumps]
 
 
 def test_gibbs_satisfies_all_three_conditions(l2):
@@ -111,9 +140,9 @@ def test_ergodicity_verdict_invariant_under_basis_change():
     # random unitary change of basis applied consistently
     A = rng.normal(size=(16, 16)) + 1j * rng.normal(size=(16, 16))
     U, _ = np.linalg.qr(A)
-    dim_before, _ = commutant_dimension([Hd] + ops, 16)
+    dim_before, _, _ = commutant_dimension([Hd] + ops, 16)
     rotated = [U @ m @ U.conj().T for m in [Hd] + ops]
-    dim_after, _ = commutant_dimension(rotated, 16)
+    dim_after, _, _ = commutant_dimension(rotated, 16)
     assert dim_before == dim_after == 1
 
 
@@ -123,6 +152,115 @@ def test_commutant_count_is_capped_at_max_dim():
     z0 = np.kron(np.eye(2), np.diag([1.0, -1.0]))
     assert commutant_dimension([z0], 4, max_dim=4)[0] == 4
     assert commutant_dimension([z0], 4, max_dim=8)[0] == 8
+
+
+def random_unitary(d, rng):
+    U, _ = np.linalg.qr(rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d)))
+    return U
+
+
+def block_diagonal_set(sizes, n_ops, rng):
+    """Random ops on a direct sum: the commutant holds one multiple of the
+    identity per summand."""
+    d = sum(sizes)
+    ops = []
+    for _ in range(n_ops):
+        B = np.zeros((d, d), complex)
+        lo = 0
+        for s in sizes:
+            B[lo:lo + s, lo:lo + s] = rng.normal(size=(s, s)) + 1j * rng.normal(size=(s, s))
+            lo += s
+        ops.append(B)
+    return ops
+
+
+def mini_set(include):
+    H = single_vertex_model(1.0)
+    return [H.to_dense()] + [m.toarray() for m in jump_set(H, include)]
+
+
+def rotated(m, seed):
+    U = random_unitary(len(m), np.random.default_rng(seed))
+    return U @ m @ U.conj().T
+
+
+@pytest.mark.parametrize("make, basis, max_block", [
+    (lambda: mini_set(("lower", "raise", "translate")), "pauli", None),
+    (lambda: mini_set(("translate",)), "pauli", None),
+    # non-Pauli: all but the identity in one block
+    (lambda: [rotated(m, 19) for m in mini_set(("lower", "raise", "translate"))],
+     "pauli", 16 * 16 - 1),
+    (lambda: block_diagonal_set((2, 4), 2, np.random.default_rng(4)), "matrix-unit", None),
+])
+def test_block_nullity_matches_dense_oracle(make, basis, max_block):
+    ops = make()
+    d = len(ops[0])
+    count, vals, diag = commutant_dimension(ops, d, max_dim=d * d)
+    assert diag["basis"] == basis
+    assert max_block is None or diag["max_block"] == max_block
+    assert count == diag["nullity"] == commutant_nullity(ops)
+    assert diag["margin"] > 100 and np.all(vals[count:] > 0)
+
+
+def test_block_above_dense_limit_goes_through_arpack():
+    # a rotated sum of two 17-dim summands: one matrix-unit block of 34^2
+    rng = np.random.default_rng(5)
+    U = random_unitary(34, rng)
+    ops = [U @ m @ U.conj().T for m in block_diagonal_set((17, 17), 2, rng)]
+    count, vals, diag = commutant_dimension(ops, 34, max_dim=4)
+    assert diag["max_block"] > DENSE_BLOCK_LIMIT
+    assert count == diag["nullity"] == commutant_nullity(ops) == 2
+    assert len(vals) == 5 and vals[2] > 100 * vals[1]
+
+
+def test_zero_set_commutes_with_everything():
+    assert commutant_dimension([np.zeros((4, 4))], 4, max_dim=16)[0] == 16
+    assert commutant_dimension([np.zeros((4, 4))], 4, max_dim=3)[0] == 3
+
+
+def test_ambiguous_commutant_threshold_raises():
+    # {diag(0, 1), eps X}: the commutant is span{I} with a second eigenvalue
+    # 8 eps^2, against a threshold of 1e-7 * 4
+    n1 = np.diag([0.0, 1.0])
+    x = np.array([[0.0, 1.0], [1.0, 0.0]])
+    with pytest.raises(NumericalError, match="ambiguous"):
+        commutant_dimension([n1, 2e-4 * x], 2)
+    assert commutant_dimension([n1, 1e-1 * x], 2)[0] == 1
+    assert commutant_dimension([n1, 1e-6 * x], 2)[0] == 2  # far below the threshold
+
+
+@pytest.mark.parametrize("max_commutant", [4, 16])
+def test_translation_only_ground_space_commutant_is_everything(l2_translation_only,
+                                                               max_commutant):
+    # translations need an excitation to move, so on the ground space every
+    # projected jump and number word is rounding residue
+    H, jumps = l2_translation_only
+    rep = ergodicity_check(H, jumps, max_commutant=max_commutant)
+    ground = rep.eigenspaces[0]
+    assert ground.dimension == 4 and ground.commutant_dim == min(16, max_commutant)
+
+
+@pytest.mark.parametrize("H, include", [
+    (single_vertex_model(1.0), ("lower", "raise", "translate")),
+    (single_vertex_model(1.0), ("translate",)),
+    (five_qubit_code(), ("lower", "raise", "translate")),
+    (five_qubit_code(), ("translate",)),
+])
+def test_sector_rotation_keeps_eigenspace_counts(H, include):
+    mats = jump_set(H, include)
+    sources = mats + [(m.conj().T @ m).tocsr() for m in mats]
+    floor = ROUNDOFF * max(abs(m).max() for m in sources)
+    rep = ergodicity_check(H, mats, max_commutant=64)
+    evals, evecs = np.linalg.eigh(H.to_dense())
+    rounded = np.round(evals, 9)
+    for detail, energy in zip(rep.eigenspaces, np.unique(rounded)):
+        V = evecs[:, rounded == energy]  # the unrotated basis
+        projected = [V.conj().T @ (m @ V) for m in sources]
+        for P in projected:
+            P[np.abs(P) < floor] = 0
+        expect = (V.shape[1] ** 2 if not any(P.any() for P in projected)
+                  else commutant_nullity(projected))
+        assert detail.commutant_dim == min(expect, 64)
 
 
 def test_loop_operators_not_in_commutant_of_full_set(l2):
