@@ -31,6 +31,7 @@ from .lindblad import (
     LindbladGenerator,
     build_superoperator,
     evolve,
+    trajectories,
     trajectory,
     steady_states,
     gibbs_state,

@@ -16,15 +16,24 @@ THERMAL_RESET(qubit, beta, omega, relax) the exact one-qubit channel
 Schedules are simulated with channel-sum semantics: measurements and random
 bits expand into weighted branches (no sampling), and branches merge as soon
 as no later gate reads their classical bits, so branch counts stay bounded.
-Results are exact and deterministic. Each gate is lowered once to its
-outcomes (classical bit value, weight, local Kraus operators), and every
-operator acts on the tensor axes of its own qubits: no 2^n x 2^n gate matrix
-is formed. The whole-channel views run one segment on the stack of all d^2
-basis matrices.
+Results are exact and deterministic.
+
+A segment is lowered once, when its simulation starts. Each maximal run of
+consecutive ROT1/CPHASE gates is fused into one unitary on the sorted union
+of the qubits it touches (a run on all n qubits gives a 2^n x 2^n matrix, no
+larger than the state it acts on); every other gate becomes its outcomes
+(classical bit value, weight, local maps). A density matrix is a tensor of
+2n qubit axes, row qubit q at q + n and column qubit q at q, and every
+outcome is a short sequence of local maps on that doubled register: a
+unitary or projector u on qubits Q is u on Q + n then conj(u) on Q, and a
+Kraus channel (THERMAL_RESET) is one Liouville map sum_k K (x) conj(K) on
+Q and Q + n. One kernel, ``_apply_local``, applies them all. The
+whole-channel views run one segment on the stack of all d^2 basis matrices.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 from dataclasses import asdict, dataclass, fields
@@ -373,8 +382,8 @@ def _apply_local(op: np.ndarray, qubits: tuple[int, ...], t: np.ndarray, n: int)
     of those qubits in a tensor of shape (2,)*n + rest; trailing axes ride along.
 
     Qubit q is axis n-1-q (row-major order of a little-endian index), so a
-    density-matrix tensor (2,)*2n + rest has its row axes at n and its
-    column axes at 2n.
+    density-matrix tensor (2,)*2n + rest is a 2n-qubit register whose qubit
+    q + n is the row axis of qubit q and whose qubit q is its column axis.
     """
     axes = [n - 1 - q for q in reversed(qubits)]
     perm = axes + [a for a in range(t.ndim) if a not in axes]
@@ -382,45 +391,86 @@ def _apply_local(op: np.ndarray, qubits: tuple[int, ...], t: np.ndarray, n: int)
     return out.reshape([t.shape[a] for a in perm]).transpose(np.argsort(perm))
 
 
-def _conjugate(k: np.ndarray, qubits: tuple[int, ...], t: np.ndarray, n: int) -> np.ndarray:
-    """K t K^dag for a density-matrix tensor of shape (2,)*2n + rest."""
-    return _apply_local(k.conj(), qubits, _apply_local(k, qubits, t, n), 2 * n)
-
-
-def _lower(g: Gate) -> tuple[tuple[int, ...], tuple]:
-    """A gate's qubits and outcomes: (value written to ``g.cbit`` or None,
-    weight, local Kraus operators); no Kraus operators leaves the state as is."""
-    if g.kind in (ROT1, COND_PULSE):
-        return (g.qubit,), ((None, 1.0, (_rot1_matrix(g.axis, g.angle),)),)
+def _gate_unitary(g: Gate) -> tuple[tuple[int, ...], np.ndarray]:
+    """Qubits and local matrix of a ROT1 or CPHASE gate."""
     if g.kind == CPHASE:
         angle = math.pi if g.angle is None else g.angle
-        return (g.qubit, g.qubit2), ((None, 1.0, (np.diag([1, 1, 1, np.exp(1j * angle)]),)),)
+        return (g.qubit, g.qubit2), np.diag([1, 1, 1, np.exp(1j * angle)])
+    return (g.qubit,), _rot1_matrix(g.axis, g.angle)
+
+
+def _fuse(run) -> tuple[tuple[int, ...], np.ndarray]:
+    """One unitary for a run of ROT1/CPHASE gates, in application order, on
+    the sorted union of the qubits they touch."""
+    qubits = tuple(sorted({q for g in run for q in (g.qubit, g.qubit2) if q is not None}))
+    local = {q: i for i, q in enumerate(qubits)}
+    k = len(qubits)
+    U = np.eye(1 << k, dtype=complex).reshape((2,) * k + (1 << k,))
+    for g in run:
+        gq, u = _gate_unitary(g)
+        U = _apply_local(u, tuple(local[q] for q in gq), U, k)
+    return qubits, U.reshape(1 << k, 1 << k)
+
+
+def _conjugation_maps(u: np.ndarray, qubits: tuple[int, ...], n: int) -> tuple:
+    """u rho u^dag as local maps on the doubled register: u on the row
+    qubits q + n, conj(u) on the column qubits q."""
+    return ((u, tuple(q + n for q in qubits)), (u.conj(), qubits))
+
+
+def _channel_maps(kraus, qubits: tuple[int, ...], n: int) -> tuple:
+    """sum_k K rho K^dag as one Liouville map sum_k K (x) conj(K) on the
+    column qubits q (low bits) and the row qubits q + n (high bits)."""
+    return ((sum(np.kron(k, k.conj()) for k in kraus), qubits + tuple(q + n for q in qubits)),)
+
+
+def _lower(g: Gate, n: int) -> tuple:
+    """Outcomes of a gate outside a unitary run: (value written to ``g.cbit``
+    or None, weight, local maps on the doubled register)."""
+    if g.kind == COND_PULSE:
+        return ((None, 1.0, _conjugation_maps(_rot1_matrix(g.axis, g.angle), (g.qubit,), n)),)
     if g.kind == MEASURE_Z:
-        return (g.qubit,), ((0, 1.0, (np.diag([1.0, 0.0]),)), (1, 1.0, (np.diag([0.0, 1.0]),)))
+        return tuple((v, 1.0, _conjugation_maps(np.diag(np.eye(2)[v]), (g.qubit,), n))
+                     for v in (0, 1))
     if g.kind == SAMPLE_BOLTZMANN_BIT:
         w = math.exp(-g.beta * g.omega)
         p1 = w / (1 + w)
-        return (), ((0, 1 - p1, ()), (1, p1, ()))
+        return ((0, 1 - p1, ()), (1, p1, ()))
     relax = 1.0 if g.relax is None else g.relax
-    return (g.qubit,), ((None, 1.0, tuple(_thermal_kraus(g.beta, g.omega, relax))),)
+    return ((None, 1.0, _channel_maps(_thermal_kraus(g.beta, g.omega, relax), (g.qubit,), n)),)
 
 
 class _ScheduleRunner:
-    """Executes a schedule on a stack of matrices (linear channel semantics)."""
+    """Executes a schedule on a stack of matrices (linear channel semantics).
+
+    The segment is lowered once: each maximal run of ROT1/CPHASE gates to one
+    fused unitary (``_fuse``), every other gate to its outcomes (``_lower``).
+    Each entry of the plan is (the gate, or None for a run; its outcomes; the
+    classical bits live after it).
+    """
 
     def __init__(self, schedule: GateSchedule):
         self.schedule = schedule
-        self.n = schedule.n_qubits
-        self._lowered = [_lower(g) for g in schedule.gates]
-        self._live_after = self._liveness(schedule.gates)
+        self.n = n = schedule.n_qubits
+        lowered: list[tuple[Gate | None, tuple]] = []
+        for unitary, run in itertools.groupby(schedule.gates, lambda g: g.kind in (ROT1, CPHASE)):
+            if unitary:
+                qubits, u = _fuse(tuple(run))
+                lowered.append((None, ((None, 1.0, _conjugation_maps(u, qubits, n)),)))
+            else:
+                lowered += [(g, _lower(g, n)) for g in run]
+        self._plan = [(g, outcomes, keep) for (g, outcomes), keep
+                      in zip(lowered, self._liveness([g for g, _ in lowered]))]
 
     @staticmethod
-    def _liveness(gates: tuple[Gate, ...]) -> list[frozenset[int]]:
+    def _liveness(gates: list[Gate | None]) -> list[frozenset[int]]:
         live: set[int] = set()
         out: list[frozenset[int]] = [frozenset()] * len(gates)
         for i in range(len(gates) - 1, -1, -1):
             out[i] = frozenset(live)
             g = gates[i]
+            if g is None:
+                continue
             if g.kind in (MEASURE_Z, SAMPLE_BOLTZMANN_BIT):
                 live.discard(g.cbit)
             if g.kind == COND_PULSE:
@@ -438,11 +488,10 @@ class _ScheduleRunner:
         return out
 
     def _run_segment(self, mat: np.ndarray) -> np.ndarray:
-        n = self.n
+        n2 = 2 * self.n
         branches: dict[tuple[tuple[int, int], ...], np.ndarray] = {
-            (): mat.reshape((2,) * (2 * n) + mat.shape[2:])}
-        for g, (qubits, outcomes), keep in zip(self.schedule.gates, self._lowered,
-                                               self._live_after):
+            (): mat.reshape((2,) * n2 + mat.shape[2:])}
+        for g, outcomes, keep in self._plan:
             new: dict[tuple[tuple[int, int], ...], np.ndarray] = {}
 
             def emit(bits_dict: dict[int, int], m: np.ndarray):
@@ -454,18 +503,16 @@ class _ScheduleRunner:
 
             for bits, m in branches.items():
                 assign = dict(bits)
-                if g.kind == COND_PULSE and not all(
+                if g is not None and g.kind == COND_PULSE and not all(
                         assign.get(b) == v for b, v in dict(g.condition).items()):
                     emit(assign, m)
                     continue
-                for value, weight, kraus in outcomes:
+                for value, weight, maps in outcomes:
                     if value is not None:
                         assign[g.cbit] = value
                     out = m
-                    if kraus:
-                        out = _conjugate(kraus[0], qubits, m, n)
-                        for k in kraus[1:]:
-                            out = out + _conjugate(k, qubits, m, n)
+                    for op, qubits in maps:
+                        out = _apply_local(op, qubits, out, n2)
                     emit(assign, out if weight == 1.0 else weight * out)
             branches = new
         return sum(branches.values()).reshape(mat.shape)
@@ -489,14 +536,12 @@ def simulate_schedule(schedule: GateSchedule, rho0: DensityMatrix | np.ndarray) 
 
 def schedule_unitary(schedule: GateSchedule) -> np.ndarray:
     """Dense unitary of a measurement-free schedule, in application order."""
+    if any(g.kind not in (ROT1, CPHASE) for g in schedule.gates):
+        raise ScheduleError("schedule_unitary needs a unitary-only schedule")
     n = schedule.n_qubits
     dim = 1 << n
-    U = np.eye(dim, dtype=complex).reshape((2,) * n + (dim,))
-    for g in schedule.gates:
-        if g.kind not in (ROT1, CPHASE):
-            raise ScheduleError("schedule_unitary needs a unitary-only schedule")
-        qubits, ((_, _, (u,)),) = _lower(g)
-        U = _apply_local(u, qubits, U, n)
+    qubits, u = _fuse(schedule.gates)
+    U = _apply_local(u, qubits, np.eye(dim, dtype=complex).reshape((2,) * n + (dim,)), n)
     return np.linalg.matrix_power(U.reshape(dim, dim), schedule.steps)
 
 

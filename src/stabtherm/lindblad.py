@@ -402,8 +402,21 @@ def trajectory(
     points: int,
     method: str = "auto",
 ) -> list[DensityMatrix]:
-    """States at np.linspace(0, t, points), propagating only the invariant
-    blocks of the superoperator that rho0 has weight on.
+    """States at np.linspace(0, t, points): ``trajectories`` of one state."""
+    return trajectories(g, [rho0], t, points, method)[0]
+
+
+def trajectories(
+    g: LindbladGenerator,
+    states: Sequence[DensityMatrix],
+    t: float,
+    points: int,
+    method: str = "auto",
+) -> list[list[DensityMatrix]]:
+    """For each initial state, its states at np.linspace(0, t, points). The
+    superoperator is written in block form once; the coefficient vectors of
+    all states propagate as the columns of one block propagation, through the
+    invariant blocks that some state has weight on.
 
     Per block, "expm" steps with one dense exponential exp(L dt) (batched
     over blocks of one size); "krylov" makes one call to scipy's
@@ -413,7 +426,7 @@ def trajectory(
     is Hermitized; trace is preserved to 1e-9 and positivity is monitored.
     """
     d = g.n_levels
-    if rho0.dim != d:
+    if any(rho0.dim != d for rho0 in states):
         raise ParameterError("state dimension does not match the generator")
     if t < 0:
         raise ParameterError("t must be nonnegative")
@@ -421,25 +434,28 @@ def trajectory(
         raise ParameterError(f"a trajectory needs at least 2 points, got {points}")
     if method not in ("auto", "expm", "krylov"):
         raise ParameterError(f"unknown method {method!r}")
-    if t == 0:
-        return [rho0] * points
+    if t == 0 or not states:
+        return [[rho0] * points for rho0 in states]
 
     form = _block_form(_sandwich_terms(g), g.n_levels)
-    c0 = form.coefficients(rho0.mat)
-    cs = np.zeros((points, c0.size), c0.dtype)
+    c0 = np.stack([form.coefficients(rho0.mat) for rho0 in states], axis=1)
+    cs = np.zeros((points,) + c0.shape, c0.dtype)
     cs[0] = c0
-    for members in form.blocks(np.unique(form.labels[np.flatnonzero(c0)])):
+    for members in form.blocks(np.unique(form.labels[np.flatnonzero(c0.any(axis=1))])):
         if method == "expm" or (method == "auto" and members.shape[1] <= EXACT_EXPM_LIMIT):
             U = expm(form.dense(members) * (t / (points - 1)))
             v = c0[members]
             for p in range(1, points):
-                v = np.einsum("bij,bj->bi", U, v)
+                v = np.einsum("bij,bjk->bik", U, v)
                 cs[p, members] = v
         else:
             idx = members.ravel()
             cs[:, idx] = expm_multiply(form.restrict(members), c0[idx], start=0.0, stop=t,
                                        num=points, endpoint=True)
-    return [rho0] + [_finalize_state(unvec(v)) for v in form.vectors(cs[1:].T).T]
+    vecs = form.vectors(cs[1:].transpose(1, 0, 2).reshape(len(c0), -1))
+    vecs = vecs.reshape(d * d, points - 1, len(states))
+    return [[rho0] + [_finalize_state(unvec(v)) for v in vecs[:, :, i].T]
+            for i, rho0 in enumerate(states)]
 
 
 def evolve(

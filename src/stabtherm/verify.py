@@ -40,8 +40,8 @@ from .lindblad import (
     LindbladGenerator,
     _arpack_block,
     _block_form,
-    evolve,
     steady_states,
+    trajectories,
 )
 from .pauli import PauliSum
 from .toric import ExcitationOps, StabilizerHamiltonian
@@ -335,14 +335,27 @@ def _ground_word_span(mats, V0: np.ndarray, floor: float) -> tuple[int | None, i
     M_m. Ends A V0 and V0^dag A with entries below ``floor`` are rounding
     residue and are zeroed, and words through a zero end are skipped.
     Reported, not asserted: records whether local words alone reconstruct the
-    topological block algebra (span m^2) or leave sector freedom. Returns
+    topological block algebra (span m^2) or leave sector freedom; with no
+    jumps the span is the identity's. Returns
     (span dimension, commutant dimension of the blocks), or (None, None) above
     an 8-dimensional ground space.
     """
     m = V0.shape[1]
     if m > 8:
         return None, None
+    span = np.eye(m, dtype=complex).reshape(1, -1) / np.sqrt(m)
     alphabet = mats + [M.conj().T.tocsr() for M in mats]
+    if alphabet:
+        span = _grow_span(span, alphabet, V0, floor)
+    comm = commutant_dimension(list(span.reshape(-1, m, m)), m, max_dim=min(8, m * m))[0]
+    return len(span), comm
+
+
+def _grow_span(span: np.ndarray, alphabet, V0: np.ndarray, floor: float) -> np.ndarray:
+    """``span`` (orthonormal rows of flattened m x m blocks) grown by the
+    ground-space blocks of the words over a nonempty ``alphabet``, one SVD
+    per word length (see ``_ground_word_span``)."""
+    m = V0.shape[1]
     n = len(alphabet)
     right = np.stack([A @ V0 for A in alphabet])                       # A V0
     left = np.stack([(A.conj().T @ V0).conj().T for A in alphabet])   # V0^dag A
@@ -350,7 +363,6 @@ def _ground_word_span(mats, V0: np.ndarray, floor: float) -> tuple[int | None, i
     left[np.abs(left) < floor] = 0
     live_right, live_left = right.any(axis=(1, 2)), left.any(axis=(1, 2))
     rng = np.random.default_rng(ERGODICITY_SEED)
-    span = np.eye(m, dtype=complex).reshape(1, -1) / np.sqrt(m)
     for length in range(1, BALANCED_WORD_LENGTH + 1):
         if len(span) == m * m:
             break
@@ -366,8 +378,7 @@ def _ground_word_span(mats, V0: np.ndarray, floor: float) -> tuple[int | None, i
         words = words[norms >= 1e-12] / norms[norms >= 1e-12, None]
         _, s, vh = np.linalg.svd(np.concatenate([span, words]), full_matrices=False)
         span = vh[s > 1e-8]
-    comm = commutant_dimension(list(span.reshape(-1, m, m)), m, max_dim=min(8, m * m))[0]
-    return len(span), comm
+    return span
 
 
 def _word_blocks(left: np.ndarray, alphabet, right: np.ndarray, idx: np.ndarray) -> np.ndarray:
@@ -418,15 +429,12 @@ def uniqueness_and_attractor_probe(
     t_max: float,
     seed: int = 0,
 ) -> AttractorReport:
-    """Kernel dimension plus convergence of random initial states, each
-    evolved by ``evolve``'s automatic method choice."""
+    """Kernel dimension plus convergence of random initial states, evolved
+    together by ``trajectories`` (``evolve``'s automatic method choice)."""
     ss = steady_states(gen)
     rng = np.random.default_rng(seed)
-    finals = []
-    for _ in range(trials):
-        rho0 = random_density_matrix(gen.n_levels, rng)
-        rho_t = evolve(gen, rho0, t_max)
-        finals.append(rho_t)
+    starts = [random_density_matrix(gen.n_levels, rng) for _ in range(trials)]
+    finals = [states[-1] for states in trajectories(gen, starts, t_max, 2)]
     if ss.unique:
         dists = tuple(f.distance(ss.state) for f in finals)
     else:

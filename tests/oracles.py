@@ -63,6 +63,46 @@ def thermal_kraus(beta: float, omega: float, relax: float) -> list[np.ndarray]:
             np.sqrt(p1) * np.diag([keep, 1.0]), np.sqrt(p1 * relax) * sm.T]
 
 
+def rotation(axis: str, angle: float) -> np.ndarray:
+    """exp(-i angle/2 sigma^axis) for axis x, y or z."""
+    return np.cos(angle / 2) * I2 - 1j * np.sin(angle / 2) * PAULI[axis.upper()]
+
+
+def simulate_gates(schedule, rho: np.ndarray) -> np.ndarray:
+    """Gate-by-gate channel-sum reference for a schedule (any object with
+    n_qubits, gates and steps; gates with the stabtherm gate fields), with
+    kron-embedded n-qubit operators. One branch per assignment of the
+    classical bits written so far; branches are never merged early."""
+    n = schedule.n_qubits
+    p = [np.diag([1.0, 0.0]).astype(complex), np.diag([0.0, 1.0]).astype(complex)]
+    branches = {(): np.array(rho, dtype=complex)}
+    for g in list(schedule.gates) * schedule.steps:
+        new = {}
+        for bits, r in branches.items():
+            bit = dict(bits)
+            if g.kind == "MEASURE_Z":
+                outs = [({**bit, g.cbit: v}, [embed(p[v], g.qubit, n)]) for v in (0, 1)]
+            elif g.kind == "SAMPLE_BOLTZMANN_BIT":
+                p1 = 1.0 / (1.0 + np.exp(g.beta * g.omega))
+                outs = [({**bit, g.cbit: 0}, [np.sqrt(1 - p1) * np.eye(1 << n)]),
+                        ({**bit, g.cbit: 1}, [np.sqrt(p1) * np.eye(1 << n)])]
+            elif g.kind == "THERMAL_RESET":
+                kraus = thermal_kraus(g.beta, g.omega, 1.0 if g.relax is None else g.relax)
+                outs = [(bit, [embed(k, g.qubit, n) for k in kraus])]
+            elif g.kind == "CPHASE":
+                angle = np.pi if g.angle is None else g.angle
+                outs = [(bit, [cphase_embedded(g.qubit, g.qubit2, angle, n)])]
+            elif g.kind == "COND_PULSE" and any(bit.get(b) != v for b, v in g.condition):
+                outs = [(bit, [np.eye(1 << n)])]
+            else:  # ROT1, or a COND_PULSE whose condition holds
+                outs = [(bit, [embed(rotation(g.axis, g.angle), g.qubit, n)])]
+            for assign, kraus in outs:
+                key = tuple(sorted(assign.items()))
+                new[key] = new.get(key, 0) + sum(K @ r @ K.conj().T for K in kraus)
+        branches = new
+    return sum(branches.values())
+
+
 def full_reset(rho: np.ndarray, q: int, n: int, p0: float) -> np.ndarray:
     """Trace out qubit q and put it back in diag(p0, 1 - p0): Kraus set
     sqrt(p_a) |a><b| over a, b in {0, 1}."""

@@ -5,6 +5,7 @@ import pytest
 from scipy import sparse
 from scipy.linalg import expm
 
+from stabtherm import circuits
 from stabtherm.bath import attach_ancillas, rwa_generator
 from stabtherm.circuits import (
     COND_PULSE,
@@ -35,12 +36,12 @@ from stabtherm.pauli import PauliString
 from stabtherm.toric import eigenoperator_decomposition, single_stabilizer_model
 
 from oracles import (
-    PAULI,
     cphase_embedded,
     dist_up_to_phase,
     embed,
     full_reset,
     random_density,
+    rotation,
     thermal_kraus,
 )
 
@@ -185,10 +186,6 @@ def test_partial_reset_equals_dissipator_exponential():
 
 # -- gates on their own qubits ---------------------------------------------------
 
-def _rot(axis, angle):
-    return expm(-0.5j * angle * PAULI[axis.upper()])
-
-
 def test_gates_act_on_their_own_qubits():
     # every gate kind on each qubit of a 3-qubit register against kron-built
     # embeddings of its 2x2 operators
@@ -205,14 +202,14 @@ def test_gates_act_on_their_own_qubits():
     beta, omega, relax = 0.8, 1.5, 0.35
     for q in range(3):
         for axis in "xyz":
-            U = embed(_rot(axis, 0.7), q, 3)
+            U = embed(rotation(axis, 0.7), q, 3)
             assert np.linalg.norm(run(Gate(ROT1, qubit=q, axis=axis, angle=0.7))
                                   - conj(U)) < 1e-12
         P0, P1 = embed(p0, q, 3), embed(p1, q, 3)
         measured = run(Gate(MEASURE_Z, qubit=q, cbit=0), n_classical=1)
         assert np.linalg.norm(measured - conj(P0) - conj(P1)) < 1e-12
         # the pulse acts on the branch whose measured bit is 1 only
-        V = embed(_rot("y", 1.1), q, 3)
+        V = embed(rotation("y", 1.1), q, 3)
         pulsed = run(Gate(MEASURE_Z, qubit=q, cbit=0),
                      Gate(COND_PULSE, qubit=q, axis="y", angle=1.1, condition=((0, 1),)),
                      n_classical=1)
@@ -230,10 +227,25 @@ def test_gates_act_on_their_own_qubits():
         assert np.linalg.norm(out - conj(cphase_embedded(a, b, 0.9, 3))) < 1e-12
 
 
+def test_channel_lowering_with_complex_kraus():
+    # one Liouville map sum_k K (x) conj(K) on the qubit's column and row axes;
+    # a complex Kraus set tells it apart from conj(K) (x) K and from a
+    # row/column swap, which a real (thermal) set cannot
+    p, theta, phi = 0.3, 0.7, 1.9
+    kraus = [np.sqrt(p) * rotation("x", theta), np.sqrt(1 - p) * rotation("y", phi)]
+    rho = random_density(8, np.random.default_rng(23))
+    for q in range(3):
+        ((S, qubits),) = circuits._channel_maps(kraus, (q,), 3)
+        assert S.shape == (4, 4) and qubits == (q, q + 3)
+        out = circuits._apply_local(S, qubits, rho.reshape((2,) * 6), 6).reshape(8, 8)
+        expected = sum(embed(k, q, 3) @ rho @ embed(k, q, 3).conj().T for k in kraus)
+        assert np.linalg.norm(out - expected) < 1e-13, q
+
+
 def test_choi_matrix_of_known_channels():
     # Choi entry ((a, i), (b, j)) is E(|i><j|)[a, b]
     angle = 0.9
-    U = _rot("x", angle)
+    U = rotation("x", angle)
     C = choi_matrix(GateSchedule(1, (Gate(ROT1, qubit=0, axis="x", angle=angle),)))
     v = U.reshape(-1)  # v[a*2 + i] = U[a, i]
     assert np.linalg.norm(C - np.outer(v, v.conj())) < 1e-13
@@ -264,6 +276,7 @@ def test_empty_schedule_is_identity():
     rho = DensityMatrix.maximally_mixed(4)
     out = simulate_schedule(sched, rho)
     assert np.allclose(out.mat, rho.mat)
+    assert np.array_equal(schedule_unitary(sched), np.eye(4))
 
 
 def test_compiled_schedule_on_plus_state_matches_oracle():

@@ -20,6 +20,7 @@ from stabtherm.lindblad import (
     steady_states,
     thermal_qubit,
     trace_distance,
+    trajectories,
     trajectory,
     unvec,
     vec,
@@ -153,6 +154,28 @@ def test_trajectory_matches_repeated_evolve():
             if i > 0:
                 rho = evolve(g, rho, dt, method=method)
             assert np.abs(state.mat - rho.mat).max() < 1e-10
+
+
+def test_trajectories_of_several_states_match_one_at_a_time():
+    # the Pauli basis (mini model) and the matrix units (a qutrit); one
+    # state has weight only on the identity's block, so the blocks
+    # propagated are the union over the states
+    rng = np.random.default_rng(31)
+    H = single_vertex_model(1.0)
+    qutrit = LindbladGenerator(3, np.diag([0.0, 1.0, 2.5]),
+                               (JumpOp(sparse.csr_matrix(np.eye(3, k=1)), 0.3),))
+    for g in (davies_reduction(H, [eigenoperator_decomposition(H, j, a)
+                                   for j in range(4) for a in ("x", "z")], 1.0, 0.5), qutrit):
+        d = g.n_levels
+        starts = [DensityMatrix(random_density(d, rng)), DensityMatrix.maximally_mixed(d),
+                  DensityMatrix(random_density(d, rng))]
+        for method in ("expm", "krylov"):
+            together = trajectories(g, starts, 2.0, 3, method=method)
+            assert len(together) == len(starts)
+            for rho0, states in zip(starts, together):
+                alone = trajectory(g, rho0, 2.0, 3, method=method)
+                assert max(np.abs(a.mat - b.mat).max() for a, b in zip(states, alone)) < 1e-12
+    assert trajectories(qutrit, [], 1.0, 3) == []
 
 
 def test_evolve_preserves_trace_and_hermiticity():

@@ -1,4 +1,5 @@
-"""Property tests on random commuting stabilizer Hamiltonians (2-4 qubits)."""
+"""Property tests on random commuting stabilizer Hamiltonians (2-4 qubits) and
+on random gate + reset schedules (1-4 qubits)."""
 
 import numpy as np
 import pytest
@@ -7,6 +8,18 @@ hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
 from stabtherm.bath import davies_reduction  # noqa: E402
+from stabtherm.circuits import (  # noqa: E402
+    COND_PULSE,
+    CPHASE,
+    MEASURE_Z,
+    ROT1,
+    THERMAL_RESET,
+    Gate,
+    GateSchedule,
+    reset_channel,
+    schedule_superoperator,
+    simulate_schedule,
+)
 from stabtherm.lindblad import build_superoperator, gibbs_state, steady_states, vec  # noqa: E402
 from stabtherm.pauli import PauliString  # noqa: E402
 from stabtherm.toric import (  # noqa: E402
@@ -16,7 +29,7 @@ from stabtherm.toric import (  # noqa: E402
 )
 from stabtherm.verify import commutant_dimension  # noqa: E402
 
-from oracles import commutant_nullity  # noqa: E402
+from oracles import commutant_nullity, random_density, simulate_gates  # noqa: E402
 
 
 def _gf2_rank(vectors):
@@ -81,3 +94,48 @@ def test_commutant_block_nullity_matches_dense_oracle(H, beta):
     d = 1 << H.n_qubits
     count, _, diag = commutant_dimension(ops, d, max_dim=d * d)
     assert count == diag["nullity"] == commutant_nullity(ops)
+
+
+@st.composite
+def schedules(draw):
+    """Random segments on 1-4 qubits built from blocks: unitary runs on a
+    random qubit subset each, partial THERMAL_RESETs that break runs,
+    measured resets, and a Z measurement whose bit gates a COND_PULSE."""
+    n = draw(st.integers(1, 4))
+    qubit = st.integers(0, n - 1)
+    angle = st.floats(-np.pi, np.pi)
+    axis = st.sampled_from("xyz")
+    gates = []
+    blocks = st.sampled_from(["run", "partial reset", "measured reset", "pulse"])
+    for block in draw(st.lists(blocks, min_size=1, max_size=5)):
+        if block == "run":
+            subset = draw(st.lists(qubit, min_size=1, max_size=n, unique=True))
+            for _ in range(draw(st.integers(1, 4))):
+                if len(subset) > 1 and draw(st.booleans()):
+                    a, b = draw(st.permutations(subset))[:2]
+                    gates.append(Gate(CPHASE, qubit=a, qubit2=b, angle=draw(angle)))
+                else:
+                    gates.append(Gate(ROT1, qubit=draw(st.sampled_from(subset)),
+                                      axis=draw(axis), angle=draw(angle)))
+        elif block == "partial reset":
+            gates.append(Gate(THERMAL_RESET, qubit=draw(qubit), beta=draw(st.floats(0, 3)),
+                              omega=draw(st.floats(0.1, 2)), relax=draw(st.floats(0, 1))))
+        elif block == "measured reset":
+            gates += reset_channel(draw(st.floats(0, 3)), draw(st.floats(0.1, 2)), draw(qubit), n,
+                                   implementation="measured").gates
+        else:
+            gates += [Gate(MEASURE_Z, qubit=draw(qubit), cbit=0),
+                      Gate(COND_PULSE, qubit=draw(qubit), axis=draw(axis), angle=draw(angle),
+                           condition=((0, draw(st.integers(0, 1))),))]
+    return GateSchedule(n, tuple(gates), 2, 0.0, draw(st.integers(1, 2)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(sched=schedules(), seed=st.integers(0, 2**32 - 1))
+def test_fused_schedule_matches_gate_by_gate_oracle(sched, seed):
+    d = 1 << sched.n_qubits
+    rho = random_density(d, np.random.default_rng(seed))
+    expected = simulate_gates(sched, rho)
+    assert np.linalg.norm(simulate_schedule(sched, rho).mat - expected) < 1e-12
+    vec_out = schedule_superoperator(sched) @ rho.reshape(-1, order="F")
+    assert np.linalg.norm(vec_out.reshape(d, d, order="F") - expected) < 1e-12

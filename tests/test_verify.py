@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from stabtherm import lindblad
 from stabtherm.bath import davies_reduction
 from stabtherm.errors import NumericalError
 from stabtherm.lindblad import (
@@ -118,6 +119,17 @@ def test_mini_model_translation_only_not_ergodic():
     gen = davies_reduction(H, decomps(H), 1.0, 0.5, include=("translate",))
     rep = ergodicity_check(H, [j.op for j in gen.jumps])
     assert not rep.ergodic and rep.commutant_dim > 1
+
+
+def test_no_jumps_reports_the_commutant_of_h():
+    # {H} alone: the commutant is block diagonal over the two 8-dim
+    # eigenspaces of -ZZZZ, 8^2 + 8^2 = 128 dimensions, and no jump word
+    # adds to the identity's span of the ground block
+    H = single_vertex_model(1.0)
+    rep = ergodicity_check(H, [], max_commutant=200)
+    assert not rep.ergodic and rep.commutant_dim == 128
+    assert [e.commutant_dim for e in rep.eigenspaces] == [64, 64]
+    assert rep.ground_word_span_dim == 1 and rep.ground_block_commutant_dim == 8
 
 
 def test_kernel_dim_matches_commutant_dim_cross_validation():
@@ -294,6 +306,24 @@ def test_attractor_probe_translation_only_negative_control():
     rep = uniqueness_and_attractor_probe(gen, trials=4, t_max=50.0 / g0, seed=2)
     assert rep.kernel_dim > 1
     assert rep.max_pairwise_distance > 0.01
+
+
+def test_attractor_probe_builds_the_block_form_twice(monkeypatch):
+    # one build for the kernel and one for all trials together
+    H = single_vertex_model(1.0)
+    gen = davies_reduction(H, decomps(H), 1.0, 0.5)
+    builds = []
+
+    def counted(*args):
+        builds.append(1)
+        return block_form(*args)
+
+    block_form = lindblad._block_form
+    monkeypatch.setattr(lindblad, "_block_form", counted)
+    for trials in (1, 4):
+        builds.clear()
+        uniqueness_and_attractor_probe(gen, trials=trials, t_max=5.0, seed=4)
+        assert len(builds) == 2, trials
 
 
 def test_gibbs_start_stays_put():
