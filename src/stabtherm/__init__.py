@@ -1,9 +1,10 @@
 """stabtherm: stabilizer-Hamiltonian thermalization toolkit.
 
-Builds abelian and non-abelian toric-code models, their excitation
-eigenoperators, engineered-dissipation thermal dynamics (composite, RWA and
-system-only Davies forms), verifies Gibbs fixed points and ergodicity
-numerically, and compiles the dynamics into two-body gate + reset schedules.
+Builds abelian and non-abelian toric-code models, the Fourier eigenoperators
+of local Paulis under any commuting Pauli Hamiltonian, engineered-dissipation
+thermal dynamics (composite, RWA and system-only Davies forms), verifies Gibbs
+fixed points and ergodicity numerically, and compiles the dynamics into
+two-body gate + reset schedules.
 
 Units: hbar = 1, energies in units of the stabilizer coupling lambda, times
 in 1/lambda.
@@ -19,8 +20,6 @@ from .toric import (
     toric_hamiltonian,
     loop_operators,
     eigenoperator_decomposition,
-    excitation_ops,
-    all_excitation_ops,
     fourier_form_check,
     single_vertex_model,
     single_stabilizer_model,

@@ -6,12 +6,15 @@ ROT1(axis, angle, qubit)                 exp(-i * angle/2 * sigma^axis)
 CPHASE(q1, q2, angle=pi)                 diag(1, 1, 1, e^{i*angle})
 MEASURE_Z(qubit, cbit)                   projective Z measurement -> cbit
 COND_PULSE(qubit, axis, angle, cond)     ROT1 on branches whose classical bits
-                                         match cond = ((bit, value), ...)
+                                         match cond = ((bit, value), ...), each
+                                         bit named once, each value 0 or 1
 SAMPLE_BOLTZMANN_BIT(beta, omega, cbit)  classical bit, P(1)/P(0) = e^{-beta*omega}
 THERMAL_RESET(qubit, beta, omega, relax) the exact one-qubit channel
                                          exp(D_thermal * tau); relax =
                                          1 - e^{-R tau} in [0, 1], relax = 1 is
                                          a full reset to diag(p0, p1)
+
+beta and omega are finite with beta*omega >= 0 (no negative temperatures).
 
 Schedules are simulated with channel-sum semantics: measurements and random
 bits expand into weighted branches (no sampling), and branches merge as soon
@@ -74,6 +77,15 @@ def _number(where: str, v, integral: bool = False):
     return int(v) if integral else float(v)
 
 
+def _check_temperature(beta: float, omega: float, error: type[Exception]) -> None:
+    """Raise ``error`` unless beta and omega are finite with beta*omega >= 0,
+    so that the Boltzmann ratio e^{-beta*omega} is at most 1."""
+    if not (math.isfinite(beta) and math.isfinite(omega)):
+        raise error("beta and omega must be finite")
+    if beta * omega < 0:
+        raise error("negative temperature requested (beta*omega < 0)")
+
+
 @dataclass(frozen=True)
 class Gate:
     kind: str
@@ -99,9 +111,15 @@ class Gate:
             raise ScheduleError("gate angle must be finite")
         if self.relax is not None and not 0.0 <= self.relax <= 1.0:
             raise ScheduleError(f"relax must lie in [0, 1], got {self.relax}")
+        if self.beta is not None and self.omega is not None:
+            _check_temperature(self.beta, self.omega, ScheduleError)
         if self.condition is not None:
-            object.__setattr__(self, "condition",
-                               tuple((int(b), int(v)) for b, v in self.condition))
+            cond = tuple((int(b), int(v)) for b, v in self.condition)
+            if any(v not in (0, 1) for _, v in cond):
+                raise ScheduleError(f"condition values must be 0 or 1, got {cond}")
+            if len({b for b, _ in cond}) != len(cond):
+                raise ScheduleError(f"condition names a classical bit twice: {cond}")
+            object.__setattr__(self, "condition", cond)
 
     def to_json(self) -> dict:
         d = {k: v for k, v in asdict(self).items() if v is not None}
@@ -271,10 +289,7 @@ def reset_channel(beta: float, omega: float, qubit: int = 0, n_qubits: int = 1,
     bits 0 (measured) and 1 (sampled). The two have identical channel
     semantics (equal Choi matrices).
     """
-    if not (math.isfinite(beta) and math.isfinite(omega)):
-        raise ParameterError("beta and omega must be finite")
-    if beta * omega < 0:
-        raise ParameterError("negative temperature requested (beta*omega < 0)")
+    _check_temperature(beta, omega, ParameterError)
     if implementation == "direct":
         gates = (Gate(THERMAL_RESET, qubit=qubit, beta=beta, omega=omega, relax=1.0),)
         return GateSchedule(n_qubits, gates, 0, 0.0, 1)
@@ -504,7 +519,7 @@ class _ScheduleRunner:
             for bits, m in branches.items():
                 assign = dict(bits)
                 if g is not None and g.kind == COND_PULSE and not all(
-                        assign.get(b) == v for b, v in dict(g.condition).items()):
+                        assign.get(b) == v for b, v in g.condition):
                     emit(assign, m)
                     continue
                 for value, weight, maps in outcomes:

@@ -36,7 +36,6 @@ from .serialize import (
 from .toric import (
     StabilizerHamiltonian,
     ToricLattice,
-    all_excitation_ops,
     build_torus,
     eigenoperator_decomposition,
     fourier_form_check,
@@ -80,13 +79,14 @@ def _full_decompositions(H: StabilizerHamiltonian):
             for j in range(H.n_qubits) for a in ("x", "z")]
 
 
-def _davies_generator(H: StabilizerHamiltonian, beta: float, gamma0: float):
-    """The full Davies generator of H, after checking that its superoperator
-    is within capacity (building the bath is the slow part of a refusal)."""
+def _davies_generator(H: StabilizerHamiltonian, decomps, beta: float, gamma0: float):
+    """The full Davies generator of H from its decompositions, after checking
+    that its superoperator is within capacity (building the bath is the slow
+    part of a refusal)."""
     from .bath import davies_reduction
 
     _check_capacity(1 << H.n_qubits)
-    return davies_reduction(H, _full_decompositions(H), beta, gamma0)
+    return davies_reduction(H, decomps, beta, gamma0)
 
 
 def _observable_values(name: str, H, lat, rho: np.ndarray, beta: float) -> float:
@@ -139,10 +139,10 @@ def cmd_decompose(args) -> int:
     return 0
 
 
-def _thermalize_rows(H, lat, beta: float, gamma0: float, t: float, points: int,
+def _thermalize_rows(H, lat, decomps, beta: float, gamma0: float, t: float, points: int,
                      method: str, names: list[str]) -> list[list[float]]:
     """Observables along a Davies trajectory from the maximally mixed state."""
-    gen = _davies_generator(H, beta, gamma0)
+    gen = _davies_generator(H, decomps, beta, gamma0)
     rho0 = DensityMatrix.maximally_mixed(1 << H.n_qubits)
     states = trajectory(gen, rho0, t, points, method=method)
     return [[ti] + [_observable_values(n, H, lat, rho.mat, beta) for n in names]
@@ -152,8 +152,8 @@ def _thermalize_rows(H, lat, beta: float, gamma0: float, t: float, points: int,
 def cmd_thermalize(args) -> int:
     H, lat = _build_model(_model_spec_from_args(args))
     names = args.observables.split(",") if args.observables else ["energy"]
-    rows = _thermalize_rows(H, lat, args.beta, args.gamma0, args.t, args.points,
-                            args.method, names)
+    rows = _thermalize_rows(H, lat, _full_decompositions(H), args.beta, args.gamma0, args.t,
+                            args.points, args.method, names)
     header = ["t"] + names
     if args.output:
         write_csv(args.output, header, rows)
@@ -166,7 +166,7 @@ def cmd_thermalize(args) -> int:
 def cmd_steady_state(args) -> int:
     model_spec = _model_spec_from_args(args)
     H, lat = _build_model(model_spec)
-    gen = _davies_generator(H, args.beta, args.gamma0)
+    gen = _davies_generator(H, _full_decompositions(H), args.beta, args.gamma0)
     ss = steady_states(gen)
     gs = gibbs_state(H.to_dense(), args.beta)
     out = {
@@ -191,9 +191,9 @@ def cmd_verify(args) -> int:
 
     lat = build_torus(args.L)
     H = toric_hamiltonian(lat, args.lambda_e, args.lambda_m)
-    ops = all_excitation_ops(lat, H)
+    decomps = _full_decompositions(H)
     gs = gibbs_state(H.to_dense(), args.beta)
-    report = check_fixed_point_conditions(gs, ops, args.beta)
+    report = check_fixed_point_conditions(gs, decomps, args.beta)
     summary = {
         "max_lowering": report.max_residual("lowering"),
         "max_raising": report.max_residual("raising"),
@@ -201,7 +201,7 @@ def cmd_verify(args) -> int:
     }
     doc = report.to_json()
     if args.ergodicity:
-        gen = _davies_generator(H, args.beta, args.gamma0)
+        gen = _davies_generator(H, decomps, args.beta, args.gamma0)
         erg = ergodicity_check(H, [j.op for j in gen.jumps],
                                loop_ops=loop_operators(lat))
         ss = steady_states(gen)
@@ -349,6 +349,7 @@ def cmd_run(args) -> int:
     result = {"config_hash": h, "stabtherm_version": __version__, "config": cfg}
 
     H, lat = _build_model(cfg["model"])
+    decomps = _full_decompositions(H)
     dyn = cfg.get("dynamics", {})
     beta = float(dyn.get("beta", 1.0))
     observables = cfg.get("observables", [])
@@ -367,13 +368,12 @@ def cmd_run(args) -> int:
     elif exp == "verify-appendix":
         from .verify import check_fixed_point_conditions
 
-        ops = all_excitation_ops(lat, H)
         gs = gibbs_state(H.to_dense(), beta)
-        report = check_fixed_point_conditions(gs, ops, beta)
+        report = check_fixed_point_conditions(gs, decomps, beta)
         result["fixed_point_report"] = report.to_json()
         result["max_residual"] = report.max_residual()
     elif exp == "steady-state":
-        gen = _davies_generator(H, beta, float(dyn.get("gamma0", 0.5)))
+        gen = _davies_generator(H, decomps, beta, float(dyn.get("gamma0", 0.5)))
         ss = steady_states(gen)
         result["kernel_dim"] = ss.kernel_dim
         result["kernel_residual"] = ss.residual
@@ -383,17 +383,16 @@ def cmd_run(args) -> int:
                 n: _observable_values(n, H, lat, rho, beta) for n in observables
             }
     elif exp == "thermalize":
-        rows = _thermalize_rows(H, lat, beta, float(dyn.get("gamma0", 0.5)),
+        rows = _thermalize_rows(H, lat, decomps, beta, float(dyn.get("gamma0", 0.5)),
                                 float(dyn.get("t", 1.0)), int(dyn.get("points", 11)),
                                 dyn.get("method", "auto"), observables)
         csv_path = outdir / "thermalize.csv"
         write_csv(csv_path, ["t"] + observables, rows)
         result["csv"] = str(csv_path)
 
-    # fitted quantities recorded for lineage whenever the full op set exists
+    # the Fourier-form fit, recorded for lineage on toric models
     if lat is not None and H.n_qubits <= 10:
-        ops = all_excitation_ops(lat, H)
-        c, d, res = fourier_form_check(H, ops)
+        c, d, res = fourier_form_check(H, decomps)
         result["fourier_form"] = {"prefactor": c, "constant": d, "residual": res}
 
     out_path = outdir / "result.json"

@@ -138,9 +138,6 @@ class StabilizerHamiltonian:
     def to_dense(self, dense_limit: int | None = None) -> np.ndarray:
         return self.as_sum().to_dense(dense_limit)
 
-    def terms_with_tag(self, tag: str) -> list[StabilizerTerm]:
-        return [t for t in self.terms if t.tag == tag]
-
     @property
     def couplings(self) -> tuple[float, ...]:
         return tuple(t.coupling for t in self.terms)
@@ -336,110 +333,41 @@ def heisenberg_reconstruction(
 
 
 # ---------------------------------------------------------------------------
-# toric excitation operators
+# Fourier form
 # ---------------------------------------------------------------------------
 
-SECTOR_ELECTRIC = "electric"
-SECTOR_MAGNETIC = "magnetic"
-
-
-@dataclass(frozen=True)
-class ExcitationOps:
-    """Pair creation / annihilation / translation operators for one link.
-
-    E_dag creates a pair of excitations of the given sector on the two
-    neighborhoods adjacent to the link; T = T^dag translates an excitation
-    across the link; E + E_dag + T resolves the bare Pauli exactly.
-    """
-
-    link: int
-    sector: str
-    E: PauliSum
-    E_dag: PauliSum
-    T: PauliSum
-    delta: float  # single-excitation energy, Delta = 2*lambda
-
-    @property
-    def pauli(self) -> PauliSum:
-        return (self.E + self.E_dag + self.T).simplify()
-
-
-def excitation_ops(
-    lat: ToricLattice, H: StabilizerHamiltonian, link: int, sector: str
-) -> ExcitationOps:
-    """Build E, E^dag, T for one link and sector of the toric code."""
-    if not 0 <= link < lat.n_links:
-        raise ParameterError(f"link {link} out of range")
-    if sector == SECTOR_ELECTRIC:
-        axis = "x"
-        hoods = lat.link_vertices[link]
-        tag = "vertex"
-    elif sector == SECTOR_MAGNETIC:
-        axis = "z"
-        hoods = lat.link_plaquettes[link]
-        tag = "plaquette"
-    else:
-        raise ParameterError(f"sector must be electric or magnetic, got {sector!r}")
-
-    by_index = {t.index: t for t in H.terms_with_tag(tag)}
-    try:
-        t1, t2 = by_index[hoods[0]], by_index[hoods[1]]
-    except KeyError:
-        raise ModelError("Hamiltonian was not built by toric_hamiltonian on this lattice")
-    if abs(t1.coupling - t2.coupling) > 1e-12 * t1.coupling:
-        raise ModelError("the two neighborhoods of a link must share one coupling")
-
-    sigma = PauliSum.from_string(PauliString.single(H.n_qubits, link, axis))
-    h1, h2 = t1.stabilizer, t2.stabilizer
-
-    pmm = projector_product([h1, h2], [-1, -1])
-    e_dag = (pmm * sigma).simplify()                      # P-P- sigma
-    e_op = e_dag.adjoint().simplify()
-    t_pm = projector_product([h1, h2], [1, -1]) * sigma   # P+P- sigma
-    t_mp = projector_product([h1, h2], [-1, 1]) * sigma   # P-P+ sigma
-    t_op = (t_pm + t_mp).simplify()
-
-    return ExcitationOps(
-        link=link,
-        sector=sector,
-        E=e_op,
-        E_dag=e_dag,
-        T=t_op,
-        delta=2.0 * t1.coupling,
-    )
-
-
-def all_excitation_ops(lat: ToricLattice, H: StabilizerHamiltonian) -> list[ExcitationOps]:
-    return [
-        excitation_ops(lat, H, j, sector)
-        for sector in (SECTOR_ELECTRIC, SECTOR_MAGNETIC)
-        for j in range(lat.n_links)
-    ]
-
-
 def fourier_form_check(
-    H: StabilizerHamiltonian, ops: list[ExcitationOps], dense_limit: int | None = None
+    H: StabilizerHamiltonian,
+    decomps: list[EigenoperatorDecomposition],
+    dense_limit: int | None = None,
 ) -> tuple[float, float, float]:
-    """Least-squares fit H = c * sum_{j,nu}(2 E^dag E + T^2) + d * I.
+    """Least-squares fit H = c * S + d * I over the decompositions of every
+    sigma^x_j and sigma^z_j, with S = sum_{eps_k > 0} 2 a_k^dag a_k plus
+    T^2 for each zero mode.
 
     Returns (c, d, residual_frobenius). For the toric code with the
     Delta = 2*lambda convention the fit lands on c = Delta/4 = lambda/2 and
     d = -lambda * 2 L^2, with residual at machine precision.
     """
-    keys = {(o.link, o.sector) for o in ops}
-    if len(keys) != len(ops) or len(ops) != 2 * H.n_qubits:
+    keys = {(dec.site, dec.axis) for dec in decomps}
+    full = {(j, a) for j in range(H.n_qubits) for a in ("x", "z")}
+    if keys != full or len(decomps) != len(full):
         raise ModelError(
-            f"need the full operator set (2 sectors x {H.n_qubits} links), got {len(ops)}"
+            f"need one decomposition per site and axis x, z ({len(full)}), got {len(decomps)}"
         )
     if H.n_qubits > (dense_limit if dense_limit is not None else 14):
         raise CapacityError("fourier_form_check is a dense desk-scale check")
 
     dim = 1 << H.n_qubits
     S = np.zeros((dim, dim), dtype=complex)
-    for o in ops:
-        e = o.E.to_dense(dense_limit)
-        t = o.T.to_dense(dense_limit)
-        S += 2.0 * (e.conj().T @ e) + t @ t
+    for dec in decomps:
+        for c in dec.components:
+            if c.is_zero_mode:
+                t = c.translation.to_dense(dense_limit)
+                S += t @ t
+            else:
+                a = c.lowering.to_dense(dense_limit)
+                S += 2.0 * (a.conj().T @ a)
     Hd = H.to_dense(dense_limit)
     eye = np.eye(dim)
 

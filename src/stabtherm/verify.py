@@ -1,14 +1,15 @@
 """Numerical fixed-point, ergodicity and attractor checks.
 
-The three stationarity conditions for the engineered dynamics, per link and
-sector (hbar = 1, pair transition energy 2*Delta):
+The three stationarity conditions for the engineered dynamics, per Fourier
+component a_k of each local Pauli (hbar = 1, transition energy 2*eps_k):
 
-    p0 * E rho   - p1 * rho E     = 0      (lowering)
-    p1 * E^+ rho - p0 * rho E^+   = 0      (raising)
-    [T, rho]                      = 0      (translation)
+    p0 * a_k rho   - p1 * rho a_k     = 0      (lowering, eps_k > 0)
+    p1 * a_k^+ rho - p0 * rho a_k^+   = 0      (raising, eps_k > 0)
+    [T, rho]                          = 0      (translation, the zero mode)
 
-with p1/p0 = exp(-2*beta*Delta). They hold exactly on the Gibbs state and
-fail on anything else; residuals are reported as Frobenius norms.
+with p1/p0 = exp(-2*beta*eps_k). They hold exactly on the Gibbs state of any
+commuting Pauli Hamiltonian and fail on anything else; residuals are
+reported as Frobenius norms.
 
 Ergodicity is decided from the commutant of {H} + jumps + jump adjoints:
 the commutant is trivial iff the semigroup has a unique attracting steady
@@ -44,7 +45,7 @@ from .lindblad import (
     trajectories,
 )
 from .pauli import PauliSum
-from .toric import ExcitationOps, StabilizerHamiltonian
+from .toric import EigenoperatorDecomposition, StabilizerHamiltonian
 
 #: Eigenspaces above this dimension get no projected-commutant detail.
 EIGENSPACE_DIM_CAP = 64
@@ -63,10 +64,7 @@ ERGODICITY_SEED = 7
 @dataclass(frozen=True)
 class FixedPointReport:
     beta: float
-    residuals: dict  # (link, sector) -> {"lowering": r, "raising": r, "translation": r}
-    kernel_dim: int | None = None
-    trace_distance_to_gibbs: float | None = None
-    ergodic: bool | None = None
+    residuals: dict  # (site, axis) -> {"lowering": r, "raising": r, "translation": r}
 
     def max_residual(self, kind: str | None = None) -> float:
         kinds = ("lowering", "raising", "translation") if kind is None else (kind,)
@@ -76,37 +74,42 @@ class FixedPointReport:
         return {
             "beta": self.beta,
             "residuals": {
-                f"{link}:{sector}": vals
-                for (link, sector), vals in sorted(self.residuals.items())
+                f"{site}:{axis}": vals
+                for (site, axis), vals in sorted(self.residuals.items())
             },
-            "kernel_dim": self.kernel_dim,
-            "trace_distance_to_gibbs": self.trace_distance_to_gibbs,
-            "ergodic": self.ergodic,
         }
 
 
 def check_fixed_point_conditions(
     rho: DensityMatrix | np.ndarray,
-    ops: list[ExcitationOps],
+    decomps: list[EigenoperatorDecomposition],
     beta: float,
 ) -> FixedPointReport:
-    """Evaluate the three stationarity conditions on a given state."""
+    """Evaluate the three stationarity conditions on a given state, keyed by
+    the (site, axis) of each decomposition: each residual is the largest over
+    that decomposition's components (0.0 where no component has the kind)."""
     mat = rho.mat if isinstance(rho, DensityMatrix) else np.asarray(rho, dtype=complex)
     residuals = {}
-    for o in ops:
-        w = np.exp(-2.0 * beta * o.delta)  # pair energy 2*Delta
-        p0 = 1.0 / (1.0 + w)
-        p1 = w / (1.0 + w)
-        E = o.E.to_dense()
-        Ed = o.E_dag.to_dense()
-        T = o.T.to_dense()
-        if E.shape != mat.shape:
+    for dec in decomps:
+        if mat.shape != (1 << dec.n_qubits,) * 2:
             raise ParameterError("state dimension does not match the operators")
-        residuals[(o.link, o.sector)] = {
-            "lowering": float(np.linalg.norm(p0 * (E @ mat) - p1 * (mat @ E))),
-            "raising": float(np.linalg.norm(p1 * (Ed @ mat) - p0 * (mat @ Ed))),
-            "translation": float(np.linalg.norm(T @ mat - mat @ T)),
-        }
+        r = residuals[(dec.site, dec.axis)] = dict.fromkeys(
+            ("lowering", "raising", "translation"), 0.0)
+        for c in dec.components:
+            if c.is_zero_mode:
+                T = c.translation.to_dense()
+                r["translation"] = max(r["translation"],
+                                       float(np.linalg.norm(T @ mat - mat @ T)))
+                continue
+            w = np.exp(-2.0 * beta * c.epsilon)
+            p0 = 1.0 / (1.0 + w)
+            p1 = w / (1.0 + w)
+            a = c.lowering.to_dense()
+            ad = c.raising.to_dense()
+            r["lowering"] = max(r["lowering"],
+                                float(np.linalg.norm(p0 * (a @ mat) - p1 * (mat @ a))))
+            r["raising"] = max(r["raising"],
+                               float(np.linalg.norm(p1 * (ad @ mat) - p0 * (mat @ ad))))
     return FixedPointReport(beta=beta, residuals=residuals)
 
 

@@ -45,7 +45,6 @@ from stabtherm.lindblad import (
 )
 from stabtherm.pauli import PauliString, PauliSum
 from stabtherm.toric import (
-    all_excitation_ops,
     build_torus,
     eigenoperator_decomposition,
     fourier_form_check,
@@ -64,6 +63,11 @@ def report(num, label, ok, elapsed, detail=""):
     extra = f" [{detail}]" if detail else ""
     print(f"[criterion {num:>3}] {status}  {label} ({elapsed:.1f}s){extra}", flush=True)
     return ok
+
+
+def full_decomps(H):
+    return [eigenoperator_decomposition(H, j, a)
+            for j in range(H.n_qubits) for a in ("x", "z")]
 
 
 @pytest.fixture(scope="module")
@@ -144,8 +148,7 @@ def test_criterion_4_fourier_form_of_htc():
     worst_res = 0.0
     for lam in (0.5, 1.0, 2.0):
         H = toric_hamiltonian(lat, lam, lam)
-        ops = all_excitation_ops(lat, H)
-        c, d, res = fourier_form_check(H, ops)
+        c, d, res = fourier_form_check(H, full_decomps(H))
         fits[lam] = (c / lam, d / lam)
         worst_res = max(worst_res, res)
     ok = worst_res < 1e-10
@@ -232,11 +235,11 @@ def test_criterion_7_fixed_point_conditions(toric_l2):
     t0 = time.time()
     lat, H, Hd, evals, evecs = toric_l2
     beta = 1.0
-    ops = all_excitation_ops(lat, H)
-    on_gibbs = check_fixed_point_conditions(gibbs_state(Hd, beta), ops, beta)
+    decomps = full_decomps(H)
+    on_gibbs = check_fixed_point_conditions(gibbs_state(Hd, beta), decomps, beta)
     ok = on_gibbs.max_residual() < 1e-9
-    mixed = check_fixed_point_conditions(DensityMatrix.maximally_mixed(256), ops, beta)
-    wrong_beta = check_fixed_point_conditions(gibbs_state(Hd, beta + 0.5), ops, beta)
+    mixed = check_fixed_point_conditions(DensityMatrix.maximally_mixed(256), decomps, beta)
+    wrong_beta = check_fixed_point_conditions(gibbs_state(Hd, beta + 0.5), decomps, beta)
     ok = ok and mixed.max_residual("lowering") > 1e-3
     ok = ok and wrong_beta.max_residual("lowering") > 1e-3
     assert report(7, "lowering/raising/translation residuals < 1e-9 on gibbs; "

@@ -68,7 +68,7 @@ def test_toric_full_dressing_exceeds_capacity():
 
 def test_rwa_hamiltonian_matches_independent_excitation_build():
     # H_RWA for the toric-style dressing equals E (x) S+ + E^dag (x) S- built
-    # directly from excitation_ops (dense equality)
+    # directly from the decomposition's pair component (dense equality)
     H = single_vertex_model(1.0)
     dx = eigenoperator_decomposition(H, 0, "x")
     model, _ = attach_ancillas(H, [dx], beta=1.0, gamma_minus=0.1, g=1.0)

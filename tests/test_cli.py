@@ -57,14 +57,19 @@ def test_compile_and_simulate_round_trip(tmp_path, capsys):
     assert np.isclose(np.trace(rho @ rho).real, 1.0, atol=1e-10)
 
 
-def test_verify_appendix_small_residuals(capsys):
+def test_verify_appendix_small_residuals(tmp_path, capsys):
+    path = tmp_path / "verify.json"
     assert run_cli("verify", "appendix", "--model", "toric", "--L", "2",
-                   "--beta", "1") == 0
+                   "--beta", "1", "-o", str(path)) == 0
     out = capsys.readouterr().out
     assert "max_lowering" in out
     for line in out.splitlines():
         if "max_" in line:
             assert float(line.split(":")[1]) < 1e-9
+    # one entry per decomposition, keyed site:axis
+    doc = json.loads(path.read_text())
+    assert set(doc) == {"beta", "residuals"}
+    assert set(doc["residuals"]) == {f"{j}:{a}" for j in range(8) for a in "xz"}
 
 
 def test_steady_state_output_parses(tmp_path, capsys):
@@ -230,9 +235,11 @@ _HEADER = {"header": {"n_qubits": 2, "n_classical": 2}}
 _ROT = {"kind": "ROT1", "qubit": 0, "axis": "x", "angle": 0.1}
 _MEASURE = {"kind": "MEASURE_Z", "qubit": 1, "cbit": 0}
 # (lines, valid), each line checked alone against the schema. Left out: a
-# CPHASE on one qubit twice, which the schema cannot express (see
-# test_malformed_schedules_exit_2), and out-of-range qubits or bits read before
-# they are written, which need the whole file
+# CPHASE on one qubit twice and a condition naming one bit with two values,
+# which the schema cannot express (see test_malformed_schedules_exit_2),
+# a negative or non-finite beta*omega (test_negative_temperature_schedules_exit_2),
+# and out-of-range qubits or bits read before they are written, which need the
+# whole file
 _SCHEDULE_CORPUS = [
     ([_HEADER], True),
     ([{"header": {"n_qubits": 2.0, "steps": 3.0, "total_time": 1.5}}], True),
@@ -269,6 +276,13 @@ _SCHEDULE_CORPUS = [
                           "angle": 3.1, "condition": [[0]]}], False),
     ([_HEADER, _MEASURE, {"kind": "COND_PULSE", "qubit": 1, "axis": "y",
                           "angle": 3.1, "condition": []}], False),
+    ([_HEADER, _MEASURE, {"kind": "SAMPLE_BOLTZMANN_BIT", "beta": 1, "omega": 2, "cbit": 1},
+      {"kind": "COND_PULSE", "qubit": 1, "axis": "y", "angle": 3.1,
+       "condition": [[0, 1], [1, 0]]}], True),
+    ([_HEADER, _MEASURE, {"kind": "COND_PULSE", "qubit": 1, "axis": "y",
+                          "angle": 3.1, "condition": [[0, 2]]}], False),
+    ([_HEADER, _MEASURE, {"kind": "COND_PULSE", "qubit": 1, "axis": "y",
+                          "angle": 3.1, "condition": [[0, 1], [0, 1]]}], False),
 ]
 
 
@@ -296,7 +310,28 @@ def test_malformed_schedules_exit_2(tmp_path):
         p = tmp_path / "s.jsonl"
         p.write_text(json.dumps(header) + "\n" + json.dumps(gate) + "\n")
         assert run_cli("simulate-schedule", str(p)) == 2, gate
+    pulse = {"kind": "COND_PULSE", "qubit": 1, "axis": "x", "angle": 3.1}
+    # a bit named with two values can never match; a value of 2 never either
+    for cond in ([[0, 1], [0, 0]], [[0, 2]]):
+        p.write_text("\n".join(json.dumps(ln) for ln in
+                               (_HEADER, _MEASURE, dict(pulse, condition=cond))) + "\n")
+        assert run_cli("simulate-schedule", str(p)) == 2, cond
     p.write_text(json.dumps(_HEADER) + "\n" + rot + "\n")
+    assert run_cli("simulate-schedule", str(p)) == 0
+
+
+def test_negative_temperature_schedules_exit_2(tmp_path):
+    p = tmp_path / "s.jsonl"
+    reset = {"kind": "THERMAL_RESET", "qubit": 0, "relax": 1.0}
+    sample = {"kind": "SAMPLE_BOLTZMANN_BIT", "cbit": 0}
+    # beta*omega = -1000 would overflow math.exp; -1 is a negative temperature
+    for gate in (dict(reset, beta=-1.0, omega=1000.0), dict(sample, beta=-1000.0, omega=1.0),
+                 dict(reset, beta=-1.0, omega=1.0), dict(sample, beta=1.0, omega=-1.0),
+                 dict(reset, beta=float("inf"), omega=1.0),
+                 dict(sample, beta=1.0, omega=float("nan"))):
+        p.write_text(json.dumps(_HEADER) + "\n" + json.dumps(gate) + "\n")
+        assert run_cli("simulate-schedule", str(p)) == 2, gate
+    p.write_text(json.dumps(_HEADER) + "\n" + json.dumps(dict(reset, beta=0.0, omega=-1.0)) + "\n")
     assert run_cli("simulate-schedule", str(p)) == 0
 
 

@@ -21,13 +21,13 @@ from stabtherm.circuits import (  # noqa: E402
     simulate_schedule,
 )
 from stabtherm.lindblad import build_superoperator, gibbs_state, steady_states, vec  # noqa: E402
-from stabtherm.pauli import PauliString  # noqa: E402
+from stabtherm.pauli import PauliString, PauliSum  # noqa: E402
 from stabtherm.toric import (  # noqa: E402
     StabilizerHamiltonian,
     StabilizerTerm,
     eigenoperator_decomposition,
 )
-from stabtherm.verify import commutant_dimension  # noqa: E402
+from stabtherm.verify import check_fixed_point_conditions, commutant_dimension  # noqa: E402
 
 from oracles import commutant_nullity, random_density, simulate_gates  # noqa: E402
 
@@ -66,9 +66,30 @@ def stabilizer_hamiltonians(draw):
     return StabilizerHamiltonian(n, tuple(terms))
 
 
+def _decomps(H):
+    return [eigenoperator_decomposition(H, j, a) for j in range(H.n_qubits) for a in ("x", "z")]
+
+
 def _davies(H, beta, gamma0=0.5):
-    decomps = [eigenoperator_decomposition(H, j, a) for j in range(H.n_qubits) for a in ("x", "z")]
-    return davies_reduction(H, decomps, beta, gamma0)
+    return davies_reduction(H, _decomps(H), beta, gamma0)
+
+
+@settings(max_examples=25, deadline=None)
+@given(H=stabilizer_hamiltonians())
+def test_decomposition_reconstructs_sigma_exactly(H):
+    for j in range(H.n_qubits):
+        for axis in "xyz":
+            dec = eigenoperator_decomposition(H, j, axis)
+            diff = dec.reconstruct() - PauliSum.from_string(dec.source_string())
+            assert all(c == 0 for c, _ in diff.terms), (j, axis)
+
+
+@settings(max_examples=25, deadline=None)
+@given(H=stabilizer_hamiltonians(), beta=st.floats(0.0, 1.0))
+def test_gibbs_state_meets_fixed_point_conditions(H, beta):
+    report = check_fixed_point_conditions(gibbs_state(H.to_dense(), beta), _decomps(H), beta)
+    assert set(report.residuals) == {(j, a) for j in range(H.n_qubits) for a in "xz"}
+    assert report.max_residual() < 1e-9
 
 
 @settings(max_examples=25, deadline=None)

@@ -6,11 +6,9 @@ import pytest
 from stabtherm.errors import ModelError, ParameterError
 from stabtherm.pauli import PauliString, PauliSum
 from stabtherm.toric import (
-    all_excitation_ops,
     plaquette_string,
     build_torus,
     eigenoperator_decomposition,
-    excitation_ops,
     fourier_form_check,
     heisenberg_reconstruction,
     loop_operators,
@@ -227,17 +225,30 @@ def test_decomposition_rejects_noncommuting_model():
         StabilizerHamiltonian(2, (StabilizerTerm(1.0, a), StabilizerTerm(1.0, b)))
 
 
-# -- excitation operators ------------------------------------------------------
+# -- pair creation and translation components ---------------------------------
+
+def full_decomps(H):
+    return [eigenoperator_decomposition(H, j, a)
+            for j in range(H.n_qubits) for a in ("x", "z")]
+
+
+def split(dec):
+    """(the eps > 0 component, the zero mode) of a two-component decomposition."""
+    pair, = [c for c in dec.components if not c.is_zero_mode]
+    zero, = [c for c in dec.components if c.is_zero_mode]
+    return pair, zero
+
 
 def test_excitation_resolution_of_identity(l2):
     lat, H = l2
-    for sector, axis in (("electric", "x"), ("magnetic", "z")):
-        o = excitation_ops(lat, H, 0, sector)
-        diff = o.pauli - PauliSum.from_string(PauliString.single(8, 0, axis))
+    for axis in ("x", "z"):
+        pair, zero = split(eigenoperator_decomposition(H, 0, axis))
+        whole = (pair.lowering + pair.raising + zero.translation).simplify()
+        diff = whole - PauliSum.from_string(PauliString.single(8, 0, axis))
         assert all(abs(c) < 1e-13 for c, _ in diff.terms)
-        assert np.isclose(o.delta, 2.0)
-        assert o.T.is_hermitian()
-        assert np.allclose(o.E_dag.to_dense(), o.E.to_dense().conj().T)
+        assert np.isclose(pair.epsilon, 2.0)  # Delta = 2*lambda
+        assert zero.translation.is_hermitian()
+        assert np.allclose(pair.raising.to_dense(), pair.lowering.to_dense().conj().T)
 
 
 def test_pair_creation_syndromes_and_energy(l2, l2_dense):
@@ -245,8 +256,8 @@ def test_pair_creation_syndromes_and_energy(l2, l2_dense):
     Hd, evals, evecs = l2_dense
     V0 = evecs[:, np.abs(evals - evals[0]) < 1e-9]
     psi0 = V0[:, 0]
-    o = excitation_ops(lat, H, 0, "electric")
-    created = o.E_dag.to_dense() @ psi0
+    pair, _ = split(eigenoperator_decomposition(H, 0, "x"))
+    created = pair.raising.to_dense() @ psi0
     norm = np.linalg.norm(created)
     assert norm > 1e-8
     created /= norm
@@ -262,37 +273,25 @@ def test_translation_annihilates_ground_state(l2, l2_dense):
     lat, H = l2
     _, evals, evecs = l2_dense
     V0 = evecs[:, np.abs(evals - evals[0]) < 1e-9]
-    for sector in ("electric", "magnetic"):
-        o = excitation_ops(lat, H, 3, sector)
-        T = o.T.to_dense()
+    for axis in ("x", "z"):
+        _, zero = split(eigenoperator_decomposition(H, 3, axis))
+        T = zero.translation.to_dense()
         assert np.linalg.norm(T @ V0) < 1e-12
 
 
-def test_excitation_ops_match_decomposition(l2):
-    lat, H = l2
-    o = excitation_ops(lat, H, 2, "electric")
-    dec = eigenoperator_decomposition(H, 2, "x")
-    by_eps = {c.epsilon: c for c in dec.components}
-    diff_low = by_eps[2.0].lowering - o.E
-    diff_t = by_eps[0.0].translation - o.T
-    assert all(abs(c) < 1e-13 for c, _ in diff_low.terms)
-    assert all(abs(c) < 1e-13 for c, _ in diff_t.terms)
-
-
-def test_excitation_ops_bad_inputs(l2):
+def test_decomposition_bad_inputs(l2):
     lat, H = l2
     with pytest.raises(ParameterError):
-        excitation_ops(lat, H, 99, "electric")
+        eigenoperator_decomposition(H, 99, "x")
     with pytest.raises(ParameterError):
-        excitation_ops(lat, H, 0, "dyonic")
+        eigenoperator_decomposition(H, 0, "w")
 
 
 # -- Fourier form of H_TC ------------------------------------------------------
 
 def test_fourier_form_residual_and_fit(l2):
     lat, H = l2
-    ops = all_excitation_ops(lat, H)
-    c, d, res = fourier_form_check(H, ops)
+    c, d, res = fourier_form_check(H, full_decomps(H))
     assert res < 1e-10
     # Delta = 2*lambda convention: prefactor Delta/4 = lambda/2, constant -2*lambda*L^2
     assert np.isclose(c, 0.5, atol=1e-12)
@@ -304,8 +303,7 @@ def test_fourier_form_scales_linearly_with_coupling():
     fits = {}
     for lam in (0.5, 1.0, 2.0):
         H = toric_hamiltonian(lat, lam, lam)
-        ops = all_excitation_ops(lat, H)
-        c, d, res = fourier_form_check(H, ops)
+        c, d, res = fourier_form_check(H, full_decomps(H))
         assert res < 1e-10
         fits[lam] = (c, d)
     assert np.isclose(fits[2.0][0], 2 * fits[1.0][0], atol=1e-12)
@@ -314,11 +312,11 @@ def test_fourier_form_scales_linearly_with_coupling():
 
 def test_fourier_sum_commutes_with_hamiltonian(l2):
     lat, H = l2
-    ops = all_excitation_ops(lat, H)
     S = np.zeros((256, 256), dtype=complex)
-    for o in ops:
-        e = o.E.to_dense()
-        t = o.T.to_dense()
+    for dec in full_decomps(H):
+        pair, zero = split(dec)
+        e = pair.lowering.to_dense()
+        t = zero.translation.to_dense()
         S += 2 * e.conj().T @ e + t @ t
     Hd = H.to_dense()
     assert np.linalg.norm(S @ Hd - Hd @ S) < 1e-10
@@ -326,9 +324,11 @@ def test_fourier_sum_commutes_with_hamiltonian(l2):
 
 def test_fourier_form_requires_complete_set(l2):
     lat, H = l2
-    ops = all_excitation_ops(lat, H)[:-1]
+    decomps = full_decomps(H)
     with pytest.raises(ModelError):
-        fourier_form_check(H, ops)
+        fourier_form_check(H, decomps[:-1])
+    with pytest.raises(ModelError):
+        fourier_form_check(H, decomps[:-1] + decomps[:1])
 
 
 def test_vertex_stabilizer_dense_eigenvalues():

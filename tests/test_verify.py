@@ -17,7 +17,6 @@ from stabtherm.pauli import PauliString
 from stabtherm.toric import (
     StabilizerHamiltonian,
     StabilizerTerm,
-    all_excitation_ops,
     build_torus,
     eigenoperator_decomposition,
     loop_operators,
@@ -28,6 +27,7 @@ from stabtherm.verify import (
     check_fixed_point_conditions,
     commutant_dimension,
     ergodicity_check,
+    random_density_matrix,
     uniqueness_and_attractor_probe,
 )
 
@@ -43,7 +43,7 @@ def decomps(H):
 def l2():
     lat = build_torus(2)
     H = toric_hamiltonian(lat, 1.0, 1.0)
-    return lat, H, all_excitation_ops(lat, H)
+    return lat, H, decomps(H)
 
 
 @pytest.fixture(scope="module")
@@ -86,6 +86,12 @@ def test_wrong_temperature_leaves_visible_residual(l2):
     assert report.max_residual("raising") > 1e-3
     # the translation condition still holds (any Gibbs state commutes with T)
     assert report.max_residual("translation") < 1e-12
+
+
+def test_random_state_breaks_translation(l2):
+    lat, H, ops = l2
+    rho = random_density_matrix(256, np.random.default_rng(3))
+    assert check_fixed_point_conditions(rho, ops, 1.0).max_residual("translation") > 1e-3
 
 
 def test_residual_scales_linearly_with_perturbation(l2):
