@@ -18,8 +18,12 @@ beta and omega are finite with beta*omega >= 0 (no negative temperatures).
 
 Schedules are simulated with channel-sum semantics: measurements and random
 bits expand into weighted branches (no sampling), and branches merge as soon
-as no later gate reads their classical bits, so branch counts stay bounded.
-Results are exact and deterministic.
+as no later gate reads their classical bits. A bit is written before it is
+read inside a segment, so every bit lives and dies inside a closed classical
+region: from a MEASURE_Z or SAMPLE_BOLTZMANN_BIT to the first gate after
+which no bit is live. Its branches have merged again by its end, so a region
+is one fixed channel on the qubits it touches. Results are exact and
+deterministic.
 
 A segment is lowered once, when its simulation starts. Each maximal run of
 consecutive ROT1/CPHASE gates is fused into one unitary on the sorted union
@@ -30,8 +34,15 @@ larger than the state it acts on); every other gate becomes its outcomes
 outcome is a short sequence of local maps on that doubled register: a
 unitary or projector u on qubits Q is u on Q + n then conj(u) on Q, and a
 Kraus channel (THERMAL_RESET) is one Liouville map sum_k K (x) conj(K) on
-Q and Q + n. One kernel, ``_apply_local``, applies them all. The
-whole-channel views run one segment on the stack of all d^2 basis matrices.
+Q and Q + n. Each closed region on qubits Q is then replaced by one such
+Liouville map, found by running the region's branches once on the 4^|Q|
+basis matrices of Q, when that 4^|Q| x 4^|Q| map is no larger than the
+state (16^|Q| <= 4^n, the rule for fused runs); a wider region keeps its
+gates and branches at run time. A measured reset is thus the same 4 x 4 map
+as THERMAL_RESET on two or more qubits. One kernel, ``_apply_local``,
+applies every map, and one loop, ``_ScheduleRunner._run_segment``, runs
+branches both when lowering a region and at run time. The whole-channel
+views run one segment on the stack of all d^2 basis matrices.
 """
 
 from __future__ import annotations
@@ -44,7 +55,7 @@ from dataclasses import asdict, dataclass, fields
 import numpy as np
 
 from .errors import ParameterError, ScheduleError
-from .lindblad import DensityMatrix, LindbladGenerator
+from .lindblad import DensityMatrix, LindbladGenerator, _check_temperature
 from .pauli import PauliString
 
 ROT1 = "ROT1"
@@ -75,15 +86,6 @@ def _number(where: str, v, integral: bool = False):
             or (integral and not float(v).is_integer())):
         raise ScheduleError(f"{where} must be {expected}, got {v!r}")
     return int(v) if integral else float(v)
-
-
-def _check_temperature(beta: float, omega: float, error: type[Exception]) -> None:
-    """Raise ``error`` unless beta and omega are finite with beta*omega >= 0,
-    so that the Boltzmann ratio e^{-beta*omega} is at most 1."""
-    if not (math.isfinite(beta) and math.isfinite(omega)):
-        raise error("beta and omega must be finite")
-    if beta * omega < 0:
-        raise error("negative temperature requested (beta*omega < 0)")
 
 
 @dataclass(frozen=True)
@@ -455,13 +457,23 @@ def _lower(g: Gate, n: int) -> tuple:
     return ((None, 1.0, _channel_maps(_thermal_kraus(g.beta, g.omega, relax), (g.qubit,), n)),)
 
 
+def _local_maps(maps, local: dict[int, int], n: int) -> tuple:
+    """Maps on the doubled n-qubit register relabelled to the doubled register
+    of the qubits in ``local`` (qubit q to local[q], its row q + n to
+    local[q] + len(local))."""
+    k = len(local)
+    return tuple((op, tuple(local[q % n] + k * (q >= n) for q in qs)) for op, qs in maps)
+
+
 class _ScheduleRunner:
     """Executes a schedule on a stack of matrices (linear channel semantics).
 
     The segment is lowered once: each maximal run of ROT1/CPHASE gates to one
     fused unitary (``_fuse``), every other gate to its outcomes (``_lower``).
-    Each entry of the plan is (the gate, or None for a run; its outcomes; the
-    classical bits live after it).
+    Each entry of the plan is (the gate, or None for a run or a closed
+    region; its outcomes; the classical bits live after it). Every closed
+    classical region small enough is then replaced by its one Liouville map
+    (``_close_regions``).
     """
 
     def __init__(self, schedule: GateSchedule):
@@ -474,8 +486,9 @@ class _ScheduleRunner:
                 lowered.append((None, ((None, 1.0, _conjugation_maps(u, qubits, n)),)))
             else:
                 lowered += [(g, _lower(g, n)) for g in run]
-        self._plan = [(g, outcomes, keep) for (g, outcomes), keep
-                      in zip(lowered, self._liveness([g for g, _ in lowered]))]
+        plan = [(g, outcomes, keep) for (g, outcomes), keep
+                in zip(lowered, self._liveness([g for g, _ in lowered]))]
+        self._plan = self._close_regions(plan, n)
 
     @staticmethod
     def _liveness(gates: list[Gate | None]) -> list[frozenset[int]]:
@@ -492,6 +505,42 @@ class _ScheduleRunner:
                 live |= {b for b, _ in g.condition}
         return out
 
+    @classmethod
+    def _close_regions(cls, plan: list, n: int) -> list:
+        """The plan with each closed classical region as one map.
+
+        A region runs from a MEASURE_Z or SAMPLE_BOLTZMANN_BIT to the first
+        entry after which no bit is live; its branches have merged there, so
+        it is one fixed channel on the qubits Q it touches. That channel is
+        the region run once on the 4^|Q| local basis matrices, a Liouville map
+        on Q (columns) and Q + n (rows). A map larger than the state
+        (16^|Q| > 4^n) is not formed; such a region keeps its entries.
+        """
+        out: list = []
+        i = 0
+        while i < len(plan):
+            g = plan[i][0]
+            if g is None or g.kind not in (MEASURE_Z, SAMPLE_BOLTZMANN_BIT):
+                out.append(plan[i])
+                i += 1
+                continue
+            end = next(j for j in range(i, len(plan)) if not plan[j][2])
+            region, i = plan[i:end + 1], end + 1
+            qubits = sorted({q % n for _, outcomes, _ in region
+                             for _, _, maps in outcomes for _, qs in maps for q in qs})
+            k = len(qubits)
+            if 2 * k > n:
+                out += region
+                continue
+            local = {q: j for j, q in enumerate(qubits)}
+            local_plan = [(g, tuple((v, w, _local_maps(maps, local, n)) for v, w, maps in outcomes),
+                           keep) for g, outcomes, keep in region]
+            basis = np.eye(1 << 2 * k, dtype=complex).reshape(1 << k, 1 << k, 1 << 2 * k)
+            S = cls._run_segment(local_plan, k, basis).reshape(1 << 2 * k, 1 << 2 * k)
+            maps = ((S, tuple(qubits) + tuple(q + n for q in qubits)),)
+            out.append((None, ((None, 1.0, maps),), frozenset()))
+        return out
+
     def run(self, mat: np.ndarray) -> np.ndarray:
         """Apply the segment ``steps`` times to ``mat`` of shape (d, d) + rest,
         each trailing index an independent input. A bit is written before it
@@ -499,14 +548,16 @@ class _ScheduleRunner:
         boundary."""
         out = np.array(mat, dtype=complex)
         for _ in range(self.schedule.steps):
-            out = self._run_segment(out)
+            out = self._run_segment(self._plan, self.n, out)
         return out
 
-    def _run_segment(self, mat: np.ndarray) -> np.ndarray:
-        n2 = 2 * self.n
+    @staticmethod
+    def _run_segment(plan: list, n: int, mat: np.ndarray) -> np.ndarray:
+        """One pass of ``plan`` over ``mat`` of shape (2^n, 2^n) + rest."""
+        n2 = 2 * n
         branches: dict[tuple[tuple[int, int], ...], np.ndarray] = {
             (): mat.reshape((2,) * n2 + mat.shape[2:])}
-        for g, outcomes, keep in self._plan:
+        for g, outcomes, keep in plan:
             new: dict[tuple[tuple[int, int], ...], np.ndarray] = {}
 
             def emit(bits_dict: dict[int, int], m: np.ndarray):
@@ -566,7 +617,8 @@ def schedule_superoperator(schedule: GateSchedule) -> np.ndarray:
     i + dim*j), raised to the step count."""
     dim = 1 << schedule.n_qubits
     basis = np.eye(dim * dim, dtype=complex).reshape(dim, dim, dim * dim).transpose(1, 0, 2)
-    images = _ScheduleRunner(schedule)._run_segment(basis)
+    runner = _ScheduleRunner(schedule)
+    images = runner._run_segment(runner._plan, runner.n, basis)
     S = images.transpose(1, 0, 2).reshape(dim * dim, dim * dim)
     return np.linalg.matrix_power(S, schedule.steps)
 

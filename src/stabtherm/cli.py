@@ -23,7 +23,14 @@ from .errors import (
     ParameterError,
     ScheduleError,
 )
-from .lindblad import DensityMatrix, _check_capacity, gibbs_state, steady_states, trajectory
+from .lindblad import (
+    DensityMatrix,
+    _check_capacity,
+    gibbs_state,
+    steady_states,
+    trace_distance,
+    trajectory,
+)
 from .pauli import PauliString
 from .serialize import (
     config_hash,
@@ -89,24 +96,33 @@ def _davies_generator(H: StabilizerHamiltonian, decomps, beta: float, gamma0: fl
     return davies_reduction(H, decomps, beta, gamma0)
 
 
-def _observable_values(name: str, H, lat, rho: np.ndarray, beta: float) -> float:
-    if name in ("A_v", "B_p") and lat is None:
-        raise ConfigError(f"observable {name!r} requires a toric model")
-    if name == "energy":
-        return float(np.real(np.trace(H.to_dense() @ rho)))
-    if name == "A_v":
-        vals = [float(np.real(np.trace(vertex_string(lat, v).to_dense() @ rho)))
-                for v in range(len(lat.vertices))]
-        return float(np.mean(vals))
-    if name == "B_p":
-        vals = [float(np.real(np.trace(plaquette_string(lat, p).to_dense() @ rho)))
-                for p in range(len(lat.plaquettes))]
-        return float(np.mean(vals))
-    if name == "gibbs_distance":
-        from .lindblad import trace_distance
+def _observable_rows(names: list[str], H, lat, beta: float,
+                     states: list[np.ndarray]) -> list[list[float]]:
+    """The named observables on each state, one row per state. Each dense
+    matrix (and the Gibbs state) is built once and read on every state
+    before the next one is built."""
+    def traces(op) -> list[float]:
+        m = op.to_dense()
+        return [float(np.real(np.trace(m @ rho))) for rho in states]
 
-        return trace_distance(rho, gibbs_state(H.to_dense(), beta).mat)
-    raise ConfigError(f"unknown observable {name!r}")
+    columns = []
+    for name in names:
+        if name in ("A_v", "B_p") and lat is None:
+            raise ConfigError(f"observable {name!r} requires a toric model")
+        if name == "energy":
+            columns.append(traces(H))
+        elif name == "A_v":
+            sites = [traces(vertex_string(lat, v)) for v in range(len(lat.vertices))]
+            columns.append([float(np.mean(vals)) for vals in zip(*sites)])
+        elif name == "B_p":
+            sites = [traces(plaquette_string(lat, p)) for p in range(len(lat.plaquettes))]
+            columns.append([float(np.mean(vals)) for vals in zip(*sites)])
+        elif name == "gibbs_distance":
+            gs = gibbs_state(H.to_dense(), beta).mat
+            columns.append([trace_distance(rho, gs) for rho in states])
+        else:
+            raise ConfigError(f"unknown observable {name!r}")
+    return [[col[i] for col in columns] for i in range(len(states))]
 
 
 # ---------------------------------------------------------------------------
@@ -144,9 +160,9 @@ def _thermalize_rows(H, lat, decomps, beta: float, gamma0: float, t: float, poin
     """Observables along a Davies trajectory from the maximally mixed state."""
     gen = _davies_generator(H, decomps, beta, gamma0)
     rho0 = DensityMatrix.maximally_mixed(1 << H.n_qubits)
-    states = trajectory(gen, rho0, t, points, method=method)
-    return [[ti] + [_observable_values(n, H, lat, rho.mat, beta) for n in names]
-            for ti, rho in zip(np.linspace(0.0, t, points), states)]
+    states = [rho.mat for rho in trajectory(gen, rho0, t, points, method=method)]
+    return [[ti] + vals for ti, vals
+            in zip(np.linspace(0.0, t, points), _observable_rows(names, H, lat, beta, states))]
 
 
 def cmd_thermalize(args) -> int:
@@ -360,7 +376,7 @@ def cmd_run(args) -> int:
         rows = []
         for b in grid:
             rho = gibbs_state(H.to_dense(), b).mat
-            rows.append([b] + [_observable_values(n, H, lat, rho, b) for n in observables])
+            rows.append([b] + _observable_rows(observables, H, lat, b, [rho])[0])
         csv_path = outdir / "gibbs_sweep.csv"
         write_csv(csv_path, ["beta"] + observables, rows)
         result["csv"] = str(csv_path)
@@ -379,9 +395,8 @@ def cmd_run(args) -> int:
         result["kernel_residual"] = ss.residual
         if ss.states:
             rho = ss.states[0].mat
-            result["observables"] = {
-                n: _observable_values(n, H, lat, rho, beta) for n in observables
-            }
+            result["observables"] = dict(zip(observables,
+                                             _observable_rows(observables, H, lat, beta, [rho])[0]))
     elif exp == "thermalize":
         rows = _thermalize_rows(H, lat, decomps, beta, float(dyn.get("gamma0", 0.5)),
                                 float(dyn.get("t", 1.0)), int(dyn.get("points", 11)),

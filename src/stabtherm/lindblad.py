@@ -24,6 +24,7 @@ Conventions (fixed package-wide):
 
 from __future__ import annotations
 
+import math
 import time
 import warnings
 from dataclasses import dataclass
@@ -85,10 +86,18 @@ def partial_trace(rho: np.ndarray, dims: Sequence[int], keep: Sequence[int]) -> 
     return t.reshape((d, d))
 
 
+def _check_temperature(beta: float, omega: float, error: type[Exception]) -> None:
+    """Raise ``error`` unless beta and omega are finite with beta*omega >= 0,
+    so that the Boltzmann ratio e^{-beta*omega} is at most 1."""
+    if not (math.isfinite(beta) and math.isfinite(omega)):
+        raise error("beta and omega must be finite")
+    if beta * omega < 0:
+        raise error("negative temperature requested (beta*omega < 0)")
+
+
 def thermal_qubit(beta: float, omega: float) -> np.ndarray:
     """diag(p0, p1) with p1/p0 = exp(-beta*omega) (hbar = 1)."""
-    if beta < 0:
-        raise ParameterError("negative inverse temperature not supported")
+    _check_temperature(beta, omega, ParameterError)
     w = np.exp(-beta * omega)
     return np.diag([1.0 / (1.0 + w), w / (1.0 + w)]).astype(complex)
 

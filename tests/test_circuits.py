@@ -42,6 +42,7 @@ from oracles import (
     full_reset,
     random_density,
     rotation,
+    simulate_gates,
     thermal_kraus,
 )
 
@@ -52,6 +53,16 @@ def mini_composite():
     H = single_stabilizer_model("ZZ", 1.0)
     decs = [eigenoperator_decomposition(H, 0, "x"),
             eigenoperator_decomposition(H, 0, "z")]
+    model, _ = attach_ancillas(H, decs, beta=1.0, gamma_minus=0.3, g=0.4)
+    return rwa_generator(model)
+
+
+@pytest.fixture(scope="module")
+def dressed_composite():
+    """2-qubit ZZ system with all four sites dressed: 4 ancillas (6 qubits)."""
+    H = single_stabilizer_model("ZZ", 1.0)
+    decs = [eigenoperator_decomposition(H, j, a)
+            for j in (0, 1) for a in ("x", "z")]
     model, _ = attach_ancillas(H, decs, beta=1.0, gamma_minus=0.3, g=0.4)
     return rwa_generator(model)
 
@@ -269,6 +280,63 @@ def test_superoperator_matches_simulation_through_branches():
     assert np.linalg.norm(vec.reshape(8, 8, order="F") - out) < 1e-12
 
 
+# -- closed classical regions -----------------------------------------------------
+
+def _plan(sched):
+    return circuits._ScheduleRunner(sched)._plan
+
+
+def test_measured_reset_lowers_to_the_thermal_reset_map():
+    beta, omega = 0.7, 1.3
+    for n in (2, 3):
+        for q in range(n):
+            ((g, outcomes, keep),) = _plan(reset_channel(beta, omega, q, n, "measured"))
+            ((value, weight, ((S, qubits),)),) = outcomes
+            ((S_ref, qubits_ref),) = circuits._channel_maps(
+                circuits._thermal_kraus(beta, omega, 1.0), (q,), n)
+            assert qubits == qubits_ref and np.abs(S - S_ref).max() < 1e-15, (n, q)
+
+
+def test_measured_resets_lower_like_pinned_ones(dressed_composite):
+    # the benchmark's pinned Trotter step, its resets measured instead
+    pinned = trotterize(dressed_composite, 1.0, 3, pin_resets=True)
+    gates = []
+    for g in pinned.gates:
+        gates += (reset_channel(g.beta, g.omega, g.qubit, pinned.n_qubits, "measured").gates
+                  if g.kind == THERMAL_RESET else (g,))
+    measured = GateSchedule(pinned.n_qubits, tuple(gates), 2, pinned.total_time, pinned.steps)
+    plan = _plan(measured)
+    assert len(plan) == len(_plan(pinned)) == 5
+    assert all(len(outcomes) == 1 for _, outcomes, _ in plan)
+    rho = random_density(64, np.random.default_rng(31))
+    assert np.linalg.norm(simulate_schedule(measured, rho).mat
+                          - simulate_schedule(pinned, rho).mat) < 1e-13
+
+
+def test_regions_lower_by_size_and_match_gate_by_gate():
+    # complex pulses and runs inside a region tell its map from the conjugate
+    # channel; a region keeps its gates when its map would outgrow the state:
+    # 16 x 16 on one qubit, 256 x 256 on two of two
+    def straddle(n, run_qubit):
+        return GateSchedule(n, (Gate(MEASURE_Z, qubit=0, cbit=0),
+                                Gate(CPHASE, qubit=0, qubit2=run_qubit, angle=0.7),
+                                Gate(ROT1, qubit=1, axis="x", angle=0.3),
+                                Gate(COND_PULSE, qubit=1, axis="x", angle=1.1,
+                                     condition=((0, 1),))), 1)
+
+    pulse = GateSchedule(2, (Gate(MEASURE_Z, qubit=1, cbit=0),
+                             Gate(COND_PULSE, qubit=1, axis="x", angle=0.9,
+                                  condition=((0, 1),))), 1)
+    rng = np.random.default_rng(37)
+    for sched, entries in ((pulse, 1), (straddle(4, 1), 1),
+                           (reset_channel(0.7, 1.3, implementation="measured"), 4),
+                           (straddle(2, 1), 3), (straddle(4, 2), 3)):
+        assert len(_plan(sched)) == entries
+        rho = random_density(1 << sched.n_qubits, rng)
+        assert np.linalg.norm(simulate_schedule(sched, rho).mat
+                              - simulate_gates(sched, rho)) < 1e-12
+
+
 # -- schedule simulation --------------------------------------------------------
 
 def test_empty_schedule_is_identity():
@@ -395,16 +463,12 @@ def test_trotter_rejects_uncompilable_dissipator():
         trotterize(g, 1.0, 2)
 
 
-def test_trotterized_long_time_reaches_gibbs_product():
+def test_trotterized_long_time_reaches_gibbs_product(dressed_composite):
     # fully dressed composite: the schedule thermalizes the whole register
-    H = single_stabilizer_model("ZZ", 1.0)
-    decs = [eigenoperator_decomposition(H, j, a)
-            for j in (0, 1) for a in ("x", "z")]
-    model, _ = attach_ancillas(H, decs, beta=1.0, gamma_minus=0.3, g=0.4)
-    gen = rwa_generator(model)
+    gen = dressed_composite
     ss = steady_states(gen)
     out = simulate_schedule(trotterize(gen, 60.0, 600),
-                            DensityMatrix.maximally_mixed(model.dim))
+                            DensityMatrix.maximally_mixed(gen.n_levels))
     assert out.distance(ss.state) < 1e-2
 
 
@@ -422,19 +486,15 @@ def test_cold_composite_resets_keep_the_model_beta():
     assert np.all(np.isfinite(out.mat))
 
 
-def test_pinned_resets_leave_fixed_point_unchanged():
+def test_pinned_resets_leave_fixed_point_unchanged(dressed_composite):
     # gamma-magnitude insensitivity: at fixed dt the step-channel fixed point
     # agrees with the generator's steady state for exact and pinned resets
-    H = single_stabilizer_model("ZZ", 1.0)
-    decs = [eigenoperator_decomposition(H, j, a)
-            for j in (0, 1) for a in ("x", "z")]
-    model, _ = attach_ancillas(H, decs, beta=1.0, gamma_minus=0.3, g=0.4)
-    gen = rwa_generator(model)
+    gen = dressed_composite
     ss = steady_states(gen)
     dt = 0.2
     for pin, steps in ((False, 300), (True, 1500)):
         # pinned resets relax the system at ~g^2*dt per unit time, so the
         # pinned chain needs proportionally more steps to settle
         sched = trotterize(gen, steps * dt, steps, pin_resets=pin)
-        out = simulate_schedule(sched, DensityMatrix.maximally_mixed(model.dim))
+        out = simulate_schedule(sched, DensityMatrix.maximally_mixed(gen.n_levels))
         assert out.distance(ss.state) < 1e-7, f"pin={pin}"

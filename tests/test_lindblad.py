@@ -269,6 +269,16 @@ def test_thermal_qubit_ratio():
         assert np.isclose(p[1, 1].real / p[0, 0].real, np.exp(-beta * omega))
 
 
+def test_thermal_qubit_rejects_negative_temperature_and_overflow():
+    # exp(-beta*omega) overflows at beta*omega = -800, and beta*omega = -1
+    # would invert the populations; both are negative temperatures
+    for beta, omega in ((1.0, -800.0), (1.0, -1.0), (-1.0, 1.0),
+                        (np.inf, 1.0), (1.0, np.nan)):
+        with pytest.raises(ParameterError):
+            thermal_qubit(beta, omega)
+    assert np.array_equal(thermal_qubit(1.0, 800.0), np.diag([1.0, 0.0]))
+
+
 # -- block solvers against the computational-basis oracle ----------------------
 
 def full_decomps(H):

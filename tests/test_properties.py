@@ -13,6 +13,7 @@ from stabtherm.circuits import (  # noqa: E402
     CPHASE,
     MEASURE_Z,
     ROT1,
+    SAMPLE_BOLTZMANN_BIT,
     THERMAL_RESET,
     Gate,
     GateSchedule,
@@ -121,33 +122,54 @@ def test_commutant_block_nullity_matches_dense_oracle(H, beta):
 def schedules(draw):
     """Random segments on 1-4 qubits built from blocks: unitary runs on a
     random qubit subset each, partial THERMAL_RESETs that break runs,
-    measured resets, and a Z measurement whose bit gates a COND_PULSE."""
+    measured resets, a Z measurement whose bit gates a COND_PULSE, and a
+    "straddle": a Z measurement whose bit gates a COND_PULSE on another
+    qubit after a unitary run, the bit sometimes rewritten before the read
+    (closed classical regions that contain runs, both lowered to one map and
+    kept gate by gate)."""
     n = draw(st.integers(1, 4))
     qubit = st.integers(0, n - 1)
     angle = st.floats(-np.pi, np.pi)
     axis = st.sampled_from("xyz")
     gates = []
-    blocks = st.sampled_from(["run", "partial reset", "measured reset", "pulse"])
+
+    def unitary_run():
+        subset = draw(st.lists(qubit, min_size=1, max_size=n, unique=True))
+        for _ in range(draw(st.integers(1, 4))):
+            if len(subset) > 1 and draw(st.booleans()):
+                a, b = draw(st.permutations(subset))[:2]
+                gates.append(Gate(CPHASE, qubit=a, qubit2=b, angle=draw(angle)))
+            else:
+                gates.append(Gate(ROT1, qubit=draw(st.sampled_from(subset)),
+                                  axis=draw(axis), angle=draw(angle)))
+
+    blocks = st.sampled_from(["run", "partial reset", "measured reset", "pulse", "straddle"])
     for block in draw(st.lists(blocks, min_size=1, max_size=5)):
         if block == "run":
-            subset = draw(st.lists(qubit, min_size=1, max_size=n, unique=True))
-            for _ in range(draw(st.integers(1, 4))):
-                if len(subset) > 1 and draw(st.booleans()):
-                    a, b = draw(st.permutations(subset))[:2]
-                    gates.append(Gate(CPHASE, qubit=a, qubit2=b, angle=draw(angle)))
-                else:
-                    gates.append(Gate(ROT1, qubit=draw(st.sampled_from(subset)),
-                                      axis=draw(axis), angle=draw(angle)))
+            unitary_run()
         elif block == "partial reset":
             gates.append(Gate(THERMAL_RESET, qubit=draw(qubit), beta=draw(st.floats(0, 3)),
                               omega=draw(st.floats(0.1, 2)), relax=draw(st.floats(0, 1))))
         elif block == "measured reset":
             gates += reset_channel(draw(st.floats(0, 3)), draw(st.floats(0.1, 2)), draw(qubit), n,
                                    implementation="measured").gates
-        else:
+        elif block == "pulse":
             gates += [Gate(MEASURE_Z, qubit=draw(qubit), cbit=0),
                       Gate(COND_PULSE, qubit=draw(qubit), axis=draw(axis), angle=draw(angle),
                            condition=((0, draw(st.integers(0, 1))),))]
+        else:
+            bit, measured = draw(st.integers(0, 1)), draw(qubit)
+            gates.append(Gate(MEASURE_Z, qubit=measured, cbit=bit))
+            unitary_run()
+            rewrite = draw(st.sampled_from([None, MEASURE_Z, SAMPLE_BOLTZMANN_BIT]))
+            if rewrite == MEASURE_Z:
+                gates.append(Gate(MEASURE_Z, qubit=draw(qubit), cbit=bit))
+            elif rewrite == SAMPLE_BOLTZMANN_BIT:
+                gates.append(Gate(SAMPLE_BOLTZMANN_BIT, beta=draw(st.floats(0, 3)),
+                                  omega=draw(st.floats(0.1, 2)), cbit=bit))
+            others = [q for q in range(n) if q != measured] or [measured]
+            gates.append(Gate(COND_PULSE, qubit=draw(st.sampled_from(others)), axis=draw(axis),
+                              angle=draw(angle), condition=((bit, draw(st.integers(0, 1))),)))
     return GateSchedule(n, tuple(gates), 2, 0.0, draw(st.integers(1, 2)))
 
 
