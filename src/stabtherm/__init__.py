@@ -28,7 +28,6 @@ from .lindblad import (
     DensityMatrix,
     JumpOp,
     LindbladGenerator,
-    build_superoperator,
     evolve,
     trajectories,
     trajectory,

@@ -16,6 +16,7 @@ frequency) so composite index maps are reproducible.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -143,11 +144,6 @@ class CompositeModel:
     def join(self, system_state: np.ndarray, ancilla_state: np.ndarray) -> np.ndarray:
         """Composite state with system on qubits [0, n_system)."""
         return np.kron(ancilla_state, system_state)
-
-    def system_marginal(self, rho: np.ndarray) -> np.ndarray:
-        from .lindblad import partial_trace
-
-        return partial_trace(rho, [1 << self.n_ancilla, 1 << self.n_system], keep=[1])
 
 
 def _dressing_ancillas(
@@ -298,6 +294,8 @@ def davies_reduction(
         raise ModelError(f"decompositions do not cover every (site, sector); missing {missing}")
     if gamma0 <= 0:
         raise ParameterError("gamma0 must be positive")
+    if not (math.isfinite(beta) and beta >= 0):
+        raise ParameterError(f"beta must be finite and nonnegative, got {beta}")
 
     jumps = []
     for d in decomps:
@@ -349,10 +347,10 @@ def rwa_validity_probe(
     g: float,
     t_max: float,
     n_points: int = 40,
-    rho0: np.ndarray | None = None,
 ) -> RwaProbeReport:
-    """Evolve one initial state under the lab-frame and RWA generators and
-    report the trace-distance divergence over time.
+    """Evolve the maximally mixed system state, joined with the thermal
+    ancillas, under the lab-frame and RWA generators and report the
+    trace-distance divergence over time.
 
     The RWA evolution happens in the interaction picture; states are rotated
     back with U0 = exp(-i H0 t), H0 = H_sys - sum (omega/2) Sigma^z, before
@@ -366,18 +364,14 @@ def rwa_validity_probe(
     if dim * dim > 1 << 20:
         raise CapacityError("probe needs a small composite (dense dual evolution)")
 
-    if rho0 is None:
-        sys_part = np.eye(1 << H.n_qubits, dtype=complex) / (1 << H.n_qubits)
-        rho = model.join(sys_part, model.thermal_ancilla_state(beta))
-    else:
-        rho = np.asarray(rho0, dtype=complex)
-    rho0_dm = DensityMatrix(rho)
+    sys_part = np.eye(1 << H.n_qubits, dtype=complex) / (1 << H.n_qubits)
+    rho0 = DensityMatrix(model.join(sys_part, model.thermal_ancilla_state(beta)))
 
     H0 = model.bare_hamiltonian().to_dense()
 
     times = np.linspace(0.0, t_max, n_points)
-    lab = trajectory(lab_gen, rho0_dm, t_max, n_points)
-    rwa = trajectory(rwa_gen, rho0_dm, t_max, n_points)
+    lab = trajectory(lab_gen, rho0, t_max, n_points)
+    rwa = trajectory(rwa_gen, rho0, t_max, n_points)
     U0_dt = dense_expm(-1j * H0 * (times[1] - times[0]))
     U0_t = np.eye(dim, dtype=complex)
     div = np.zeros(n_points)

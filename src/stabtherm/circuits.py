@@ -57,6 +57,7 @@ import numpy as np
 from .errors import ParameterError, ScheduleError
 from .lindblad import DensityMatrix, LindbladGenerator, _check_temperature
 from .pauli import PauliString
+from .serialize import strict_json
 
 ROT1 = "ROT1"
 CPHASE = "CPHASE"
@@ -201,14 +202,14 @@ class GateSchedule:
         lines = [ln for ln in text.splitlines() if ln.strip()]
         if not lines:
             raise ScheduleError("empty schedule file")
-        first = json.loads(lines[0])
+        first = strict_json(lines[0], ScheduleError)
         h = first.get("header") if isinstance(first, dict) else None
         if not isinstance(h, dict):
             raise ScheduleError("schedule file is missing its header line")
         if "n_qubits" not in h or set(h) - _HEADER_KEYS:
             raise ScheduleError(f"a header has n_qubits and only {sorted(_HEADER_KEYS)}, "
                                 f"got {sorted(h)}")
-        gates = tuple(Gate.from_json(json.loads(ln)) for ln in lines[1:])
+        gates = tuple(Gate.from_json(strict_json(ln, ScheduleError)) for ln in lines[1:])
         return cls(_number("n_qubits", h["n_qubits"], True), gates,
                    _number("n_classical", h.get("n_classical", 0), True),
                    _number("total_time", h.get("total_time", 0.0)),
@@ -529,6 +530,8 @@ class _ScheduleRunner:
             qubits = sorted({q % n for _, outcomes, _ in region
                              for _, _, maps in outcomes for _, qs in maps for q in qs})
             k = len(qubits)
+            if k == 0:  # a channel on no qubit: the weights of its outcomes sum to 1
+                continue
             if 2 * k > n:
                 out += region
                 continue

@@ -38,6 +38,7 @@ from .serialize import (
     hamiltonian_to_json,
     lattice_to_json,
     state_to_json,
+    strict_json,
     write_csv,
 )
 from .toric import (
@@ -357,7 +358,7 @@ def validate_config(cfg: dict) -> None:
 
 
 def cmd_run(args) -> int:
-    cfg = json.loads(Path(args.config).read_text())
+    cfg = strict_json(Path(args.config).read_text(), ConfigError)
     validate_config(cfg)
     h = config_hash(cfg)
     outdir = Path(cfg.get("output_dir", "."))

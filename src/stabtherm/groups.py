@@ -105,9 +105,6 @@ class FiniteGroup:
         return tuple(g for g in range(self.order)
                      if self.mult(g, h) == self.mult(h, g))
 
-    def is_abelian(self) -> bool:
-        return np.array_equal(self.table, self.table.T)
-
 
 def cyclic_group(n: int) -> FiniteGroup:
     if n < 1:

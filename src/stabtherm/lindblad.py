@@ -1,14 +1,14 @@
-"""Lindblad generators on vectorized density matrices: superoperators, exact
-time evolution (dense exponential or Krylov), steady-state kernels and Gibbs
-states.
+"""Lindblad generators on vectorized density matrices: exact time evolution
+(dense exponential or Krylov), steady-state kernels and Gibbs states.
 
 Evolution and steady states work on the superoperator written in an
 orthonormal operator basis: the Hermitian Pauli basis on n qubits (where the
 matrix is real), the matrix units otherwise. The connected components of
 that matrix are exact invariant blocks; for a stabilizer Hamiltonian with
 Pauli jumps dressed by syndrome projectors each lies in a coset of the
-stabilizer group. ``build_superoperator`` (computational basis) is the
-oracle the tests check the blocks against.
+stabilizer group. One kernel solver, ``_BlockForm.kernel``, decides the
+kernel block by block; ``steady_states`` and ``verify``'s commutant
+dimension both call it.
 
 Conventions (fixed package-wide):
 
@@ -43,8 +43,14 @@ from .pauli import PauliString
 SUPEROP_DIM_LIMIT = 256
 #: Block size up to which trajectory(method="auto") uses the exact exponential.
 EXACT_EXPM_LIMIT = 4096
-#: Largest invariant block that steady_states diagonalizes densely.
+#: Largest invariant block that the kernel solver diagonalizes densely.
 DENSE_BLOCK_LIMIT = 1024
+#: steady_states counts |lambda| < KERNEL_TOL * ||L|| as kernel.
+KERNEL_TOL = 1e-10
+#: Largest kernel steady_states accepts.
+MAX_KERNEL = 64
+#: Smallest eigenvalue count steady_states reports (and first asks ARPACK for).
+STEADY_EIGENVALUES = 6
 #: Assembled Pauli coefficients below this fraction of their source count as
 #: exact zeros, so rounding noise cannot join two invariant blocks; dropping
 #: them moves eigenvalues far less than the kernel threshold.
@@ -71,19 +77,6 @@ def trace_distance(a: np.ndarray, b: np.ndarray) -> float:
     diff = np.asarray(a) - np.asarray(b)
     diff = (diff + diff.conj().T) / 2
     return float(0.5 * np.abs(np.linalg.eigvalsh(diff)).sum())
-
-
-def partial_trace(rho: np.ndarray, dims: Sequence[int], keep: Sequence[int]) -> np.ndarray:
-    """Trace out every subsystem not listed in ``keep`` (dims in kron order)."""
-    dims = list(dims)
-    k = len(dims)
-    keep = sorted(keep)
-    t = rho.reshape(dims + dims)
-    out_axes = [i for i in range(k) if i not in keep]
-    for ax in reversed(out_axes):
-        t = np.trace(t, axis1=ax, axis2=ax + t.ndim // 2)
-    d = int(np.prod([dims[i] for i in keep])) if keep else 1
-    return t.reshape((d, d))
 
 
 def _check_temperature(beta: float, omega: float, error: type[Exception]) -> None:
@@ -113,6 +106,8 @@ class DensityMatrix:
         object.__setattr__(self, "mat", m)
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise ParameterError("density matrix must be square")
+        if not np.isfinite(m).all():
+            raise ParameterError("density matrix has non-finite entries")
         if np.linalg.norm(m - m.conj().T) > 1e-8 * max(1.0, np.linalg.norm(m)):
             raise ParameterError("density matrix is not Hermitian")
         if abs(np.trace(m) - 1.0) > 1e-10:
@@ -192,11 +187,12 @@ class LindbladGenerator:
         object.__setattr__(self, "jumps", tuple(ops))
 
 
-def _check_capacity(d: int, dim_limit: int = SUPEROP_DIM_LIMIT) -> None:
-    """Refuse a superoperator (in any basis) for Hilbert dimension d > dim_limit."""
-    if d > dim_limit:
+def _check_capacity(d: int) -> None:
+    """Refuse a superoperator (in any basis) for Hilbert dimension d >
+    SUPEROP_DIM_LIMIT."""
+    if d > SUPEROP_DIM_LIMIT:
         raise CapacityError(
-            f"superoperator for dim {d} exceeds the configured limit {dim_limit}"
+            f"superoperator for dim {d} exceeds the configured limit {SUPEROP_DIM_LIMIT}"
         )
 
 
@@ -217,14 +213,6 @@ def _kron_sum(terms, d: int) -> sparse.csr_matrix:
             sparse.csr_matrix((d * d, d * d), dtype=complex))
     L.eliminate_zeros()
     return L
-
-
-def build_superoperator(g: LindbladGenerator, dim_limit: int = SUPEROP_DIM_LIMIT) -> sparse.csr_matrix:
-    """Sparse column-stacking superoperator of dimension dim^2 x dim^2 in the
-    computational basis: the tests' oracle for the block solvers, which do
-    not call it."""
-    _check_capacity(g.n_levels, dim_limit)
-    return _kron_sum(_sandwich_terms(g), g.n_levels)
 
 
 def _superop_scale(L: sparse.spmatrix) -> float:
@@ -306,7 +294,9 @@ class _BlockForm:
 
     ``coefficients(rho)`` expands a d x d matrix in the basis and
     ``vectors(C)`` maps coefficient columns back to column-stacking vec form;
-    both maps are unitary.
+    both maps are unitary. ``hermitian`` records that T is a Hermitian map
+    (the commutant form of ``verify``), so its blocks get Hermitian
+    eigensolvers.
     """
 
     basis: str
@@ -314,6 +304,7 @@ class _BlockForm:
     labels: np.ndarray
     coefficients: Callable[[np.ndarray], np.ndarray]
     vectors: Callable[[np.ndarray], np.ndarray]
+    hermitian: bool
 
     def blocks(self, among=None):
         """Member indices of the blocks labelled in ``among`` (default all),
@@ -343,6 +334,78 @@ class _BlockForm:
         stack[sub.row // s, sub.row % s, sub.col % s] = sub.data
         return stack
 
+    def kernel(self, thresh: float, scale: float, k: int, cap: int, vectors: bool = True):
+        """Kernel of T (|lambda| < thresh), solved block by block.
+
+        Blocks of at most DENSE_BLOCK_LIMIT elements get a dense eigensolve
+        batched by size: eigvalsh for a Hermitian form, eigvals otherwise,
+        and with ``vectors`` eigh or eig on the blocks that hold kernel.
+        Larger blocks get shift-invert ARPACK about 1e-9 * scale: k pairs,
+        doubled until the set reaches past 100 * thresh or holds ``cap`` (a
+        Hermitian form keeps |lambda|). An eigenvalue within a factor 100 of
+        thresh on either side makes the kernel ambiguous and raises
+        NumericalError.
+
+        Returns the eigenvalues computed, sorted by |lambda| (ascending for a
+        Hermitian form, which is positive semidefinite here); the kernel
+        dimension; with ``vectors``, the kernel as (members, orthonormal
+        coefficient columns) per block; and diagnostics basis, blocks,
+        max_block, nnz (of T) and margin (the smallest non-kernel |lambda|
+        over thresh, None if none).
+        """
+        eigvals, eig = ((np.linalg.eigvalsh, np.linalg.eigh) if self.hermitian
+                        else (np.linalg.eigvals, np.linalg.eig))
+        spectra, kernel = [], []
+        for members in self.blocks():
+            if members.shape[1] <= DENSE_BLOCK_LIMIT:
+                stack = self.dense(members)
+                vals = eigvals(stack)
+                hit = np.flatnonzero((np.abs(vals) < thresh).any(axis=1))
+                if vectors and hit.size:
+                    w, v = eig(stack[hit])
+                    kernel += [(members[b], vb[:, np.abs(wb) < thresh])
+                               for b, wb, vb in zip(hit, w, v)]
+                spectra.append(vals.ravel())
+            else:
+                for idx in members:
+                    vals, v = _arpack_block(self.restrict(idx[None]), k, thresh, scale, cap)
+                    vals = np.abs(vals) if self.hermitian else vals
+                    if vectors:
+                        kernel.append((idx, v[:, np.abs(vals) < thresh]))
+                    spectra.append(vals)
+        vals = np.concatenate(spectra)
+        vals = vals[np.argsort(vals if self.hermitian else np.abs(vals), kind="stable")]
+        ambiguous = vals[(np.abs(vals) >= thresh / 100) & (np.abs(vals) < 100 * thresh)]
+        if ambiguous.size:
+            raise NumericalError(
+                f"|lambda| = {abs(ambiguous[0]):.3e} lies within a factor 100 of the "
+                f"kernel threshold {thresh:.3e}: the kernel dimension is ambiguous"
+            )
+        n_kernel = int(np.sum(np.abs(vals) < thresh))
+        diagnostics = {
+            "basis": self.basis,
+            "blocks": int(self.labels.max()) + 1,
+            "max_block": int(np.bincount(self.labels).max()),
+            "nnz": int(self.T.nnz),
+            "margin": float(abs(vals[n_kernel]) / thresh) if n_kernel < len(vals) else None,
+        }
+        return vals, n_kernel, kernel, diagnostics
+
+
+def _arpack_block(B: sparse.spmatrix, k: int, thresh: float, scale: float, cap: int):
+    """Smallest-|lambda| eigenpairs of one block by shift-invert ARPACK, k grown
+    until the computed set reaches past 100 * thresh (or the cap)."""
+    n = B.shape[0]
+    k_req = min(max(k, 2), n - 2)
+    while True:
+        try:
+            vals, vecs = sparse_eigs(B, k=k_req, sigma=1e-9 * scale, which="LM")
+        except Exception as exc:  # ARPACK failure, singular factorization, ...
+            raise NumericalError(f"sparse eigensolve failed: {exc}") from exc
+        if np.abs(vals).max() >= 100 * thresh or k_req >= min(cap, n - 2):
+            return vals, vecs
+        k_req = min(2 * k_req, n - 2)
+
 
 def _drop_roundoff(A) -> sparse.csr_matrix:
     """A as a sparse matrix without the entries below ROUNDOFF times its largest."""
@@ -364,13 +427,14 @@ def _matrix_unit_transfer(terms, d: int) -> sparse.csr_matrix:
     return sparse.csr_matrix((T.data[keep], (T.row[keep], T.col[keep])), shape=T.shape)
 
 
-def _block_form(terms, d: int) -> _BlockForm:
+def _block_form(terms, d: int, hermitian: bool = False) -> _BlockForm:
     """Write rho -> sum A rho B over (A, B) in ``terms`` (d x d matrices) in
     the orthonormal Hermitian Pauli basis sigma_(x,z) = i^|x & z| X^x Z^z /
     sqrt(d) when d = 2^n, else in the matrix units, and label its invariant
     blocks. In the Pauli basis the matrix is real for a map that takes
     Hermitian operators to Hermitian ones (a Lindbladian, or the commutant
-    form of ``verify``), and only the real part is kept."""
+    form of ``verify``), and only the real part is kept. ``hermitian`` says
+    that the map is Hermitian itself (the commutant form)."""
     _check_capacity(d)
     if d & (d - 1) == 0:
         n = d.bit_length() - 1
@@ -397,7 +461,7 @@ def _block_form(terms, d: int) -> _BlockForm:
         T = _matrix_unit_transfer(terms, d)
         coefficients, vectors, basis = vec, np.asarray, "matrix-unit"
     _, labels = connected_components(abs(T), directed=True, connection="weak")
-    return _BlockForm(basis, T, labels, coefficients, vectors)
+    return _BlockForm(basis, T, labels, coefficients, vectors, hermitian)
 
 
 # ---------------------------------------------------------------------------
@@ -506,8 +570,9 @@ class SteadyStateResult:
     states: tuple[DensityMatrix, ...]  # Hermitized, trace-normalized candidates
     eigenvalues: np.ndarray            # the small-magnitude spectrum inspected
     residual: float                    # max ||L v|| over kernel basis vectors
-    # basis, blocks, max_block, nnz (of the basis matrix), seconds, and margin:
-    # the smallest non-kernel |lambda| over the threshold (None if none)
+    # basis, blocks, max_block, nnz (of the basis matrix) and margin, the
+    # smallest non-kernel |lambda| over the threshold (None if none), from
+    # _BlockForm.kernel; and seconds
     diagnostics: dict
 
     @property
@@ -523,77 +588,35 @@ class SteadyStateResult:
         return self.states[0]
 
 
-def _arpack_block(B: sparse.spmatrix, k: int, thresh: float, scale: float, max_kernel: int):
-    """Smallest-|lambda| eigenpairs of one block by shift-invert ARPACK, k grown
-    until the computed set reaches past 100 * thresh (or the cap)."""
-    n = B.shape[0]
-    k_req = min(max(k, 2), n - 2)
-    while True:
-        try:
-            vals, vecs = sparse_eigs(B, k=k_req, sigma=1e-9 * scale, which="LM")
-        except Exception as exc:  # ARPACK failure, singular factorization, ...
-            raise NumericalError(f"sparse eigensolve failed: {exc}") from exc
-        if np.abs(vals).max() >= 100 * thresh or k_req >= min(max_kernel, n - 2):
-            return vals, vecs
-        k_req = min(2 * k_req, n - 2)
-
-
-def steady_states(
-    g: LindbladGenerator,
-    k: int = 6,
-    kernel_tol: float = 1e-10,
-    max_kernel: int = 64,
-) -> SteadyStateResult:
+def steady_states(g: LindbladGenerator) -> SteadyStateResult:
     """Kernel of the superoperator, solved on its invariant blocks.
 
     The superoperator is written in the Hermitian Pauli basis when n_levels
     is a power of two (the matrix units otherwise); its connected components
-    are exact invariant blocks. A block of at most DENSE_BLOCK_LIMIT elements
-    gets a dense eigensolve, batched over blocks of one size; a larger one
-    gets shift-invert ARPACK with k grown until the computed set reaches
-    past the kernel cluster and the ambiguous band, so degenerate kernels
-    are reported faithfully. ``eigenvalues`` holds the max(kernel_dim + 4, k)
-    smallest |lambda| of the union of the block spectra computed.
+    are exact invariant blocks, and ``_BlockForm.kernel`` solves them: dense
+    up to DENSE_BLOCK_LIMIT elements, shift-invert ARPACK above, with k grown
+    until the computed set reaches past the kernel cluster and the ambiguous
+    band, so degenerate kernels are reported faithfully. ``eigenvalues``
+    holds the max(kernel_dim + 4, STEADY_EIGENVALUES) smallest |lambda| of
+    the union of the block spectra computed.
 
-    Eigenvalues with |lambda| < kernel_tol * ||L|| count as kernel. ||L|| is
+    Eigenvalues with |lambda| < KERNEL_TOL * ||L|| count as kernel. ||L|| is
     the larger of the maximal column and row 1-norms of the basis matrix, so
     in the Pauli basis it is not the computational-basis value: for the L=2
     toric Davies generator at beta = 1, gamma0 = 0.5, lambda = 1 it is 47.7
     against 45.9. An eigenvalue within a factor 100 of the threshold on
-    either side makes the decision ambiguous and raises NumericalError.
+    either side makes the decision ambiguous, and a kernel above MAX_KERNEL
+    is refused; both raise NumericalError.
     """
     start = time.perf_counter()
     form = _block_form(_sandwich_terms(g), g.n_levels)
     T = form.T
     n = T.shape[0]
     scale = _superop_scale(T)
-    thresh = kernel_tol * scale
-
-    spectra, kernel = [], []  # eigenvalues; (members, kernel vectors) per block
-    for members in form.blocks():
-        if members.shape[1] <= DENSE_BLOCK_LIMIT:
-            stack = form.dense(members)
-            vals = np.linalg.eigvals(stack)
-            for b in np.flatnonzero((np.abs(vals) < thresh).any(axis=1)):
-                w, v = np.linalg.eig(stack[b])
-                kernel.append((members[b], v[:, np.abs(w) < thresh]))
-            spectra.append(vals.ravel())
-        else:
-            for idx in members:
-                vals, v = _arpack_block(form.restrict(idx[None]), k, thresh, scale, max_kernel)
-                kernel.append((idx, v[:, np.abs(vals) < thresh]))
-                spectra.append(vals)
-    vals = np.concatenate(spectra)
-    vals = vals[np.argsort(np.abs(vals), kind="stable")]
-    n_kernel = sum(v.shape[1] for _, v in kernel)
-    if n_kernel > max_kernel:
-        raise NumericalError(f"kernel dimension exceeds the cap {max_kernel}")
-    ambiguous = vals[(np.abs(vals) >= thresh / 100) & (np.abs(vals) < 100 * thresh)]
-    if ambiguous.size:
-        raise NumericalError(
-            f"|lambda| = {abs(ambiguous[0]):.3e} lies within a factor 100 of the "
-            f"kernel threshold {thresh:.3e}: the kernel dimension is ambiguous"
-        )
+    vals, n_kernel, kernel, diagnostics = form.kernel(KERNEL_TOL * scale, scale,
+                                                      STEADY_EIGENVALUES, MAX_KERNEL)
+    if n_kernel > MAX_KERNEL:
+        raise NumericalError(f"kernel dimension exceeds the cap {MAX_KERNEL}")
 
     coeffs = np.zeros((n, n_kernel), complex)
     col = 0
@@ -620,29 +643,21 @@ def steady_states(
                 states.append(DensityMatrix((m + m.conj().T) / 2))
     # when degenerate, kernel rotations may hide positive combinations; report
     # whatever physical representatives were found without failing.
-    diagnostics = {
-        "basis": form.basis,
-        "blocks": int(form.labels.max()) + 1,
-        "max_block": int(np.bincount(form.labels).max()),
-        "nnz": int(T.nnz),
-        "seconds": time.perf_counter() - start,
-        "margin": float(abs(vals[n_kernel]) / thresh) if n_kernel < len(vals) else None,
-    }
     return SteadyStateResult(
         kernel_dim=n_kernel,
         kernel_basis=basis,
         states=tuple(states),
-        eigenvalues=vals[: max(n_kernel + 4, min(k, n))],
+        eigenvalues=vals[: max(n_kernel + 4, min(STEADY_EIGENVALUES, n))],
         residual=residual,
-        diagnostics=diagnostics,
+        diagnostics={**diagnostics, "seconds": time.perf_counter() - start},
     )
 
 
 def gibbs_state(H, beta: float) -> DensityMatrix:
     """exp(-beta H)/Z via eigendecomposition, overflow-guarded."""
     Hd = H.toarray() if sparse.issparse(H) else np.asarray(H, dtype=complex)
-    if beta < 0:
-        raise ParameterError("beta must be nonnegative")
+    if not (math.isfinite(beta) and beta >= 0):
+        raise ParameterError(f"beta must be finite and nonnegative, got {beta}")
     evals, evecs = np.linalg.eigh(Hd)
     w = np.exp(-beta * (evals - evals.min()))
     w = w / w.sum()

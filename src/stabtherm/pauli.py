@@ -29,6 +29,12 @@ from .errors import CapacityError, DimensionMismatchError, ParameterError
 
 #: Largest qubit count for which dense 2^n x 2^n realizations are produced.
 DENSE_LIMIT = 14
+#: Largest qubit count for which sparse realizations are produced.
+SPARSE_LIMIT = 24
+#: PauliSum.simplify drops coefficients below this fraction of the largest (or of 1).
+SIMPLIFY_TOL = 1e-14
+#: PauliSum.is_hermitian allows coefficients of P - P^dag up to this size.
+HERMITIAN_TOL = 1e-12
 
 _PHASE_VALUES = (1 + 0j, 1j, -1 + 0j, -1j)
 _PHASE_TOKENS = {0: "+1", 1: "+i", 2: "-1", 3: "-i"}
@@ -42,15 +48,9 @@ def _popcount(v: int) -> int:
     return int(v).bit_count()
 
 
-def _check_dense_limit(n: int, dense_limit: int | None) -> None:
-    limit = DENSE_LIMIT if dense_limit is None else dense_limit
+def _check_limit(n: int, limit: int, kind: str) -> None:
     if n > limit:
-        raise CapacityError(f"dense realization of {n} qubits exceeds the limit {limit}")
-
-
-def _check_sparse_limit(n: int, sparse_limit: int) -> None:
-    if n > sparse_limit:
-        raise CapacityError(f"sparse realization of {n} qubits exceeds the limit {sparse_limit}")
+        raise CapacityError(f"{kind} realization of {n} qubits exceeds the limit {limit}")
 
 
 @dataclass(frozen=True)
@@ -185,16 +185,16 @@ class PauliString:
 
     # -- dense realization ----------------------------------------------------
 
-    def to_dense(self, dense_limit: int | None = None) -> np.ndarray:
+    def to_dense(self) -> np.ndarray:
         """Exact 2^n x 2^n complex matrix (little-endian qubit ordering)."""
-        _check_dense_limit(self.n, dense_limit)
+        _check_limit(self.n, DENSE_LIMIT, "dense")
         return self.to_sparse().toarray()
 
-    def to_sparse(self, sparse_limit: int = 24):
-        """CSR realization; one nonzero per column. Cheap up to ~24 qubits."""
+    def to_sparse(self):
+        """CSR realization; one nonzero per column, up to SPARSE_LIMIT qubits."""
         from scipy import sparse
 
-        _check_sparse_limit(self.n, sparse_limit)
+        _check_limit(self.n, SPARSE_LIMIT, "sparse")
         dim = 1 << self.n
         rows, vals = self._column_entries()
         return sparse.csr_matrix((vals, (rows, np.arange(dim))), shape=(dim, dim))
@@ -263,11 +263,11 @@ class PauliSum:
             if c != 0
         ]
 
-    def simplify(self, tol: float = 1e-14) -> "PauliSum":
+    def simplify(self) -> "PauliSum":
         out = PauliSum(self.n)
         scale = max((abs(c) for c in self._terms.values()), default=0.0)
         for (x, z), c in self._terms.items():
-            if abs(c) > tol * max(scale, 1.0):
+            if abs(c) > SIMPLIFY_TOL * max(scale, 1.0):
                 out._terms[(x, z)] = c
         return out
 
@@ -305,19 +305,19 @@ class PauliSum:
             out._add(np.conj(c), s)
         return out
 
-    def is_hermitian(self, tol: float = 1e-12) -> bool:
+    def is_hermitian(self) -> bool:
         diff = self - self.adjoint()
-        return all(abs(c) <= tol for c, _ in diff.terms)
+        return all(abs(c) <= HERMITIAN_TOL for c, _ in diff.terms)
 
-    def to_dense(self, dense_limit: int | None = None) -> np.ndarray:
-        _check_dense_limit(self.n, dense_limit)
+    def to_dense(self) -> np.ndarray:
+        _check_limit(self.n, DENSE_LIMIT, "dense")
         return self.to_sparse().toarray()
 
-    def to_sparse(self, sparse_limit: int = 24):
+    def to_sparse(self):
         """CSR realization assembled from every term's entries at once."""
         from scipy import sparse
 
-        _check_sparse_limit(self.n, sparse_limit)
+        _check_limit(self.n, SPARSE_LIMIT, "sparse")
         dim = 1 << self.n
         terms = self.terms
         if not terms:

@@ -20,6 +20,15 @@ from .pauli import PauliString
 from .toric import StabilizerHamiltonian, StabilizerTerm, ToricLattice, build_torus
 
 
+def strict_json(text: str, error: type[Exception]):
+    """Parse JSON text, raising ``error`` on NaN, Infinity and -Infinity:
+    Python's json accepts these tokens, but they are not JSON numbers."""
+    def refuse(token: str):
+        raise error(f"{token} is not a JSON number")
+
+    return json.loads(text, parse_constant=refuse)
+
+
 def lattice_to_json(lat: ToricLattice) -> dict:
     return {
         "kind": "toric_lattice",

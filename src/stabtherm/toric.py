@@ -27,7 +27,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CapacityError, ModelError, ParameterError
-from .pauli import PauliString, PauliSum, projector_product
+from .pauli import DENSE_LIMIT, PauliString, PauliSum, projector_product
+
+#: Energy changes closer than FREQUENCY_TOL times the largest anticommuting
+#: coupling are one Fourier frequency.
+FREQUENCY_TOL = 1e-9
 
 
 # ---------------------------------------------------------------------------
@@ -135,8 +139,8 @@ class StabilizerHamiltonian:
         """The operator -sum c_t S_t as a PauliSum."""
         return PauliSum(self.n_qubits, [(-t.coupling, t.stabilizer) for t in self.terms])
 
-    def to_dense(self, dense_limit: int | None = None) -> np.ndarray:
-        return self.as_sum().to_dense(dense_limit)
+    def to_dense(self) -> np.ndarray:
+        return self.as_sum().to_dense()
 
     @property
     def couplings(self) -> tuple[float, ...]:
@@ -266,7 +270,7 @@ class EigenoperatorDecomposition:
 
 
 def eigenoperator_decomposition(
-    H: StabilizerHamiltonian, site: int, axis: str, tol: float = 1e-9
+    H: StabilizerHamiltonian, site: int, axis: str
 ) -> EigenoperatorDecomposition:
     """Fourier decomposition of sigma^axis_site under a commuting-term H.
 
@@ -296,8 +300,8 @@ def eigenoperator_decomposition(
         piece = proj * PauliSum.from_string(sigma)
         delta_e = 2.0 * float(np.dot(coups, sgn))  # E_final - E_initial
         eps = abs(delta_e) / 2.0
-        key = round(eps / (tol * scale)) * tol * scale
-        direction = 0 if abs(delta_e) <= tol * scale else (1 if delta_e > 0 else -1)
+        key = round(eps / (FREQUENCY_TOL * scale)) * FREQUENCY_TOL * scale
+        direction = 0 if abs(delta_e) <= FREQUENCY_TOL * scale else (1 if delta_e > 0 else -1)
         slot = buckets.setdefault(key, {-1: PauliSum.zero(H.n_qubits),
                                         0: PauliSum.zero(H.n_qubits),
                                         1: PauliSum.zero(H.n_qubits)})
@@ -306,7 +310,7 @@ def eigenoperator_decomposition(
     components = []
     for key in sorted(buckets):
         slot = buckets[key]
-        if key <= tol * scale:
+        if key <= FREQUENCY_TOL * scale:
             T = (slot[0] + slot[1] + slot[-1]).simplify()
             if len(T) == 0:
                 continue
@@ -339,7 +343,6 @@ def heisenberg_reconstruction(
 def fourier_form_check(
     H: StabilizerHamiltonian,
     decomps: list[EigenoperatorDecomposition],
-    dense_limit: int | None = None,
 ) -> tuple[float, float, float]:
     """Least-squares fit H = c * S + d * I over the decompositions of every
     sigma^x_j and sigma^z_j, with S = sum_{eps_k > 0} 2 a_k^dag a_k plus
@@ -355,7 +358,7 @@ def fourier_form_check(
         raise ModelError(
             f"need one decomposition per site and axis x, z ({len(full)}), got {len(decomps)}"
         )
-    if H.n_qubits > (dense_limit if dense_limit is not None else 14):
+    if H.n_qubits > DENSE_LIMIT:
         raise CapacityError("fourier_form_check is a dense desk-scale check")
 
     dim = 1 << H.n_qubits
@@ -363,12 +366,12 @@ def fourier_form_check(
     for dec in decomps:
         for c in dec.components:
             if c.is_zero_mode:
-                t = c.translation.to_dense(dense_limit)
+                t = c.translation.to_dense()
                 S += t @ t
             else:
-                a = c.lowering.to_dense(dense_limit)
+                a = c.lowering.to_dense()
                 S += 2.0 * (a.conj().T @ a)
-    Hd = H.to_dense(dense_limit)
+    Hd = H.to_dense()
     eye = np.eye(dim)
 
     # 2x2 least squares in the (S, I) basis under the Frobenius inner product

@@ -15,9 +15,10 @@ Ergodicity is decided from the commutant of {H} + jumps + jump adjoints:
 the commutant is trivial iff the semigroup has a unique attracting steady
 state (given a faithful stationary state). The commutant dimension is the
 nullity of M = sum_O ad_O^dag ad_O. M is a sandwich map like a Lindbladian,
-so it goes through the same block engine as lindblad's steady states: written
-in the Pauli basis (or the matrix units), cut into invariant blocks and
-diagonalized block by block, exactly.
+so it goes through the same block engine and the same kernel solver
+(``_BlockForm.kernel``) as lindblad's steady states: written in the Pauli
+basis (or the matrix units), cut into invariant blocks and diagonalized block
+by block, exactly, with Hermitian eigensolvers since M is Hermitian.
 """
 
 from __future__ import annotations
@@ -32,14 +33,12 @@ from scipy import sparse
 # verify.lobpcg when it installs, so the name stays bound.
 from scipy.sparse.linalg import lobpcg  # noqa: F401
 
-from .errors import CapacityError, NumericalError, ParameterError
+from .errors import CapacityError, ParameterError
 from .lindblad import (
-    DENSE_BLOCK_LIMIT,
     ROUNDOFF,
     SUPEROP_DIM_LIMIT,
     DensityMatrix,
     LindbladGenerator,
-    _arpack_block,
     _block_form,
     steady_states,
     trajectories,
@@ -55,6 +54,8 @@ BALANCED_WORD_LENGTH = 4
 SYSTEMATIC_WORD_LENGTH = 3
 #: Seed of the word samples in the ergodicity check.
 ERGODICITY_SEED = 7
+#: Commutant eigenvalues below COMMUTANT_TOL times the ops' scale count as zero.
+COMMUTANT_TOL = 1e-7
 
 
 # ---------------------------------------------------------------------------
@@ -140,71 +141,40 @@ def _commutant_terms(mats, dim: int) -> list:
     return [(G, eye), (eye, G)] + [(-2 * O.conj().T, O) for O in mats]
 
 
-def commutant_dimension(
-    ops,
-    dim: int,
-    max_dim: int = 8,
-    tol: float = 1e-7,
-) -> tuple[int, np.ndarray, dict]:
+def commutant_dimension(ops, dim: int, max_dim: int = 8) -> tuple[int, np.ndarray, dict]:
     """Nullity of X -> sum_O ||[X, O]||^2 over dim x dim matrices: the
     dimension of the commutant of the ops and their adjoints.
 
-    M = sum_O ad_O^dag ad_O is a sandwich map (``_commutant_terms``), so
-    lindblad's block engine writes it in the Pauli basis (dim = 2^n) or the
-    matrix units and cuts it into invariant blocks. A block of at most
-    DENSE_BLOCK_LIMIT elements gets a dense eigvalsh, batched over blocks of
-    one size; a larger one gets the max_dim + 1 smallest eigenvalues from
-    shift-invert ARPACK. Eigenvalues below tol * scale, with scale the
-    largest |O_ij|^2 times the number of ops with adjoints, count as zero;
-    one within a factor 100 of that threshold on either side makes the
-    count ambiguous and raises NumericalError. An all-zero set commutes with
-    every matrix.
+    M = sum_O ad_O^dag ad_O is a Hermitian sandwich map (``_commutant_terms``),
+    so lindblad's block engine writes it in the Pauli basis (dim = 2^n) or the
+    matrix units, and its kernel solver (``_BlockForm.kernel``) solves the
+    invariant blocks: eigvalsh per dense block, the max_dim + 1 smallest
+    eigenvalues from shift-invert ARPACK above DENSE_BLOCK_LIMIT. Eigenvalues
+    below COMMUTANT_TOL * scale, with scale the largest |O_ij|^2 times the
+    number of ops with adjoints, count as zero; one within a factor 100 of
+    that threshold on either side makes the count ambiguous and raises
+    NumericalError. An all-zero set commutes with every matrix.
 
     Returns (count, eigenvalues, diagnostics): count = min(nullity, max_dim),
     so count == max_dim means "at least max_dim"; the max_dim + 1 smallest
-    eigenvalues; and basis, blocks, max_block, nnz (of the basis matrix),
-    seconds, nullity (exact, except above max_dim when a block went to
-    ARPACK) and margin (the smallest eigenvalue over the threshold, None if
-    every eigenvalue inspected is zero).
+    eigenvalues; and the kernel solver's diagnostics plus seconds and nullity
+    (exact, except above max_dim when a block went to ARPACK).
     """
     start = time.perf_counter()
     mats = _as_sparse_list(ops)
     mats = mats + [m.conj().T.tocsr() for m in mats]
     scale = max((float(abs(m).max()) for m in mats if m.nnz), default=0.0) ** 2 * len(mats)
-    thresh = tol * scale
+    thresh = COMMUTANT_TOL * scale
     if thresh == 0:
         n = dim * dim
         return min(n, max_dim), np.zeros(min(n, max_dim + 1)), {
             "basis": None, "blocks": n, "max_block": 1, "nnz": 0,
             "seconds": time.perf_counter() - start, "nullity": n, "margin": None}
 
-    form = _block_form(_commutant_terms(mats, dim), dim)
-    spectra = []
-    for members in form.blocks():
-        if members.shape[1] <= DENSE_BLOCK_LIMIT:
-            spectra.append(np.linalg.eigvalsh(form.dense(members)).ravel())
-        else:
-            for idx in members:
-                vals, _ = _arpack_block(form.restrict(idx[None]), max_dim + 1, thresh, scale,
-                                        max_dim + 1)
-                spectra.append(np.abs(vals))
-    vals = np.sort(np.concatenate(spectra))
-    nullity = int(np.sum(vals < thresh))
-    ambiguous = vals[(vals >= thresh / 100) & (vals < 100 * thresh)]
-    if ambiguous.size:
-        raise NumericalError(
-            f"commutant eigenvalue {ambiguous[0]:.3e} lies within a factor 100 of the "
-            f"threshold {thresh:.3e}: the commutant dimension is ambiguous"
-        )
-    diagnostics = {
-        "basis": form.basis,
-        "blocks": int(form.labels.max()) + 1,
-        "max_block": int(np.bincount(form.labels).max()),
-        "nnz": int(form.T.nnz),
-        "seconds": time.perf_counter() - start,
-        "nullity": nullity,
-        "margin": float(vals[nullity] / thresh) if nullity < len(vals) else None,
-    }
+    form = _block_form(_commutant_terms(mats, dim), dim, hermitian=True)
+    vals, nullity, _, diagnostics = form.kernel(thresh, scale, max_dim + 1, max_dim + 1,
+                                                vectors=False)
+    diagnostics = {**diagnostics, "seconds": time.perf_counter() - start, "nullity": nullity}
     return min(nullity, max_dim), vals[:max_dim + 1], diagnostics
 
 

@@ -8,6 +8,7 @@ checked against a second, independent construction path.
 import itertools
 
 import numpy as np
+from scipy import sparse
 
 I2 = np.eye(2, dtype=complex)
 PAULI = {
@@ -123,6 +124,25 @@ def lindblad_rhs(H, jumps, rho):
         out = out + gamma * (2 * K @ rho @ K.conj().T
                              - K.conj().T @ K @ rho - rho @ K.conj().T @ K)
     return out
+
+
+def build_superoperator(g):
+    """Sparse column-stacking superoperator of a generator (anything with a
+    sparse ``H`` and ``jumps`` carrying ``op`` and ``rate``), written from
+    the master equation term by term with vec(A rho B) = kron(B^T, A) vec(rho):
+    -i (I (x) H - H^T (x) I) + sum_k gamma_k (2 conj(K) (x) K
+    - I (x) K^dag K - (K^dag K)^T (x) I)."""
+    H = sparse.csr_matrix(g.H)
+    eye = sparse.identity(H.shape[0], dtype=complex, format="csr")
+    L = -1j * (sparse.kron(eye, H) - sparse.kron(H.T, eye))
+    for j in g.jumps:
+        K = sparse.csr_matrix(j.op)
+        KdK = K.conj().T @ K
+        L = L + j.rate * (2 * sparse.kron(K.conj(), K)
+                          - sparse.kron(eye, KdK) - sparse.kron(KdK.T, eye))
+    L = sparse.csr_matrix(L)
+    L.eliminate_zeros()
+    return L
 
 
 def dist_up_to_phase(U, V):

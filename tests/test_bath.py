@@ -13,7 +13,6 @@ from stabtherm.bath import (
 from stabtherm.errors import CapacityError, ModelError, ParameterError
 from stabtherm.lindblad import (
     DensityMatrix,
-    build_superoperator,
     evolve,
     gibbs_state,
     steady_states,
@@ -27,6 +26,8 @@ from stabtherm.toric import (
     single_vertex_model,
     toric_hamiltonian,
 )
+
+from oracles import build_superoperator
 
 
 def full_decomps(H):
@@ -93,7 +94,7 @@ def test_rwa_mini_gibbs_product_is_stationary():
         gen = rwa_generator(model)
         target = model.join(gibbs_state(H.to_dense(), beta).mat,
                             model.thermal_ancilla_state(beta))
-        L = build_superoperator(gen, dim_limit=model.dim)
+        L = build_superoperator(gen)
         scale = abs(L).max()
         assert np.linalg.norm(L @ vec(target)) < 1e-9 * max(scale, 1.0)
 
@@ -108,7 +109,7 @@ def test_rwa_mini_partial_dressing_kernel_is_degenerate():
             eigenoperator_decomposition(H, 0, "z")]
     model, _ = attach_ancillas(H, decs, beta=1.0, gamma_minus=0.1)
     gen = rwa_generator(model)
-    ss = steady_states(gen, max_kernel=40)
+    ss = steady_states(gen)
     assert ss.kernel_dim == 32
 
 
@@ -158,7 +159,7 @@ def test_davies_beta_zero_steady_state_is_uniform():
 def test_davies_translation_only_is_not_ergodic():
     H = single_vertex_model(1.0)
     gen = davies_reduction(H, full_decomps(H), 1.0, 0.5, include=("translate",))
-    ss = steady_states(gen, max_kernel=64)
+    ss = steady_states(gen)
     assert ss.kernel_dim > 1
 
 
@@ -191,6 +192,9 @@ def test_davies_requires_full_coverage():
         davies_reduction(H, full_decomps(H)[:3], 1.0, 0.5)
     with pytest.raises(ParameterError):
         davies_reduction(H, full_decomps(H), 1.0, 0.0)
+    for beta in (np.inf, np.nan, -1.0):
+        with pytest.raises(ParameterError):
+            davies_reduction(H, full_decomps(H), beta, 0.5)
 
 
 # -- RWA validity probe ----------------------------------------------------------

@@ -11,6 +11,7 @@ from stabtherm.circuits import (
     COND_PULSE,
     CPHASE,
     MEASURE_Z,
+    SAMPLE_BOLTZMANN_BIT,
     Gate,
     GateSchedule,
     ROT1,
@@ -28,7 +29,6 @@ from stabtherm.lindblad import (
     DensityMatrix,
     JumpOp,
     LindbladGenerator,
-    build_superoperator,
     steady_states,
     trace_distance,
 )
@@ -36,6 +36,7 @@ from stabtherm.pauli import PauliString
 from stabtherm.toric import eigenoperator_decomposition, single_stabilizer_model
 
 from oracles import (
+    build_superoperator,
     cphase_embedded,
     dist_up_to_phase,
     embed,
@@ -335,6 +336,13 @@ def test_regions_lower_by_size_and_match_gate_by_gate():
         rho = random_density(1 << sched.n_qubits, rng)
         assert np.linalg.norm(simulate_schedule(sched, rho).mat
                               - simulate_gates(sched, rho)) < 1e-12
+
+
+def test_region_on_no_qubit_leaves_no_plan_entry():
+    # a sampled bit that is never read is a channel on no qubit, the identity
+    sched = GateSchedule(2, (Gate(SAMPLE_BOLTZMANN_BIT, beta=1, omega=1, cbit=0),), 1)
+    assert _plan(sched) == []
+    assert np.abs(schedule_superoperator(sched) - np.eye(16)).max() < 1e-15
 
 
 # -- schedule simulation --------------------------------------------------------

@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from stabtherm import bath
+from stabtherm import bath, cli
 from stabtherm.circuits import GateSchedule
 from stabtherm.cli import main, validate_config
 from stabtherm.errors import ConfigError, ScheduleError
@@ -345,6 +345,28 @@ def test_run_rejects_bad_model_and_observables_before_output(tmp_path):
         p.write_text(json.dumps(dict(cfg, output_dir=str(out))))
         assert run_cli("run", str(p)) == 2
         assert not out.exists()
+
+
+def test_invalid_beta_and_non_finite_json_exit_2(tmp_path, monkeypatch):
+    # an infinite (or negative) beta is refused before the bath is built, so
+    # no kernel is solved
+    def refuse(*args, **kwargs):
+        raise AssertionError("the kernel was solved for an invalid beta")
+
+    monkeypatch.setattr(cli, "steady_states", refuse)
+    for beta in ("inf", "nan", "-1"):
+        assert run_cli("steady-state", "--model", "mini-vertex", "--beta", beta) == 2
+    # Python's json accepts these tokens; JSON does not
+    out = tmp_path / "out"
+    cfg, sched = tmp_path / "cfg.json", tmp_path / "s.jsonl"
+    for token in ("Infinity", "-Infinity", "NaN"):
+        cfg.write_text('{"experiment": "gibbs-sweep", "model": {"type": "mini-vertex"}, '
+                       f'"beta_grid": [{token}], "output_dir": {json.dumps(str(out))}}}')
+        assert run_cli("run", str(cfg)) == 2, token
+        sched.write_text('{"header": {"n_qubits": 1, "total_time": %s}}\n' % token
+                         + json.dumps(_ROT) + "\n")
+        assert run_cli("simulate-schedule", str(sched)) == 2, token
+    assert not out.exists()
 
 
 def test_bad_config_json_exits_2(tmp_path):

@@ -14,7 +14,6 @@ from stabtherm.lindblad import (
     DensityMatrix,
     JumpOp,
     LindbladGenerator,
-    build_superoperator,
     evolve,
     gibbs_state,
     steady_states,
@@ -34,7 +33,7 @@ from stabtherm.toric import (
     toric_hamiltonian,
 )
 
-from oracles import lindblad_rhs, random_density, toric_partition_sums
+from oracles import build_superoperator, lindblad_rhs, random_density, toric_partition_sums
 
 SM = np.array([[0, 1], [0, 0]], dtype=complex)  # |0><1|
 SP = SM.conj().T
@@ -83,9 +82,12 @@ def test_superoperator_is_linear_in_the_generator():
 
 
 def test_superoperator_capacity():
+    # 512 levels exceed SUPEROP_DIM_LIMIT: no solver writes the superoperator
     g = LindbladGenerator(512, np.zeros((512, 512)), ())
     with pytest.raises(CapacityError):
-        build_superoperator(g)
+        steady_states(g)
+    with pytest.raises(CapacityError):
+        evolve(g, DensityMatrix.maximally_mixed(512), 1.0)
 
 
 def test_two_level_steady_population_ratio():
@@ -261,6 +263,14 @@ def test_density_matrix_validation():
         DensityMatrix(np.diag([0.7, 0.7]))  # trace 1.4
     with pytest.raises(ParameterError):
         DensityMatrix(np.diag([1.5, -0.5]))  # negative eigenvalue
+    with pytest.raises(ParameterError):
+        DensityMatrix(np.full((2, 2), np.nan))  # every comparison with NaN is False
+
+
+def test_gibbs_state_rejects_non_finite_beta():
+    for beta in (np.inf, np.nan, -1.0):
+        with pytest.raises(ParameterError):
+            gibbs_state(np.diag([0.0, 1.0]), beta)
 
 
 def test_thermal_qubit_ratio():
@@ -321,14 +331,19 @@ def max_matched_distance(a, b):
     (lambda: random_generator(3, 5), "matrix-unit"),
 ])
 def test_block_spectra_match_dense_oracle(make, basis):
+    # the shared kernel solver returns every eigenvalue of a dense block
     g = make()
     n = g.n_levels ** 2
-    ss = steady_states(g, k=n, max_kernel=n)
-    assert ss.diagnostics["basis"] == basis
-    assert len(ss.eigenvalues) == n  # every block is dense at this size
+    form = lindblad._block_form(lindblad._sandwich_terms(g), g.n_levels)
+    scale = lindblad._superop_scale(form.T)
+    vals, kernel_dim, kernel, diagnostics = form.kernel(
+        lindblad.KERNEL_TOL * scale, scale, lindblad.STEADY_EIGENVALUES, lindblad.MAX_KERNEL)
+    assert diagnostics["basis"] == basis
+    assert len(vals) == n  # every block is dense at this size
     oracle = np.linalg.eigvals(build_superoperator(g).toarray())
-    assert max_matched_distance(ss.eigenvalues, oracle) < 1e-10
-    assert ss.kernel_dim == np.sum(np.abs(oracle) < 1e-9)
+    assert max_matched_distance(vals, oracle) < 1e-10
+    assert sum(v.shape[1] for _, v in kernel) == kernel_dim == np.sum(np.abs(oracle) < 1e-9)
+    assert steady_states(g).kernel_dim == kernel_dim
 
 
 @pytest.mark.parametrize("make", [mini_davies, three_qubit_rwa_composite])
@@ -345,11 +360,14 @@ def test_trajectory_matches_dense_exponential_on_every_block(make):
 
 
 def test_block_solvers_never_form_the_superoperator(monkeypatch):
+    # _kron_sum is the only computational-basis assembly left in lindblad (the
+    # matrix-unit form uses it); Pauli-basis models never reach it
     def refuse(*args, **kwargs):
         raise AssertionError("the computational-basis superoperator was formed")
 
-    monkeypatch.setattr(lindblad, "build_superoperator", refuse)
-    for g in (mini_davies(), random_generator(3, 6)):
+    monkeypatch.setattr(lindblad, "_kron_sum", refuse)
+    zz = single_stabilizer_model("ZZ", 1.0)
+    for g in (mini_davies(), davies_reduction(zz, full_decomps(zz), 1.0, 0.5)):
         assert steady_states(g).kernel_dim == 1
         rho0 = DensityMatrix.maximally_mixed(g.n_levels)
         for method in ("expm", "krylov"):

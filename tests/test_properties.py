@@ -21,7 +21,7 @@ from stabtherm.circuits import (  # noqa: E402
     schedule_superoperator,
     simulate_schedule,
 )
-from stabtherm.lindblad import build_superoperator, gibbs_state, steady_states, vec  # noqa: E402
+from stabtherm.lindblad import gibbs_state, steady_states, vec  # noqa: E402
 from stabtherm.pauli import PauliString, PauliSum  # noqa: E402
 from stabtherm.toric import (  # noqa: E402
     StabilizerHamiltonian,
@@ -30,7 +30,12 @@ from stabtherm.toric import (  # noqa: E402
 )
 from stabtherm.verify import check_fixed_point_conditions, commutant_dimension  # noqa: E402
 
-from oracles import commutant_nullity, random_density, simulate_gates  # noqa: E402
+from oracles import (  # noqa: E402
+    build_superoperator,
+    commutant_nullity,
+    random_density,
+    simulate_gates,
+)
 
 
 def _gf2_rank(vectors):

@@ -144,7 +144,7 @@ def test_kernel_dim_matches_commutant_dim_cross_validation():
     for include, expect_unique in ((("lower", "raise", "translate"), True),
                                    (("translate",), False)):
         gen = davies_reduction(H, decomps(H), 1.0, 0.5, include=include)
-        ss = steady_states(gen, max_kernel=64)
+        ss = steady_states(gen)
         rep = ergodicity_check(H, [j.op for j in gen.jumps])
         assert (ss.kernel_dim == 1) == (rep.commutant_dim == 1) == expect_unique
 
