@@ -16,7 +16,6 @@ frequency) so composite index maps are reproducible.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,6 +25,7 @@ from .lindblad import (
     DensityMatrix,
     JumpOp,
     LindbladGenerator,
+    _check_beta,
     thermal_qubit,
     trace_distance,
     trajectory,
@@ -294,8 +294,7 @@ def davies_reduction(
         raise ModelError(f"decompositions do not cover every (site, sector); missing {missing}")
     if gamma0 <= 0:
         raise ParameterError("gamma0 must be positive")
-    if not (math.isfinite(beta) and beta >= 0):
-        raise ParameterError(f"beta must be finite and nonnegative, got {beta}")
+    _check_beta(beta)
 
     jumps = []
     for d in decomps:

@@ -88,6 +88,12 @@ def _check_temperature(beta: float, omega: float, error: type[Exception]) -> Non
         raise error("negative temperature requested (beta*omega < 0)")
 
 
+def _check_beta(beta: float) -> None:
+    """Raise ParameterError unless beta is finite and nonnegative."""
+    if not (math.isfinite(beta) and beta >= 0):
+        raise ParameterError(f"beta must be finite and nonnegative, got {beta}")
+
+
 def thermal_qubit(beta: float, omega: float) -> np.ndarray:
     """diag(p0, p1) with p1/p0 = exp(-beta*omega) (hbar = 1)."""
     _check_temperature(beta, omega, ParameterError)
@@ -334,43 +340,46 @@ class _BlockForm:
         stack[sub.row // s, sub.row % s, sub.col % s] = sub.data
         return stack
 
-    def kernel(self, thresh: float, scale: float, k: int, cap: int, vectors: bool = True):
+    def kernel(self, thresh: float, scale: float, k: int, cap: int):
         """Kernel of T (|lambda| < thresh), solved block by block.
 
         Blocks of at most DENSE_BLOCK_LIMIT elements get a dense eigensolve
-        batched by size: eigvalsh for a Hermitian form, eigvals otherwise,
-        and with ``vectors`` eigh or eig on the blocks that hold kernel.
-        Larger blocks get shift-invert ARPACK about 1e-9 * scale: k pairs,
-        doubled until the set reaches past 100 * thresh or holds ``cap`` (a
-        Hermitian form keeps |lambda|). An eigenvalue within a factor 100 of
-        thresh on either side makes the kernel ambiguous and raises
-        NumericalError.
+        batched by size. A Hermitian form (the commutant) gets eigvalsh and
+        returns no kernel vectors; any other form gets eigvals, then eig on
+        the blocks that hold kernel. Larger blocks get shift-invert ARPACK
+        about 1e-9 * scale: k pairs, doubled until the set reaches past
+        100 * thresh or holds ``cap`` (a Hermitian form keeps |lambda|). An
+        eigenvalue within a factor 100 of thresh on either side makes the
+        kernel ambiguous and raises NumericalError.
 
         Returns the eigenvalues computed, sorted by |lambda| (ascending for a
         Hermitian form, which is positive semidefinite here); the kernel
-        dimension; with ``vectors``, the kernel as (members, orthonormal
-        coefficient columns) per block; and diagnostics basis, blocks,
-        max_block, nnz (of T) and margin (the smallest non-kernel |lambda|
-        over thresh, None if none).
+        dimension (the number of kernel vectors when they are returned); the
+        kernel as (members, orthonormal coefficient columns) per block, empty
+        for a Hermitian form; and diagnostics basis, blocks, max_block, nnz
+        (of T) and margin (the smallest non-kernel |lambda| over thresh, None
+        if none).
         """
-        eigvals, eig = ((np.linalg.eigvalsh, np.linalg.eigh) if self.hermitian
-                        else (np.linalg.eigvals, np.linalg.eig))
         spectra, kernel = [], []
         for members in self.blocks():
             if members.shape[1] <= DENSE_BLOCK_LIMIT:
                 stack = self.dense(members)
-                vals = eigvals(stack)
+                if self.hermitian:
+                    spectra.append(np.linalg.eigvalsh(stack).ravel())
+                    continue
+                vals = np.linalg.eigvals(stack)
                 hit = np.flatnonzero((np.abs(vals) < thresh).any(axis=1))
-                if vectors and hit.size:
-                    w, v = eig(stack[hit])
+                if hit.size:
+                    w, v = np.linalg.eig(stack[hit])
                     kernel += [(members[b], vb[:, np.abs(wb) < thresh])
                                for b, wb, vb in zip(hit, w, v)]
                 spectra.append(vals.ravel())
             else:
                 for idx in members:
                     vals, v = _arpack_block(self.restrict(idx[None]), k, thresh, scale, cap)
-                    vals = np.abs(vals) if self.hermitian else vals
-                    if vectors:
+                    if self.hermitian:
+                        vals = np.abs(vals)
+                    else:
                         kernel.append((idx, v[:, np.abs(vals) < thresh]))
                     spectra.append(vals)
         vals = np.concatenate(spectra)
@@ -381,7 +390,8 @@ class _BlockForm:
                 f"|lambda| = {abs(ambiguous[0]):.3e} lies within a factor 100 of the "
                 f"kernel threshold {thresh:.3e}: the kernel dimension is ambiguous"
             )
-        n_kernel = int(np.sum(np.abs(vals) < thresh))
+        n_kernel = (int(np.sum(vals < thresh)) if self.hermitian
+                    else sum(v.shape[1] for _, v in kernel))
         diagnostics = {
             "basis": self.basis,
             "blocks": int(self.labels.max()) + 1,
@@ -655,9 +665,8 @@ def steady_states(g: LindbladGenerator) -> SteadyStateResult:
 
 def gibbs_state(H, beta: float) -> DensityMatrix:
     """exp(-beta H)/Z via eigendecomposition, overflow-guarded."""
+    _check_beta(beta)
     Hd = H.toarray() if sparse.issparse(H) else np.asarray(H, dtype=complex)
-    if not (math.isfinite(beta) and beta >= 0):
-        raise ParameterError(f"beta must be finite and nonnegative, got {beta}")
     evals, evecs = np.linalg.eigh(Hd)
     w = np.exp(-beta * (evals - evals.min()))
     w = w / w.sum()

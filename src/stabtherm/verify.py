@@ -172,8 +172,7 @@ def commutant_dimension(ops, dim: int, max_dim: int = 8) -> tuple[int, np.ndarra
             "seconds": time.perf_counter() - start, "nullity": n, "margin": None}
 
     form = _block_form(_commutant_terms(mats, dim), dim, hermitian=True)
-    vals, nullity, _, diagnostics = form.kernel(thresh, scale, max_dim + 1, max_dim + 1,
-                                                vectors=False)
+    vals, nullity, _, diagnostics = form.kernel(thresh, scale, max_dim + 1, max_dim + 1)
     diagnostics = {**diagnostics, "seconds": time.perf_counter() - start, "nullity": nullity}
     return min(nullity, max_dim), vals[:max_dim + 1], diagnostics
 
