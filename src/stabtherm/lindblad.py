@@ -10,6 +10,13 @@ stabilizer group. One kernel solver, ``_BlockForm.kernel``, decides the
 kernel block by block; ``steady_states`` and ``verify``'s commutant
 dimension both call it.
 
+A non-Hermitian dense block is first bounded, then refined: by Bendixson's
+theorem no eigenvalue of a block B has |lambda| below -lambda_max(B + B^dag)/2,
+one eigvalsh per block, and eigvals runs only on the blocks whose bound can
+reach the kernel, the ambiguity band or the reported smallest |lambda|. For
+the L=2 toric Davies generator that is 15 of 1024 blocks. The diagnostics
+count these blocks as ``refined``.
+
 Conventions (fixed package-wide):
 
 * hbar = 1; energies are quoted in units of the stabilizer coupling lambda
@@ -57,6 +64,13 @@ STEADY_EIGENVALUES = 6
 ROUNDOFF = 1e-13
 #: Dense entries per stack of equal-sized blocks (bounds a batch's memory).
 _STACK_ENTRIES = 1 << 22
+#: Dense entries per batch of the eigvalsh bounds, whose temporaries are
+#: twice the batch: 64 blocks of 64.
+_BOUND_ENTRIES = 1 << 18
+#: A block's Bendixson bound may exceed its computed smallest |lambda| by
+#: rounding (by up to 2.8e-14 at L=2), so blocks are refined up to this
+#: fraction of ||L|| past a limit.
+BOUND_SLACK = 1e-12
 _I_POWERS = np.array([1, 1j, -1, -1j])
 #: An evolved state with an eigenvalue below -POSITIVITY_TOL raises a warning.
 POSITIVITY_TOL = 1e-6
@@ -343,38 +357,32 @@ class _BlockForm:
     def kernel(self, thresh: float, scale: float, k: int, cap: int):
         """Kernel of T (|lambda| < thresh), solved block by block.
 
-        Blocks of at most DENSE_BLOCK_LIMIT elements get a dense eigensolve
-        batched by size. A Hermitian form (the commutant) gets eigvalsh and
-        returns no kernel vectors; any other form gets eigvals, then eig on
+        Blocks of at most DENSE_BLOCK_LIMIT elements are solved densely,
+        batched by size. A Hermitian form (the commutant) gets eigvalsh on
+        every block and returns no kernel vectors. Any other form goes
+        through ``_refine``: eigvalsh bounds on every block, then eigvals
+        only on the blocks that can reach the returned spectrum, and eig on
         the blocks that hold kernel. Larger blocks get shift-invert ARPACK
-        about 1e-9 * scale: k pairs, doubled until the set reaches past
-        100 * thresh or holds ``cap`` (a Hermitian form keeps |lambda|). An
-        eigenvalue within a factor 100 of thresh on either side makes the
-        kernel ambiguous and raises NumericalError.
+        about 1e-9 * scale from a fixed start vector: k pairs, doubled until
+        the set reaches past 100 * thresh or holds ``cap`` (a Hermitian form
+        keeps |lambda|). An eigenvalue within a factor 100 of thresh on
+        either side makes the kernel ambiguous and raises NumericalError.
 
         Returns the eigenvalues computed, sorted by |lambda| (ascending for a
         Hermitian form, which is positive semidefinite here); the kernel
         dimension (the number of kernel vectors when they are returned); the
         kernel as (members, orthonormal coefficient columns) per block, empty
         for a Hermitian form; and diagnostics basis, blocks, max_block, nnz
-        (of T) and margin (the smallest non-kernel |lambda| over thresh, None
-        if none).
+        (of T), refined (the dense blocks sent through eigvals) and margin
+        (the smallest non-kernel |lambda| over thresh, None if none). For a
+        non-Hermitian form the eigenvalues are complex, and run up to the
+        limit below which ``_refine`` has every dense eigenvalue, at least
+        100 * thresh: their first max(kernel + 4, k) are those of the sorted
+        union of all block spectra, bit for bit.
         """
         spectra, kernel = [], []
         for members in self.blocks():
-            if members.shape[1] <= DENSE_BLOCK_LIMIT:
-                stack = self.dense(members)
-                if self.hermitian:
-                    spectra.append(np.linalg.eigvalsh(stack).ravel())
-                    continue
-                vals = np.linalg.eigvals(stack)
-                hit = np.flatnonzero((np.abs(vals) < thresh).any(axis=1))
-                if hit.size:
-                    w, v = np.linalg.eig(stack[hit])
-                    kernel += [(members[b], vb[:, np.abs(wb) < thresh])
-                               for b, wb, vb in zip(hit, w, v)]
-                spectra.append(vals.ravel())
-            else:
+            if members.shape[1] > DENSE_BLOCK_LIMIT:
                 for idx in members:
                     vals, v = _arpack_block(self.restrict(idx[None]), k, thresh, scale, cap)
                     if self.hermitian:
@@ -382,8 +390,18 @@ class _BlockForm:
                     else:
                         kernel.append((idx, v[:, np.abs(vals) < thresh]))
                     spectra.append(vals)
+            elif self.hermitian:
+                spectra.append(np.linalg.eigvalsh(self.dense(members)).ravel())
+        sizes = np.bincount(self.labels)
+        refined, limit = 0, np.inf
+        if not self.hermitian and sizes.min() <= DENSE_BLOCK_LIMIT:
+            # dense blocks come first, as blocks() yields sizes in ascending order
+            dense_spectra, dense_kernel, limit = self._refine(sizes, thresh, scale, k, spectra)
+            spectra, kernel = dense_spectra + spectra, dense_kernel + kernel
+            refined = len(dense_spectra)
         vals = np.concatenate(spectra)
         vals = vals[np.argsort(vals if self.hermitian else np.abs(vals), kind="stable")]
+        vals = vals[np.abs(vals) <= limit]
         ambiguous = vals[(np.abs(vals) >= thresh / 100) & (np.abs(vals) < 100 * thresh)]
         if ambiguous.size:
             raise NumericalError(
@@ -394,12 +412,62 @@ class _BlockForm:
                     else sum(v.shape[1] for _, v in kernel))
         diagnostics = {
             "basis": self.basis,
-            "blocks": int(self.labels.max()) + 1,
-            "max_block": int(np.bincount(self.labels).max()),
+            "blocks": len(sizes),
+            "max_block": int(sizes.max()),
             "nnz": int(self.T.nnz),
+            "refined": refined,
             "margin": float(abs(vals[n_kernel]) / thresh) if n_kernel < len(vals) else None,
         }
         return vals, n_kernel, kernel, diagnostics
+
+    def _refine(self, sizes: np.ndarray, thresh: float, scale: float, k: int, others: list):
+        """Spectra and kernels of the blocks of at most DENSE_BLOCK_LIMIT
+        elements (``sizes`` by label) of a non-Hermitian form, by bound and
+        refine.
+
+        By Bendixson's theorem every eigenvalue of a block B has |lambda| >=
+        -Re lambda >= bound_B = -lambda_max(B + B^dag) / 2, so one eigvalsh
+        per block (in sub-batches of _BOUND_ENTRIES entries) bounds its
+        spectrum from below. eigvals then runs on the original blocks whose
+        bound lies within BOUND_SLACK * scale of a limit: first 100 * thresh
+        (every kernel and ambiguous eigenvalue) together with the k lowest
+        bounds; then the m-th smallest |lambda| found so far, with the
+        ARPACK spectra ``others``, where m = max(kernel + 4, k). So every
+        eigenvalue up to the larger of the two limits is computed, bit for
+        bit as the eigvals of every block would give it. eig runs on the
+        blocks that hold kernel. Returns the spectra and the kernel, in block
+        order, and that limit.
+        """
+        dense = np.flatnonzero(sizes <= DENSE_BLOCK_LIMIT)
+        bound = np.empty(len(sizes))
+        for members in self.blocks(dense):
+            step = max(1, _BOUND_ENTRIES // members.shape[1] ** 2)
+            for part in (members[i:i + step] for i in range(0, len(members), step)):
+                B = self.dense(part)
+                bound[self.labels[part[:, 0]]] = -np.linalg.eigvalsh(
+                    B + B.conj().swapaxes(1, 2))[:, -1] / 2
+        slack = BOUND_SLACK * scale
+        found = {}
+
+        def refine(chosen):
+            for members in self.blocks(np.setdiff1d(chosen, list(found))):
+                found.update(zip(self.labels[members[:, 0]].tolist(),
+                                 np.linalg.eigvals(self.dense(members)).astype(complex)))
+
+        refine(np.union1d(dense[bound[dense] <= 100 * thresh + slack],
+                          dense[np.argsort(bound[dense], kind="stable")[:k]]))
+        mags = np.abs(np.concatenate([*found.values(), *others]))
+        m = max(int(np.sum(mags < thresh)) + 4, k)
+        reach = np.partition(mags, m - 1)[m - 1] if m <= mags.size else np.inf
+        refine(dense[bound[dense] <= reach + slack])
+
+        order = sorted(found, key=lambda b: (sizes[b], b))  # the order of blocks()
+        kernel = []
+        hit = np.array([b for b in order if (np.abs(found[b]) < thresh).any()], dtype=int)
+        for members in self.blocks(hit):
+            w, v = np.linalg.eig(self.dense(members))
+            kernel += [(idx, vb[:, np.abs(wb) < thresh]) for idx, wb, vb in zip(members, w, v)]
+        return [found[b] for b in order], kernel, max(reach, 100 * thresh)
 
 
 def _arpack_block(B: sparse.spmatrix, k: int, thresh: float, scale: float, cap: int):
@@ -407,9 +475,12 @@ def _arpack_block(B: sparse.spmatrix, k: int, thresh: float, scale: float, cap: 
     until the computed set reaches past 100 * thresh (or the cap)."""
     n = B.shape[0]
     k_req = min(max(k, 2), n - 2)
+    # a fixed generic start vector (ones can be orthogonal to a kernel) makes
+    # the result reproducible
+    v0 = np.random.default_rng(0).standard_normal(n)
     while True:
         try:
-            vals, vecs = sparse_eigs(B, k=k_req, sigma=1e-9 * scale, which="LM")
+            vals, vecs = sparse_eigs(B, k=k_req, sigma=1e-9 * scale, which="LM", v0=v0)
         except Exception as exc:  # ARPACK failure, singular factorization, ...
             raise NumericalError(f"sparse eigensolve failed: {exc}") from exc
         if np.abs(vals).max() >= 100 * thresh or k_req >= min(cap, n - 2):
@@ -578,11 +649,12 @@ class SteadyStateResult:
     kernel_dim: int
     kernel_basis: np.ndarray          # (dim^2, kernel_dim), orthonormal columns
     states: tuple[DensityMatrix, ...]  # Hermitized, trace-normalized candidates
-    eigenvalues: np.ndarray            # the small-magnitude spectrum inspected
+    eigenvalues: np.ndarray            # the smallest |lambda| of all blocks, ascending
     residual: float                    # max ||L v|| over kernel basis vectors
-    # basis, blocks, max_block, nnz (of the basis matrix) and margin, the
-    # smallest non-kernel |lambda| over the threshold (None if none), from
-    # _BlockForm.kernel; and seconds
+    # basis, blocks, max_block, nnz (of the basis matrix), refined (the dense
+    # blocks whose eigvals were computed) and margin, the smallest non-kernel
+    # |lambda| over the threshold (None if none), from _BlockForm.kernel; and
+    # seconds
     diagnostics: dict
 
     @property
@@ -606,9 +678,12 @@ def steady_states(g: LindbladGenerator) -> SteadyStateResult:
     are exact invariant blocks, and ``_BlockForm.kernel`` solves them: dense
     up to DENSE_BLOCK_LIMIT elements, shift-invert ARPACK above, with k grown
     until the computed set reaches past the kernel cluster and the ambiguous
-    band, so degenerate kernels are reported faithfully. ``eigenvalues``
-    holds the max(kernel_dim + 4, STEADY_EIGENVALUES) smallest |lambda| of
-    the union of the block spectra computed.
+    band, so degenerate kernels are reported faithfully. A dense block gets
+    eigvals only when its Bendixson bound can reach the reported spectrum
+    (diagnostics ``refined`` counts them). ``eigenvalues`` holds the
+    max(kernel_dim + 4, STEADY_EIGENVALUES) smallest |lambda| of the union
+    of the block spectra (complex, sorted by |lambda|), the same as eigvals
+    of every dense block would give.
 
     Eigenvalues with |lambda| < KERNEL_TOL * ||L|| count as kernel. ||L|| is
     the larger of the maximal column and row 1-norms of the basis matrix, so

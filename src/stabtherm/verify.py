@@ -157,8 +157,9 @@ def commutant_dimension(ops, dim: int, max_dim: int = 8) -> tuple[int, np.ndarra
 
     Returns (count, eigenvalues, diagnostics): count = min(nullity, max_dim),
     so count == max_dim means "at least max_dim"; the max_dim + 1 smallest
-    eigenvalues; and the kernel solver's diagnostics plus seconds and nullity
-    (exact, except above max_dim when a block went to ARPACK).
+    eigenvalues; and the kernel solver's diagnostics (``refined`` is 0, as
+    no block needs eigvals) plus seconds and nullity (exact, except above
+    max_dim when a block went to ARPACK).
     """
     start = time.perf_counter()
     mats = _as_sparse_list(ops)

@@ -1,5 +1,7 @@
 """Lindblad engine: superoperators, evolution, steady states, Gibbs states."""
 
+import itertools
+
 import numpy as np
 import pytest
 from scipy import sparse
@@ -33,7 +35,13 @@ from stabtherm.toric import (
     toric_hamiltonian,
 )
 
-from oracles import build_superoperator, lindblad_rhs, random_density, toric_partition_sums
+from oracles import (
+    build_superoperator,
+    dense_pauli,
+    lindblad_rhs,
+    random_density,
+    toric_partition_sums,
+)
 
 SM = np.array([[0, 1], [0, 0]], dtype=complex)  # |0><1|
 SP = SM.conj().T
@@ -318,8 +326,9 @@ def three_qubit_rwa_composite():
 
 
 def max_matched_distance(a, b):
-    """Largest |a_i - b_pi(i)| under the best one-to-one pairing."""
-    assert len(a) == len(b)
+    """Largest |a_i - b_pi(i)| under the best one-to-one pairing of every a_i
+    with a distinct b_j."""
+    assert len(a) <= len(b)
     dist = np.abs(a[:, None] - b[None, :])
     rows, cols = linear_sum_assignment(dist)
     return dist[rows, cols].max()
@@ -331,19 +340,78 @@ def max_matched_distance(a, b):
     (lambda: random_generator(3, 5), "matrix-unit"),
 ])
 def test_block_spectra_match_dense_oracle(make, basis):
-    # the shared kernel solver returns every eigenvalue of a dense block
+    # the shared kernel solver returns the smallest-|lambda| part of the
+    # spectrum: a prefix of the oracle's, with nothing skipped below its end
     g = make()
-    n = g.n_levels ** 2
     form = lindblad._block_form(lindblad._sandwich_terms(g), g.n_levels)
     scale = lindblad._superop_scale(form.T)
     vals, kernel_dim, kernel, diagnostics = form.kernel(
         lindblad.KERNEL_TOL * scale, scale, lindblad.STEADY_EIGENVALUES, lindblad.MAX_KERNEL)
     assert diagnostics["basis"] == basis
-    assert len(vals) == n  # every block is dense at this size
     oracle = np.linalg.eigvals(build_superoperator(g).toarray())
+    oracle = oracle[np.argsort(np.abs(oracle), kind="stable")]
+    assert np.abs(np.abs(vals) - np.abs(oracle[:len(vals)])).max() < 1e-10
     assert max_matched_distance(vals, oracle) < 1e-10
+    below = oracle[np.abs(oracle) < np.abs(vals[-1]) - 1e-10]
+    assert max_matched_distance(below, vals) < 1e-10
     assert sum(v.shape[1] for _, v in kernel) == kernel_dim == np.sum(np.abs(oracle) < 1e-9)
     assert steady_states(g).kernel_dim == kernel_dim
+
+
+@pytest.mark.parametrize("make, refined", [
+    (mini_davies, 8),                            # of 128 blocks
+    (lambda: mini_davies(("translate",)), 192),  # all, with a 16-dim kernel
+    (three_qubit_rwa_composite, 20),             # all: no detailed balance
+    (lambda: random_generator(3, 5), 1),
+])
+def test_refined_spectrum_prefix_is_that_of_every_dense_block(make, refined):
+    g = make()
+    form = lindblad._block_form(lindblad._sandwich_terms(g), g.n_levels)
+    scale = lindblad._superop_scale(form.T)
+    k = lindblad.STEADY_EIGENVALUES
+    vals, kernel_dim, _, diagnostics = form.kernel(
+        lindblad.KERNEL_TOL * scale, scale, k, lindblad.MAX_KERNEL)
+    # eigvals of every block, concatenated in block order and stably sorted
+    stacks = [form.dense(members) for members in form.blocks()]
+    full = np.concatenate([np.linalg.eigvals(stack).ravel() for stack in stacks])
+    full = full[np.argsort(np.abs(full), kind="stable")]
+    m = max(kernel_dim + 4, k)
+    assert np.array_equal(vals[:m], full[:m])
+    assert diagnostics["refined"] == refined
+    # Bendixson: no eigenvalue of a block lies below its bound
+    for stack in stacks:
+        bound = -np.linalg.eigvalsh(stack + stack.conj().swapaxes(1, 2))[:, -1] / 2
+        smallest = np.abs(np.linalg.eigvals(stack)).min(axis=1)
+        assert np.all(bound <= smallest + 1e-12 * scale)
+
+
+def test_davies_generator_is_detailed_balanced():
+    # quantum detailed balance, checked on the oracle's superoperator: with
+    # Gamma(X) = sigma^(1/4) X sigma^(1/4), the symmetric and antisymmetric
+    # parts of Gamma^-1 L Gamma in the Pauli basis commute
+    H = single_vertex_model(1.0)
+    beta, gamma0 = 1.0, 0.5
+    g = davies_reduction(H, full_decomps(H), beta, gamma0)
+    w, u = np.linalg.eigh(gibbs_state(H.to_dense(), beta).mat)
+    root, inv_root = ((u * w ** p) @ u.conj().T for p in (0.25, -0.25))
+    n = H.n_qubits
+    P = np.stack([vec(dense_pauli("".join(letters))) for letters
+                  in itertools.product("IXYZ", repeat=n)], axis=1) / np.sqrt(2 ** n)
+
+    def commutator_norm(gen):
+        L = build_superoperator(gen).toarray()
+        L = np.kron(inv_root.T, inv_root) @ L @ np.kron(root.T, root)
+        L = P.conj().T @ L @ P
+        assert np.abs(L.imag).max() < 1e-12
+        S, A = (L.real + L.real.T) / 2, (L.real - L.real.T) / 2
+        return np.abs(S @ A - A @ S).max() / np.abs(L).max() ** 2
+
+    assert commutator_norm(g) < 1e-12
+    # raising at e^(-beta eps) instead of e^(-2 beta eps) breaks it
+    broken = [JumpOp(j.op, np.sqrt(j.rate * gamma0), j.label) if j.label.startswith("ad")
+              else j for j in g.jumps]
+    assert any(j.label.startswith("ad") for j in g.jumps)
+    assert commutator_norm(LindbladGenerator(g.n_levels, g.H, tuple(broken))) > 1e-3
 
 
 @pytest.mark.parametrize("make", [mini_davies, three_qubit_rwa_composite])
@@ -390,6 +458,9 @@ def test_toric_l2_davies_gap():
     # in the computational basis)
     assert ss.diagnostics["blocks"] == 1024 and ss.diagnostics["max_block"] == 64
     assert ss.diagnostics["nnz"] == 714751
+    # eigvals runs on the 15 blocks whose Bendixson bound can reach the
+    # reported spectrum, not on all 1024
+    assert ss.diagnostics["refined"] == 15
     assert abs(np.sort(np.abs(ss.eigenvalues))[1] - 0.121675) < 1e-6
 
 
@@ -412,13 +483,18 @@ def test_blocks_above_the_dense_limit_match_sparse_oracle():
     assert np.allclose(np.sort(np.abs(ss.eigenvalues))[:6], np.sort(np.abs(oracle)), atol=1e-8)
     assert ss.kernel_dim == 1
     assert np.linalg.norm(L @ vec(ss.state.mat)) < 1e-10
+    # ARPACK starts from a fixed vector, so a second solve agrees bit for bit
+    again = steady_states(g)
+    assert np.array_equal(ss.eigenvalues, again.eigenvalues)
+    assert np.array_equal(ss.kernel_basis, again.kernel_basis) and ss.residual == again.residual
 
 
 def test_steady_state_diagnostics():
     g = two_level(1.0, 0.25)
     ss = steady_states(g)
     d = ss.diagnostics
-    assert set(d) == {"basis", "blocks", "max_block", "nnz", "seconds", "margin"}
+    assert set(d) == {"basis", "blocks", "max_block", "nnz", "refined", "seconds", "margin"}
+    assert d["refined"] == d["blocks"]  # k = 6 lowest bounds take all 2 blocks
     assert d["basis"] == "pauli" and d["max_block"] <= 4 and d["nnz"] > 0
     form = lindblad._block_form(lindblad._sandwich_terms(g), g.n_levels)
     thresh = 1e-10 * lindblad._superop_scale(form.T)

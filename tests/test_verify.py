@@ -229,6 +229,8 @@ def test_block_above_dense_limit_goes_through_arpack():
     assert diag["max_block"] > DENSE_BLOCK_LIMIT
     assert count == diag["nullity"] == commutant_nullity(ops) == 2
     assert len(vals) == 5 and vals[2] > 100 * vals[1]
+    # ARPACK starts from a fixed vector, so a second solve agrees bit for bit
+    assert np.array_equal(commutant_dimension(ops, 34, max_dim=4)[1], vals)
 
 
 def test_zero_set_commutes_with_everything():
