@@ -29,6 +29,7 @@ from .lindblad import (
     gibbs_state,
     steady_states,
     trace_distance,
+    trace_product,
     trajectory,
 )
 from .pauli import PauliString
@@ -104,7 +105,7 @@ def _observable_rows(names: list[str], H, lat, beta: float,
     before the next one is built."""
     def traces(op) -> list[float]:
         m = op.to_dense()
-        return [float(np.real(np.trace(m @ rho))) for rho in states]
+        return [trace_product(m, rho).real for rho in states]
 
     columns = []
     for name in names:
@@ -264,7 +265,7 @@ def cmd_simulate_schedule(args) -> int:
     else:  # mixed
         rho0 = DensityMatrix.maximally_mixed(dim)
     out = simulate_schedule(sched, rho0)
-    purity = float(np.real(np.trace(out.mat @ out.mat)))
+    purity = trace_product(out.mat, out.mat).real
     print(f"simulated {len(sched)} gates on {sched.n_qubits} qubits; "
           f"purity {purity:.6f}")
     if args.output:

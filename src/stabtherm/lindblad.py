@@ -17,6 +17,11 @@ reach the kernel, the ambiguity band or the reported smallest |lambda|. For
 the L=2 toric Davies generator that is 15 of 1024 blocks. The diagnostics
 count these blocks as ``refined``.
 
+The basis matrix is assembled in one batched pass over the entries of all
+the sandwich terms' operators, with no sparse matrix per term: one
+Walsh-Hadamard transform for the Pauli coefficients, one COO outer product
+for the matrix units, both in bounded chunks.
+
 Conventions (fixed package-wide):
 
 * hbar = 1; energies are quoted in units of the stabilizer coupling lambda
@@ -65,7 +70,8 @@ ROUNDOFF = 1e-13
 #: Dense entries per stack of equal-sized blocks (bounds a batch's memory).
 _STACK_ENTRIES = 1 << 22
 #: Dense entries per batch of the eigvalsh bounds, whose temporaries are
-#: twice the batch: 64 blocks of 64.
+#: twice the batch: 64 blocks of 64. Also the entry products per chunk of the
+#: matrix-unit assembly, whose count grows as the square of dense operators'.
 _BOUND_ENTRIES = 1 << 18
 #: A block's Bendixson bound may exceed its computed smallest |lambda| by
 #: rounding (by up to 2.8e-14 at L=2), so blocks are refined up to this
@@ -91,6 +97,13 @@ def trace_distance(a: np.ndarray, b: np.ndarray) -> float:
     diff = np.asarray(a) - np.asarray(b)
     diff = (diff + diff.conj().T) / 2
     return float(0.5 * np.abs(np.linalg.eigvalsh(diff)).sum())
+
+
+def trace_product(A, B: np.ndarray) -> complex:
+    """Tr(A B) from the entries, without forming the product: A dense or sparse."""
+    if sparse.issparse(A):
+        return complex(A.multiply(np.asarray(B).T).sum())
+    return complex(np.einsum("ij,ji->", A, B))
 
 
 def _check_temperature(beta: float, omega: float, error: type[Exception]) -> None:
@@ -150,8 +163,7 @@ class DensityMatrix:
         return cls(np.eye(dim, dtype=complex) / dim)
 
     def expectation(self, op) -> float:
-        op = op.toarray() if sparse.issparse(op) else np.asarray(op)
-        return float(np.real(np.trace(op @ self.mat)))
+        return trace_product(op, self.mat).real
 
     def distance(self, other: "DensityMatrix | np.ndarray") -> float:
         other_mat = other.mat if isinstance(other, DensityMatrix) else other
@@ -227,14 +239,6 @@ def _sandwich_terms(g: LindbladGenerator) -> list[tuple[sparse.csr_matrix, spars
     return terms + [(2 * j.rate * j.op, j.op.conj().T) for j in g.jumps if j.rate]
 
 
-def _kron_sum(terms, d: int) -> sparse.csr_matrix:
-    """Column-stacking matrix of rho -> sum A rho B: sum kron(B^T, A)."""
-    L = sum((sparse.kron(B.T, A, format="csr") for A, B in terms),
-            sparse.csr_matrix((d * d, d * d), dtype=complex))
-    L.eliminate_zeros()
-    return L
-
-
 def _superop_scale(L: sparse.spmatrix) -> float:
     """Cheap norm estimate used for kernel thresholds."""
     return float(max(abs(L).sum(axis=0).max(), abs(L).sum(axis=1).max(), 1e-300))
@@ -250,19 +254,79 @@ def _walsh(d: int) -> np.ndarray:
     return np.where(np.bitwise_count(i[:, None] & i) & 1, -1.0, 1.0)
 
 
-def _pauli_coefficients(M, W: np.ndarray) -> np.ndarray:
-    """m[x, z] with M = sum m[x, z] X^x Z^z, where X^x Z^z |i> = (-1)^(z.i) |i^x>:
-    m[x, z] = (1/d) sum_i (-1)^(z.i) M[i^x, i], one Walsh-Hadamard transform
-    for each x on which M has entries."""
-    d = len(W)
-    M = sparse.coo_matrix(M)
-    M.sum_duplicates()
-    xs, row = np.unique(M.row ^ M.col, return_inverse=True)
-    V = np.zeros((len(xs), d), complex)
-    V[row, M.col] = M.data
-    m = np.zeros((d, d), complex)
-    m[xs] = V @ W / d
-    return m
+def _entries(ops):
+    """(operator, row, col, value) of the entries of every matrix in ``ops``,
+    in operator order: csr and csc read off their index arrays (other formats
+    and duplicates through a canonical csr copy), ndarrays by np.nonzero."""
+    parts = []
+    for k, o in enumerate(ops):
+        if sparse.issparse(o):
+            if o.format not in ("csr", "csc") or not o.has_canonical_format:
+                o = sparse.csr_matrix(o, copy=True)
+                o.sum_duplicates()
+            major = np.repeat(np.arange(len(o.indptr) - 1), np.diff(o.indptr))
+            rows, cols = (major, o.indices) if o.format == "csr" else (o.indices, major)
+            vals = o.data
+        else:
+            rows, cols = np.nonzero(o)
+            vals = np.asarray(o)[rows, cols]
+        parts.append((np.full(len(vals), k), rows, cols, vals.astype(complex)))
+    return tuple(np.concatenate(p) for p in zip(*parts))
+
+
+def _term_pairs(op: np.ndarray, n_terms: int, step: int | None = None):
+    """Index pairs (p, q) of every entry p of A_t with every entry q of B_t,
+    over the terms (A_t, B_t), for entries labelled by ``op`` (ascending) as
+    operators A_0, B_0, A_1, B_1, ...: term after term, p-major, in chunks of
+    at most ``step`` pairs (default one chunk)."""
+    count = np.bincount(op, minlength=2 * n_terms)
+    start = np.cumsum(count) - count
+    nb = count[1::2]
+    sizes = count[0::2] * nb
+    ends = np.cumsum(sizes)
+    total = int(ends[-1])
+    step = step or max(total, 1)
+    for lo in range(0, max(total, 1), step):
+        k = np.arange(lo, min(lo + step, total))
+        t = np.searchsorted(ends, k, side="right")
+        k -= ends[t] - sizes[t]
+        yield start[2 * t] + k // nb[t], start[2 * t + 1] + k % nb[t]
+
+
+def _pauli_coefficients(ops, d: int):
+    """The coefficients m[x*d + z] of every d x d matrix M in ``ops``, with
+    M = sum m[x*d + z] X^x Z^z and X^x Z^z |i> = (-1)^(z.i) |i^x>, so that
+    m[x*d + z] = (1/d) sum_i (-1)^(z.i) M[i^x, i]: one Walsh-Hadamard transform
+    of all (operator, x) rows with entries, in chunks of at most _STACK_ENTRIES
+    entries. Butterflies (not a BLAS product, which rounds a one-row product
+    differently) make each row's bits independent of the batch. Returns
+    (operator, b, m[b]) above ROUNDOFF of the operator's largest |m|, sorted."""
+    op, row, col, val = _entries(ops)
+    keys, inverse = np.unique(op * d + (row ^ col), return_inverse=True)
+    peak = np.zeros(len(ops))
+    found = []
+    step = max(1, _STACK_ENTRIES // d)
+    for lo in range(0, len(keys), step):
+        hi = min(lo + step, len(keys))
+        chunk = (inverse >= lo) & (inverse < hi)
+        m = np.zeros((hi - lo, d), complex)
+        m[inverse[chunk] - lo, col[chunk]] = val[chunk]
+        for h in 1 << np.arange(d.bit_length() - 1):  # pairs (j, j + h) in blocks of 2h
+            pair = m.reshape(-1, 2, h)
+            diff = pair[:, 0] - pair[:, 1]
+            pair[:, 0] += pair[:, 1]
+            pair[:, 1] = diff
+        m /= d
+        mag = np.abs(m)
+        row_peak = mag.max(axis=1)
+        np.maximum.at(peak, keys[lo:hi] // d, row_peak)
+        # a superset of the final cut, as no row's largest exceeds its operator's
+        r, z = np.nonzero(mag > ROUNDOFF * row_peak[:, None])
+        found.append((keys[lo + r], z, m[r, z], mag[r, z]))
+    key, z, m, mag = (np.concatenate(f) for f in zip(*found))
+    keep = mag > ROUNDOFF * peak[key // d]
+    key, z = key[keep], z[keep]
+    return key // d, (key % d) * d + z, m[keep]
 
 
 def _pauli_transfer(terms, W: np.ndarray, weight: np.ndarray) -> sparse.csr_matrix:
@@ -278,18 +342,9 @@ def _pauli_transfer(terms, W: np.ndarray, weight: np.ndarray) -> sparse.csr_matr
     """
     d = len(W)
     n = d.bit_length() - 1
-    a, c, w = [], [], []
-    for A, B in terms:
-        supports = []
-        for op in (A, B):
-            m = _pauli_coefficients(op, W).ravel()
-            keep = np.flatnonzero(np.abs(m) > ROUNDOFF * np.abs(m).max())
-            supports.append((keep, m[keep]))
-        (ia, ca), (ic, cc) = supports
-        a.append(np.repeat(ia, len(ic)))
-        c.append(np.tile(ic, len(ia)))
-        w.append(np.outer(ca, cc).ravel())
-    a, c, w = np.concatenate(a), np.concatenate(c), np.concatenate(w)
+    op, b, m = _pauli_coefficients([o for term in terms for o in term], d)
+    p, q = next(_term_pairs(op, len(terms)))
+    a, c, w = b[p], b[q], m[p] * m[q]
     za, xc, shift = a & (d - 1), c >> n, a ^ c
     w = w * np.where(np.bitwise_count(za & xc) & 1, -1.0, 1.0)
     order = np.argsort(shift, kind="stable")
@@ -488,24 +543,31 @@ def _arpack_block(B: sparse.spmatrix, k: int, thresh: float, scale: float, cap: 
         k_req = min(2 * k_req, n - 2)
 
 
-def _drop_roundoff(A) -> sparse.csr_matrix:
-    """A as a sparse matrix without the entries below ROUNDOFF times its largest."""
-    A = sparse.csr_matrix(A, copy=True)
-    if A.nnz:
-        A.data[np.abs(A.data) <= ROUNDOFF * np.abs(A.data).max()] = 0
-        A.eliminate_zeros()
-    return A
-
-
 def _matrix_unit_transfer(terms, d: int) -> sparse.csr_matrix:
-    """Column-stacking matrix of rho -> sum A rho B, cut like the Pauli
-    transfer: operator entries below ROUNDOFF of their largest, and assembled
-    entries below ROUNDOFF of the magnitude that summed into them."""
-    terms = [(_drop_roundoff(A), _drop_roundoff(B)) for A, B in terms]
-    T = _kron_sum(terms, d).tocoo()
-    bound = _kron_sum([(abs(A), abs(B)) for A, B in terms], d)
+    """Column-stacking matrix of rho -> sum A rho B, the sum of kron(B^T, A)
+    over the terms, from the COO outer product of the entries of every A and
+    B in chunks of at most _BOUND_ENTRIES products (duplicates summed by each
+    chunk's csr conversion, chunks by csr addition). Cut like the Pauli
+    transfer:
+    operator entries at or below ROUNDOFF of their operator's largest, and
+    assembled entries at or below ROUNDOFF of the magnitude that summed into
+    them."""
+    op, row, col, val = _entries([o for term in terms for o in term])
+    mag = np.abs(val)
+    peak = np.zeros(2 * len(terms))
+    np.maximum.at(peak, op, mag)
+    keep = mag > ROUNDOFF * peak[op]
+    op, row, col, val, mag = op[keep], row[keep], col[keep], val[keep], mag[keep]
+    shape = (d * d, d * d)
+    T = bound = sparse.csr_matrix(shape)
+    for p, q in _term_pairs(op, len(terms), _BOUND_ENTRIES):
+        # kron(B^T, A)[cB*d + rA, rB*d + cA] = A[rA, cA] B[rB, cB]
+        index = (col[q] * d + row[p], row[q] * d + col[p])
+        T = T + sparse.csr_matrix((val[p] * val[q], index), shape=shape)
+        bound = bound + sparse.csr_matrix((mag[p] * mag[q], index), shape=shape)
+    T = T.tocoo()
     keep = np.abs(T.data) > ROUNDOFF * np.asarray(bound[T.row, T.col]).ravel()
-    return sparse.csr_matrix((T.data[keep], (T.row[keep], T.col[keep])), shape=T.shape)
+    return sparse.csr_matrix((T.data[keep], (T.row[keep], T.col[keep])), shape=shape)
 
 
 def _block_form(terms, d: int, hermitian: bool = False) -> _BlockForm:
@@ -528,7 +590,10 @@ def _block_form(terms, d: int, hermitian: bool = False) -> _BlockForm:
         positions = ((i ^ i[:, None]) + d * i).ravel()  # vec index of M[i^x, i]
 
         def coefficients(rho):
-            return (_pauli_coefficients(rho, W).ravel() / phase).real
+            _, b, m = _pauli_coefficients([rho], d)
+            c = np.zeros(d * d)
+            c[b] = (m / phase[b]).real
+            return c
 
         def vectors(C):
             m = (C * phase[:, None]).reshape(d, d, -1)

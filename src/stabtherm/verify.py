@@ -118,32 +118,34 @@ def check_fixed_point_conditions(
 # commutant machinery
 # ---------------------------------------------------------------------------
 
-def _as_sparse_list(ops) -> list[sparse.csr_matrix]:
-    out = []
-    for o in ops:
-        if isinstance(o, PauliSum):
-            out.append(o.to_sparse())
-        elif sparse.issparse(o):
-            out.append(o.tocsr())
-        else:
-            out.append(sparse.csr_matrix(np.asarray(o, dtype=complex)))
-    return out
+def _as_operators(ops) -> list:
+    """Each op as a matrix in the form it arrives in: a PauliSum as csr,
+    another sparse matrix as csr, anything else as a complex ndarray."""
+    return [o.to_sparse() if isinstance(o, PauliSum)
+            else o.tocsr() if sparse.issparse(o) else np.asarray(o, dtype=complex)
+            for o in ops]
 
 
 def _commutant_terms(mats, dim: int) -> list:
     """Sandwich terms (A, B), X -> sum A X B, of M X = sum_O [O^dag, [O, X]]
-    over an adjoint-closed set: (G, I), (I, G) with G = sum O^dag O
-    (= sum O O^dag on such a set), and (-2 O^dag, O) for each O (the set
-    pairs O^dag X O with O X O^dag)."""
-    stacked = sparse.vstack(mats, format="csr")
-    G = (stacked.conj().T @ stacked).tocsr()
+    over an adjoint-closed set of sparse matrices or ndarrays: (G, I), (I, G)
+    with G = sum O^dag O (= sum O O^dag on such a set), one product of the
+    stacked ops, and (-2 O^dag, O) for each O (the set pairs O^dag X O with
+    O X O^dag)."""
+    if any(sparse.issparse(O) for O in mats):
+        stacked = sparse.vstack(mats, format="csr")
+    else:
+        stacked = np.concatenate(mats)
+    G = stacked.conj().T @ stacked
     eye = sparse.identity(dim, dtype=complex, format="csr")
     return [(G, eye), (eye, G)] + [(-2 * O.conj().T, O) for O in mats]
 
 
 def commutant_dimension(ops, dim: int, max_dim: int = 8) -> tuple[int, np.ndarray, dict]:
     """Nullity of X -> sum_O ||[X, O]||^2 over dim x dim matrices: the
-    dimension of the commutant of the ops and their adjoints.
+    dimension of the commutant of the ops and their adjoints. The ops
+    (PauliSums, sparse or dense matrices) stay in the form they come in
+    (``_as_operators``): dense ops are never converted to sparse.
 
     M = sum_O ad_O^dag ad_O is a Hermitian sandwich map (``_commutant_terms``),
     so lindblad's block engine writes it in the Pauli basis (dim = 2^n) or the
@@ -162,14 +164,14 @@ def commutant_dimension(ops, dim: int, max_dim: int = 8) -> tuple[int, np.ndarra
     max_dim when a block went to ARPACK).
     """
     start = time.perf_counter()
-    mats = _as_sparse_list(ops)
-    mats = mats + [m.conj().T.tocsr() for m in mats]
-    scale = max((float(abs(m).max()) for m in mats if m.nnz), default=0.0) ** 2 * len(mats)
+    mats = _as_operators(ops)
+    mats = mats + [m.conj().T for m in mats]
+    scale = max((float(abs(m).max()) for m in mats), default=0.0) ** 2 * len(mats)
     thresh = COMMUTANT_TOL * scale
     if thresh == 0:
         n = dim * dim
         return min(n, max_dim), np.zeros(min(n, max_dim + 1)), {
-            "basis": None, "blocks": n, "max_block": 1, "nnz": 0,
+            "basis": None, "blocks": n, "max_block": 1, "nnz": 0, "refined": 0,
             "seconds": time.perf_counter() - start, "nullity": n, "margin": None}
 
     form = _block_form(_commutant_terms(mats, dim), dim, hermitian=True)
@@ -229,7 +231,8 @@ def ergodicity_check(
 ) -> ErgodicityReport:
     """Commutant-based ergodicity verdict with per-eigenspace detail.
 
-    ``jump_ops`` may be PauliSums, dense or sparse matrices. ``loop_ops``
+    ``jump_ops`` may be PauliSums, dense or sparse matrices, each kept in
+    its form (``_as_operators``). ``loop_ops``
     (label -> PauliString) are checked against the op set: a loop operator in
     the commutant would be a conserved topological charge.
 
@@ -244,7 +247,7 @@ def ergodicity_check(
     dim = 1 << H.n_qubits
     if dim > SUPEROP_DIM_LIMIT:
         raise CapacityError("ergodicity_check is a dense desk-scale verification")
-    mats = _as_sparse_list(jump_ops)
+    mats = _as_operators(jump_ops)
     full_set = [H.as_sum().to_sparse()] + mats
 
     cdim, cvals, diagnostics = commutant_dimension(full_set, dim, max_dim=max_commutant)
@@ -254,8 +257,8 @@ def ergodicity_check(
     # integer eigenvalues, so distinct weighted syndromes are at least 2 apart
     S = sum(((t + 1) * term.stabilizer.to_sparse() for t, term in enumerate(H.terms)),
             sparse.csr_matrix((dim, dim), dtype=complex))
-    sources = mats + [(M.conj().T @ M).tocsr() for M in mats]
-    floor = ROUNDOFF * max((float(abs(M).max()) for M in sources if M.nnz), default=0.0)
+    sources = mats + [M.conj().T @ M for M in mats]
+    floor = ROUNDOFF * max((float(abs(M).max()) for M in sources), default=0.0)
     energies = np.unique(rounded)
     bases = [evecs[:, rounded == energy] for energy in energies]
     bases = [_sector_basis(V, S) if V.shape[1] <= EIGENSPACE_DIM_CAP else V for V in bases]
@@ -276,11 +279,7 @@ def ergodicity_check(
     if loop_ops:
         for label, w in loop_ops.items():
             wd = w.to_sparse() if hasattr(w, "to_sparse") else sparse.csr_matrix(w)
-            worst = 0.0
-            for M in full_set:
-                c = (wd @ M - M @ wd)
-                worst = max(worst, float(abs(c).max()) if c.nnz else 0.0)
-            loop_checks[label] = worst
+            loop_checks[label] = max(float(abs(wd @ M - M @ wd).max()) for M in full_set)
 
     ground_span, ground_comm = _ground_word_span(mats, bases[0], floor)
 
@@ -317,7 +316,7 @@ def _ground_word_span(mats, V0: np.ndarray, floor: float) -> tuple[int | None, i
     if m > 8:
         return None, None
     span = np.eye(m, dtype=complex).reshape(1, -1) / np.sqrt(m)
-    alphabet = mats + [M.conj().T.tocsr() for M in mats]
+    alphabet = mats + [M.conj().T for M in mats]
     if alphabet:
         span = _grow_span(span, alphabet, V0, floor)
     comm = commutant_dimension(list(span.reshape(-1, m, m)), m, max_dim=min(8, m * m))[0]

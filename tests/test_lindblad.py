@@ -21,6 +21,7 @@ from stabtherm.lindblad import (
     steady_states,
     thermal_qubit,
     trace_distance,
+    trace_product,
     trajectories,
     trajectory,
     unvec,
@@ -428,18 +429,77 @@ def test_trajectory_matches_dense_exponential_on_every_block(make):
 
 
 def test_block_solvers_never_form_the_superoperator(monkeypatch):
-    # _kron_sum is the only computational-basis assembly left in lindblad (the
-    # matrix-unit form uses it); Pauli-basis models never reach it
+    # the matrix-unit assembly is the only computational-basis superoperator
+    # left in lindblad; Pauli-basis models never reach it
     def refuse(*args, **kwargs):
         raise AssertionError("the computational-basis superoperator was formed")
 
-    monkeypatch.setattr(lindblad, "_kron_sum", refuse)
+    monkeypatch.setattr(lindblad, "_matrix_unit_transfer", refuse)
     zz = single_stabilizer_model("ZZ", 1.0)
     for g in (mini_davies(), davies_reduction(zz, full_decomps(zz), 1.0, 0.5)):
         assert steady_states(g).kernel_dim == 1
         rho0 = DensityMatrix.maximally_mixed(g.n_levels)
         for method in ("expm", "krylov"):
             trajectory(g, rho0, 1.0, 3, method=method)
+
+
+def test_pauli_coefficients_of_a_batch_match_each_operator(monkeypatch):
+    rng = np.random.default_rng(23)
+    d = 16
+    dense = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+    csr = sparse.random(d, d, density=0.2, random_state=rng, format="csr") * (1 - 2j)
+    paulis = PauliSum(4, [(0.7, PauliString.from_letters("XZIY")),
+                          (-1.3j, PauliString.from_letters("IZZX"))]).to_sparse()
+    # entry (0, 1) stored twice: summed, as toarray() does
+    repeated = sparse.csr_matrix((np.array([1.0, 2.0, 3j]), np.array([1, 1, 0]),
+                                  np.array([0, 2] + [3] * (d - 1))), shape=(d, d))
+    ops = [dense, csr, paulis, csr.conj().T, repeated]  # csr.conj().T is csc
+    op, b, m = lindblad._pauli_coefficients(ops, d)
+    i = np.arange(d)
+    for k, M in enumerate(ops):
+        _, bk, mk = lindblad._pauli_coefficients([M], d)
+        assert np.array_equal(bk, b[op == k]) and np.array_equal(mk, m[op == k])
+        # sum m[x*d + z] X^x Z^z, with X^x Z^z |i> = (-1)^(z.i) |i^x>
+        rebuilt = np.zeros((d, d), complex)
+        for bb, c in zip(bk, mk):
+            x, z = divmod(bb, d)
+            rebuilt[i ^ x, i] += c * np.where(np.bitwise_count(z & i) & 1, -1, 1)
+        expected = M.toarray() if sparse.issparse(M) else M
+        assert np.abs(rebuilt - expected).max() < 1e-12
+    # chunks of 3 rows give the same bits
+    monkeypatch.setattr(lindblad, "_STACK_ENTRIES", 3 * d)
+    for x, y in zip(lindblad._pauli_coefficients(ops, d), (op, b, m)):
+        assert np.array_equal(x, y)
+
+
+def test_matrix_unit_transfer_is_the_kron_sum_in_any_chunks(monkeypatch):
+    rng = np.random.default_rng(31)
+    d = 6
+    terms = [(rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d)),
+              sparse.random(d, d, density=0.4, random_state=rng, format="csr"))
+             for _ in range(3)]
+    expected = sum(np.kron(B.toarray().T, A) for A, B in terms)
+    T = lindblad._matrix_unit_transfer(terms, d)
+    assert np.abs(T.toarray() - expected).max() < 1e-12
+    monkeypatch.setattr(lindblad, "_BOUND_ENTRIES", 7)  # chunks split terms
+    chunked = lindblad._matrix_unit_transfer(terms, d)
+    assert chunked.nnz == T.nnz and abs(chunked - T).max() < 1e-14
+    # terms that cancel up to rounding (0.1 * 3 / 3 != 0.1) leave no entry
+    A, B = np.full((d, d), 0.1), terms[0][1]
+    assert np.any(A * 3 / 3 != A)
+    assert lindblad._matrix_unit_transfer([(A, B), (-(A * 3) / 3, B)], d).nnz == 0
+
+
+def test_trace_product_matches_the_matrix_product():
+    rng = np.random.default_rng(29)
+    A = rng.normal(size=(12, 12)) + 1j * rng.normal(size=(12, 12))
+    B = rng.normal(size=(12, 12)) + 1j * rng.normal(size=(12, 12))
+    S = sparse.random(12, 12, density=0.3, random_state=rng, format="csr") * (2 + 1j)
+    for X in (A, S):
+        dense = X.toarray() if sparse.issparse(X) else X
+        assert abs(trace_product(X, B) - np.trace(dense @ B)) < 1e-12
+    assert abs(DensityMatrix.maximally_mixed(12).expectation(S)
+                - np.trace(S.toarray()).real / 12) < 1e-12
 
 
 def test_trajectory_from_identity_touches_one_block():

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from stabtherm import lindblad
+from stabtherm import lindblad, verify
 from stabtherm.bath import davies_reduction
 from stabtherm.errors import NumericalError
 from stabtherm.lindblad import (
@@ -234,8 +234,11 @@ def test_block_above_dense_limit_goes_through_arpack():
 
 
 def test_zero_set_commutes_with_everything():
-    assert commutant_dimension([np.zeros((4, 4))], 4, max_dim=16)[0] == 16
+    count, _, diagnostics = commutant_dimension([np.zeros((4, 4))], 4, max_dim=16)
+    assert count == 16
     assert commutant_dimension([np.zeros((4, 4))], 4, max_dim=3)[0] == 3
+    # the early return reports the keys of the block path
+    assert diagnostics.keys() == commutant_dimension([np.eye(4)], 4)[2].keys()
 
 
 def test_ambiguous_commutant_threshold_raises():
@@ -258,6 +261,24 @@ def test_translation_only_ground_space_commutant_is_everything(l2_translation_on
     rep = ergodicity_check(H, jumps, max_commutant=max_commutant)
     ground = rep.eigenspaces[0]
     assert ground.dimension == 4 and ground.commutant_dim == min(16, max_commutant)
+
+
+def test_matrix_unit_form_of_a_translation_only_eigenspace(l2_translation_only, monkeypatch):
+    # a 48-dimensional eigenspace is no power of two, so its commutant form
+    # is assembled in the matrix units; blocks and nnz pin both roundoff cuts
+    H, jumps = l2_translation_only
+    seen = {}
+
+    def record(ops, dim, max_dim=8):
+        result = commutant_dimension(ops, dim, max_dim)
+        seen[dim] = result[2]
+        return result
+
+    monkeypatch.setattr(verify, "commutant_dimension", record)
+    ergodicity_check(H, jumps)
+    diagnostics = seen[48]
+    assert diagnostics["basis"] == "matrix-unit"
+    assert (diagnostics["blocks"], diagnostics["max_block"], diagnostics["nnz"]) == (1414, 192, 67840)
 
 
 @pytest.mark.parametrize("H, include", [
