@@ -39,10 +39,11 @@ Liouville map, found by running the region's branches once on the 4^|Q|
 basis matrices of Q, when that 4^|Q| x 4^|Q| map is no larger than the
 state (16^|Q| <= 4^n, the rule for fused runs); a wider region keeps its
 gates and branches at run time. A measured reset is thus the same 4 x 4 map
-as THERMAL_RESET on two or more qubits. One kernel, ``_apply_local``,
-applies every map, and one loop, ``_ScheduleRunner._run_segment``, runs
-branches both when lowering a region and at run time. The whole-channel
-views run one segment on the stack of all d^2 basis matrices.
+as THERMAL_RESET on two or more qubits. One kernel, ``_apply_local`` (the
+qubit-to-axis map over ``groups._apply_axes``), applies every map, and one
+loop, ``_ScheduleRunner._run_segment``, runs branches both when lowering a
+region and at run time. The whole-channel views run one segment on the
+stack of all d^2 basis matrices.
 """
 
 from __future__ import annotations
@@ -55,6 +56,7 @@ from dataclasses import asdict, dataclass, fields
 import numpy as np
 
 from .errors import ParameterError, ScheduleError
+from .groups import _apply_axes
 from .lindblad import DensityMatrix, LindbladGenerator, _check_temperature
 from .pauli import PauliString
 from .serialize import strict_json
@@ -403,10 +405,7 @@ def _apply_local(op: np.ndarray, qubits: tuple[int, ...], t: np.ndarray, n: int)
     density-matrix tensor (2,)*2n + rest is a 2n-qubit register whose qubit
     q + n is the row axis of qubit q and whose qubit q is its column axis.
     """
-    axes = [n - 1 - q for q in reversed(qubits)]
-    perm = axes + [a for a in range(t.ndim) if a not in axes]
-    out = op @ t.transpose(perm).reshape(len(op), -1)
-    return out.reshape([t.shape[a] for a in perm]).transpose(np.argsort(perm))
+    return _apply_axes(op, [n - 1 - q for q in reversed(qubits)], t)
 
 
 def _gate_unitary(g: Gate) -> tuple[tuple[int, ...], np.ndarray]:

@@ -350,6 +350,8 @@ def _pauli_transfer(terms, W: np.ndarray, weight: np.ndarray) -> sparse.csr_matr
     order = np.argsort(shift, kind="stable")
     shift, za, xc, w = shift[order], za[order], xc[order], w[order]
     shifts, starts = np.unique(shift, return_index=True)
+    if not len(shifts):  # the zero map
+        return sparse.csr_matrix((d * d, d * d))
     rows, cols, vals = [], [], []
     for s, lo, hi in zip(shifts, starts, np.append(starts[1:], len(shift))):
         v = (W[za[lo:hi]].T @ (w[lo:hi, None] * W[xc[lo:hi]])).ravel()

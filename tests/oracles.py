@@ -229,3 +229,40 @@ def commutant_nullity(ops, tol=1e-7):
     scale = max(np.abs(o.toarray() if hasattr(o, "toarray") else o).max() for o in ops) ** 2
     vals = np.linalg.eigvalsh(commutant_superoperator(ops))
     return int(np.sum(vals < tol * scale * 2 * len(ops)))
+
+
+def dense_vertex(G, n, links, pattern):
+    """A_v on n qudits: (1/|G|) sum_g of the kron product, first qudit most
+    significant, of L+^g on a '+' link, L-^g on a '-' link and I elsewhere."""
+    from stabtherm.groups import left_mult, right_mult_inv
+
+    out = 0
+    for g in range(G.order):
+        factors = [np.eye(G.order)] * n
+        for link, c in zip(links, pattern):
+            factors[link] = left_mult(G, g) if c == "+" else right_mult_inv(G, g)
+        term = np.array([[1.0]])
+        for f in factors:
+            term = np.kron(term, f)
+        out = out + term
+    return out / G.order
+
+
+def dense_plaquette(G, n, links, pattern):
+    """B_p on n qudits: diagonal 1 on every configuration whose flux word
+    (link elements in order, inverted on a '-' link) is the identity."""
+    diag = []
+    for config in itertools.product(range(G.order), repeat=n):
+        w = G.identity
+        for link, c in zip(links, pattern):
+            w = G.mult(w, config[link] if c == "+" else G.inverse(config[link]))
+        diag.append(float(w == G.identity))
+    return np.diag(diag)
+
+
+def dense_commutator_norm(G, geo):
+    """||[A_v, B_p]||_F / sqrt(dim) from the dense n-qudit operators."""
+    A = dense_vertex(G, geo.n_qudits, geo.vertex_links, geo.vertex_pattern)
+    b = np.diag(dense_plaquette(G, geo.n_qudits, geo.plaquette_links, geo.plaquette_pattern))
+    C = A * b[None, :] - b[:, None] * A
+    return float(np.linalg.norm(C) / np.sqrt(len(C)))

@@ -337,7 +337,7 @@ def test_criterion_12_nonabelian_suite():
     proj_b = float(np.linalg.norm(B @ B - B))
     ok = ok and proj_a < 1e-12 and proj_b < 1e-12
     geo = [g for g in default_geometries() if g.name == "shared-2"]
-    rep = commutation_suite(s3, geometries=geo, n_vectors=200)
+    rep = commutation_suite(s3, geometries=geo)
     comm = rep.results[0][1]
     ok = ok and comm < 1e-12
     # flux pair creator: output annihilated by both adjacent flux projectors

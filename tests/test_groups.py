@@ -5,6 +5,7 @@ import pytest
 
 from stabtherm.errors import CapacityError, ModelError, ParameterError
 from stabtherm.groups import (
+    Geometry,
     apply_plaquette,
     apply_vertex,
     build_group,
@@ -23,6 +24,8 @@ from stabtherm.groups import (
     symmetric_group,
     vertex_op,
 )
+
+from oracles import dense_commutator_norm, dense_plaquette, dense_vertex
 
 
 def test_z2_structure():
@@ -70,6 +73,16 @@ def test_build_group_specs():
     assert build_group({"type": "cyclic", "n": 4}).order == 4
     with pytest.raises(ParameterError):
         build_group("Q8")
+
+
+def test_oversized_groups_are_refused_before_their_tables():
+    # S8 would form 40320^2 products and Z100000 a 10^10-entry table
+    for spec in ("S5", "S8", "Z25", "Z100000"):
+        with pytest.raises(CapacityError):
+            build_group(spec)
+    for spec in ({"type": "cyclic"}, {"type": "symmetric"}, {"type": "table"}):
+        with pytest.raises(ParameterError):
+            build_group(spec)
 
 
 def test_left_mult_is_identity_at_e():
@@ -184,9 +197,9 @@ def test_gauge_transformations_at_different_vertices_commute():
 
 
 def test_commutation_suite_z2_and_s3():
-    for G, n_vec in ((cyclic_group(2), 50), (symmetric_group(3), 200)):
+    for G in (cyclic_group(2), symmetric_group(3)):
         geos = [g for g in default_geometries() if g.name != "disjoint"]
-        rep = commutation_suite(G, geometries=geos, n_vectors=n_vec)
+        rep = commutation_suite(G, geometries=geos)
         results = dict((name, norm) for name, norm, _ in rep.results)
         assert results["shared-2"] < 1e-12
         assert results["shared-1"] > 1e-3  # unphysical geometry, reported only
@@ -197,6 +210,81 @@ def test_commutation_suite_disjoint_supports():
                             geometries=[g for g in default_geometries()
                                         if g.name == "disjoint"])
     assert rep.results[0][1] < 1e-14
+
+
+@pytest.mark.parametrize("G", [cyclic_group(2), cyclic_group(3), symmetric_group(3)],
+                         ids=lambda G: G.name)
+def test_commutation_suite_exact_values(G):
+    # exactly 0.0 on the commuting geometries, S3 disjoint (6^8 configurations)
+    # included; shared-1 is sqrt(mean mask change / |G|): 1/2, 2/(3 sqrt 3)
+    # and sqrt(5/108)
+    shared_1 = {"Z2": 0.5, "Z3": 2 / (3 * np.sqrt(3)), "S3": np.sqrt(5 / 108)}
+    values = {name: norm for name, norm, _ in commutation_suite(G).results}
+    assert values["disjoint"] == 0.0 and values["shared-2"] == 0.0
+    assert abs(values["shared-1"] - shared_1[G.name]) < 1e-12
+
+
+FLIPPED = Geometry("flipped", 6, (0, 1, 2, 3), "+-+-", (1, 4, 5, 0), "++--", False)
+
+
+@pytest.mark.parametrize("G, geo", [
+    *[(cyclic_group(2), geo) for geo in default_geometries()],
+    *[(cyclic_group(3), geo) for geo in default_geometries() if geo.name != "disjoint"],
+    (cyclic_group(2), FLIPPED),
+    (cyclic_group(3), FLIPPED),
+], ids=lambda x: getattr(x, "name", None))
+def test_commutation_suite_matches_dense_oracle(G, geo):
+    expected = dense_commutator_norm(G, geo)
+    norm = commutation_suite(G, [geo]).results[0][1]
+    assert (norm == 0.0) == (expected < 1e-12)
+    assert abs(norm - expected) < 1e-12
+
+
+def test_flipped_shared_link_s3():
+    # the vertex's shared link 1 enters it; Z2 (blind to orientation) and Z3
+    # are checked against the dense oracle above, S3's 6^6 states are not
+    norm = commutation_suite(symmetric_group(3), [FLIPPED]).results[0][1]
+    assert abs(norm - 1 / 6) < 1e-12
+
+
+@pytest.mark.parametrize("G", [cyclic_group(2), cyclic_group(3), symmetric_group(3)],
+                         ids=lambda G: G.name)
+@pytest.mark.parametrize("pattern", ["++--", "+-+-"])
+def test_patch_operators_match_dense_oracle(G, pattern):
+    assert np.array_equal(vertex_op(G, pattern).mat,
+                          dense_vertex(G, 4, (0, 1, 2, 3), pattern))
+    assert np.array_equal(plaquette_op(G, pattern).mat,
+                          dense_plaquette(G, 4, (0, 1, 2, 3), pattern))
+
+
+def test_matrix_free_operators_match_dense_oracle():
+    # a random state on the shared-2 patch, links listed out of axis order
+    G = cyclic_group(3)
+    rng = np.random.default_rng(3)
+    psi = rng.normal(size=(3,) * 6) + 1j * rng.normal(size=(3,) * 6)
+    for apply, dense, links, pattern in (
+            (apply_vertex, dense_vertex, (0, 1, 2, 3), "+-+-"),
+            (apply_plaquette, dense_plaquette, (1, 4, 5, 0), "++--")):
+        out = apply(G, psi, links, pattern)
+        ref = dense(G, 6, links, pattern) @ psi.reshape(-1)
+        assert np.linalg.norm(out.reshape(-1) - ref) < 1e-12
+
+
+def test_dense_patch_operators_stop_at_order_8():
+    s4 = symmetric_group(4)  # 24^4 = 331776 configurations
+    with pytest.raises(CapacityError):
+        vertex_op(s4)
+    with pytest.raises(CapacityError):
+        plaquette_op(s4)
+
+
+def test_geometry_rejects_repeated_or_missing_links():
+    with pytest.raises(ParameterError):
+        Geometry("repeated", 6, (0, 1, 1, 3), "++--", (1, 4, 5, 0), "++--", True)
+    with pytest.raises(ParameterError):
+        Geometry("out-of-range", 6, (0, 1, 2, 3), "++--", (1, 4, 6, 0), "++--", True)
+    with pytest.raises(ParameterError):
+        Geometry("bad-pattern", 6, (0, 1, 2, 3), "++-x", (1, 4, 5, 0), "++--", True)
 
 
 def test_flux_pair_creator_identity_class():

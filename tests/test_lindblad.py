@@ -207,6 +207,15 @@ def test_unitary_only_generator_has_degenerate_kernel():
     assert ss.kernel_dim == 2  # both projectors are stationary
 
 
+@pytest.mark.parametrize("d", [2, 3, 4])
+def test_zero_generator_kernel_is_everything(d):
+    # d = 2 and 4 run the Pauli basis, d = 3 the matrix units
+    g = LindbladGenerator(d, np.zeros((d, d)), ())
+    assert steady_states(g).kernel_dim == d * d
+    rho = DensityMatrix(random_density(d, np.random.default_rng(d)))
+    assert np.abs(evolve(g, rho, 1.0).mat - rho.mat).max() < 1e-12
+
+
 def test_kernel_vector_residual():
     g = two_level(0.8, 0.3)
     ss = steady_states(g)
