@@ -48,7 +48,7 @@ class FiniteGroup:
     element_names: tuple[str, ...]
 
     def __post_init__(self):
-        t = np.asarray(self.table, dtype=np.int64)
+        t = _index_table(self.table)
         object.__setattr__(self, "table", t)
         n = t.shape[0]
         _check_order(n)
@@ -143,11 +143,33 @@ def symmetric_group(n: int) -> FiniteGroup:
     return FiniteGroup(f"S{n}", t, names)
 
 
+def _index_table(table) -> np.ndarray:
+    """``table`` as an int64 array; ModelError unless it is a rectangular
+    (2-D) array of integers."""
+    try:
+        t = np.asarray(table)
+    except ValueError:  # ragged rows
+        t = None
+    if t is None or t.ndim != 2 or t.dtype.kind not in "iu":
+        raise ModelError("multiplication table is not a rectangular integer array")
+    return t.astype(np.int64)
+
+
 def group_from_table(table, names=None, name: str = "G") -> FiniteGroup:
-    t = np.asarray(table, dtype=np.int64)
+    t = _index_table(table)
     if names is None:
         names = tuple(str(i) for i in range(t.shape[0]))
     return FiniteGroup(name, t, tuple(names))
+
+
+def _integer(value, what: str) -> int:
+    """``value`` as an int; ParameterError unless it is an integer value."""
+    try:
+        if not isinstance(value, bool) and value == int(value):
+            return int(value)
+    except (TypeError, ValueError, OverflowError):
+        pass
+    raise ParameterError(f"{what} must be an integer, got {value!r}")
 
 
 def build_group(spec) -> FiniteGroup:
@@ -163,9 +185,9 @@ def build_group(spec) -> FiniteGroup:
         kind = spec.get("type")
         try:
             if kind == "cyclic":
-                return cyclic_group(int(spec["n"]))
+                return cyclic_group(_integer(spec["n"], "cyclic group order"))
             if kind == "symmetric":
-                return symmetric_group(int(spec["n"]))
+                return symmetric_group(_integer(spec["n"], "symmetric group degree"))
             if kind == "table":
                 return group_from_table(spec["table"], spec.get("names"), spec.get("name", "G"))
         except KeyError as exc:

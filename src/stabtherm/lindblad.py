@@ -10,12 +10,15 @@ stabilizer group. One kernel solver, ``_BlockForm.kernel``, decides the
 kernel block by block; ``steady_states`` and ``verify``'s commutant
 dimension both call it.
 
-A non-Hermitian dense block is first bounded, then refined: by Bendixson's
-theorem no eigenvalue of a block B has |lambda| below -lambda_max(B + B^dag)/2,
-one eigvalsh per block, and eigvals runs only on the blocks whose bound can
-reach the kernel, the ambiguity band or the reported smallest |lambda|. For
-the L=2 toric Davies generator that is 15 of 1024 blocks. The diagnostics
-count these blocks as ``refined``.
+A non-Hermitian dense block is screened, bounded, then refined: by
+Bendixson's theorem no eigenvalue of a block B has |lambda| below
+-lambda_max(B + B^dag)/2, and by Gershgorin's that bound is at least the
+screen, the least -(S_ii + sum_{j != i} |S_ij|)/2 over the block's rows of
+S = T + T^dag, read from the sparse matrix. eigvalsh gives the bound only of
+the blocks whose screen can reach the kernel, the ambiguity band or the
+reported smallest |lambda|, and eigvals runs only on those whose bound can.
+For the L=2 toric Davies generator that is about 60 and 15 of 1024 blocks;
+the diagnostics count them as ``bounded`` and ``refined``.
 
 The basis matrix is assembled in one batched pass over the entries of all
 the sandwich terms' operators, with no sparse matrix per term: one
@@ -241,7 +244,23 @@ def _sandwich_terms(g: LindbladGenerator) -> list[tuple[sparse.csr_matrix, spars
 
 def _superop_scale(L: sparse.spmatrix) -> float:
     """Cheap norm estimate used for kernel thresholds."""
-    return float(max(abs(L).sum(axis=0).max(), abs(L).sum(axis=1).max(), 1e-300))
+    mag = abs(L)
+    return float(max(mag.sum(axis=0).max(), mag.sum(axis=1).max(), 1e-300))
+
+
+def _gershgorin_screen(T: sparse.csr_matrix, labels: np.ndarray) -> np.ndarray:
+    """For each block label of T, the minimum over the block's rows i of
+    -(S_ii + sum_{j != i} |S_ij|) / 2, where S = T + T^dag. S is Hermitian and
+    block-diagonal like T, so by Gershgorin's theorem every eigenvalue of a
+    block S_B is at most the largest S_ii + sum_{j != i} |S_ij| of its rows:
+    the screen is at most the block's Bendixson bound -lambda_max(S_B) / 2,
+    read from the sparse entries alone."""
+    S = T + T.conj().T
+    diag = S.diagonal().real
+    reach = diag - np.abs(diag) + np.asarray(abs(S).sum(axis=1)).ravel()
+    screen = np.full(labels.max() + 1, np.inf)
+    np.minimum.at(screen, labels, -reach / 2)
+    return screen
 
 
 # ---------------------------------------------------------------------------
@@ -417,25 +436,27 @@ class _BlockForm:
         Blocks of at most DENSE_BLOCK_LIMIT elements are solved densely,
         batched by size. A Hermitian form (the commutant) gets eigvalsh on
         every block and returns no kernel vectors. Any other form goes
-        through ``_refine``: eigvalsh bounds on every block, then eigvals
-        only on the blocks that can reach the returned spectrum, and eig on
-        the blocks that hold kernel. Larger blocks get shift-invert ARPACK
-        about 1e-9 * scale from a fixed start vector: k pairs, doubled until
-        the set reaches past 100 * thresh or holds ``cap`` (a Hermitian form
-        keeps |lambda|). An eigenvalue within a factor 100 of thresh on
-        either side makes the kernel ambiguous and raises NumericalError.
+        through ``_refine``: eigvalsh bounds on the blocks whose Gershgorin
+        screen can reach the returned spectrum, eigvals only on the blocks
+        whose bound can, and eig on the blocks that hold kernel. Larger
+        blocks get shift-invert ARPACK about 1e-9 * scale from a fixed start
+        vector: k pairs, doubled until the set reaches past 100 * thresh or
+        holds ``cap`` (a Hermitian form keeps |lambda|). An eigenvalue within
+        a factor 100 of thresh on either side makes the kernel ambiguous and
+        raises NumericalError.
 
         Returns the eigenvalues computed, sorted by |lambda| (ascending for a
         Hermitian form, which is positive semidefinite here); the kernel
         dimension (the number of kernel vectors when they are returned); the
         kernel as (members, orthonormal coefficient columns) per block, empty
         for a Hermitian form; and diagnostics basis, blocks, max_block, nnz
-        (of T), refined (the dense blocks sent through eigvals) and margin
-        (the smallest non-kernel |lambda| over thresh, None if none). For a
-        non-Hermitian form the eigenvalues are complex, and run up to the
-        limit below which ``_refine`` has every dense eigenvalue, at least
-        100 * thresh: their first max(kernel + 4, k) are those of the sorted
-        union of all block spectra, bit for bit.
+        (of T), bounded (the dense blocks given an eigvalsh bound), refined
+        (those sent through eigvals) and margin (the smallest non-kernel
+        |lambda| over thresh, None if none). For a non-Hermitian form the
+        eigenvalues are complex, and run up to the limit below which
+        ``_refine`` has every dense eigenvalue, at least 100 * thresh: their
+        first max(kernel + 4, k) are those of the sorted union of all block
+        spectra, bit for bit.
         """
         spectra, kernel = [], []
         for members in self.blocks():
@@ -450,10 +471,11 @@ class _BlockForm:
             elif self.hermitian:
                 spectra.append(np.linalg.eigvalsh(self.dense(members)).ravel())
         sizes = np.bincount(self.labels)
-        refined, limit = 0, np.inf
+        refined, bounded, limit = 0, 0, np.inf
         if not self.hermitian and sizes.min() <= DENSE_BLOCK_LIMIT:
             # dense blocks come first, as blocks() yields sizes in ascending order
-            dense_spectra, dense_kernel, limit = self._refine(sizes, thresh, scale, k, spectra)
+            dense_spectra, dense_kernel, limit, bounded = self._refine(sizes, thresh, scale,
+                                                                       k, spectra)
             spectra, kernel = dense_spectra + spectra, dense_kernel + kernel
             refined = len(dense_spectra)
         vals = np.concatenate(spectra)
@@ -472,6 +494,7 @@ class _BlockForm:
             "blocks": len(sizes),
             "max_block": int(sizes.max()),
             "nnz": int(self.T.nnz),
+            "bounded": bounded,
             "refined": refined,
             "margin": float(abs(vals[n_kernel]) / thresh) if n_kernel < len(vals) else None,
         }
@@ -479,31 +502,40 @@ class _BlockForm:
 
     def _refine(self, sizes: np.ndarray, thresh: float, scale: float, k: int, others: list):
         """Spectra and kernels of the blocks of at most DENSE_BLOCK_LIMIT
-        elements (``sizes`` by label) of a non-Hermitian form, by bound and
-        refine.
+        elements (``sizes`` by label) of a non-Hermitian form, by screen,
+        bound and refine.
 
         By Bendixson's theorem every eigenvalue of a block B has |lambda| >=
-        -Re lambda >= bound_B = -lambda_max(B + B^dag) / 2, so one eigvalsh
-        per block (in sub-batches of _BOUND_ENTRIES entries) bounds its
-        spectrum from below. eigvals then runs on the original blocks whose
-        bound lies within BOUND_SLACK * scale of a limit: first 100 * thresh
-        (every kernel and ambiguous eigenvalue) together with the k lowest
-        bounds; then the m-th smallest |lambda| found so far, with the
-        ARPACK spectra ``others``, where m = max(kernel + 4, k). So every
-        eigenvalue up to the larger of the two limits is computed, bit for
-        bit as the eigvals of every block would give it. eig runs on the
-        blocks that hold kernel. Returns the spectra and the kernel, in block
-        order, and that limit.
+        -Re lambda >= bound_B = -lambda_max(B + B^dag) / 2, and by
+        Gershgorin's bound_B >= screen_B (``_gershgorin_screen``, from the
+        sparse form). eigvals runs on the original blocks whose bound lies
+        within BOUND_SLACK * scale of a limit: first 100 * thresh (every
+        kernel and ambiguous eigenvalue) together with the k lowest bounds;
+        then the m-th smallest |lambda| found so far, with the ARPACK spectra
+        ``others``, where m = max(kernel + 4, k). A block's bound (one
+        eigvalsh, in sub-batches of _BOUND_ENTRIES entries) is computed only
+        when its screen lies within twice that slack of a limit (once for the
+        bound's rounding, once for the screen's), so the blocks chosen are
+        those that bounds on every block would choose. So every eigenvalue
+        up to the larger of the two limits is computed, bit for bit as the
+        eigvals of every block would give it. eig runs on the blocks that
+        hold kernel. Returns the spectra and the kernel, in block order, that
+        limit, and the number of blocks bounded.
         """
         dense = np.flatnonzero(sizes <= DENSE_BLOCK_LIMIT)
-        bound = np.empty(len(sizes))
-        for members in self.blocks(dense):
-            step = max(1, _BOUND_ENTRIES // members.shape[1] ** 2)
-            for part in (members[i:i + step] for i in range(0, len(members), step)):
-                B = self.dense(part)
-                bound[self.labels[part[:, 0]]] = -np.linalg.eigvalsh(
-                    B + B.conj().swapaxes(1, 2))[:, -1] / 2
         slack = BOUND_SLACK * scale
+        screen = _gershgorin_screen(self.T, self.labels)
+        bound = np.full(len(sizes), np.inf)  # inf until computed
+
+        def bound_up_to(limit):
+            chosen = dense[(screen[dense] <= limit + 2 * slack) & np.isinf(bound[dense])]
+            for members in self.blocks(chosen):
+                step = max(1, _BOUND_ENTRIES // members.shape[1] ** 2)
+                for part in (members[i:i + step] for i in range(0, len(members), step)):
+                    B = self.dense(part)
+                    bound[self.labels[part[:, 0]]] = -np.linalg.eigvalsh(
+                        B + B.conj().swapaxes(1, 2))[:, -1] / 2
+
         found = {}
 
         def refine(chosen):
@@ -511,11 +543,17 @@ class _BlockForm:
                 found.update(zip(self.labels[members[:, 0]].tolist(),
                                  np.linalg.eigvals(self.dense(members)).astype(complex)))
 
+        # the k lowest screens bound at least k blocks; then no block left
+        # unbounded can have a bound at or below the k-th lowest one found
+        kth = min(k, len(dense)) - 1
+        bound_up_to(max(100 * thresh, np.sort(screen[dense])[kth]))
+        bound_up_to(np.sort(bound[dense])[kth])
         refine(np.union1d(dense[bound[dense] <= 100 * thresh + slack],
                           dense[np.argsort(bound[dense], kind="stable")[:k]]))
         mags = np.abs(np.concatenate([*found.values(), *others]))
         m = max(int(np.sum(mags < thresh)) + 4, k)
         reach = np.partition(mags, m - 1)[m - 1] if m <= mags.size else np.inf
+        bound_up_to(reach)
         refine(dense[bound[dense] <= reach + slack])
 
         order = sorted(found, key=lambda b: (sizes[b], b))  # the order of blocks()
@@ -524,7 +562,8 @@ class _BlockForm:
         for members in self.blocks(hit):
             w, v = np.linalg.eig(self.dense(members))
             kernel += [(idx, vb[:, np.abs(wb) < thresh]) for idx, wb, vb in zip(members, w, v)]
-        return [found[b] for b in order], kernel, max(reach, 100 * thresh)
+        bounded = int(np.isfinite(bound).sum())
+        return [found[b] for b in order], kernel, max(reach, 100 * thresh), bounded
 
 
 def _arpack_block(B: sparse.spmatrix, k: int, thresh: float, scale: float, cap: int):
@@ -718,10 +757,10 @@ class SteadyStateResult:
     states: tuple[DensityMatrix, ...]  # Hermitized, trace-normalized candidates
     eigenvalues: np.ndarray            # the smallest |lambda| of all blocks, ascending
     residual: float                    # max ||L v|| over kernel basis vectors
-    # basis, blocks, max_block, nnz (of the basis matrix), refined (the dense
-    # blocks whose eigvals were computed) and margin, the smallest non-kernel
-    # |lambda| over the threshold (None if none), from _BlockForm.kernel; and
-    # seconds
+    # basis, blocks, max_block, nnz (of the basis matrix), bounded and refined
+    # (the dense blocks whose eigvalsh bound and whose eigvals were computed)
+    # and margin, the smallest non-kernel |lambda| over the threshold (None if
+    # none), from _BlockForm.kernel; and seconds
     diagnostics: dict
 
     @property
@@ -746,8 +785,9 @@ def steady_states(g: LindbladGenerator) -> SteadyStateResult:
     up to DENSE_BLOCK_LIMIT elements, shift-invert ARPACK above, with k grown
     until the computed set reaches past the kernel cluster and the ambiguous
     band, so degenerate kernels are reported faithfully. A dense block gets
-    eigvals only when its Bendixson bound can reach the reported spectrum
-    (diagnostics ``refined`` counts them). ``eigenvalues`` holds the
+    an eigvalsh bound only when its Gershgorin screen can reach the reported
+    spectrum, and eigvals only when that Bendixson bound can (diagnostics
+    ``bounded`` and ``refined`` count them). ``eigenvalues`` holds the
     max(kernel_dim + 4, STEADY_EIGENVALUES) smallest |lambda| of the union
     of the block spectra (complex, sorted by |lambda|), the same as eigvals
     of every dense block would give.

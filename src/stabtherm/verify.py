@@ -159,9 +159,9 @@ def commutant_dimension(ops, dim: int, max_dim: int = 8) -> tuple[int, np.ndarra
 
     Returns (count, eigenvalues, diagnostics): count = min(nullity, max_dim),
     so count == max_dim means "at least max_dim"; the max_dim + 1 smallest
-    eigenvalues; and the kernel solver's diagnostics (``refined`` is 0, as
-    no block needs eigvals) plus seconds and nullity (exact, except above
-    max_dim when a block went to ARPACK).
+    eigenvalues; and the kernel solver's diagnostics (``bounded`` and
+    ``refined`` are 0, as no block needs bounds or eigvals) plus seconds and
+    nullity (exact, except above max_dim when a block went to ARPACK).
     """
     start = time.perf_counter()
     mats = _as_operators(ops)
@@ -171,8 +171,8 @@ def commutant_dimension(ops, dim: int, max_dim: int = 8) -> tuple[int, np.ndarra
     if thresh == 0:
         n = dim * dim
         return min(n, max_dim), np.zeros(min(n, max_dim + 1)), {
-            "basis": None, "blocks": n, "max_block": 1, "nnz": 0, "refined": 0,
-            "seconds": time.perf_counter() - start, "nullity": n, "margin": None}
+            "basis": None, "blocks": n, "max_block": 1, "nnz": 0, "bounded": 0,
+            "refined": 0, "seconds": time.perf_counter() - start, "nullity": n, "margin": None}
 
     form = _block_form(_commutant_terms(mats, dim), dim, hermitian=True)
     vals, nullity, _, diagnostics = form.kernel(thresh, scale, max_dim + 1, max_dim + 1)

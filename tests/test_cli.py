@@ -81,7 +81,7 @@ def test_steady_state_output_parses(tmp_path, capsys):
     assert doc["trace_distance_to_gibbs"] < 1e-8
     diag = doc["diagnostics"]
     assert diag["basis"] == "pauli" and diag["blocks"] > 1 and diag["margin"] > 100
-    assert 0 < diag["refined"] <= diag["blocks"]
+    assert 0 < diag["refined"] <= diag["bounded"] <= diag["blocks"]
     assert json.loads(capsys.readouterr().out.split("wrote")[0])["diagnostics"] == diag
 
 

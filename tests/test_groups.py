@@ -85,6 +85,32 @@ def test_oversized_groups_are_refused_before_their_tables():
             build_group(spec)
 
 
+@pytest.mark.parametrize("n", ["abc", None, [3], 2.7, float("nan"), float("inf"), True])
+def test_build_group_rejects_an_order_that_is_not_an_integer(n):
+    # int() would raise its own errors, or truncate 2.7 to Z2
+    for kind in ("cyclic", "symmetric"):
+        with pytest.raises(ParameterError, match="must be an integer"):
+            build_group({"type": kind, "n": n})
+
+
+def test_build_group_accepts_integer_values():
+    assert build_group({"type": "cyclic", "n": np.int64(5)}).order == 5
+    assert build_group({"type": "symmetric", "n": 3.0}).order == 6
+
+
+@pytest.mark.parametrize("table", [
+    [[0, 1], [1]],                # ragged
+    [[0.0, 1.0], [1.0, 0.0]],     # not integers
+    [[True, False], [False, True]],
+    [0, 1],                       # not 2-D
+    5,
+    [["0", "1"], ["1", "0"]],
+])
+def test_build_group_rejects_a_table_that_is_not_a_rectangular_integer_array(table):
+    with pytest.raises(ModelError, match="rectangular integer array"):
+        build_group({"type": "table", "table": table})
+
+
 def test_left_mult_is_identity_at_e():
     for G in (cyclic_group(3), symmetric_group(3)):
         assert np.allclose(left_mult(G, G.identity), np.eye(G.order))

@@ -335,6 +335,25 @@ def three_qubit_rwa_composite():
     return rwa_generator(model)
 
 
+def damped_qutrit():
+    # ladder jumps keep |i><j| within its coherence order i - j: five
+    # matrix-unit blocks
+    a = sparse.csr_matrix(np.diag(np.sqrt([1.0, 2.0]), 1))
+    return LindbladGenerator(3, np.diag([0.0, 1.0, 2.3]),
+                             (JumpOp(a, 0.3), JumpOp(a.T.tocsr(), 0.1)))
+
+
+def bendixson_bounds(form):
+    """Labels and Bendixson bounds -lambda_max(B + B^dag) / 2 of every block,
+    in the order of form.blocks()."""
+    labels, bounds = [], []
+    for members in form.blocks():
+        B = form.dense(members)
+        labels.append(form.labels[members[:, 0]])
+        bounds.append(-np.linalg.eigvalsh(B + B.conj().swapaxes(1, 2))[:, -1] / 2)
+    return np.concatenate(labels), np.concatenate(bounds)
+
+
 def max_matched_distance(a, b):
     """Largest |a_i - b_pi(i)| under the best one-to-one pairing of every a_i
     with a distinct b_j."""
@@ -388,11 +407,76 @@ def test_refined_spectrum_prefix_is_that_of_every_dense_block(make, refined):
     m = max(kernel_dim + 4, k)
     assert np.array_equal(vals[:m], full[:m])
     assert diagnostics["refined"] == refined
+    # a refined block was bounded first
+    assert refined <= diagnostics["bounded"] <= diagnostics["blocks"]
     # Bendixson: no eigenvalue of a block lies below its bound
-    for stack in stacks:
-        bound = -np.linalg.eigvalsh(stack + stack.conj().swapaxes(1, 2))[:, -1] / 2
-        smallest = np.abs(np.linalg.eigvals(stack)).min(axis=1)
-        assert np.all(bound <= smallest + 1e-12 * scale)
+    _, bound = bendixson_bounds(form)
+    smallest = np.concatenate([np.abs(np.linalg.eigvals(stack)).min(axis=1) for stack in stacks])
+    assert np.all(bound <= smallest + 1e-12 * scale)
+
+
+@pytest.mark.parametrize("make", [
+    mini_davies,
+    lambda: mini_davies(("translate",)),
+    three_qubit_rwa_composite,
+    lambda: random_generator(3, 5),
+    damped_qutrit,
+])
+def test_gershgorin_screen_lies_below_every_bendixson_bound(make):
+    g = make()
+    form = lindblad._block_form(lindblad._sandwich_terms(g), g.n_levels)
+    scale = lindblad._superop_scale(form.T)
+    labels, bound = bendixson_bounds(form)
+    screen = lindblad._gershgorin_screen(form.T, form.labels)
+    assert screen.shape == (len(labels),)
+    assert np.all(screen[labels] <= bound + 1e-12 * scale)
+
+
+@pytest.mark.parametrize("make", [
+    mini_davies,
+    lambda: mini_davies(("translate",)),
+    three_qubit_rwa_composite,
+    damped_qutrit,
+])
+def test_any_valid_screen_refines_what_bounds_on_every_block_refine(make, monkeypatch):
+    # the screen only saves eigvalsh calls: any screen at or below the
+    # Bendixson bounds, in any order, gives the same bits as a screen that
+    # rules out no block
+    g = make()
+    form = lindblad._block_form(lindblad._sandwich_terms(g), g.n_levels)
+    scale = lindblad._superop_scale(form.T)
+    labels, bound = bendixson_bounds(form)
+    exact = np.empty(len(labels))
+    exact[labels] = bound
+
+    def solve(screen):
+        monkeypatch.setattr(lindblad, "_gershgorin_screen", lambda T, labels: screen)
+        return form.kernel(lindblad.KERNEL_TOL * scale, scale, lindblad.STEADY_EIGENVALUES,
+                           lindblad.MAX_KERNEL)
+
+    vals, kernel_dim, kernel, diagnostics = solve(np.full(len(exact), -np.inf))
+    assert diagnostics["bounded"] == len(exact)
+    rng = np.random.default_rng(7)
+    for _ in range(4):
+        # half the screens tight, half lowered by up to the bounds' spread
+        drop = rng.uniform(0, np.ptp(exact), len(exact)) * (rng.random(len(exact)) < 0.5)
+        v, n, ker, diag = solve(exact - drop)
+        assert np.array_equal(v, vals) and n == kernel_dim
+        assert len(ker) == len(kernel)
+        assert all(np.array_equal(a, c) and np.array_equal(b, d)
+                   for (a, b), (c, d) in zip(ker, kernel))
+        assert diag["refined"] <= diag["bounded"] <= diagnostics["bounded"]
+        assert {**diag, "bounded": 0} == {**diagnostics, "bounded": 0}
+
+
+def test_a_screen_from_the_rows_of_t_alone_is_no_bound():
+    # Gershgorin on the rows of T bounds T's own spectrum, not lambda_max of
+    # its Hermitian part: on the mini Davies model it lies above the bounds
+    # of 40 of the 128 blocks
+    form = lindblad._block_form(lindblad._sandwich_terms(mini_davies()), 16)
+    labels, bound = bendixson_bounds(form)
+    rows_only = lindblad._gershgorin_screen(2 * form.T, form.labels)  # S = 2T
+    assert np.any(rows_only[labels] > bound + 1e-12 * lindblad._superop_scale(form.T))
 
 
 def test_davies_generator_is_detailed_balanced():
@@ -518,10 +602,20 @@ def test_trajectory_from_identity_touches_one_block():
     assert len(np.unique(form.labels[np.flatnonzero(c0)])) == 1
 
 
-def test_toric_l2_davies_gap():
+def test_toric_l2_davies_gap(monkeypatch):
     lat = build_torus(2)
     H = toric_hamiltonian(lat, 1.0, 1.0)
-    ss = steady_states(davies_reduction(H, full_decomps(H), 1.0, 0.5))
+    g = davies_reduction(H, full_decomps(H), 1.0, 0.5)
+    stacked = []  # the matrices of every batched eigvalsh: the bounds
+    eigvalsh = np.linalg.eigvalsh
+
+    def counting(a, *args, **kwargs):
+        if np.ndim(a) == 3:
+            stacked.append(len(a))
+        return eigvalsh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", counting)
+    ss = steady_states(g)
     assert ss.kernel_dim == 1
     # 1024 blocks of 64, and no rounding residue stored (3,014,656 nonzeros
     # in the computational basis)
@@ -530,6 +624,11 @@ def test_toric_l2_davies_gap():
     # eigvals runs on the 15 blocks whose Bendixson bound can reach the
     # reported spectrum, not on all 1024
     assert ss.diagnostics["refined"] == 15
+    # and the Gershgorin screen leaves eigvalsh bounds on 67: the 53 blocks
+    # whose screen is below -1.7, and 14 whose screen equals the sixth
+    # |lambda|, 0.146525, to 1e-14 (their bounds are at least 0.293)
+    assert ss.diagnostics["bounded"] == 67
+    assert sum(stacked) == ss.diagnostics["bounded"]
     assert abs(np.sort(np.abs(ss.eigenvalues))[1] - 0.121675) < 1e-6
 
 
@@ -562,8 +661,10 @@ def test_steady_state_diagnostics():
     g = two_level(1.0, 0.25)
     ss = steady_states(g)
     d = ss.diagnostics
-    assert set(d) == {"basis", "blocks", "max_block", "nnz", "refined", "seconds", "margin"}
-    assert d["refined"] == d["blocks"]  # k = 6 lowest bounds take all 2 blocks
+    assert set(d) == {"basis", "blocks", "max_block", "nnz", "bounded", "refined", "seconds",
+                      "margin"}
+    # k = 6 lowest bounds take all 2 blocks
+    assert d["refined"] == d["bounded"] == d["blocks"]
     assert d["basis"] == "pauli" and d["max_block"] <= 4 and d["nnz"] > 0
     form = lindblad._block_form(lindblad._sandwich_terms(g), g.n_levels)
     thresh = 1e-10 * lindblad._superop_scale(form.T)

@@ -279,6 +279,8 @@ def test_matrix_unit_form_of_a_translation_only_eigenspace(l2_translation_only, 
     diagnostics = seen[48]
     assert diagnostics["basis"] == "matrix-unit"
     assert (diagnostics["blocks"], diagnostics["max_block"], diagnostics["nnz"]) == (1414, 192, 67840)
+    # a Hermitian form gets eigvalsh on every block, with no bounds to screen
+    assert diagnostics["bounded"] == diagnostics["refined"] == 0
 
 
 @pytest.mark.parametrize("H, include", [
