@@ -23,7 +23,13 @@ the diagnostics count them as ``bounded`` and ``refined``.
 The basis matrix is assembled in one batched pass over the entries of all
 the sandwich terms' operators, with no sparse matrix per term: one
 Walsh-Hadamard transform for the Pauli coefficients, one COO outer product
-for the matrix units, both in bounded chunks.
+for the matrix units, both in bounded chunks. Every Pauli-basis entry moves
+a basis element by a shift, an XOR of two terms' Pauli labels, so each
+coset of the GF(2) span of the shifts is invariant. Evolution seeds the
+assembly with the basis elements its initial states have weight on and
+writes the map on their cosets alone: from the maximally mixed state on the
+L=2 torus, 64 elements and 639 nonzeros instead of 65536 and 714,751.
+Steady states and commutants need every block, and assemble them all.
 
 Conventions (fixed package-wide):
 
@@ -236,8 +242,9 @@ def _sandwich_terms(g: LindbladGenerator) -> list[tuple[sparse.csr_matrix, spars
     d = g.n_levels
     eye = sparse.identity(d, dtype=complex, format="csr")
     G = sparse.csr_matrix((d, d), dtype=complex)
-    for j in g.jumps:
-        G = G + j.rate * (j.op.conj().T @ j.op)
+    if g.jumps:  # sum rate K^dag K as one product of the stacked jumps
+        G = (sparse.vstack([j.op for j in g.jumps], format="csr").conj().T
+             @ sparse.vstack([j.rate * j.op for j in g.jumps], format="csr"))
     terms = [(-1j * g.H - G, eye), (eye, 1j * g.H - G)]
     return terms + [(2 * j.rate * j.op, j.op.conj().T) for j in g.jumps if j.rate]
 
@@ -348,7 +355,26 @@ def _pauli_coefficients(ops, d: int):
     return key // d, (key % d) * d + z, m[keep]
 
 
-def _pauli_transfer(terms, W: np.ndarray, weight: np.ndarray) -> sparse.csr_matrix:
+def _coset_union(shifts: np.ndarray, seeds: np.ndarray) -> np.ndarray:
+    """The union, ascending, of the cosets b ^ S of the seeds b, where S is
+    the GF(2) span of the integers ``shifts`` (bit strings). Elimination keeps
+    one basis vector per leading bit, each clear of the earlier ones' leading
+    bits; a seed reduced by them all is its coset's representative, so the
+    cosets of distinct representatives are disjoint."""
+    basis, rest = [], np.unique(shifts)
+    rest = rest[rest > 0]
+    while rest.size:
+        basis.append(rest.max())
+        rest = np.minimum(rest, rest ^ basis[-1])
+        rest = rest[rest > 0]
+    reps, span = np.unique(seeds), np.zeros(1, dtype=int)
+    for v in basis:
+        reps = np.minimum(reps, reps ^ v)
+        span = np.concatenate([span, span ^ v])
+    return np.sort((np.unique(reps)[:, None] ^ span).ravel())
+
+
+def _pauli_transfer(terms, W: np.ndarray, weight: np.ndarray, seeds=None):
     """Real matrix of the Hermiticity-preserving map rho -> sum A rho B over
     (A, B) in ``terms``, on the Hermitian basis i^weight_b tau_b, where
     tau_b = X^x Z^z (b = x*d + z) and weight_b = |x & z|.
@@ -356,8 +382,15 @@ def _pauli_transfer(terms, W: np.ndarray, weight: np.ndarray) -> sparse.csr_matr
     On the tau_b it follows from the product rule
     tau_a tau_b tau_c = (-1)^(za.xb + za.xc + zb.xc) tau_(a^b^c): each pair
     (a, c) of Pauli terms shifts every input b to b^a^c, with a sign that is
-    an outer product of two Walsh rows over the (xb, zb) grid, so all 4^n
-    inputs of one shift come from one matrix product.
+    an outer product of two Walsh rows over the (xb, zb) grid, so all inputs
+    of one shift come from one matrix product.
+
+    Every entry moves an input by a shift, so each coset of the span S of the
+    shifts is invariant. The matrix is written on R, every basis element
+    (default), or the union of the cosets of the ``seeds``
+    (``_coset_union``); the products then run over the grid of R's x-parts
+    times its z-parts, and the entries inside R are kept. Returns (R, the
+    matrix on R).
     """
     d = len(W)
     n = d.bit_length() - 1
@@ -369,33 +402,47 @@ def _pauli_transfer(terms, W: np.ndarray, weight: np.ndarray) -> sparse.csr_matr
     order = np.argsort(shift, kind="stable")
     shift, za, xc, w = shift[order], za[order], xc[order], w[order]
     shifts, starts = np.unique(shift, return_index=True)
+    support = np.arange(d * d) if seeds is None else _coset_union(shifts, seeds)
     if not len(shifts):  # the zero map
-        return sparse.csr_matrix((d * d, d * d))
+        return support, sparse.csr_matrix((len(support), len(support)))
+    position = np.full(d * d, -1)
+    position[support] = np.arange(len(support))
+    ux = np.flatnonzero(np.bincount(support >> n, minlength=d))
+    uz = np.flatnonzero(np.bincount(support & (d - 1), minlength=d))
+    grid = ((ux[:, None] << n) | uz).ravel()  # b = x*d + z
+    at = position[grid]
+    inside = at >= 0
+    Wx, Wz = W[:, ux], W[:, uz]
     rows, cols, vals = [], [], []
     for s, lo, hi in zip(shifts, starts, np.append(starts[1:], len(shift))):
-        v = (W[za[lo:hi]].T @ (w[lo:hi, None] * W[xc[lo:hi]])).ravel()
-        keep = np.flatnonzero(np.abs(v) > ROUNDOFF * np.abs(w[lo:hi]).sum())
-        rows.append(keep ^ s)
-        cols.append(keep)
+        v = (Wx[za[lo:hi]].T @ (w[lo:hi, None] * Wz[xc[lo:hi]])).ravel()
+        keep = np.flatnonzero((np.abs(v) > ROUNDOFF * np.abs(w[lo:hi]).sum()) & inside)
+        rows.append(position[grid[keep] ^ s])
+        cols.append(at[keep])
         vals.append(v[keep])
     rows, cols, vals = np.concatenate(rows), np.concatenate(cols), np.concatenate(vals)
+    weight = weight[support]
     vals = (vals * _I_POWERS[(weight[cols] - weight[rows]) % 4]).real
-    return sparse.csr_matrix((vals, (rows, cols)), shape=(d * d, d * d))
+    shape = (len(support), len(support))
+    return support, sparse.csr_matrix((vals, (rows, cols)), shape=shape)
 
 
 @dataclass(frozen=True)
 class _BlockForm:
-    """The superoperator T in an orthonormal operator basis, and the label of
-    the invariant block (connected component of T) of every basis element.
+    """The superoperator T in an orthonormal operator basis, on an invariant
+    set of basis elements (``support``, their basis indices: every element,
+    or the cosets of a seeded form), and the label of the invariant block
+    (connected component of T) of every element.
 
-    ``coefficients(rho)`` expands a d x d matrix in the basis and
-    ``vectors(C)`` maps coefficient columns back to column-stacking vec form;
-    both maps are unitary. ``hermitian`` records that T is a Hermitian map
-    (the commutant form of ``verify``), so its blocks get Hermitian
-    eigensolvers.
+    ``coefficients(rho)`` expands a d x d matrix in the basis, on the
+    support, and ``vectors(C)`` maps coefficient columns on the support back
+    to column-stacking vec form; for a form on every element both maps are
+    unitary. ``hermitian`` records that T is a Hermitian map (the commutant
+    form of ``verify``), so its blocks get Hermitian eigensolvers.
     """
 
     basis: str
+    support: np.ndarray
     T: sparse.csr_matrix
     labels: np.ndarray
     coefficients: Callable[[np.ndarray], np.ndarray]
@@ -489,15 +536,9 @@ class _BlockForm:
             )
         n_kernel = (int(np.sum(vals < thresh)) if self.hermitian
                     else sum(v.shape[1] for _, v in kernel))
-        diagnostics = {
-            "basis": self.basis,
-            "blocks": len(sizes),
-            "max_block": int(sizes.max()),
-            "nnz": int(self.T.nnz),
-            "bounded": bounded,
-            "refined": refined,
-            "margin": float(abs(vals[n_kernel]) / thresh) if n_kernel < len(vals) else None,
-        }
+        margin = float(abs(vals[n_kernel]) / thresh) if n_kernel < len(vals) else None
+        diagnostics = _kernel_diagnostics(self.basis, len(sizes), int(sizes.max()),
+                                          int(self.T.nnz), bounded, refined, margin)
         return vals, n_kernel, kernel, diagnostics
 
     def _refine(self, sizes: np.ndarray, thresh: float, scale: float, k: int, others: list):
@@ -566,6 +607,14 @@ class _BlockForm:
         return [found[b] for b in order], kernel, max(reach, 100 * thresh), bounded
 
 
+def _kernel_diagnostics(basis: str | None, blocks: int, max_block: int, nnz: int,
+                        bounded: int = 0, refined: int = 0, margin: float | None = None) -> dict:
+    """The diagnostics of ``_BlockForm.kernel``, also written for a kernel
+    decided without a block form."""
+    return {"basis": basis, "blocks": blocks, "max_block": max_block, "nnz": nnz,
+            "bounded": bounded, "refined": refined, "margin": margin}
+
+
 def _arpack_block(B: sparse.spmatrix, k: int, thresh: float, scale: float, cap: int):
     """Smallest-|lambda| eigenpairs of one block by shift-invert ARPACK, k grown
     until the computed set reaches past 100 * thresh (or the cap)."""
@@ -611,14 +660,20 @@ def _matrix_unit_transfer(terms, d: int) -> sparse.csr_matrix:
     return sparse.csr_matrix((T.data[keep], (T.row[keep], T.col[keep])), shape=shape)
 
 
-def _block_form(terms, d: int, hermitian: bool = False) -> _BlockForm:
+def _block_form(terms, d: int, hermitian: bool = False, seeds=None) -> _BlockForm:
     """Write rho -> sum A rho B over (A, B) in ``terms`` (d x d matrices) in
     the orthonormal Hermitian Pauli basis sigma_(x,z) = i^|x & z| X^x Z^z /
     sqrt(d) when d = 2^n, else in the matrix units, and label its invariant
     blocks. In the Pauli basis the matrix is real for a map that takes
     Hermitian operators to Hermitian ones (a Lindbladian, or the commutant
     form of ``verify``), and only the real part is kept. ``hermitian`` says
-    that the map is Hermitian itself (the commutant form)."""
+    that the map is Hermitian itself (the commutant form).
+
+    ``seeds`` (Pauli basis indices x*d + z) restricts a Pauli-basis form to
+    the cosets of the span of the map's shifts that hold a seed
+    (``_pauli_transfer``): an invariant set made of whole blocks of the full
+    form, every block holding a seed among them, with the full form's
+    entries there. The matrix-unit form ignores them."""
     _check_capacity(d)
     if d & (d - 1) == 0:
         n = d.bit_length() - 1
@@ -626,7 +681,7 @@ def _block_form(terms, d: int, hermitian: bool = False) -> _BlockForm:
         b = np.arange(d * d)
         weight = np.bitwise_count((b >> n) & b & (d - 1)).astype(int)
         phase = _I_POWERS[weight % 4] / np.sqrt(d)  # sigma_b = phase_b tau_b
-        T = _pauli_transfer(terms, W, weight)
+        support, T = _pauli_transfer(terms, W, weight, seeds)
         i = np.arange(d)
         positions = ((i ^ i[:, None]) + d * i).ravel()  # vec index of M[i^x, i]
 
@@ -634,10 +689,12 @@ def _block_form(terms, d: int, hermitian: bool = False) -> _BlockForm:
             _, b, m = _pauli_coefficients([rho], d)
             c = np.zeros(d * d)
             c[b] = (m / phase[b]).real
-            return c
+            return c[support]
 
         def vectors(C):
-            m = (C * phase[:, None]).reshape(d, d, -1)
+            m = np.zeros((d * d, C.shape[1]), complex)
+            m[support] = C * phase[support, None]
+            m = m.reshape(d, d, -1)
             M = np.tensordot(m, W, axes=(1, 0))  # M[x, k, i] = column k's M[i^x, i]
             out = np.zeros((d * d, C.shape[1]), complex)
             out[positions] = M.transpose(0, 2, 1).reshape(d * d, -1)
@@ -645,10 +702,10 @@ def _block_form(terms, d: int, hermitian: bool = False) -> _BlockForm:
 
         basis = "pauli"
     else:
-        T = _matrix_unit_transfer(terms, d)
+        support, T = np.arange(d * d), _matrix_unit_transfer(terms, d)
         coefficients, vectors, basis = vec, np.asarray, "matrix-unit"
     _, labels = connected_components(abs(T), directed=True, connection="weak")
-    return _BlockForm(basis, T, labels, coefficients, vectors, hermitian)
+    return _BlockForm(basis, support, T, labels, coefficients, vectors, hermitian)
 
 
 # ---------------------------------------------------------------------------
@@ -674,9 +731,12 @@ def trajectories(
     method: str = "auto",
 ) -> list[list[DensityMatrix]]:
     """For each initial state, its states at np.linspace(0, t, points). The
-    superoperator is written in block form once; the coefficient vectors of
-    all states propagate as the columns of one block propagation, through the
-    invariant blocks that some state has weight on.
+    superoperator is written in block form once, seeded in the Pauli basis by
+    the basis elements the states have weight on (``_block_form``): from the
+    maximally mixed state on the L=2 torus that is one coset of 64 elements
+    out of 65536. The coefficient vectors of all states propagate as the
+    columns of one block propagation, through the invariant blocks that some
+    state has weight on.
 
     Per block, "expm" steps with one dense exponential exp(L dt) (batched
     over blocks of one size); "krylov" makes one call to scipy's
@@ -684,12 +744,14 @@ def trajectories(
     the whole uniform grid; "auto" uses expm for blocks of at most
     EXACT_EXPM_LIMIT elements and krylov for larger ones. Each returned state
     is Hermitized; trace is preserved to 1e-9 and positivity is monitored.
+    A non-finite t raises ParameterError; a propagation that fails or gives
+    non-finite entries raises NumericalError.
     """
     d = g.n_levels
     if any(rho0.dim != d for rho0 in states):
         raise ParameterError("state dimension does not match the generator")
-    if t < 0:
-        raise ParameterError("t must be nonnegative")
+    if not (math.isfinite(t) and t >= 0):
+        raise ParameterError(f"t must be finite and nonnegative, got {t}")
     if points < 2:
         raise ParameterError(f"a trajectory needs at least 2 points, got {points}")
     if method not in ("auto", "expm", "krylov"):
@@ -697,21 +759,26 @@ def trajectories(
     if t == 0 or not states:
         return [[rho0] * points for rho0 in states]
 
-    form = _block_form(_sandwich_terms(g), g.n_levels)
-    c0 = np.stack([form.coefficients(rho0.mat) for rho0 in states], axis=1)
+    mats = [rho0.mat for rho0 in states]
+    seeds = _pauli_coefficients(mats, d)[1] if d & (d - 1) == 0 else None
+    form = _block_form(_sandwich_terms(g), d, seeds=seeds)
+    c0 = np.stack([form.coefficients(m) for m in mats], axis=1)
     cs = np.zeros((points,) + c0.shape, c0.dtype)
     cs[0] = c0
-    for members in form.blocks(np.unique(form.labels[np.flatnonzero(c0.any(axis=1))])):
-        if method == "expm" or (method == "auto" and members.shape[1] <= EXACT_EXPM_LIMIT):
-            U = expm(form.dense(members) * (t / (points - 1)))
-            v = c0[members]
-            for p in range(1, points):
-                v = np.einsum("bij,bjk->bik", U, v)
-                cs[p, members] = v
-        else:
-            idx = members.ravel()
-            cs[:, idx] = expm_multiply(form.restrict(members), c0[idx], start=0.0, stop=t,
-                                       num=points, endpoint=True)
+    try:
+        for members in form.blocks(np.unique(form.labels[np.flatnonzero(c0.any(axis=1))])):
+            if method == "expm" or (method == "auto" and members.shape[1] <= EXACT_EXPM_LIMIT):
+                U = expm(form.dense(members) * (t / (points - 1)))
+                v = c0[members]
+                for p in range(1, points):
+                    v = np.einsum("bij,bjk->bik", U, v)
+                    cs[p, members] = v
+            else:
+                idx = members.ravel()
+                cs[:, idx] = expm_multiply(form.restrict(members), c0[idx], start=0.0, stop=t,
+                                           num=points, endpoint=True)
+    except (ValueError, ArithmeticError, np.linalg.LinAlgError) as exc:
+        raise NumericalError(f"propagation to t = {t} failed: {exc}") from exc
     vecs = form.vectors(cs[1:].transpose(1, 0, 2).reshape(len(c0), -1))
     vecs = vecs.reshape(d * d, points - 1, len(states))
     return [[rho0] + [_finalize_state(unvec(v)) for v in vecs[:, :, i].T]
@@ -729,6 +796,8 @@ def evolve(
 
 
 def _finalize_state(m: np.ndarray) -> DensityMatrix:
+    if not np.isfinite(m).all():
+        raise NumericalError("an evolved state has non-finite entries")
     m = (m + m.conj().T) / 2
     tr = np.trace(m).real
     if abs(tr - 1.0) > 1e-9:

@@ -40,6 +40,7 @@ from .lindblad import (
     DensityMatrix,
     LindbladGenerator,
     _block_form,
+    _kernel_diagnostics,
     steady_states,
     trajectories,
 )
@@ -171,8 +172,8 @@ def commutant_dimension(ops, dim: int, max_dim: int = 8) -> tuple[int, np.ndarra
     if thresh == 0:
         n = dim * dim
         return min(n, max_dim), np.zeros(min(n, max_dim + 1)), {
-            "basis": None, "blocks": n, "max_block": 1, "nnz": 0, "bounded": 0,
-            "refined": 0, "seconds": time.perf_counter() - start, "nullity": n, "margin": None}
+            **_kernel_diagnostics(None, n, 1, 0), "seconds": time.perf_counter() - start,
+            "nullity": n}
 
     form = _block_form(_commutant_terms(mats, dim), dim, hermitian=True)
     vals, nullity, _, diagnostics = form.kernel(thresh, scale, max_dim + 1, max_dim + 1)

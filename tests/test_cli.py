@@ -415,3 +415,15 @@ def test_thermalize_writes_time_series(tmp_path):
     assert len(lines) == 6
     last = [float(x) for x in lines[-1].split(",")]
     assert last[2] < 0.05  # close to thermal by t = 4/gamma-ish
+
+
+def test_thermalize_non_finite_or_overflowing_time_exit_codes(capsys):
+    # a non-finite t is refused before any propagation; one so large that
+    # the propagation overflows is a numerical failure
+    for t in ("nan", "inf"):
+        assert run_cli("thermalize", "--model", "mini-vertex", "--t", t) == 2
+        assert "t must be finite" in capsys.readouterr().err
+    for method in ("krylov", "expm"):
+        assert run_cli("thermalize", "--model", "mini-vertex", "--t", "1e300",
+                       "--method", method) == 4
+        assert "numerical failure" in capsys.readouterr().err

@@ -7,7 +7,7 @@ import pytest
 from scipy import sparse
 from scipy.linalg import expm
 from scipy.optimize import linear_sum_assignment
-from scipy.sparse.linalg import eigs as sparse_eigs
+from scipy.sparse.linalg import eigs as sparse_eigs, expm_multiply
 
 from stabtherm import lindblad
 from stabtherm.bath import attach_ancillas, davies_reduction, rwa_generator
@@ -29,8 +29,11 @@ from stabtherm.lindblad import (
 )
 from stabtherm.pauli import PauliString, PauliSum
 from stabtherm.toric import (
+    StabilizerHamiltonian,
+    StabilizerTerm,
     build_torus,
     eigenoperator_decomposition,
+    loop_operators,
     single_stabilizer_model,
     single_vertex_model,
     toric_hamiltonian,
@@ -600,6 +603,114 @@ def test_trajectory_from_identity_touches_one_block():
     form = lindblad._block_form(lindblad._sandwich_terms(g), g.n_levels)
     c0 = form.coefficients(np.eye(16) / 16)
     assert len(np.unique(form.labels[np.flatnonzero(c0)])) == 1
+
+
+@pytest.fixture(scope="module")
+def toric_l2():
+    lat = build_torus(2)
+    H = toric_hamiltonian(lat, 1.0, 1.0)
+    g = davies_reduction(H, full_decomps(H), 1.0, 0.5)
+    return lat, g, build_superoperator(g)
+
+
+def five_qubit_davies():
+    """Davies generator of [[5,1,3]] (the cyclic shifts of XZZXI)."""
+    H = StabilizerHamiltonian(5, tuple(
+        StabilizerTerm(1.0, PauliString.from_letters("XZZXI"[-k:] + "XZZXI"[:-k]))
+        for k in range(4)))
+    return H, davies_reduction(H, full_decomps(H), 1.0, 0.5)
+
+
+def seed_indices(mats, d):
+    return lindblad._pauli_coefficients(mats, d)[1]
+
+
+def assert_matches_exponential(g, L, starts, t, points):
+    """trajectories by both methods against expm_multiply on the oracle's
+    computational-basis superoperator L."""
+    exact = expm_multiply(L, np.stack([vec(r.mat) for r in starts], axis=1),
+                          start=0.0, stop=t, num=points, endpoint=True)
+    for method in ("expm", "krylov"):
+        for i, states in enumerate(trajectories(g, starts, t, points, method=method)):
+            for s, e in zip(states, exact[:, :, i]):
+                assert np.abs(s.mat - unvec(e)).max() < 1e-12, (method, i)
+
+
+def test_seeded_trajectories_match_the_superoperator_exponential(toric_l2):
+    # from I/d (one coset), a loop-coset state (two) and a random state (all)
+    lat, g, L = toric_l2
+    d = g.n_levels
+    W = loop_operators(lat)["Wx1"].to_sparse().toarray()
+    starts = [DensityMatrix.maximally_mixed(d), DensityMatrix((np.eye(d) + 0.5 * W) / d),
+              DensityMatrix(random_density(d, np.random.default_rng(43)))]
+    assert_matches_exponential(g, L, starts, 0.3, 3)
+    for rho0, cosets in zip(starts, (1, 2, 1024)):
+        seeded = lindblad._block_form(lindblad._sandwich_terms(g), d,
+                                      seeds=seed_indices([rho0.mat], d))
+        assert len(seeded.support) == 64 * cosets
+
+
+def test_seeded_coset_span_comes_from_every_term():
+    # H = Z with the jump (X + Z)/sqrt(2): G = K^dag K = I, so the
+    # Hamiltonian terms shift nothing off {I, Z}, while the jump moves Z to X
+    K = sparse.csr_matrix(np.array([[1.0, 1.0], [1.0, -1.0]]) / np.sqrt(2))
+    g = LindbladGenerator(2, np.diag([1.0, -1.0]), (JumpOp(K, 0.3),))
+    rho0 = DensityMatrix(np.diag([0.8, 0.2]))
+    form = lindblad._block_form(lindblad._sandwich_terms(g), 2,
+                                seeds=seed_indices([rho0.mat], 2))
+    assert len(form.support) == 4
+    assert_matches_exponential(g, build_superoperator(g), [rho0], 2.0, 4)
+
+
+def test_seeded_form_from_identity_is_one_block_of_64(toric_l2):
+    _, g, _ = toric_l2
+    terms = lindblad._sandwich_terms(g)
+    seeded = lindblad._block_form(terms, 256, seeds=seed_indices([np.eye(256) / 256], 256))
+    assert len(seeded.support) == 64 and len(np.unique(seeded.labels)) == 1
+    full = lindblad._block_form(terms, 256)
+    block = np.flatnonzero(full.labels == full.labels[0])
+    assert np.array_equal(seeded.support, block)
+    assert seeded.T.nnz == 639
+    assert (seeded.T != full.T[block][:, block]).nnz == 0
+
+
+def test_seeded_form_holds_the_full_blocks_of_its_seeds():
+    # the stabilizer group of [[5,1,3]] is not a product of X- and Z-parts,
+    # so the grid of x-parts by z-parts reaches past the cosets; a logical
+    # state and one random Pauli term seed several cosets
+    H, g = five_qubit_davies()
+    d = g.n_levels
+    _, v = np.linalg.eigh(H.to_dense())
+    psi = v[:, 0]
+    extra = PauliSum(5, [(0.1, PauliString.from_letters("XIIYZ"))]).to_sparse().toarray()
+    rho0 = DensityMatrix((np.outer(psi, psi.conj()) + (np.eye(d) + extra) / d) / 2)
+    seeds = seed_indices([rho0.mat], d)
+    terms = lindblad._sandwich_terms(g)
+    seeded = lindblad._block_form(terms, d, seeds=seeds)
+    full = lindblad._block_form(terms, d)
+    n = d.bit_length() - 1
+    grid = len(np.unique(seeded.support >> n)) * len(np.unique(seeded.support & (d - 1)))
+    assert grid > len(seeded.support)
+    # whole blocks of the full form, every block holding a seed among them
+    inside = np.isin(full.labels, full.labels[seeded.support])
+    assert np.array_equal(np.flatnonzero(inside), seeded.support)
+    assert np.isin(seeds, seeded.support).all() and len(seeded.support) < d * d
+    assert (seeded.T != full.T[seeded.support][:, seeded.support]).nnz == 0
+    assert len(np.unique(seeded.labels)) == len(np.unique(full.labels[seeded.support]))
+    assert_matches_exponential(g, build_superoperator(g), [rho0], 2.0, 3)
+
+
+def test_trajectories_reject_non_finite_time_and_fail_loudly():
+    g = two_level(0.5, 0.1)
+    rho0 = DensityMatrix.maximally_mixed(2)
+    for t in (np.nan, np.inf, -1.0):
+        with pytest.raises(ParameterError, match="t must be"):
+            trajectory(g, rho0, t, 3)
+    with pytest.raises(NumericalError):
+        trajectory(g, rho0, 1e300, 3, method="krylov")
+    # the trace check alone would pass a NaN state
+    with pytest.raises(NumericalError, match="non-finite"):
+        lindblad._finalize_state(np.full((2, 2), np.nan))
 
 
 def test_toric_l2_davies_gap(monkeypatch):

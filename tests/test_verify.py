@@ -237,8 +237,11 @@ def test_zero_set_commutes_with_everything():
     count, _, diagnostics = commutant_dimension([np.zeros((4, 4))], 4, max_dim=16)
     assert count == 16
     assert commutant_dimension([np.zeros((4, 4))], 4, max_dim=3)[0] == 3
-    # the early return reports the keys of the block path
-    assert diagnostics.keys() == commutant_dimension([np.eye(4)], 4)[2].keys()
+    # the early return reports the keys of the block path, from one definition
+    block_path = commutant_dimension([np.diag([1.0, -1.0, 1.0, -1.0]), np.eye(4)[::-1]], 4)[2]
+    assert block_path["nnz"] > 0 and block_path["blocks"] > 1
+    assert diagnostics.keys() == block_path.keys()
+    assert diagnostics["blocks"] == diagnostics["nullity"] == 16 and diagnostics["nnz"] == 0
 
 
 def test_ambiguous_commutant_threshold_raises():
@@ -345,9 +348,9 @@ def test_attractor_probe_builds_the_block_form_twice(monkeypatch):
     gen = davies_reduction(H, decomps(H), 1.0, 0.5)
     builds = []
 
-    def counted(*args):
+    def counted(*args, **kwargs):
         builds.append(1)
-        return block_form(*args)
+        return block_form(*args, **kwargs)
 
     block_form = lindblad._block_form
     monkeypatch.setattr(lindblad, "_block_form", counted)
