@@ -383,14 +383,17 @@ def _pauli_transfer(terms, W: np.ndarray, weight: np.ndarray, seeds=None):
     tau_a tau_b tau_c = (-1)^(za.xb + za.xc + zb.xc) tau_(a^b^c): each pair
     (a, c) of Pauli terms shifts every input b to b^a^c, with a sign that is
     an outer product of two Walsh rows over the (xb, zb) grid, so all inputs
-    of one shift come from one matrix product.
+    of one shift come from the two-sided Walsh transform of the pairs'
+    weights summed at (za, xc), a product of two matrix products.
 
     Every entry moves an input by a shift, so each coset of the span S of the
     shifts is invariant. The matrix is written on R, every basis element
     (default), or the union of the cosets of the ``seeds``
-    (``_coset_union``); the products then run over the grid of R's x-parts
-    times its z-parts, and the entries inside R are kept. Returns (R, the
-    matrix on R).
+    (``_coset_union``); the entries on the grid of R's x-parts times its
+    z-parts are read off the transform, and those inside R are kept. The
+    products have the same shapes whatever the seeds (a BLAS product rounds
+    by its shape), so a seeded matrix has the full one's bits. Returns (R,
+    the matrix on R).
     """
     d = len(W)
     n = d.bit_length() - 1
@@ -412,10 +415,12 @@ def _pauli_transfer(terms, W: np.ndarray, weight: np.ndarray, seeds=None):
     grid = ((ux[:, None] << n) | uz).ravel()  # b = x*d + z
     at = position[grid]
     inside = at >= 0
-    Wx, Wz = W[:, ux], W[:, uz]
     rows, cols, vals = [], [], []
     for s, lo, hi in zip(shifts, starts, np.append(starts[1:], len(shift))):
-        v = (Wx[za[lo:hi]].T @ (w[lo:hi, None] * Wz[xc[lo:hi]])).ravel()
+        ua, a = np.unique(za[lo:hi], return_inverse=True)
+        m = np.zeros((len(ua), d), complex)
+        np.add.at(m, (a, xc[lo:hi]), w[lo:hi])
+        v = (W[ua].T @ (m @ W))[np.ix_(ux, uz)].ravel()  # [xb, zb]
         keep = np.flatnonzero((np.abs(v) > ROUNDOFF * np.abs(w[lo:hi]).sum()) & inside)
         rows.append(position[grid[keep] ^ s])
         cols.append(at[keep])
