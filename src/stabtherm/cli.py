@@ -25,12 +25,13 @@ from .errors import (
 )
 from .lindblad import (
     DensityMatrix,
+    Sectors,
     _check_capacity,
+    gibbs_populations,
     gibbs_state,
+    sector_trajectory,
     steady_states,
-    trace_distance,
     trace_product,
-    trajectory,
 )
 from .pauli import PauliString
 from .serialize import (
@@ -98,33 +99,36 @@ def _davies_generator(H: StabilizerHamiltonian, decomps, beta: float, gamma0: fl
     return davies_reduction(H, decomps, beta, gamma0)
 
 
-def _observable_rows(names: list[str], H, lat, beta: float,
-                     states: list[np.ndarray]) -> list[list[float]]:
-    """The named observables on each state, one row per state. Each dense
-    matrix (and the Gibbs state) is built once and read on every state
-    before the next one is built."""
-    def traces(op) -> list[float]:
-        m = op.to_dense()
-        return [trace_product(m, rho).real for rho in states]
-
+def _observable_rows(names: list[str], H, lat, beta: float, sectors: Sectors,
+                     pops: np.ndarray | None = None) -> list[list[float]]:
+    """The named observables on each row of syndrome-sector populations
+    ``pops`` of ``sectors`` (default the Gibbs state), one row each, from the
+    stabilizer strings' values on the sectors."""
+    energy = -np.array(H.couplings) @ sectors.characters([t.stabilizer for t in H.terms])
+    gibbs = gibbs_populations(energy, beta)
+    pops = gibbs[None] if pops is None else pops
     columns = []
     for name in names:
         if name in ("A_v", "B_p") and lat is None:
             raise ConfigError(f"observable {name!r} requires a toric model")
         if name == "energy":
-            columns.append(traces(H))
-        elif name == "A_v":
-            sites = [traces(vertex_string(lat, v)) for v in range(len(lat.vertices))]
-            columns.append([float(np.mean(vals)) for vals in zip(*sites)])
-        elif name == "B_p":
-            sites = [traces(plaquette_string(lat, p)) for p in range(len(lat.plaquettes))]
-            columns.append([float(np.mean(vals)) for vals in zip(*sites)])
+            columns.append(pops @ energy)
+        elif name in ("A_v", "B_p"):
+            string, sites = ((vertex_string, lat.vertices) if name == "A_v"
+                             else (plaquette_string, lat.plaquettes))
+            values = sectors.characters([string(lat, i) for i in range(len(sites))])
+            columns.append((pops @ values.T).mean(axis=1))
         elif name == "gibbs_distance":
-            gs = gibbs_state(H.to_dense(), beta).mat
-            columns.append([trace_distance(rho, gs) for rho in states])
+            columns.append(np.abs(pops - gibbs).sum(axis=1) / 2)
         else:
             raise ConfigError(f"unknown observable {name!r}")
-    return [[col[i] for col in columns] for i in range(len(states))]
+    return np.array(columns, dtype=float).reshape(len(names), len(pops)).T.tolist()
+
+
+def _stabilizer_sectors(H: StabilizerHamiltonian) -> Sectors:
+    """The syndrome sectors of the group the stabilizer terms generate."""
+    return Sectors([(t.stabilizer.x << H.n_qubits) | t.stabilizer.z for t in H.terms],
+                   1 << H.n_qubits)
 
 
 # ---------------------------------------------------------------------------
@@ -158,20 +162,20 @@ def cmd_decompose(args) -> int:
 
 
 def _thermalize_rows(H, lat, decomps, beta: float, gamma0: float, t: float, points: int,
-                     method: str, names: list[str]) -> list[list[float]]:
-    """Observables along a Davies trajectory from the maximally mixed state."""
+                     method: str, names: list[str]) -> tuple[list[list[float]], dict]:
+    """Observables along a Davies trajectory from the maximally mixed state,
+    and its diagnostics (``sector_trajectory``)."""
     gen = _davies_generator(H, decomps, beta, gamma0)
-    rho0 = DensityMatrix.maximally_mixed(1 << H.n_qubits)
-    states = [rho.mat for rho in trajectory(gen, rho0, t, points, method=method)]
-    return [[ti] + vals for ti, vals
-            in zip(np.linspace(0.0, t, points), _observable_rows(names, H, lat, beta, states))]
+    sectors, pops, diagnostics = sector_trajectory(gen, t, points, method)
+    rows = _observable_rows(names, H, lat, beta, sectors, pops)
+    return [[ti] + row for ti, row in zip(np.linspace(0.0, t, points), rows)], diagnostics
 
 
 def cmd_thermalize(args) -> int:
     H, lat = _build_model(_model_spec_from_args(args))
     names = args.observables.split(",") if args.observables else ["energy"]
-    rows = _thermalize_rows(H, lat, _full_decompositions(H), args.beta, args.gamma0, args.t,
-                            args.points, args.method, names)
+    rows, _ = _thermalize_rows(H, lat, _full_decompositions(H), args.beta, args.gamma0, args.t,
+                               args.points, args.method, names)
     header = ["t"] + names
     if args.output:
         write_csv(args.output, header, rows)
@@ -375,10 +379,8 @@ def cmd_run(args) -> int:
 
     if exp == "gibbs-sweep":
         grid = [float(b) for b in cfg.get("beta_grid", [beta])]
-        rows = []
-        for b in grid:
-            rho = gibbs_state(H.to_dense(), b).mat
-            rows.append([b] + _observable_rows(observables, H, lat, b, [rho])[0])
+        sectors = _stabilizer_sectors(H)
+        rows = [[b] + _observable_rows(observables, H, lat, b, sectors)[0] for b in grid]
         csv_path = outdir / "gibbs_sweep.csv"
         write_csv(csv_path, ["beta"] + observables, rows)
         result["csv"] = str(csv_path)
@@ -396,13 +398,14 @@ def cmd_run(args) -> int:
         result["kernel_dim"] = ss.kernel_dim
         result["kernel_residual"] = ss.residual
         if ss.states:
-            rho = ss.states[0].mat
-            result["observables"] = dict(zip(observables,
-                                             _observable_rows(observables, H, lat, beta, [rho])[0]))
+            sectors = _stabilizer_sectors(H)
+            rows = _observable_rows(observables, H, lat, beta, sectors,
+                                    sectors.state(ss.states[0].mat))
+            result["observables"] = dict(zip(observables, rows[0]))
     elif exp == "thermalize":
-        rows = _thermalize_rows(H, lat, decomps, beta, float(dyn.get("gamma0", 0.5)),
-                                float(dyn.get("t", 1.0)), int(dyn.get("points", 11)),
-                                dyn.get("method", "auto"), observables)
+        rows, result["trajectory"] = _thermalize_rows(
+            H, lat, decomps, beta, float(dyn.get("gamma0", 0.5)), float(dyn.get("t", 1.0)),
+            int(dyn.get("points", 11)), dyn.get("method", "auto"), observables)
         csv_path = outdir / "thermalize.csv"
         write_csv(csv_path, ["t"] + observables, rows)
         result["csv"] = str(csv_path)

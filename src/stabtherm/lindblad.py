@@ -31,6 +31,12 @@ writes the map on their cosets alone: from the maximally mixed state on the
 L=2 torus, 64 elements and 639 nonzeros instead of 65536 and 714,751.
 Steady states and commutants need every block, and assemble them all.
 
+Those 64 elements are the stabilizer group, an abelian Pauli group: a state
+on it is a function of the syndrome, and ``Sectors`` reads its spectrum, one
+eigenvalue per syndrome sector, by one Walsh transform of its coefficients.
+So ``sector_trajectory`` evolves I/d with no d x d matrix and no dense
+eigensolver; ``trajectories`` returns d x d states for any initial state.
+
 Conventions (fixed package-wide):
 
 * hbar = 1; energies are quoted in units of the stabilizer coupling lambda
@@ -58,7 +64,7 @@ from scipy.sparse.csgraph import connected_components
 from scipy.sparse.linalg import eigs as sparse_eigs, expm_multiply
 
 from .errors import CapacityError, NumericalError, ParameterError
-from .pauli import PauliString
+from .pauli import DENSE_LIMIT, PauliString
 
 #: Hilbert-space dimension above which superoperators (either basis) are refused.
 SUPEROP_DIM_LIMIT = 256
@@ -89,6 +95,8 @@ BOUND_SLACK = 1e-12
 _I_POWERS = np.array([1, 1j, -1, -1j])
 #: An evolved state with an eigenvalue below -POSITIVITY_TOL raises a warning.
 POSITIVITY_TOL = 1e-6
+#: DensityMatrix refuses, and evolution clips, an eigenvalue below -CLIP_TOL.
+CLIP_TOL = 1e-8
 
 
 def vec(rho: np.ndarray) -> np.ndarray:
@@ -154,7 +162,7 @@ class DensityMatrix:
             raise ParameterError("density matrix is not Hermitian")
         if abs(np.trace(m) - 1.0) > 1e-10:
             raise ParameterError(f"trace is {np.trace(m)}, expected 1")
-        if np.linalg.eigvalsh((m + m.conj().T) / 2).min() < -1e-8:
+        if np.linalg.eigvalsh((m + m.conj().T) / 2).min() < -CLIP_TOL:
             raise ParameterError("density matrix has a significantly negative eigenvalue")
 
     @property
@@ -274,10 +282,27 @@ def _gershgorin_screen(T: sparse.csr_matrix, labels: np.ndarray) -> np.ndarray:
 # the superoperator in an operator basis, cut into invariant blocks
 # ---------------------------------------------------------------------------
 
+def _weight(b, n: int):
+    """|x & z| of the Pauli labels b = x*2^n + z."""
+    return np.bitwise_count((b >> n) & b & ((1 << n) - 1)).astype(int)
+
+
 def _walsh(d: int) -> np.ndarray:
     """W[z, i] = (-1)^(z.i), the d x d Walsh-Hadamard sign matrix."""
     i = np.arange(d)
     return np.where(np.bitwise_count(i[:, None] & i) & 1, -1.0, 1.0)
+
+
+def _butterfly(m: np.ndarray) -> np.ndarray:
+    """In place, sum_j (-1)^(i.j) m[..., j] along the last axis (a power of
+    two long). Butterflies (not a BLAS product, which rounds a one-row
+    product differently) make each row's bits independent of the batch."""
+    for h in 1 << np.arange(m.shape[-1].bit_length() - 1):  # pairs (j, j + h) in blocks of 2h
+        pair = m.reshape(-1, 2, h)
+        diff = pair[:, 0] - pair[:, 1]
+        pair[:, 0] += pair[:, 1]
+        pair[:, 1] = diff
+    return m
 
 
 def _entries(ops):
@@ -324,9 +349,8 @@ def _pauli_coefficients(ops, d: int):
     M = sum m[x*d + z] X^x Z^z and X^x Z^z |i> = (-1)^(z.i) |i^x>, so that
     m[x*d + z] = (1/d) sum_i (-1)^(z.i) M[i^x, i]: one Walsh-Hadamard transform
     of all (operator, x) rows with entries, in chunks of at most _STACK_ENTRIES
-    entries. Butterflies (not a BLAS product, which rounds a one-row product
-    differently) make each row's bits independent of the batch. Returns
-    (operator, b, m[b]) above ROUNDOFF of the operator's largest |m|, sorted."""
+    entries (``_butterfly``). Returns (operator, b, m[b]) above ROUNDOFF of
+    the operator's largest |m|, sorted."""
     op, row, col, val = _entries(ops)
     keys, inverse = np.unique(op * d + (row ^ col), return_inverse=True)
     peak = np.zeros(len(ops))
@@ -337,11 +361,7 @@ def _pauli_coefficients(ops, d: int):
         chunk = (inverse >= lo) & (inverse < hi)
         m = np.zeros((hi - lo, d), complex)
         m[inverse[chunk] - lo, col[chunk]] = val[chunk]
-        for h in 1 << np.arange(d.bit_length() - 1):  # pairs (j, j + h) in blocks of 2h
-            pair = m.reshape(-1, 2, h)
-            diff = pair[:, 0] - pair[:, 1]
-            pair[:, 0] += pair[:, 1]
-            pair[:, 1] = diff
+        _butterfly(m)
         m /= d
         mag = np.abs(m)
         row_peak = mag.max(axis=1)
@@ -355,20 +375,26 @@ def _pauli_coefficients(ops, d: int):
     return key // d, (key % d) * d + z, m[keep]
 
 
-def _coset_union(shifts: np.ndarray, seeds: np.ndarray) -> np.ndarray:
-    """The union, ascending, of the cosets b ^ S of the seeds b, where S is
-    the GF(2) span of the integers ``shifts`` (bit strings). Elimination keeps
-    one basis vector per leading bit, each clear of the earlier ones' leading
-    bits; a seed reduced by them all is its coset's representative, so the
-    cosets of distinct representatives are disjoint."""
-    basis, rest = [], np.unique(shifts)
+def _gf2_basis(labels) -> list[int]:
+    """A basis of the GF(2) span of the integers ``labels`` by elimination,
+    leading bits descending, each vector clear of the earlier leading bits:
+    b is in the span iff XORing in turn each vector whose leading bit b has
+    leaves 0."""
+    basis, rest = [], np.unique(labels)
     rest = rest[rest > 0]
     while rest.size:
-        basis.append(rest.max())
+        basis.append(int(rest.max()))
         rest = np.minimum(rest, rest ^ basis[-1])
         rest = rest[rest > 0]
+    return basis
+
+
+def _coset_union(shifts: np.ndarray, seeds: np.ndarray) -> np.ndarray:
+    """The union, ascending, of the cosets b ^ S of the seeds b, where S is
+    the GF(2) span of the integers ``shifts``: a seed reduced by the
+    ``_gf2_basis`` represents its coset."""
     reps, span = np.unique(seeds), np.zeros(1, dtype=int)
-    for v in basis:
+    for v in _gf2_basis(shifts):
         reps = np.minimum(reps, reps ^ v)
         span = np.concatenate([span, span ^ v])
     return np.sort((np.unique(reps)[:, None] ^ span).ravel())
@@ -683,8 +709,7 @@ def _block_form(terms, d: int, hermitian: bool = False, seeds=None) -> _BlockFor
     if d & (d - 1) == 0:
         n = d.bit_length() - 1
         W = _walsh(d)
-        b = np.arange(d * d)
-        weight = np.bitwise_count((b >> n) & b & (d - 1)).astype(int)
+        weight = _weight(np.arange(d * d), n)
         phase = _I_POWERS[weight % 4] / np.sqrt(d)  # sigma_b = phase_b tau_b
         support, T = _pauli_transfer(terms, W, weight, seeds)
         i = np.arange(d)
@@ -713,6 +738,55 @@ def _block_form(terms, d: int, hermitian: bool = False, seeds=None) -> _BlockFor
     return _BlockForm(basis, support, T, labels, coefficients, vectors, hermitian)
 
 
+class Sectors:
+    """The syndrome sectors of the abelian group R of Pauli labels b = x*d + z
+    spanned by ``labels``: the 2^r joint eigenspaces, each of dimension
+    d / 2^r, of P_i = i^|x&z| X^x Z^z over the ``_gf2_basis`` g_1..g_r of R.
+    By the product rule of ``_pauli_transfer`` a Hermitian i^e X^x Z^z with
+    label in R is eps prod_i P_i^k_i (eps = +-1): eps (-1)^(k.s) on sector
+    s. Anticommuting elements of R raise NumericalError."""
+
+    def __init__(self, labels, d: int):
+        if d > 1 << DENSE_LIMIT:
+            raise CapacityError(f"sectors of dimension {d} exceed the limit 2^{DENSE_LIMIT}")
+        self.n, self.basis = d.bit_length() - 1, _gf2_basis(labels)
+        self.multiplicity = d >> len(self.basis)
+        g = np.array(self.basis, dtype=int)
+        if ((np.bitwise_count((g[:, None] >> self.n) & g)
+             + np.bitwise_count(g[:, None] & (g >> self.n))) & 1).any():
+            raise NumericalError("the sector group has anticommuting elements")
+
+    def values(self, labels, e, a) -> np.ndarray:
+        """The eigenvalue on each sector (columns) of the Hermitian
+        sum_b a[b, j] i^e_b X^x Z^z for each column j of ``a`` (rows): a
+        ``_butterfly`` of eps a at k. Weight off R above 1e-10 raises."""
+        b = np.asarray(labels, dtype=int)
+        rest, k, e = b, np.zeros_like(b), np.asarray(e, dtype=int)
+        for i, g in enumerate(self.basis):
+            use = (rest ^ g) < rest
+            # tau_acc tau_g = (-1)^(z_acc.x_g) tau_(acc^g) for the product so
+            # far, acc = b ^ rest, and tau_g = i^-|x&z| P_g
+            flip = np.bitwise_count((b ^ rest) & (g >> self.n)).astype(int)
+            e = e + use * (2 * flip - _weight(g, self.n))
+            rest, k = np.where(use, rest ^ g, rest), k | (use.astype(int) << i)
+        if np.linalg.norm(a[rest != 0]) > 1e-10 * np.linalg.norm(a):
+            raise NumericalError("weight off the sector group")
+        lam = np.zeros((1 << len(self.basis), a.shape[1]))
+        np.add.at(lam, k[rest == 0], ((1 - (e & 2))[:, None] * a)[rest == 0])
+        return _butterfly(np.ascontiguousarray(lam.T))
+
+    def characters(self, strings) -> np.ndarray:
+        """The value of each Hermitian PauliString (rows) on each sector."""
+        return self.values([(p.x << self.n) | p.z for p in strings], [p.k for p in strings],
+                           np.eye(len(strings)))
+
+    def state(self, rho: np.ndarray) -> np.ndarray:
+        """The sector populations of a d x d state, one row."""
+        _, b, m = _pauli_coefficients([rho], len(rho))
+        w = _weight(b, self.n)
+        return self.values(b, w, (m * _I_POWERS[-w % 4]).real[:, None]) * self.multiplicity
+
+
 # ---------------------------------------------------------------------------
 # time evolution
 # ---------------------------------------------------------------------------
@@ -735,32 +809,16 @@ def trajectories(
     points: int,
     method: str = "auto",
 ) -> list[list[DensityMatrix]]:
-    """For each initial state, its states at np.linspace(0, t, points). The
-    superoperator is written in block form once, seeded in the Pauli basis by
-    the basis elements the states have weight on (``_block_form``): from the
-    maximally mixed state on the L=2 torus that is one coset of 64 elements
-    out of 65536. The coefficient vectors of all states propagate as the
-    columns of one block propagation, through the invariant blocks that some
-    state has weight on.
-
-    Per block, "expm" steps with one dense exponential exp(L dt) (batched
-    over blocks of one size); "krylov" makes one call to scipy's
-    expm_multiply (Al-Mohy/Higham) on the blocks of one size, which returns
-    the whole uniform grid; "auto" uses expm for blocks of at most
-    EXACT_EXPM_LIMIT elements and krylov for larger ones. Each returned state
-    is Hermitized; trace is preserved to 1e-9 and positivity is monitored.
-    A non-finite t raises ParameterError; a propagation that fails or gives
-    non-finite entries raises NumericalError.
+    """For each initial state, its states at np.linspace(0, t, points): one
+    ``_propagate`` of their coefficients on the block form seeded with the
+    basis elements they have weight on (from I/d on the L=2 torus one coset
+    of 64 elements out of 65536), then ``_finalize_state``. A non-finite t
+    raises ParameterError; a failed or non-finite propagation NumericalError.
     """
     d = g.n_levels
     if any(rho0.dim != d for rho0 in states):
         raise ParameterError("state dimension does not match the generator")
-    if not (math.isfinite(t) and t >= 0):
-        raise ParameterError(f"t must be finite and nonnegative, got {t}")
-    if points < 2:
-        raise ParameterError(f"a trajectory needs at least 2 points, got {points}")
-    if method not in ("auto", "expm", "krylov"):
-        raise ParameterError(f"unknown method {method!r}")
+    _check_grid(t, points, method)
     if t == 0 or not states:
         return [[rho0] * points for rho0 in states]
 
@@ -768,26 +826,83 @@ def trajectories(
     seeds = _pauli_coefficients(mats, d)[1] if d & (d - 1) == 0 else None
     form = _block_form(_sandwich_terms(g), d, seeds=seeds)
     c0 = np.stack([form.coefficients(m) for m in mats], axis=1)
+    cs = _propagate(form, c0, t, points, method)[0]
+    vecs = form.vectors(cs[1:].transpose(1, 0, 2).reshape(len(c0), -1))
+    vecs = vecs.reshape(d * d, points - 1, len(states))
+    return [[rho0] + [_finalize_state(unvec(v)) for v in vecs[:, :, i].T]
+            for i, rho0 in enumerate(states)]
+
+
+def _check_grid(t: float, points: int, method: str) -> None:
+    """Raise ParameterError unless t, points and method make a trajectory."""
+    if not (math.isfinite(t) and t >= 0):
+        raise ParameterError(f"t must be finite and nonnegative, got {t}")
+    if points < 2:
+        raise ParameterError(f"a trajectory needs at least 2 points, got {points}")
+    if method not in ("auto", "expm", "krylov"):
+        raise ParameterError(f"unknown method {method!r}")
+
+
+def _propagate(form: _BlockForm, c0: np.ndarray, t: float, points: int, method: str):
+    """The columns c0 (on ``form.support``) at np.linspace(0, t, points),
+    through the blocks some column has weight on: "expm" steps with exp(L dt)
+    (batched over blocks of one size), "krylov" is one expm_multiply
+    (Al-Mohy/Higham) per size, "auto" is expm up to EXACT_EXPM_LIMIT. Also
+    returns diagnostics support (its size), blocks (touched), method (run)."""
     cs = np.zeros((points,) + c0.shape, c0.dtype)
     cs[0] = c0
+    touched = np.unique(form.labels[np.flatnonzero(c0.any(axis=1))])
+    used = set()
     try:
-        for members in form.blocks(np.unique(form.labels[np.flatnonzero(c0.any(axis=1))])):
+        for members in form.blocks(touched):
             if method == "expm" or (method == "auto" and members.shape[1] <= EXACT_EXPM_LIMIT):
+                used.add("expm")
                 U = expm(form.dense(members) * (t / (points - 1)))
                 v = c0[members]
                 for p in range(1, points):
                     v = np.einsum("bij,bjk->bik", U, v)
                     cs[p, members] = v
             else:
+                used.add("krylov")
                 idx = members.ravel()
                 cs[:, idx] = expm_multiply(form.restrict(members), c0[idx], start=0.0, stop=t,
                                            num=points, endpoint=True)
     except (ValueError, ArithmeticError, np.linalg.LinAlgError) as exc:
         raise NumericalError(f"propagation to t = {t} failed: {exc}") from exc
-    vecs = form.vectors(cs[1:].transpose(1, 0, 2).reshape(len(c0), -1))
-    vecs = vecs.reshape(d * d, points - 1, len(states))
-    return [[rho0] + [_finalize_state(unvec(v)) for v in vecs[:, :, i].T]
-            for i, rho0 in enumerate(states)]
+    return cs, {"support": len(form.support), "blocks": len(touched),
+                "method": ",".join(sorted(used))}
+
+
+def sector_trajectory(g: LindbladGenerator, t: float, points: int, method: str = "auto"):
+    """The trajectory from I/d at np.linspace(0, t, points) as ``Sectors``
+    populations (rows), with no d x d matrix: the form seeded with I alone
+    lives on the span of the map's shifts (for syndrome-dressed Pauli jumps
+    the stabilizer group), and the sector eigenvalues get the checks of
+    ``_finalize_state``. Returns the Sectors, the populations and the
+    ``_propagate`` diagnostics with seconds, clipped and smallest eigenvalue."""
+    start = time.perf_counter()
+    _check_grid(t, points, method)
+    d = g.n_levels
+    if d & (d - 1):
+        raise ParameterError("sector populations need a register of qubits")
+    form = _block_form(_sandwich_terms(g), d, seeds=np.zeros(1, dtype=int))
+    cs, diagnostics = _propagate(form, (form.support == 0)[:, None] / np.sqrt(d), t, points,
+                                 method)
+    sectors = Sectors(form.support, d)
+    lam = sectors.values(form.support, _weight(form.support, sectors.n),
+                         cs[:, :, 0].T / np.sqrt(d))
+    drift = np.abs(lam.sum(axis=1) * sectors.multiplicity - 1.0).max()
+    if not drift <= 1e-9:
+        raise NumericalError(f"an evolved state is not finite or its trace drifted by {drift}")
+    low = lam.min(axis=1)
+    if low.min() < -POSITIVITY_TOL:
+        warnings.warn(f"positivity violation {low.min():.2e} in an evolved state")
+    clip = low < -CLIP_TOL
+    clipped = int((lam[clip] < 0).sum())
+    lam[clip] = np.maximum(lam[clip], 0.0)
+    return sectors, lam / lam.sum(axis=1, keepdims=True), {
+        **diagnostics, "clipped": clipped, "smallest": float(low.min()),
+        "seconds": time.perf_counter() - start}
 
 
 def evolve(
@@ -801,23 +916,25 @@ def evolve(
 
 
 def _finalize_state(m: np.ndarray) -> DensityMatrix:
+    """An evolved state, Hermitized and normalized, its one spectrum that of
+    DensityMatrix's validation: a state it refuses (an eigenvalue below
+    -CLIP_TOL) is clipped to its positive part, with a warning below
+    -POSITIVITY_TOL. Non-finite entries or trace drift raise."""
     if not np.isfinite(m).all():
         raise NumericalError("an evolved state has non-finite entries")
     m = (m + m.conj().T) / 2
     tr = np.trace(m).real
     if abs(tr - 1.0) > 1e-9:
         raise NumericalError(f"trace drifted to {tr} during evolution")
-    lam, u = np.linalg.eigh(m)
-    if lam.min() < -POSITIVITY_TOL:
-        warnings.warn(f"positivity violation {lam.min():.2e} in an evolved state")
-    if lam.min() < -1e-8:
-        # clip propagation noise so the state satisfies the DensityMatrix contract
-        lam = np.clip(lam, 0.0, None)
-        m = (u * lam) @ u.conj().T
+    try:
+        return DensityMatrix(m / tr)  # Hermitian, unit trace: only positivity can fail
+    except ParameterError:
+        lam, u = np.linalg.eigh(m)
+        if lam.min() < -POSITIVITY_TOL:
+            warnings.warn(f"positivity violation {lam.min():.2e} in an evolved state")
+        m = (u * np.clip(lam, 0.0, None)) @ u.conj().T
         m = m / np.trace(m).real
-    else:
-        m = m / tr
-    return DensityMatrix((m + m.conj().T) / 2)
+        return DensityMatrix((m + m.conj().T) / 2)
 
 
 # ---------------------------------------------------------------------------
@@ -919,12 +1036,16 @@ def steady_states(g: LindbladGenerator) -> SteadyStateResult:
     )
 
 
+def gibbs_populations(energies: np.ndarray, beta: float) -> np.ndarray:
+    """e^(-beta E_s) / Z over levels E_s of one degeneracy, overflow-guarded."""
+    _check_beta(beta)
+    w = np.exp(-beta * (energies - energies.min()))
+    return w / w.sum()
+
+
 def gibbs_state(H, beta: float) -> DensityMatrix:
     """exp(-beta H)/Z via eigendecomposition, overflow-guarded."""
-    _check_beta(beta)
     Hd = H.toarray() if sparse.issparse(H) else np.asarray(H, dtype=complex)
     evals, evecs = np.linalg.eigh(Hd)
-    w = np.exp(-beta * (evals - evals.min()))
-    w = w / w.sum()
-    rho = (evecs * w) @ evecs.conj().T
+    rho = (evecs * gibbs_populations(evals, beta)) @ evecs.conj().T
     return DensityMatrix((rho + rho.conj().T) / 2)

@@ -22,7 +22,9 @@ from stabtherm.serialize import (
     state_to_json,
 )
 from stabtherm.groups import symmetric_group
-from stabtherm.toric import build_torus, toric_hamiltonian
+from stabtherm.lindblad import DensityMatrix, gibbs_state, trajectory
+from stabtherm.pauli import PauliString
+from stabtherm.toric import build_torus, plaquette_string, toric_hamiltonian, vertex_string
 
 from oracles import toric_partition_sums
 
@@ -427,3 +429,77 @@ def test_thermalize_non_finite_or_overflowing_time_exit_codes(capsys):
         assert run_cli("thermalize", "--model", "mini-vertex", "--t", "1e300",
                        "--method", method) == 4
         assert "numerical failure" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("spec", [{"type": "toric", "L": 2, "lambda_e": 0.9, "lambda_m": 1.1},
+                                  {"type": "mini-vertex", "lam": 0.8}], ids=["toric", "mini"])
+def test_thermalize_rows_match_trajectory_and_dense_observables(spec):
+    H, lat = cli._build_model(spec)
+    decomps = cli._full_decompositions(H)
+    names = ["energy", "gibbs_distance"] + (["A_v", "B_p"] if lat else [])
+    g = cli._davies_generator(H, decomps, 1.2, 0.5)
+    gs = gibbs_state(H.to_dense(), 1.2)
+    for method in ("expm", "krylov"):
+        rows, diag = cli._thermalize_rows(H, lat, decomps, 1.2, 0.5, 3.0, 4, method, names)
+        states = trajectory(g, DensityMatrix.maximally_mixed(1 << H.n_qubits), 3.0, 4, method)
+        for row, rho in zip(rows, states):
+            expected = [rho.expectation(H.to_dense()), rho.distance(gs)]
+            if lat:
+                expected += [np.mean([rho.expectation(f(lat, i).to_dense())
+                                      for i in range(len(sites))])
+                             for f, sites in ((vertex_string, lat.vertices),
+                                              (plaquette_string, lat.plaquettes))]
+            assert np.abs(np.array(row[1:]) - expected).max() < 1e-12
+        assert diag["support"] == (64 if lat else 2) and diag["blocks"] == 1
+        assert diag["method"] == method and diag["clipped"] == 0 and diag["smallest"] > 0
+
+
+def test_thermalize_forms_no_dense_state_and_diagonalizes_nothing(tmp_path, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("dense work on the thermalize path")
+
+    for owner, name in ((np.linalg, "eigh"), (np.linalg, "eigvalsh"),
+                        (DensityMatrix, "__post_init__"), (PauliString, "to_dense")):
+        monkeypatch.setattr(owner, name, refuse)
+    out = tmp_path / "rows.csv"
+    assert run_cli("thermalize", "--L", "2", "--t", "10", "--points", "3",
+                   "--observables", "energy,gibbs_distance,A_v,B_p", "-o", str(out)) == 0
+    lines = out.read_text().splitlines()
+    assert lines[0] == "t,energy,gibbs_distance,A_v,B_p" and len(lines) == 4
+
+
+def test_run_thermalize_records_trajectory_diagnostics(tmp_path):
+    cfg = {"experiment": "thermalize", "model": {"type": "mini-vertex"},
+           "dynamics": {"t": 2.0, "points": 3, "method": "krylov"}, "observables": ["energy"],
+           "output_dir": str(tmp_path)}
+    p = tmp_path / "cfg.json"
+    p.write_text(json.dumps(cfg))
+    assert run_cli("run", str(p)) == 0
+    diag = json.loads((tmp_path / "result.json").read_text())["trajectory"]
+    assert set(diag) == {"support", "blocks", "method", "seconds", "clipped", "smallest"}
+    assert diag["method"] == "krylov" and diag["support"] == 2 and diag["blocks"] == 1
+    assert diag["clipped"] == 0 and 0 < diag["smallest"] <= 1 / 16
+
+
+def test_run_reads_gibbs_sweep_and_steady_state_from_sector_populations(tmp_path, monkeypatch):
+    # neither experiment forms a Gibbs state or a dense observable; on the
+    # mini model <H> = -lam tanh(beta lam)
+    def refuse(*args, **kwargs):
+        raise AssertionError("a dense Gibbs state or observable was formed")
+
+    monkeypatch.setattr(cli, "gibbs_state", refuse)
+    monkeypatch.setattr(PauliString, "to_dense", refuse)
+    names = ["energy", "gibbs_distance"]
+    p = tmp_path / "cfg.json"
+    p.write_text(json.dumps({"experiment": "gibbs-sweep", "model": {"type": "mini-vertex"},
+                             "beta_grid": [0.5, 2.0], "observables": names,
+                             "output_dir": str(tmp_path)}))
+    assert run_cli("run", str(p)) == 0
+    for beta, energy, dist in json.loads((tmp_path / "result.json").read_text())["rows"]:
+        assert abs(energy + np.tanh(beta)) < 1e-14 and dist == 0.0
+    p.write_text(json.dumps({"experiment": "steady-state", "model": {"type": "mini-vertex"},
+                             "dynamics": {"beta": 0.7}, "observables": names,
+                             "output_dir": str(tmp_path)}))
+    assert run_cli("run", str(p)) == 0
+    obs = json.loads((tmp_path / "result.json").read_text())["observables"]
+    assert abs(obs["energy"] + np.tanh(0.7)) < 1e-9 and obs["gibbs_distance"] < 1e-9

@@ -1,6 +1,7 @@
 """Lindblad engine: superoperators, evolution, steady states, Gibbs states."""
 
 import itertools
+import warnings
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ from stabtherm.lindblad import (
     DensityMatrix,
     JumpOp,
     LindbladGenerator,
+    Sectors,
     evolve,
     gibbs_state,
     steady_states,
@@ -711,6 +713,88 @@ def test_trajectories_reject_non_finite_time_and_fail_loudly():
     # the trace check alone would pass a NaN state
     with pytest.raises(NumericalError, match="non-finite"):
         lindblad._finalize_state(np.full((2, 2), np.nan))
+
+
+def test_evolved_states_clip_below_the_clip_threshold_and_warn_below_positivity(monkeypatch):
+    # one eigenvalue below -CLIP_TOL clips silently; below -POSITIVITY_TOL
+    # it also warns. The sector reader keeps the same thresholds: on the
+    # mini model (I/16 and ZZZZ/16, two sectors of 8) a propagation is
+    # replaced by one that gives a sector eigenvalue ``low``
+    g = mini_davies()
+    for low, warns in ((-1e-7, False), (-1e-5, True), (-1e-9, False)):
+        coefficients = np.array([[1 / 16, 1 / 16 - low]]).T * 4  # sigma_b = P_b / 4
+        cs = np.stack([coefficients] * 3)
+        monkeypatch.setattr(lindblad, "_propagate", lambda *args: (cs, {}))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            rho = lindblad._finalize_state(np.diag([1.0 - low, low]).astype(complex))
+            _, pops, diag = lindblad.sector_trajectory(g, 1.0, 3)
+        assert len(caught) == 2 * warns
+        assert np.isclose(diag["smallest"], low, rtol=1e-6, atol=0)
+        if low < -lindblad.CLIP_TOL:
+            assert np.allclose(rho.mat, np.diag([1.0, 0.0]), atol=1e-15)
+            assert diag["clipped"] == 3 and np.allclose(pops, [[1.0, 0.0]] * 3, atol=1e-15)
+        else:  # above -CLIP_TOL nothing is clipped
+            assert np.isclose(rho.mat[1, 1].real, low, rtol=1e-12, atol=0)
+            assert diag["clipped"] == 0 and (pops < 0).sum() == 3
+
+
+def five_qubit_strings():
+    """The [[5,1,3]] stabilizers, the third with phase -1."""
+    return [PauliString.from_letters("XZZXI"[-k:] + "XZZXI"[:-k], "-1" if k == 2 else "+1")
+            for k in range(4)]
+
+
+def group_elements(strings):
+    """The elements other than I of the group the commuting ``strings``
+    generate, one per label."""
+    out = {}
+    for bits in itertools.product((0, 1), repeat=len(strings)):
+        p = PauliString.identity(strings[0].n)
+        for b, s in zip(bits, strings):
+            p = p * s if b else p
+        out[p.x, p.z] = p
+    return [p for (x, z), p in out.items() if x or z]
+
+
+@pytest.mark.parametrize("strings", [
+    [t.stabilizer for t in toric_hamiltonian(build_torus(2), 1.0, 1.0).terms],
+    [t.stabilizer for t in single_vertex_model(1.0).terms],
+    five_qubit_strings(),
+], ids=["toric-l2", "mini-vertex", "five-qubit"])
+def test_sector_spectrum_matches_dense_eigenvalues(strings):
+    n = strings[0].n
+    d = 1 << n
+    sectors = Sectors([(p.x << n) | p.z for p in strings], d)
+    group = group_elements(strings)
+    rng = np.random.default_rng(len(strings))
+    for _ in range(3):
+        # I/d plus a random element of span(S) small enough to stay positive
+        a = rng.uniform(-1, 1, len(group)) / (d * len(group))
+        rho = np.eye(d) / d + sum(c * p.to_dense() for c, p in zip(a, group))
+        pops = sectors.state(rho)[0]
+        mult = d // len(pops)
+        assert mult * len(pops) == d
+        mine = np.sort(np.repeat(pops / mult, mult))
+        assert np.abs(mine - np.linalg.eigvalsh(rho)).max() < 1e-12
+        # the characters are the stabilizers' values on each sector
+        for p, chi in zip(strings, sectors.characters(strings)):
+            assert abs(pops @ chi - np.trace(p.to_dense() @ rho).real) < 1e-12
+    twice = sectors.characters(strings + strings)  # a string may repeat
+    assert np.array_equal(twice[:len(strings)], twice[len(strings):])
+
+
+def test_sectors_refuse_anticommuting_support_and_strings_outside_it():
+    x, z = PauliString.from_letters("XI"), PauliString.from_letters("ZI")
+    with pytest.raises(NumericalError, match="anticommuting"):
+        Sectors([(p.x << 2) | p.z for p in (x, z)], 4)
+    zz = Sectors([(z.x << 2) | z.z], 4)
+    with pytest.raises(NumericalError, match="off the sector group"):
+        zz.characters([x, z])
+    # weight off the group is refused when reading a state
+    with pytest.raises(NumericalError, match="off the sector group"):
+        zz.state((np.eye(4) + 0.5 * x.to_dense()) / 4)
+    assert np.allclose(zz.state((np.eye(4) + 0.5 * z.to_dense()) / 4), [[0.75, 0.25]])
 
 
 def test_toric_l2_davies_gap(monkeypatch):
