@@ -131,6 +131,12 @@ def _stabilizer_sectors(H: StabilizerHamiltonian) -> Sectors:
                    1 << H.n_qubits)
 
 
+def _state_observables(names: list[str], H, lat, beta: float, state: DensityMatrix) -> list:
+    """The named observables of a state, from its syndrome-sector populations."""
+    sectors = _stabilizer_sectors(H)
+    return _observable_rows(names, H, lat, beta, sectors, sectors.state(state.mat))[0]
+
+
 # ---------------------------------------------------------------------------
 # subcommands
 # ---------------------------------------------------------------------------
@@ -186,16 +192,15 @@ def cmd_thermalize(args) -> int:
 
 
 def cmd_steady_state(args) -> int:
-    model_spec = _model_spec_from_args(args)
-    H, lat = _build_model(model_spec)
+    H, lat = _build_model(_model_spec_from_args(args))
     gen = _davies_generator(H, _full_decompositions(H), args.beta, args.gamma0)
     ss = steady_states(gen)
-    gs = gibbs_state(H.to_dense(), args.beta)
     out = {
         "kernel_dim": ss.kernel_dim,
         "unique": ss.unique,
         "kernel_residual": ss.residual,
-        "trace_distance_to_gibbs": ss.states[0].distance(gs) if ss.states else None,
+        "trace_distance_to_gibbs": (_state_observables(["gibbs_distance"], H, lat, args.beta,
+                                                       ss.states[0])[0] if ss.states else None),
         "diagnostics": ss.diagnostics,
     }
     print(json.dumps(out, indent=2))
@@ -229,7 +234,8 @@ def cmd_verify(args) -> int:
         ss = steady_states(gen)
         doc["ergodicity"] = erg.to_json()
         doc["kernel_dim"] = ss.kernel_dim
-        doc["trace_distance_to_gibbs"] = ss.states[0].distance(gs) if ss.states else None
+        doc["trace_distance_to_gibbs"] = (_state_observables(
+            ["gibbs_distance"], H, lat, args.beta, ss.states[0])[0] if ss.states else None)
         doc["ergodic"] = erg.ergodic
         summary["ergodic"] = erg.ergodic
         summary["kernel_dim"] = ss.kernel_dim
@@ -398,10 +404,8 @@ def cmd_run(args) -> int:
         result["kernel_dim"] = ss.kernel_dim
         result["kernel_residual"] = ss.residual
         if ss.states:
-            sectors = _stabilizer_sectors(H)
-            rows = _observable_rows(observables, H, lat, beta, sectors,
-                                    sectors.state(ss.states[0].mat))
-            result["observables"] = dict(zip(observables, rows[0]))
+            result["observables"] = dict(zip(observables, _state_observables(
+                observables, H, lat, beta, ss.states[0])))
     elif exp == "thermalize":
         rows, result["trajectory"] = _thermalize_rows(
             H, lat, decomps, beta, float(dyn.get("gamma0", 0.5)), float(dyn.get("t", 1.0)),

@@ -22,14 +22,14 @@ the diagnostics count them as ``bounded`` and ``refined``.
 
 The basis matrix is assembled in one batched pass over the entries of all
 the sandwich terms' operators, with no sparse matrix per term: one
-Walsh-Hadamard transform for the Pauli coefficients, one COO outer product
-for the matrix units, both in bounded chunks. Every Pauli-basis entry moves
-a basis element by a shift, an XOR of two terms' Pauli labels, so each
-coset of the GF(2) span of the shifts is invariant. Evolution seeds the
-assembly with the basis elements its initial states have weight on and
-writes the map on their cosets alone: from the maximally mixed state on the
-L=2 torus, 64 elements and 639 nonzeros instead of 65536 and 714,751.
-Steady states and commutants need every block, and assemble them all.
+Walsh-Hadamard transform for the Pauli coefficients and the product rule
+for the entries (no d x d matrix), one COO outer product for the matrix
+units. Every Pauli-basis entry moves a basis element by a shift, an XOR of
+two terms' Pauli labels, so each coset of the GF(2) span of the shifts is
+invariant. Evolution seeds the assembly with the basis elements its initial
+states have weight on and writes the map, bit for bit, on their cosets
+alone: from I/d on the L=2 torus, 64 elements and 639 nonzeros instead of
+65536 and 714,751. Steady states and commutants assemble every block.
 
 Those 64 elements are the stabilizer group, an abelian Pauli group: a state
 on it is a function of the syndrome, and ``Sectors`` reads its spectrum, one
@@ -51,6 +51,7 @@ Conventions (fixed package-wide):
 
 from __future__ import annotations
 
+import contextlib
 import math
 import time
 import warnings
@@ -287,12 +288,6 @@ def _weight(b, n: int):
     return np.bitwise_count((b >> n) & b & ((1 << n) - 1)).astype(int)
 
 
-def _walsh(d: int) -> np.ndarray:
-    """W[z, i] = (-1)^(z.i), the d x d Walsh-Hadamard sign matrix."""
-    i = np.arange(d)
-    return np.where(np.bitwise_count(i[:, None] & i) & 1, -1.0, 1.0)
-
-
 def _butterfly(m: np.ndarray) -> np.ndarray:
     """In place, sum_j (-1)^(i.j) m[..., j] along the last axis (a power of
     two long). Butterflies (not a BLAS product, which rounds a one-row
@@ -400,28 +395,27 @@ def _coset_union(shifts: np.ndarray, seeds: np.ndarray) -> np.ndarray:
     return np.sort((np.unique(reps)[:, None] ^ span).ravel())
 
 
-def _pauli_transfer(terms, W: np.ndarray, weight: np.ndarray, seeds=None):
+def _pauli_transfer(terms, d: int, seeds=None):
     """Real matrix of the Hermiticity-preserving map rho -> sum A rho B over
-    (A, B) in ``terms``, on the Hermitian basis i^weight_b tau_b, where
-    tau_b = X^x Z^z (b = x*d + z) and weight_b = |x & z|.
+    (A, B) in ``terms``, on the Hermitian basis i^|x & z| tau_b, where
+    tau_b = X^x Z^z (b = x*d + z).
 
     On the tau_b it follows from the product rule
-    tau_a tau_b tau_c = (-1)^(za.xb + za.xc + zb.xc) tau_(a^b^c): each pair
-    (a, c) of Pauli terms shifts every input b to b^a^c, with a sign that is
-    an outer product of two Walsh rows over the (xb, zb) grid, so all inputs
-    of one shift come from the two-sided Walsh transform of the pairs'
-    weights summed at (za, xc), a product of two matrix products.
+    tau_a tau_b tau_c = (-1)^(za.xb + za.xc + zb.xc) tau_(a^b^c): a pair
+    (a, c) of Pauli terms, w the product of their coefficients, sends every
+    input b to b^a^c with weight w (-1)^(za.xc) (-1)^(za.xb + zb.xc). With
+    the pairs grouped by shift a^c and summed at (za, xc), input b of a shift
+    gets sum_za (-1)^(za.xb) sum_xc w (-1)^(zb.xc). The inner sums are rows
+    over the z-parts of R; the outer sign depends on xb only through its
+    parities with a basis of the span of the za, so the outer sum is taken
+    once per pattern of those parities. Every sum runs elementwise in
+    ascending (za, xc), so an entry's bits do not depend on R.
 
     Every entry moves an input by a shift, so each coset of the span S of the
     shifts is invariant. The matrix is written on R, every basis element
     (default), or the union of the cosets of the ``seeds``
-    (``_coset_union``); the entries on the grid of R's x-parts times its
-    z-parts are read off the transform, and those inside R are kept. The
-    products have the same shapes whatever the seeds (a BLAS product rounds
-    by its shape), so a seeded matrix has the full one's bits. Returns (R,
-    the matrix on R).
+    (``_coset_union``). Returns (R, the matrix on R).
     """
-    d = len(W)
     n = d.bit_length() - 1
     op, b, m = _pauli_coefficients([o for term in terms for o in term], d)
     p, q = next(_term_pairs(op, len(terms)))
@@ -436,24 +430,31 @@ def _pauli_transfer(terms, W: np.ndarray, weight: np.ndarray, seeds=None):
         return support, sparse.csr_matrix((len(support), len(support)))
     position = np.full(d * d, -1)
     position[support] = np.arange(len(support))
-    ux = np.flatnonzero(np.bincount(support >> n, minlength=d))
-    uz = np.flatnonzero(np.bincount(support & (d - 1), minlength=d))
-    grid = ((ux[:, None] << n) | uz).ravel()  # b = x*d + z
-    at = position[grid]
-    inside = at >= 0
+    ux, ix = np.unique(support >> n, return_inverse=True)
+    uz, iz = np.unique(support & (d - 1), return_inverse=True)
     rows, cols, vals = [], [], []
     for s, lo, hi in zip(shifts, starts, np.append(starts[1:], len(shift))):
-        ua, a = np.unique(za[lo:hi], return_inverse=True)
-        m = np.zeros((len(ua), d), complex)
-        np.add.at(m, (a, xc[lo:hi]), w[lo:hi])
-        v = (W[ua].T @ (m @ W))[np.ix_(ux, uz)].ravel()  # [xb, zb]
-        keep = np.flatnonzero((np.abs(v) > ROUNDOFF * np.abs(w[lo:hi]).sum()) & inside)
-        rows.append(position[grid[keep] ^ s])
-        cols.append(at[keep])
+        (ua, ia), (uc, ic) = (np.unique(v[lo:hi], return_inverse=True) for v in (za, xc))
+        m = np.zeros((len(ua), len(uc)), complex)  # the pairs' w summed at [za, xc]
+        np.add.at(m, (ia, ic), w[lo:hi])
+        inner = np.zeros((len(ua), len(uz)), complex)  # [za, zb]
+        for x, col in zip(uc, m.T):
+            inner += col[:, None] * np.where(np.bitwise_count(x & uz) & 1, -1.0, 1.0)
+        # xb's parities with a basis of the span of the za fix every (-1)^(za.xb)
+        pattern = sum(((np.bitwise_count(g & ux) & 1).astype(int) << k
+                       for k, g in enumerate(_gf2_basis(ua))), np.zeros(len(ux), dtype=int))
+        _, first, pattern = np.unique(pattern, return_index=True, return_inverse=True)
+        outer = np.zeros((len(first), len(uz)), complex)  # [pattern, zb]
+        for z, row in zip(ua, inner):
+            outer += np.where(np.bitwise_count(z & ux[first]) & 1, -1.0, 1.0)[:, None] * row
+        v = outer[pattern[ix], iz]
+        keep = np.flatnonzero(np.abs(v) > ROUNDOFF * np.abs(w[lo:hi]).sum())
+        rows.append(position[support[keep] ^ s])
+        cols.append(keep)
         vals.append(v[keep])
     rows, cols, vals = np.concatenate(rows), np.concatenate(cols), np.concatenate(vals)
-    weight = weight[support]
-    vals = (vals * _I_POWERS[(weight[cols] - weight[rows]) % 4]).real
+    weight = _weight(support, n)
+    vals = (vals * _I_POWERS[(weight[cols] - weight[rows]) & 3]).real
     shape = (len(support), len(support))
     return support, sparse.csr_matrix((vals, (rows, cols)), shape=shape)
 
@@ -704,14 +705,13 @@ def _block_form(terms, d: int, hermitian: bool = False, seeds=None) -> _BlockFor
     the cosets of the span of the map's shifts that hold a seed
     (``_pauli_transfer``): an invariant set made of whole blocks of the full
     form, every block holding a seed among them, with the full form's
-    entries there. The matrix-unit form ignores them."""
+    entries there. The matrix-unit form ignores them. No d x d matrix is
+    formed: ``vectors`` maps coefficients back by one ``_butterfly``."""
     _check_capacity(d)
     if d & (d - 1) == 0:
-        n = d.bit_length() - 1
-        W = _walsh(d)
-        weight = _weight(np.arange(d * d), n)
-        phase = _I_POWERS[weight % 4] / np.sqrt(d)  # sigma_b = phase_b tau_b
-        support, T = _pauli_transfer(terms, W, weight, seeds)
+        # sigma_b = phase_b tau_b
+        phase = _I_POWERS[_weight(np.arange(d * d), d.bit_length() - 1) % 4] / np.sqrt(d)
+        support, T = _pauli_transfer(terms, d, seeds)
         i = np.arange(d)
         positions = ((i ^ i[:, None]) + d * i).ravel()  # vec index of M[i^x, i]
 
@@ -722,13 +722,11 @@ def _block_form(terms, d: int, hermitian: bool = False, seeds=None) -> _BlockFor
             return c[support]
 
         def vectors(C):
-            m = np.zeros((d * d, C.shape[1]), complex)
-            m[support] = C * phase[support, None]
-            m = m.reshape(d, d, -1)
-            M = np.tensordot(m, W, axes=(1, 0))  # M[x, k, i] = column k's M[i^x, i]
-            out = np.zeros((d * d, C.shape[1]), complex)
-            out[positions] = M.transpose(0, 2, 1).reshape(d * d, -1)
-            return out
+            m = np.zeros((C.shape[1], d * d), complex)
+            m[:, support] = C.T * phase[support]
+            out = np.zeros_like(m)  # the butterfly's [k, x, i] is column k's M[i^x, i]
+            out[:, positions] = _butterfly(m.reshape(-1, d, d)).reshape(-1, d * d)
+            return out.T
 
         basis = "pauli"
     else:
@@ -1013,19 +1011,16 @@ def steady_states(g: LindbladGenerator) -> SteadyStateResult:
     ) / scale
     basis = form.vectors(coeffs)
 
+    # when degenerate, kernel rotations may hide positive combinations; report
+    # whatever states DensityMatrix accepts (its one spectrum) without failing
     states = []
     for i in range(n_kernel):
         m = unvec(basis[:, i])
         m = (m + m.conj().T) / 2
         tr = np.trace(m).real
         if abs(tr) > 1e-8:
-            m = m / tr
-            lam = np.linalg.eigvalsh(m)
-            if lam.min() > -1e-6:
-                m = m / np.trace(m).real
-                states.append(DensityMatrix((m + m.conj().T) / 2))
-    # when degenerate, kernel rotations may hide positive combinations; report
-    # whatever physical representatives were found without failing.
+            with contextlib.suppress(ParameterError):
+                states.append(DensityMatrix(m / tr))
     return SteadyStateResult(
         kernel_dim=n_kernel,
         kernel_basis=basis,

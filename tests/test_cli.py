@@ -22,7 +22,7 @@ from stabtherm.serialize import (
     state_to_json,
 )
 from stabtherm.groups import symmetric_group
-from stabtherm.lindblad import DensityMatrix, gibbs_state, trajectory
+from stabtherm.lindblad import DensityMatrix, gibbs_state, steady_states, trajectory
 from stabtherm.pauli import PauliString
 from stabtherm.toric import build_torus, plaquette_string, toric_hamiltonian, vertex_string
 
@@ -85,6 +85,30 @@ def test_steady_state_output_parses(tmp_path, capsys):
     assert diag["basis"] == "pauli" and diag["blocks"] > 1 and diag["margin"] > 100
     assert 0 < diag["refined"] <= diag["bounded"] <= diag["blocks"]
     assert json.loads(capsys.readouterr().out.split("wrote")[0])["diagnostics"] == diag
+
+
+@pytest.mark.parametrize("model, spec", [(("--model", "mini-vertex"), {"type": "mini-vertex"}),
+                                         (("--L", "2"), {"type": "toric", "L": 2})])
+def test_steady_state_gibbs_distance_reads_sector_populations(model, spec, capsys, monkeypatch):
+    # the distance comes from the steady state's syndrome-sector populations,
+    # with no dense Gibbs state; the dense trace distance of the same state
+    # agrees to 1e-12
+    found = []
+
+    def solve(gen):
+        found.append(steady_states(gen))
+        return found[-1]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a dense Gibbs state was formed")
+
+    monkeypatch.setattr(cli, "steady_states", solve)
+    monkeypatch.setattr(cli, "gibbs_state", refuse)
+    assert run_cli("steady-state", *model, "--beta", "1", "--gamma0", "0.5") == 0
+    distance = json.loads(capsys.readouterr().out)["trace_distance_to_gibbs"]
+    H, _ = cli._build_model(spec)
+    dense = found[0].state.distance(gibbs_state(H.to_dense(), 1.0))
+    assert abs(distance - dense) < 1e-12
 
 
 def test_unknown_subcommand_exits_2():

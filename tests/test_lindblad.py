@@ -702,6 +702,38 @@ def test_seeded_form_holds_the_full_blocks_of_its_seeds():
     assert_matches_exponential(g, build_superoperator(g), [rho0], 2.0, 3)
 
 
+def pauli_basis_columns(d):
+    """vec(sigma_b) for every label b = x*d + z, as columns: sigma_b =
+    i^|x & z| X^x Z^z / sqrt(d), with X^x Z^z |i> = (-1)^(z.i) |i^x>."""
+    i = np.arange(d)
+    U = np.zeros((d * d, d * d), complex)
+    for b in range(d * d):
+        x, z = divmod(b, d)
+        M = np.zeros((d, d), complex)
+        M[i ^ x, i] = np.where(np.bitwise_count(z & i) & 1, -1, 1)
+        U[:, b] = vec(1j ** np.bitwise_count(x & z) * M) / np.sqrt(d)
+    return U
+
+
+@pytest.mark.parametrize("make", [mini_davies, lambda: five_qubit_davies()[1],
+                                  lambda: random_generator(8, 11)])
+def test_block_form_is_the_oracle_superoperator_in_the_pauli_basis(make):
+    # entry by entry, T = U^dag L U on the support, U's columns vec(sigma_b)
+    # and L the oracle's column-stacking superoperator: every sign and phase
+    # of the product-rule assembly, on the full form and on seeded ones
+    g = make()
+    d = g.n_levels
+    U = pauli_basis_columns(d)
+    exact = U.conj().T @ build_superoperator(g).toarray() @ U
+    assert np.abs(exact.imag).max() < 1e-13
+    terms = lindblad._sandwich_terms(g)
+    rng = np.random.default_rng(17)
+    for seeds in (None, np.zeros(1, dtype=int), rng.choice(d * d, 3, replace=False)):
+        form = lindblad._block_form(terms, d, seeds=seeds)
+        want = exact.real[np.ix_(form.support, form.support)]
+        assert np.abs(form.T.toarray() - want).max() < 1e-13
+
+
 def test_trajectories_reject_non_finite_time_and_fail_loudly():
     g = two_level(0.5, 0.1)
     rho0 = DensityMatrix.maximally_mixed(2)
@@ -865,6 +897,17 @@ def test_steady_state_diagnostics():
     thresh = 1e-10 * lindblad._superop_scale(form.T)
     assert np.isclose(d["margin"], np.sort(np.abs(ss.eigenvalues))[1] / thresh)
     assert d["margin"] > 100
+
+
+def test_steady_states_skip_a_kernel_state_below_the_clip_threshold(monkeypatch):
+    # a kernel state is validated once, by DensityMatrix: one with its
+    # smallest eigenvalue below -CLIP_TOL (but above -POSITIVITY_TOL) is
+    # skipped, not raised; one above -CLIP_TOL is kept
+    g = two_level(1.0, 0.25)
+    for low, kept in ((-1e-7, 0), (-1e-9, 1)):
+        monkeypatch.setattr(lindblad, "unvec", lambda v: np.diag([1 - low, low]).astype(complex))
+        ss = steady_states(g)
+        assert ss.kernel_dim == 1 and len(ss.states) == kept
 
 
 def test_ambiguous_kernel_threshold_raises():
