@@ -22,8 +22,8 @@ as no later gate reads their classical bits. A bit is written before it is
 read inside a segment, so every bit lives and dies inside a closed classical
 region: from a MEASURE_Z or SAMPLE_BOLTZMANN_BIT to the first gate after
 which no bit is live. Its branches have merged again by its end, so a region
-is one fixed channel on the qubits it touches. Results are exact and
-deterministic.
+is one fixed channel on the qubits it touches, and a segment is one fixed
+channel on the whole register.
 
 A segment is lowered once, when its simulation starts. Each maximal run of
 consecutive ROT1/CPHASE gates is fused into one unitary on the sorted union
@@ -44,6 +44,20 @@ qubit-to-axis map over ``groups._apply_axes``), applies every map, and one
 loop, ``_ScheduleRunner._run_segment``, runs branches both when lowering a
 region and at run time. The whole-channel views run one segment on the
 stack of all d^2 basis matrices.
+
+``simulate_schedule`` first closes the state's support: the set R of
+density-matrix entries that holds the state's nonzero entries and that the
+segment maps into itself. R grows from those entries by running the segment
+on small batches of basis matrices |i><j| of the entries it gains; an image
+entry at or below ``lindblad.ROUNDOFF`` of its column's largest is rounding
+residue and is dropped, every other one joins R. When R closes with
+|R| <= d entries (the |R| x |R| map no larger than the state, the rule for
+regions), the steps run as one matrix on the |R| coefficients: from I/d, a
+Trotter step whose resets are full dephases its ancillas and keeps the
+state on its d diagonal entries. Otherwise (a state with more than d
+nonzero entries, or partial resets that keep coherence) the steps run the
+plan on the whole state. Both ways are deterministic; the support way
+differs from the plan only by the dropped residue.
 """
 
 from __future__ import annotations
@@ -57,7 +71,7 @@ import numpy as np
 
 from .errors import ParameterError, ScheduleError
 from .groups import _apply_axes
-from .lindblad import DensityMatrix, LindbladGenerator, _check_temperature
+from .lindblad import ROUNDOFF, DensityMatrix, LindbladGenerator, _check_temperature
 from .pauli import PauliString
 from .serialize import strict_json
 
@@ -67,6 +81,9 @@ MEASURE_Z = "MEASURE_Z"
 COND_PULSE = "COND_PULSE"
 THERMAL_RESET = "THERMAL_RESET"
 SAMPLE_BOLTZMANN_BIT = "SAMPLE_BOLTZMANN_BIT"
+
+# basis matrices per segment run while closing a state's support
+_CLOSURE_BATCH = 8
 
 # the fields each gate kind needs
 _NEEDS = {
@@ -405,7 +422,7 @@ def _apply_local(op: np.ndarray, qubits: tuple[int, ...], t: np.ndarray, n: int)
     density-matrix tensor (2,)*2n + rest is a 2n-qubit register whose qubit
     q + n is the row axis of qubit q and whose qubit q is its column axis.
     """
-    return _apply_axes(op, [n - 1 - q for q in reversed(qubits)], t)
+    return _apply_axes(op, tuple(n - 1 - q for q in reversed(qubits)), t)
 
 
 def _gate_unitary(g: Gate) -> tuple[tuple[int, ...], np.ndarray]:
@@ -553,6 +570,49 @@ class _ScheduleRunner:
             out = self._run_segment(self._plan, self.n, out)
         return out
 
+    def support_map(self, mat: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
+        """(R, S_R): the smallest set R of entries of the (d, d) ``mat`` that
+        holds its nonzero entries and that the segment maps into itself,
+        and the segment on R as an |R| x |R| matrix over the row-major flat
+        indices R. None when |R| > d: S_R would then be larger than the state.
+
+        R grows from the nonzero entries of ``mat``; the segment runs on
+        the basis matrices of the entries added to R, at most
+        ``_CLOSURE_BATCH`` at a time. Image entries at or below ROUNDOFF of
+        their column's largest are rounding residue and are dropped; every
+        other one joins R.
+        """
+        d = 1 << self.n
+        support = np.flatnonzero(mat).tolist()
+        if len(support) > d:
+            return None
+        where = {e: i for i, e in enumerate(support)}
+        rows, cols, vals = [], [], []
+        done = 0
+        while done < len(support) <= d:
+            batch = support[done:done + _CLOSURE_BATCH]
+            basis = np.zeros((d * d, len(batch)), dtype=complex)
+            basis[batch, np.arange(len(batch))] = 1.0
+            images = self._run_segment(self._plan, self.n, basis.reshape(d, d, -1))
+            images = images.reshape(d * d, -1)
+            mag = np.abs(images)
+            r, c = np.nonzero(mag > ROUNDOFF * mag.max(axis=0))
+            for e in np.unique(r).tolist():
+                if e not in where:
+                    where[e] = len(support)
+                    support.append(e)
+            rows.append(r)
+            cols.append(c + done)
+            vals.append(images[r, c])
+            done += len(batch)
+        if len(support) > d:
+            return None
+        S = np.zeros((len(support), len(support)), dtype=complex)
+        if rows:
+            S[[where[e] for e in np.concatenate(rows).tolist()], np.concatenate(cols)] = \
+                np.concatenate(vals)
+        return np.array(support, dtype=np.int64), S
+
     @staticmethod
     def _run_segment(plan: list, n: int, mat: np.ndarray) -> np.ndarray:
         """One pass of ``plan`` over ``mat`` of shape (2^n, 2^n) + rest."""
@@ -586,20 +646,39 @@ class _ScheduleRunner:
         return sum(branches.values()).reshape(mat.shape)
 
 
-def simulate_schedule(schedule: GateSchedule, rho0: DensityMatrix | np.ndarray) -> DensityMatrix:
-    """Run the schedule on a density matrix with exact channel semantics."""
+def run_schedule(schedule: GateSchedule,
+                 rho0: DensityMatrix | np.ndarray) -> tuple[DensityMatrix, int]:
+    """``simulate_schedule``'s state, and the number of density-matrix
+    entries its steps ran on: |R| when they ran on the invariant support R
+    (``_ScheduleRunner.support_map``), d^2 when they ran on the full state."""
     rho = rho0.mat if isinstance(rho0, DensityMatrix) else np.asarray(rho0, dtype=complex)
     dim = 1 << schedule.n_qubits
     if rho.shape != (dim, dim):
         raise ScheduleError(
             f"state dimension {rho.shape[0]} does not match {schedule.n_qubits} qubits"
         )
-    out = _ScheduleRunner(schedule).run(rho)
+    runner = _ScheduleRunner(schedule)
+    closed = runner.support_map(rho)
+    if closed is None:
+        out, entries = runner.run(rho), dim * dim
+    else:
+        support, S = closed
+        v = rho.reshape(-1)[support]
+        for _ in range(schedule.steps):
+            v = S @ v
+        out = np.zeros(dim * dim, dtype=complex)
+        out[support] = v
+        out, entries = out.reshape(dim, dim), len(support)
     out = (out + out.conj().T) / 2
     tr = np.trace(out).real
     if abs(tr - 1.0) > 1e-10:
         raise ScheduleError(f"schedule did not preserve trace (drift {tr - 1.0:.2e})")
-    return DensityMatrix(out / tr)
+    return DensityMatrix(out / tr), entries
+
+
+def simulate_schedule(schedule: GateSchedule, rho0: DensityMatrix | np.ndarray) -> DensityMatrix:
+    """Run the schedule on a density matrix with exact channel semantics."""
+    return run_schedule(schedule, rho0)[0]
 
 
 def schedule_unitary(schedule: GateSchedule) -> np.ndarray:

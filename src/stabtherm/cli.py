@@ -262,7 +262,7 @@ def cmd_compile(args) -> int:
 
 
 def cmd_simulate_schedule(args) -> int:
-    from .circuits import GateSchedule, simulate_schedule
+    from .circuits import GateSchedule, run_schedule
 
     sched = GateSchedule.from_jsonl(Path(args.schedule).read_text())
     dim = 1 << sched.n_qubits
@@ -274,10 +274,12 @@ def cmd_simulate_schedule(args) -> int:
         rho0 = DensityMatrix.pure(np.ones(dim) / np.sqrt(dim))
     else:  # mixed
         rho0 = DensityMatrix.maximally_mixed(dim)
-    out = simulate_schedule(sched, rho0)
+    out, entries = run_schedule(sched, rho0)
     purity = trace_product(out.mat, out.mat).real
     print(f"simulated {len(sched)} gates on {sched.n_qubits} qubits; "
           f"purity {purity:.6f}")
+    print("steps on the full state" if entries == dim * dim
+          else f"steps on {entries} of {dim * dim} entries")
     if args.output:
         Path(args.output).write_text(json.dumps(state_to_json(out.mat)))
         print(f"wrote {args.output}")
@@ -403,6 +405,7 @@ def cmd_run(args) -> int:
         ss = steady_states(gen)
         result["kernel_dim"] = ss.kernel_dim
         result["kernel_residual"] = ss.residual
+        result["diagnostics"] = ss.diagnostics
         if ss.states:
             result["observables"] = dict(zip(observables, _state_observables(
                 observables, H, lat, beta, ss.states[0])))

@@ -28,6 +28,7 @@ commutation suite compares the mask with its gauge images exactly.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -311,13 +312,40 @@ def flux_pair_creator(G: FiniteGroup, cls: tuple[int, ...]) -> np.ndarray:
 # application to state tensors
 # ---------------------------------------------------------------------------
 
-def _apply_axes(op: np.ndarray, axes: list[int], t: np.ndarray) -> np.ndarray:
+@functools.lru_cache(maxsize=1024)
+def _axes_layout(axes: tuple[int, ...], ndim: int) -> tuple | None:
+    """How ``_apply_axes`` reaches ``axes`` of an ndim-axis tensor: None when
+    they are consecutive and ascending (op contracts the tensor in place),
+    else the transpose that brings them to the front and its inverse."""
+    first = axes[0] if axes else 0
+    if axes == tuple(range(first, first + len(axes))):
+        return None
+    perm = axes + tuple(a for a in range(ndim) if a not in axes)
+    return perm, tuple(np.argsort(perm))
+
+
+def _apply_axes(op: np.ndarray, axes: tuple[int, ...] | list[int], t: np.ndarray) -> np.ndarray:
     """Contract a local matrix onto the tensor axes ``axes``, the first the
     most significant digit of op's index; the other axes ride along. The
-    one local-contraction kernel: circuits applies its gates through it."""
-    perm = axes + [a for a in range(t.ndim) if a not in axes]
-    out = op @ t.transpose(perm).reshape(len(op), -1)
-    return out.reshape([t.shape[a] for a in perm]).transpose(np.argsort(perm))
+    one local-contraction kernel: circuits applies its gates through it.
+
+    On consecutive ascending axes this is one product on the tensor as
+    (before, op's index, after): ``op @ t`` when nothing comes before, and
+    ``t @ op.T`` when nothing comes after, with no transpose. Other axes
+    go through a transpose fixed once per (axes, ndim)."""
+    axes = tuple(axes)
+    layout = _axes_layout(axes, t.ndim)
+    k = len(op)
+    if layout is None:
+        before = math.prod(t.shape[:axes[0]]) if axes else 1
+        if before == 1:
+            return (op @ t.reshape(k, -1)).reshape(t.shape)
+        if axes[-1] == t.ndim - 1:
+            return (t.reshape(-1, k) @ op.T).reshape(t.shape)
+        return np.matmul(op, t.reshape(before, k, -1)).reshape(t.shape)
+    perm, inverse = layout
+    out = op @ t.transpose(perm).reshape(k, -1)
+    return out.reshape([t.shape[a] for a in perm]).transpose(inverse)
 
 
 def apply_local(psi: np.ndarray, op: np.ndarray, axis: int) -> np.ndarray:

@@ -298,14 +298,19 @@ def test_measured_reset_lowers_to_the_thermal_reset_map():
             assert qubits == qubits_ref and np.abs(S - S_ref).max() < 1e-15, (n, q)
 
 
+def _measured_resets(sched):
+    """The schedule with each full THERMAL_RESET as measure + sample + pulses."""
+    gates = []
+    for g in sched.gates:
+        gates += (reset_channel(g.beta, g.omega, g.qubit, sched.n_qubits, "measured").gates
+                  if g.kind == THERMAL_RESET else (g,))
+    return GateSchedule(sched.n_qubits, tuple(gates), 2, sched.total_time, sched.steps)
+
+
 def test_measured_resets_lower_like_pinned_ones(dressed_composite):
     # the benchmark's pinned Trotter step, its resets measured instead
     pinned = trotterize(dressed_composite, 1.0, 3, pin_resets=True)
-    gates = []
-    for g in pinned.gates:
-        gates += (reset_channel(g.beta, g.omega, g.qubit, pinned.n_qubits, "measured").gates
-                  if g.kind == THERMAL_RESET else (g,))
-    measured = GateSchedule(pinned.n_qubits, tuple(gates), 2, pinned.total_time, pinned.steps)
+    measured = _measured_resets(pinned)
     plan = _plan(measured)
     assert len(plan) == len(_plan(pinned)) == 5
     assert all(len(outcomes) == 1 for _, outcomes, _ in plan)
@@ -343,6 +348,46 @@ def test_region_on_no_qubit_leaves_no_plan_entry():
     sched = GateSchedule(2, (Gate(SAMPLE_BOLTZMANN_BIT, beta=1, omega=1, cbit=0),), 1)
     assert _plan(sched) == []
     assert np.abs(schedule_superoperator(sched) - np.eye(16)).max() < 1e-15
+
+
+# -- steps on the state's invariant support ---------------------------------------
+
+def _state_on_plan(sched, rho):
+    """simulate_schedule's state with every step run on the full state."""
+    out = circuits._ScheduleRunner(sched).run(rho)
+    out = (out + out.conj().T) / 2
+    return out / np.trace(out).real
+
+
+def test_full_resets_from_mixed_run_on_the_diagonal(dressed_composite):
+    # a full reset dephases its ancilla, so from I/d the pinned and measured
+    # steps map populations to populations: they run on the 64 diagonal
+    # entries of the 4096, as a stochastic matrix
+    pinned = trotterize(dressed_composite, 4.0, 20, pin_resets=True)
+    rho = np.eye(64, dtype=complex) / 64
+    for sched in (pinned, _measured_resets(pinned)):
+        support, S = circuits._ScheduleRunner(sched).support_map(rho)
+        assert sorted(support.tolist()) == [65 * i for i in range(64)]
+        assert np.abs(S.imag).max() < 1e-15 and S.real.min() > -1e-15
+        assert np.abs(S.sum(axis=0) - 1).max() < 1e-13
+        out, entries = circuits.run_schedule(sched, rho)
+        assert entries == 64
+        assert np.abs(out.mat - _state_on_plan(sched, rho)).max() < 1e-13
+
+
+def test_partial_resets_and_full_support_run_on_the_full_state(dressed_composite):
+    # a partial reset keeps part of its ancilla's coherence, so the support
+    # of I/d outgrows d entries; |+><+| starts on all d^2. Both run the plan,
+    # bit for bit
+    exact = trotterize(dressed_composite, 1.0, 10)
+    pinned = trotterize(dressed_composite, 1.0, 5, pin_resets=True)
+    plus = np.full((64, 64), 1 / 64, dtype=complex)
+    for sched, rho in ((exact, np.eye(64, dtype=complex) / 64), (exact, plus),
+                       (pinned, plus), (_measured_resets(pinned), plus)):
+        assert circuits._ScheduleRunner(sched).support_map(rho) is None
+        out, entries = circuits.run_schedule(sched, rho)
+        assert entries == 64 * 64
+        assert np.array_equal(out.mat, _state_on_plan(sched, rho))
 
 
 # -- schedule simulation --------------------------------------------------------

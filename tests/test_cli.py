@@ -59,6 +59,19 @@ def test_compile_and_simulate_round_trip(tmp_path, capsys):
     assert np.isclose(np.trace(rho @ rho).real, 1.0, atol=1e-10)
 
 
+def test_simulate_schedule_reports_where_the_steps_ran(tmp_path, capsys):
+    # exp(-i phi ZZZZ) keeps I/16 on its 16 diagonal entries; |+> fills all 256
+    sched_path = tmp_path / "s.jsonl"
+    assert run_cli("compile", "--pauli", "ZZZZ", "--phi", "0.3",
+                   "--emit-schedule", str(sched_path)) == 0
+    capsys.readouterr()
+    for initial, purity, where in (("mixed", "0.062500", "steps on 16 of 256 entries"),
+                                   ("plus", "1.000000", "steps on the full state")):
+        assert run_cli("simulate-schedule", str(sched_path), "--initial", initial) == 0
+        assert capsys.readouterr().out.splitlines() == [
+            f"simulated 31 gates on 4 qubits; purity {purity}", where]
+
+
 def test_verify_appendix_small_residuals(tmp_path, capsys):
     path = tmp_path / "verify.json"
     assert run_cli("verify", "appendix", "--model", "toric", "--L", "2",
@@ -527,3 +540,21 @@ def test_run_reads_gibbs_sweep_and_steady_state_from_sector_populations(tmp_path
     assert run_cli("run", str(p)) == 0
     obs = json.loads((tmp_path / "result.json").read_text())["observables"]
     assert abs(obs["energy"] + np.tanh(0.7)) < 1e-9 and obs["gibbs_distance"] < 1e-9
+
+
+def test_run_steady_state_records_kernel_diagnostics(tmp_path, capsys):
+    # the diagnostics the steady-state subcommand prints, timing aside
+    p = tmp_path / "cfg.json"
+    p.write_text(json.dumps({"experiment": "steady-state", "model": {"type": "mini-vertex"},
+                             "dynamics": {"beta": 1.0, "gamma0": 0.5}, "observables": [],
+                             "output_dir": str(tmp_path)}))
+    assert run_cli("run", str(p)) == 0
+    diag = json.loads((tmp_path / "result.json").read_text())["diagnostics"]
+    assert diag["basis"] == "pauli" and diag["blocks"] > 1 and diag["margin"] > 100
+    assert 0 < diag["refined"] <= diag["bounded"] <= diag["blocks"]
+    capsys.readouterr()
+    assert run_cli("steady-state", "--model", "mini-vertex", "--beta", "1", "--gamma0", "0.5") == 0
+    printed = json.loads(capsys.readouterr().out)["diagnostics"]
+    assert set(diag) == set(printed)
+    assert {k: v for k, v in diag.items() if k != "seconds"} == \
+        {k: v for k, v in printed.items() if k != "seconds"}

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 hypothesis = pytest.importorskip("hypothesis")
-from hypothesis import given, settings, strategies as st  # noqa: E402
+from hypothesis import example, given, settings, strategies as st  # noqa: E402
 
 from stabtherm.bath import davies_reduction  # noqa: E402
 from stabtherm.circuits import (  # noqa: E402
@@ -18,6 +18,7 @@ from stabtherm.circuits import (  # noqa: E402
     Gate,
     GateSchedule,
     reset_channel,
+    run_schedule,
     schedule_superoperator,
     simulate_schedule,
 )
@@ -178,8 +179,18 @@ def schedules(draw):
     return GateSchedule(n, tuple(gates), 2, 0.0, draw(st.integers(1, 2)))
 
 
+# a straddle on qubits 0 and 1 of 4, lowered to one map, with complex pulses:
+# its map tells the rows of its local register from the columns
+_STRADDLE = GateSchedule(4, (Gate(MEASURE_Z, qubit=0, cbit=0),
+                             Gate(CPHASE, qubit=0, qubit2=1, angle=0.7),
+                             Gate(ROT1, qubit=1, axis="x", angle=0.3),
+                             Gate(COND_PULSE, qubit=1, axis="x", angle=1.1,
+                                  condition=((0, 1),))), 2)
+
+
 @settings(max_examples=60, deadline=None)
 @given(sched=schedules(), seed=st.integers(0, 2**32 - 1))
+@example(sched=_STRADDLE, seed=5)
 def test_fused_schedule_matches_gate_by_gate_oracle(sched, seed):
     d = 1 << sched.n_qubits
     rho = random_density(d, np.random.default_rng(seed))
@@ -187,3 +198,27 @@ def test_fused_schedule_matches_gate_by_gate_oracle(sched, seed):
     assert np.linalg.norm(simulate_schedule(sched, rho).mat - expected) < 1e-12
     vec_out = schedule_superoperator(sched) @ rho.reshape(-1, order="F")
     assert np.linalg.norm(vec_out.reshape(d, d, order="F") - expected) < 1e-12
+
+
+@settings(max_examples=40, deadline=None)
+@given(sched=schedules(), seed=st.integers(0, 2**32 - 1), pure=st.booleans())
+@example(sched=GateSchedule(2, (Gate(CPHASE, qubit=0, qubit2=1, angle=0.4),
+                                *reset_channel(0.7, 1.2, 1, 2, "measured").gates), 2, 0.0, 2),
+         seed=3, pure=True)
+def test_steps_on_the_invariant_support_match_gate_by_gate_oracle(sched, seed, pure):
+    # a computational-basis or diagonal start has at most d nonzero entries:
+    # the steps run on its closed support when that stays within d entries
+    d = 1 << sched.n_qubits
+    rng = np.random.default_rng(seed)
+    rho = np.zeros((d, d), dtype=complex)
+    if pure:
+        k = rng.integers(d)
+        rho[k, k] = 1.0
+    else:
+        rho[np.diag_indices(d)] = rng.dirichlet(np.ones(d))
+    expected = simulate_gates(sched, rho)
+    out, entries = run_schedule(sched, rho)
+    assert entries <= d or entries == d * d
+    assert np.linalg.norm(out.mat - expected) < 1e-12
+    vec_out = schedule_superoperator(sched) @ rho.reshape(-1, order="F")
+    assert np.linalg.norm(vec_out.reshape(d, d, order="F") - out.mat) < 1e-12
