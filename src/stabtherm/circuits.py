@@ -50,14 +50,18 @@ density-matrix entries that holds the state's nonzero entries and that the
 segment maps into itself. R grows from those entries by running the segment
 on small batches of basis matrices |i><j| of the entries it gains; an image
 entry at or below ``lindblad.ROUNDOFF`` of its column's largest is rounding
-residue and is dropped, every other one joins R. When R closes with
-|R| <= d entries (the |R| x |R| map no larger than the state, the rule for
-regions), the steps run as one matrix on the |R| coefficients: from I/d, a
-Trotter step whose resets are full dephases its ancillas and keeps the
-state on its d diagonal entries. Otherwise (a state with more than d
-nonzero entries, or partial resets that keep coherence) the steps run the
-plan on the whole state. Both ways are deterministic; the support way
-differs from the plan only by the dropped residue.
+residue and is dropped, every other one joins R. Closing R costs about
+one segment pass per entry, so it is given up once |R| > min(d, steps):
+past d the |R| x |R| map is larger than the state (the rule for regions),
+past steps it costs more than running the steps on the whole state. When
+R closes within that bound, the steps run as one matrix on the |R|
+coefficients: from I/d, a Trotter step whose resets are full dephases its
+ancillas and keeps the state on its d diagonal entries, and a run of d or
+more such steps runs on them. Otherwise (a state with more nonzero
+entries than the bound, e.g. I/d under a single step, or partial resets
+that keep coherence) the steps run the plan on the whole state. Both ways
+are deterministic; the support way differs from the plan only by the
+dropped residue.
 """
 
 from __future__ import annotations
@@ -574,22 +578,25 @@ class _ScheduleRunner:
         """(R, S_R): the smallest set R of entries of the (d, d) ``mat`` that
         holds its nonzero entries and that the segment maps into itself,
         and the segment on R as an |R| x |R| matrix over the row-major flat
-        indices R. None when |R| > d: S_R would then be larger than the state.
+        indices R. None when |R| > min(d, steps): S_R would then be larger
+        than the state, or closing R would cost more segment passes than
+        the steps it saves.
 
         R grows from the nonzero entries of ``mat``; the segment runs on
         the basis matrices of the entries added to R, at most
-        ``_CLOSURE_BATCH`` at a time. Image entries at or below ROUNDOFF of
-        their column's largest are rounding residue and are dropped; every
-        other one joins R.
+        ``_CLOSURE_BATCH`` at a time and at most min(d, steps) in all.
+        Image entries at or below ROUNDOFF of their column's largest are
+        rounding residue and are dropped; every other one joins R.
         """
         d = 1 << self.n
+        limit = min(d, self.schedule.steps)
         support = np.flatnonzero(mat).tolist()
-        if len(support) > d:
+        if len(support) > limit:
             return None
         where = {e: i for i, e in enumerate(support)}
         rows, cols, vals = [], [], []
         done = 0
-        while done < len(support) <= d:
+        while done < len(support) <= limit:
             batch = support[done:done + _CLOSURE_BATCH]
             basis = np.zeros((d * d, len(batch)), dtype=complex)
             basis[batch, np.arange(len(batch))] = 1.0
@@ -605,7 +612,7 @@ class _ScheduleRunner:
             cols.append(c + done)
             vals.append(images[r, c])
             done += len(batch)
-        if len(support) > d:
+        if len(support) > limit:
             return None
         S = np.zeros((len(support), len(support)), dtype=complex)
         if rows:
@@ -650,7 +657,8 @@ def run_schedule(schedule: GateSchedule,
                  rho0: DensityMatrix | np.ndarray) -> tuple[DensityMatrix, int]:
     """``simulate_schedule``'s state, and the number of density-matrix
     entries its steps ran on: |R| when they ran on the invariant support R
-    (``_ScheduleRunner.support_map``), d^2 when they ran on the full state."""
+    (``_ScheduleRunner.support_map``, |R| <= min(d, steps)), d^2 when they
+    ran on the full state."""
     rho = rho0.mat if isinstance(rho0, DensityMatrix) else np.asarray(rho0, dtype=complex)
     dim = 1 << schedule.n_qubits
     if rho.shape != (dim, dim):

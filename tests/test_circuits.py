@@ -1,5 +1,7 @@
 """Gate compilation, reset channels, schedule simulation, Trotterization."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from scipy import sparse
@@ -361,9 +363,9 @@ def _state_on_plan(sched, rho):
 
 def test_full_resets_from_mixed_run_on_the_diagonal(dressed_composite):
     # a full reset dephases its ancilla, so from I/d the pinned and measured
-    # steps map populations to populations: they run on the 64 diagonal
-    # entries of the 4096, as a stochastic matrix
-    pinned = trotterize(dressed_composite, 4.0, 20, pin_resets=True)
+    # steps map populations to populations: 64 or more of them run on the 64
+    # diagonal entries of the 4096, as a stochastic matrix
+    pinned = trotterize(dressed_composite, 4.0, 64, pin_resets=True)
     rho = np.eye(64, dtype=complex) / 64
     for sched in (pinned, _measured_resets(pinned)):
         support, S = circuits._ScheduleRunner(sched).support_map(rho)
@@ -377,16 +379,24 @@ def test_full_resets_from_mixed_run_on_the_diagonal(dressed_composite):
 
 def test_partial_resets_and_full_support_run_on_the_full_state(dressed_composite):
     # a partial reset keeps part of its ancilla's coherence, so the support
-    # of I/d outgrows d entries; |+><+| starts on all d^2. Both run the plan,
-    # bit for bit
-    exact = trotterize(dressed_composite, 1.0, 10)
-    pinned = trotterize(dressed_composite, 1.0, 5, pin_resets=True)
+    # of I/d outgrows d entries; fewer steps than I/d's 64 entries would not
+    # repay closing them; |+><+| starts on all d^2. A rotation on qubit 0 of
+    # 2 spreads |0><0| (x) diag(p, 1 - p) over 8 > d entries, within its 8
+    # steps. All run the plan, bit for bit
+    exact = trotterize(dressed_composite, 1.0, 100)
+    pinned = trotterize(dressed_composite, 1.0, 100, pin_resets=True)
+    mixed = np.eye(64, dtype=complex) / 64
     plus = np.full((64, 64), 1 / 64, dtype=complex)
-    for sched, rho in ((exact, np.eye(64, dtype=complex) / 64), (exact, plus),
-                       (pinned, plus), (_measured_resets(pinned), plus)):
+    spread = GateSchedule(2, (Gate(ROT1, qubit=0, axis="x", angle=0.4),), steps=8)
+    for sched, rho in ((exact, mixed), (exact, plus),
+                       (dataclasses.replace(pinned, steps=1), mixed),
+                       (dataclasses.replace(pinned, steps=63), mixed),
+                       (pinned, plus), (_measured_resets(pinned), plus),
+                       (spread, np.diag([0.3, 0, 0.7, 0]).astype(complex))):
+        d = len(rho)
         assert circuits._ScheduleRunner(sched).support_map(rho) is None
         out, entries = circuits.run_schedule(sched, rho)
-        assert entries == 64 * 64
+        assert entries == d * d
         assert np.array_equal(out.mat, _state_on_plan(sched, rho))
 
 

@@ -60,12 +60,14 @@ def test_compile_and_simulate_round_trip(tmp_path, capsys):
 
 
 def test_simulate_schedule_reports_where_the_steps_ran(tmp_path, capsys):
-    # exp(-i phi ZZZZ) keeps I/16 on its 16 diagonal entries; |+> fills all 256
+    # exp(-i phi ZZZZ) keeps |0000><0000| on its one entry; one step does not
+    # repay closing the 16 diagonal entries of I/16; |+> fills all 256
     sched_path = tmp_path / "s.jsonl"
     assert run_cli("compile", "--pauli", "ZZZZ", "--phi", "0.3",
                    "--emit-schedule", str(sched_path)) == 0
     capsys.readouterr()
-    for initial, purity, where in (("mixed", "0.062500", "steps on 16 of 256 entries"),
+    for initial, purity, where in (("zero", "1.000000", "steps on 1 of 256 entries"),
+                                   ("mixed", "0.062500", "steps on the full state"),
                                    ("plus", "1.000000", "steps on the full state")):
         assert run_cli("simulate-schedule", str(sched_path), "--initial", initial) == 0
         assert capsys.readouterr().out.splitlines() == [

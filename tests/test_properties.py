@@ -1,6 +1,8 @@
 """Property tests on random commuting stabilizer Hamiltonians (2-4 qubits) and
 on random gate + reset schedules (1-4 qubits)."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -200,14 +202,20 @@ def test_fused_schedule_matches_gate_by_gate_oracle(sched, seed):
     assert np.linalg.norm(vec_out.reshape(d, d, order="F") - expected) < 1e-12
 
 
+_CPHASE_MEASURED_RESET = GateSchedule(2, (Gate(CPHASE, qubit=0, qubit2=1, angle=0.4),
+                                          *reset_channel(0.7, 1.2, 1, 2, "measured").gates), 2)
+
+
 @settings(max_examples=40, deadline=None)
-@given(sched=schedules(), seed=st.integers(0, 2**32 - 1), pure=st.booleans())
-@example(sched=GateSchedule(2, (Gate(CPHASE, qubit=0, qubit2=1, angle=0.4),
-                                *reset_channel(0.7, 1.2, 1, 2, "measured").gates), 2, 0.0, 2),
-         seed=3, pure=True)
-def test_steps_on_the_invariant_support_match_gate_by_gate_oracle(sched, seed, pure):
+@given(sched=schedules(), steps=st.integers(1, 16), seed=st.integers(0, 2**32 - 1),
+       pure=st.booleans())
+@example(sched=_CPHASE_MEASURED_RESET, steps=2, seed=3, pure=True)
+@example(sched=_CPHASE_MEASURED_RESET, steps=4, seed=3, pure=False)
+def test_steps_on_the_invariant_support_match_gate_by_gate_oracle(sched, steps, seed, pure):
     # a computational-basis or diagonal start has at most d nonzero entries:
-    # the steps run on its closed support when that stays within d entries
+    # the steps run on its closed support when that stays within min(d, steps)
+    # entries
+    sched = dataclasses.replace(sched, steps=steps)
     d = 1 << sched.n_qubits
     rng = np.random.default_rng(seed)
     rho = np.zeros((d, d), dtype=complex)
@@ -218,7 +226,7 @@ def test_steps_on_the_invariant_support_match_gate_by_gate_oracle(sched, seed, p
         rho[np.diag_indices(d)] = rng.dirichlet(np.ones(d))
     expected = simulate_gates(sched, rho)
     out, entries = run_schedule(sched, rho)
-    assert entries <= d or entries == d * d
+    assert entries <= min(d, steps) or entries == d * d
     assert np.linalg.norm(out.mat - expected) < 1e-12
     vec_out = schedule_superoperator(sched) @ rho.reshape(-1, order="F")
     assert np.linalg.norm(vec_out.reshape(d, d, order="F") - out.mat) < 1e-12
