@@ -208,15 +208,7 @@ def attach_ancillas(
         src = PauliString.single(H.n_qubits, a.site, a.axis)
         coupling = model.embed_system(PauliSum.from_string(src)) * model.ancilla_pauli(i, "x")
         h_sum = h_sum + coupling * g
-    h_sum = h_sum.simplify()
-
-    gen = LindbladGenerator(
-        n_levels=model.dim,
-        H=h_sum.to_sparse(),
-        jumps=tuple(_ancilla_jumps(model)),
-        hamiltonian_terms=_real_terms(h_sum),
-    )
-    return model, gen
+    return model, _composite_generator(model, h_sum)
 
 
 def rwa_generator(model: CompositeModel) -> LindbladGenerator:
@@ -236,20 +228,15 @@ def rwa_generator(model: CompositeModel) -> LindbladGenerator:
             adag_emb = model.embed_system(comp.raising)
             h_sum = h_sum + (a_emb * model.ancilla_sigma_pm(i, "+")
                              + adag_emb * model.ancilla_sigma_pm(i, "-")) * g
+    return _composite_generator(model, h_sum)
+
+
+def _composite_generator(model: CompositeModel, h_sum: PauliSum) -> LindbladGenerator:
+    """The generator of the Hermitian h_sum with the ancilla dissipators. Its
+    symbolic terms are real-coefficient (a phase folded into the string)."""
     h_sum = h_sum.simplify()
-
-    return LindbladGenerator(
-        n_levels=model.dim,
-        H=h_sum.to_sparse(),
-        jumps=tuple(_ancilla_jumps(model)),
-        hamiltonian_terms=_real_terms(h_sum),
-    )
-
-
-def _real_terms(h_sum: PauliSum) -> tuple[tuple[float, PauliString], ...]:
-    """Hermitian PauliSum as real-coefficient terms (phase folded into strings)."""
     out = []
-    for c, s in h_sum.simplify().terms:
+    for c, s in h_sum.terms:
         if abs(c.imag) > 1e-10 * max(1.0, abs(c)):
             # fold i into the string phase so the compiler sees a real angle
             out.append((float(c.imag), PauliString(s.n, s.x, s.z, (s.k + 1) % 4)))
@@ -257,7 +244,8 @@ def _real_terms(h_sum: PauliSum) -> tuple[tuple[float, PauliString], ...]:
                 out.append((float(c.real), s))
         else:
             out.append((float(c.real), s))
-    return tuple(out)
+    return LindbladGenerator(n_levels=model.dim, H=h_sum.to_sparse(),
+                             jumps=tuple(_ancilla_jumps(model)), hamiltonian_terms=tuple(out))
 
 
 def _validate_decomps(H: StabilizerHamiltonian, decomps: tuple[EigenoperatorDecomposition, ...]):

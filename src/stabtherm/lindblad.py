@@ -6,9 +6,10 @@ orthonormal operator basis: the Hermitian Pauli basis on n qubits (where the
 matrix is real), the matrix units otherwise. The connected components of
 that matrix are exact invariant blocks; for a stabilizer Hamiltonian with
 Pauli jumps dressed by syndrome projectors each lies in a coset of the
-stabilizer group. One kernel solver, ``_BlockForm.kernel``, decides the
-kernel block by block; ``steady_states`` and ``verify``'s commutant
-dimension both call it.
+stabilizer group. One term builder, ``_sandwich_terms``, writes the map as
+sandwich terms A rho B, and one kernel solver, ``_BlockForm.kernel``,
+decides the kernel block by block; steady states, evolution and ``verify``'s
+commutant dimension (minus the Lindbladian of unit-rate jumps) share them.
 
 A non-Hermitian dense block is screened, bounded, then refined: by
 Bendixson's theorem no eigenvalue of a block B has |lambda| below
@@ -246,16 +247,21 @@ def _check_capacity(d: int) -> None:
         )
 
 
-def _sandwich_terms(g: LindbladGenerator) -> list[tuple[sparse.csr_matrix, sparse.csr_matrix]]:
-    """Pairs (A, B) with L rho = sum A rho B."""
-    d = g.n_levels
+def _sandwich_terms(d: int, H, jumps) -> list:
+    """Pairs (A, B) with L rho = sum A rho B for the d x d Lindbladian of H
+    (sparse, or None for none) and the ``JumpOp``s: (-iH - G, I),
+    (I, iH - G) and (2 rate K, K^dag) per jump, with G = sum rate K^dag K
+    one product of the jumps stacked once, each row scaled by its rate. Each
+    K stays sparse or dense as it arrives; G is sparse if any K is."""
     eye = sparse.identity(d, dtype=complex, format="csr")
     G = sparse.csr_matrix((d, d), dtype=complex)
-    if g.jumps:  # sum rate K^dag K as one product of the stacked jumps
-        G = (sparse.vstack([j.op for j in g.jumps], format="csr").conj().T
-             @ sparse.vstack([j.rate * j.op for j in g.jumps], format="csr"))
-    terms = [(-1j * g.H - G, eye), (eye, 1j * g.H - G)]
-    return terms + [(2 * j.rate * j.op, j.op.conj().T) for j in g.jumps if j.rate]
+    if jumps:
+        ops = [j.op for j in jumps]
+        S = (sparse.vstack(ops, format="csr") if any(map(sparse.issparse, ops))
+             else np.concatenate(ops))
+        G = S.conj().T @ (sparse.diags(np.repeat([j.rate for j in jumps], d)) @ S)
+    terms = [(-G, eye), (eye, -G)] if H is None else [(-1j * H - G, eye), (eye, 1j * H - G)]
+    return terms + [(2 * j.rate * j.op, j.op.conj().T) for j in jumps if j.rate]
 
 
 def _superop_scale(L: sparse.spmatrix) -> float:
@@ -822,7 +828,7 @@ def trajectories(
 
     mats = [rho0.mat for rho0 in states]
     seeds = _pauli_coefficients(mats, d)[1] if d & (d - 1) == 0 else None
-    form = _block_form(_sandwich_terms(g), d, seeds=seeds)
+    form = _block_form(_sandwich_terms(d, g.H, g.jumps), d, seeds=seeds)
     c0 = np.stack([form.coefficients(m) for m in mats], axis=1)
     cs = _propagate(form, c0, t, points, method)[0]
     vecs = form.vectors(cs[1:].transpose(1, 0, 2).reshape(len(c0), -1))
@@ -883,7 +889,7 @@ def sector_trajectory(g: LindbladGenerator, t: float, points: int, method: str =
     d = g.n_levels
     if d & (d - 1):
         raise ParameterError("sector populations need a register of qubits")
-    form = _block_form(_sandwich_terms(g), d, seeds=np.zeros(1, dtype=int))
+    form = _block_form(_sandwich_terms(d, g.H, g.jumps), d, seeds=np.zeros(1, dtype=int))
     cs, diagnostics = _propagate(form, (form.support == 0)[:, None] / np.sqrt(d), t, points,
                                  method)
     sectors = Sectors(form.support, d)
@@ -990,7 +996,7 @@ def steady_states(g: LindbladGenerator) -> SteadyStateResult:
     is refused; both raise NumericalError.
     """
     start = time.perf_counter()
-    form = _block_form(_sandwich_terms(g), g.n_levels)
+    form = _block_form(_sandwich_terms(g.n_levels, g.H, g.jumps), g.n_levels)
     T = form.T
     n = T.shape[0]
     scale = _superop_scale(T)

@@ -14,11 +14,12 @@ reported as Frobenius norms.
 Ergodicity is decided from the commutant of {H} + jumps + jump adjoints:
 the commutant is trivial iff the semigroup has a unique attracting steady
 state (given a faithful stationary state). The commutant dimension is the
-nullity of M = sum_O ad_O^dag ad_O. M is a sandwich map like a Lindbladian,
-so it goes through the same block engine and the same kernel solver
-(``_BlockForm.kernel``) as lindblad's steady states: written in the Pauli
-basis (or the matrix units), cut into invariant blocks and diagonalized block
-by block, exactly, with Hermitian eigensolvers since M is Hermitian.
+nullity of M = sum_O ad_O^dag ad_O. On the adjoint-closed set M = -L, L the
+Lindbladian of the ops as unit-rate jumps with no Hamiltonian, so M takes its
+terms from lindblad's one builder (dense ops stay dense) and goes through its
+block engine and kernel solver: written in the Pauli basis (or the matrix
+units), cut into invariant blocks and diagonalized block by block, exactly,
+with Hermitian eigensolvers since M is Hermitian.
 """
 
 from __future__ import annotations
@@ -38,13 +39,15 @@ from .lindblad import (
     ROUNDOFF,
     SUPEROP_DIM_LIMIT,
     DensityMatrix,
+    JumpOp,
     LindbladGenerator,
     _block_form,
     _kernel_diagnostics,
+    _sandwich_terms,
     steady_states,
     trajectories,
 )
-from .pauli import PauliSum
+from .pauli import PauliString, PauliSum
 from .toric import EigenoperatorDecomposition, StabilizerHamiltonian
 
 #: Eigenspaces above this dimension get no projected-commutant detail.
@@ -119,38 +122,30 @@ def check_fixed_point_conditions(
 # commutant machinery
 # ---------------------------------------------------------------------------
 
-def _as_operators(ops) -> list:
-    """Each op as a matrix in the form it arrives in: a PauliSum as csr,
-    another sparse matrix as csr, anything else as a complex ndarray."""
-    return [o.to_sparse() if isinstance(o, PauliSum)
+def _as_operators(ops, dim: int) -> list:
+    """Each op as a dim x dim matrix in the form it arrives in: a PauliSum or
+    PauliString as csr, another sparse matrix as csr, anything else as a
+    complex ndarray. An op of another shape raises ParameterError."""
+    mats = [o.to_sparse() if isinstance(o, (PauliSum, PauliString))
             else o.tocsr() if sparse.issparse(o) else np.asarray(o, dtype=complex)
             for o in ops]
-
-
-def _commutant_terms(mats, dim: int) -> list:
-    """Sandwich terms (A, B), X -> sum A X B, of M X = sum_O [O^dag, [O, X]]
-    over an adjoint-closed set of sparse matrices or ndarrays: (G, I), (I, G)
-    with G = sum O^dag O (= sum O O^dag on such a set), one product of the
-    stacked ops, and (-2 O^dag, O) for each O (the set pairs O^dag X O with
-    O X O^dag)."""
-    if any(sparse.issparse(O) for O in mats):
-        stacked = sparse.vstack(mats, format="csr")
-    else:
-        stacked = np.concatenate(mats)
-    G = stacked.conj().T @ stacked
-    eye = sparse.identity(dim, dtype=complex, format="csr")
-    return [(G, eye), (eye, G)] + [(-2 * O.conj().T, O) for O in mats]
+    for i, m in enumerate(mats):
+        if m.shape != (dim, dim):
+            raise ParameterError(f"operator {i} has shape {m.shape}, expected {(dim, dim)}")
+    return mats
 
 
 def commutant_dimension(ops, dim: int, max_dim: int = 8) -> tuple[int, np.ndarray, dict]:
     """Nullity of X -> sum_O ||[X, O]||^2 over dim x dim matrices: the
     dimension of the commutant of the ops and their adjoints. The ops
-    (PauliSums, sparse or dense matrices) stay in the form they come in
-    (``_as_operators``): dense ops are never converted to sparse.
+    (PauliSums, PauliStrings, sparse or dense matrices, each dim x dim) stay
+    in the form they come in (``_as_operators``), dense ops dense.
 
-    M = sum_O ad_O^dag ad_O is a Hermitian sandwich map (``_commutant_terms``),
-    so lindblad's block engine writes it in the Pauli basis (dim = 2^n) or the
-    matrix units, and its kernel solver (``_BlockForm.kernel``) solves the
+    On that adjoint-closed set M X = sum_O [O^dag, [O, X]] = G X + X G -
+    2 sum_O O X O^dag, G = sum_O O^dag O: -L X for the ops as rate-1 jumps
+    with no Hamiltonian. So lindblad's ``_sandwich_terms`` and block engine
+    write L in the Pauli basis (dim = 2^n) or the matrix units, negated to M,
+    and its kernel solver (``_BlockForm.kernel``) solves the
     invariant blocks: eigvalsh per dense block, the max_dim + 1 smallest
     eigenvalues from shift-invert ARPACK above DENSE_BLOCK_LIMIT. Eigenvalues
     below COMMUTANT_TOL * scale, with scale the largest |O_ij|^2 times the
@@ -165,7 +160,7 @@ def commutant_dimension(ops, dim: int, max_dim: int = 8) -> tuple[int, np.ndarra
     nullity (exact, except above max_dim when a block went to ARPACK).
     """
     start = time.perf_counter()
-    mats = _as_operators(ops)
+    mats = _as_operators(ops, dim)
     mats = mats + [m.conj().T for m in mats]
     scale = max((float(abs(m).max()) for m in mats), default=0.0) ** 2 * len(mats)
     thresh = COMMUTANT_TOL * scale
@@ -175,7 +170,11 @@ def commutant_dimension(ops, dim: int, max_dim: int = 8) -> tuple[int, np.ndarra
             **_kernel_diagnostics(None, n, 1, 0), "seconds": time.perf_counter() - start,
             "nullity": n}
 
-    form = _block_form(_commutant_terms(mats, dim), dim, hermitian=True)
+    form = _block_form(_sandwich_terms(dim, None, [JumpOp(O, 1.0) for O in mats]), dim,
+                       hermitian=True)
+    # M = -L: rounding is symmetric, so negating T gives the bits of the form
+    # of negated terms, without a sparse copy per op
+    np.negative(form.T.data, out=form.T.data)
     vals, nullity, _, diagnostics = form.kernel(thresh, scale, max_dim + 1, max_dim + 1)
     diagnostics = {**diagnostics, "seconds": time.perf_counter() - start, "nullity": nullity}
     return min(nullity, max_dim), vals[:max_dim + 1], diagnostics
@@ -233,9 +232,9 @@ def ergodicity_check(
     """Commutant-based ergodicity verdict with per-eigenspace detail.
 
     ``jump_ops`` may be PauliSums, dense or sparse matrices, each kept in
-    its form (``_as_operators``). ``loop_ops``
-    (label -> PauliString) are checked against the op set: a loop operator in
-    the commutant would be a conserved topological charge.
+    its form (``_as_operators``). ``loop_ops`` (label -> PauliString or
+    matrix, also through ``_as_operators``) are checked against the op set:
+    a loop operator in the commutant would be a conserved topological charge.
 
     Inside each eigenspace of H the reachable generators at depth <= 2 are
     the projected jumps (translations survive, pair creators project to ~0)
@@ -248,7 +247,7 @@ def ergodicity_check(
     dim = 1 << H.n_qubits
     if dim > SUPEROP_DIM_LIMIT:
         raise CapacityError("ergodicity_check is a dense desk-scale verification")
-    mats = _as_operators(jump_ops)
+    mats = _as_operators(jump_ops, dim)
     full_set = [H.as_sum().to_sparse()] + mats
 
     cdim, cvals, diagnostics = commutant_dimension(full_set, dim, max_dim=max_commutant)
@@ -278,8 +277,7 @@ def ergodicity_check(
 
     loop_checks = {}
     if loop_ops:
-        for label, w in loop_ops.items():
-            wd = w.to_sparse() if hasattr(w, "to_sparse") else sparse.csr_matrix(w)
+        for label, wd in zip(loop_ops, _as_operators(loop_ops.values(), dim)):
             loop_checks[label] = max(float(abs(wd @ M - M @ wd).max()) for M in full_set)
 
     ground_span, ground_comm = _ground_word_span(mats, bases[0], floor)

@@ -85,6 +85,19 @@ def test_rwa_hamiltonian_matches_independent_excitation_build():
     assert np.linalg.norm(gen.H.toarray() - expected) < 1e-12
 
 
+def test_composite_generators_carry_simplified_real_terms():
+    # both composite generators hand the compiler each Pauli string of H
+    # once, with a real nonzero coefficient, and the terms sum to H
+    H = single_stabilizer_model("ZZ", 1.0)
+    model, lab = attach_ancillas(H, full_decomps(H), beta=1.0, gamma_minus=0.3, g=0.4)
+    for gen in (lab, rwa_generator(model)):
+        strings = [(s.x, s.z) for _, s in gen.hamiltonian_terms]
+        assert len(set(strings)) == len(strings)
+        assert all(isinstance(c, float) and c != 0 for c, _ in gen.hamiltonian_terms)
+        total = sum(c * s.to_sparse() for c, s in gen.hamiltonian_terms)
+        assert abs(total - gen.H).max() < 1e-12
+
+
 def test_rwa_mini_gibbs_product_is_stationary():
     H = single_vertex_model(1.0)
     decs = [eigenoperator_decomposition(H, 0, "x"),

@@ -159,6 +159,10 @@ def test_verify_ergodicity_records_diagnostics(tmp_path, capsys):
     diag = doc["ergodicity"]["diagnostics"]
     assert {"nullity", "margin", "blocks", "max_block", "seconds"} <= set(diag)
     assert diag["nullity"] == 1 and diag["margin"] > 100
+    # the Pauli-basis commutant form of the full Davies set: blocks and nnz
+    # pin the term builder and both roundoff cuts
+    assert diag["basis"] == "pauli"
+    assert (diag["blocks"], diag["max_block"], diag["nnz"]) == (13088, 32, 475135)
 
 
 def test_run_gibbs_sweep_matches_partition_oracle(tmp_path):

@@ -377,7 +377,7 @@ def test_block_spectra_match_dense_oracle(make, basis):
     # the shared kernel solver returns the smallest-|lambda| part of the
     # spectrum: a prefix of the oracle's, with nothing skipped below its end
     g = make()
-    form = lindblad._block_form(lindblad._sandwich_terms(g), g.n_levels)
+    form = lindblad._block_form(lindblad._sandwich_terms(g.n_levels, g.H, g.jumps), g.n_levels)
     scale = lindblad._superop_scale(form.T)
     vals, kernel_dim, kernel, diagnostics = form.kernel(
         lindblad.KERNEL_TOL * scale, scale, lindblad.STEADY_EIGENVALUES, lindblad.MAX_KERNEL)
@@ -400,7 +400,7 @@ def test_block_spectra_match_dense_oracle(make, basis):
 ])
 def test_refined_spectrum_prefix_is_that_of_every_dense_block(make, refined):
     g = make()
-    form = lindblad._block_form(lindblad._sandwich_terms(g), g.n_levels)
+    form = lindblad._block_form(lindblad._sandwich_terms(g.n_levels, g.H, g.jumps), g.n_levels)
     scale = lindblad._superop_scale(form.T)
     k = lindblad.STEADY_EIGENVALUES
     vals, kernel_dim, _, diagnostics = form.kernel(
@@ -429,7 +429,7 @@ def test_refined_spectrum_prefix_is_that_of_every_dense_block(make, refined):
 ])
 def test_gershgorin_screen_lies_below_every_bendixson_bound(make):
     g = make()
-    form = lindblad._block_form(lindblad._sandwich_terms(g), g.n_levels)
+    form = lindblad._block_form(lindblad._sandwich_terms(g.n_levels, g.H, g.jumps), g.n_levels)
     scale = lindblad._superop_scale(form.T)
     labels, bound = bendixson_bounds(form)
     screen = lindblad._gershgorin_screen(form.T, form.labels)
@@ -448,7 +448,7 @@ def test_any_valid_screen_refines_what_bounds_on_every_block_refine(make, monkey
     # Bendixson bounds, in any order, gives the same bits as a screen that
     # rules out no block
     g = make()
-    form = lindblad._block_form(lindblad._sandwich_terms(g), g.n_levels)
+    form = lindblad._block_form(lindblad._sandwich_terms(g.n_levels, g.H, g.jumps), g.n_levels)
     scale = lindblad._superop_scale(form.T)
     labels, bound = bendixson_bounds(form)
     exact = np.empty(len(labels))
@@ -478,7 +478,8 @@ def test_a_screen_from_the_rows_of_t_alone_is_no_bound():
     # Gershgorin on the rows of T bounds T's own spectrum, not lambda_max of
     # its Hermitian part: on the mini Davies model it lies above the bounds
     # of 40 of the 128 blocks
-    form = lindblad._block_form(lindblad._sandwich_terms(mini_davies()), 16)
+    g = mini_davies()
+    form = lindblad._block_form(lindblad._sandwich_terms(16, g.H, g.jumps), 16)
     labels, bound = bendixson_bounds(form)
     rows_only = lindblad._gershgorin_screen(2 * form.T, form.labels)  # S = 2T
     assert np.any(rows_only[labels] > bound + 1e-12 * lindblad._superop_scale(form.T))
@@ -602,7 +603,7 @@ def test_trace_product_matches_the_matrix_product():
 
 def test_trajectory_from_identity_touches_one_block():
     g = mini_davies()
-    form = lindblad._block_form(lindblad._sandwich_terms(g), g.n_levels)
+    form = lindblad._block_form(lindblad._sandwich_terms(g.n_levels, g.H, g.jumps), g.n_levels)
     c0 = form.coefficients(np.eye(16) / 16)
     assert len(np.unique(form.labels[np.flatnonzero(c0)])) == 1
 
@@ -647,7 +648,7 @@ def test_seeded_trajectories_match_the_superoperator_exponential(toric_l2):
               DensityMatrix(random_density(d, np.random.default_rng(43)))]
     assert_matches_exponential(g, L, starts, 0.3, 3)
     for rho0, cosets in zip(starts, (1, 2, 1024)):
-        seeded = lindblad._block_form(lindblad._sandwich_terms(g), d,
+        seeded = lindblad._block_form(lindblad._sandwich_terms(g.n_levels, g.H, g.jumps), d,
                                       seeds=seed_indices([rho0.mat], d))
         assert len(seeded.support) == 64 * cosets
 
@@ -658,7 +659,7 @@ def test_seeded_coset_span_comes_from_every_term():
     K = sparse.csr_matrix(np.array([[1.0, 1.0], [1.0, -1.0]]) / np.sqrt(2))
     g = LindbladGenerator(2, np.diag([1.0, -1.0]), (JumpOp(K, 0.3),))
     rho0 = DensityMatrix(np.diag([0.8, 0.2]))
-    form = lindblad._block_form(lindblad._sandwich_terms(g), 2,
+    form = lindblad._block_form(lindblad._sandwich_terms(g.n_levels, g.H, g.jumps), 2,
                                 seeds=seed_indices([rho0.mat], 2))
     assert len(form.support) == 4
     assert_matches_exponential(g, build_superoperator(g), [rho0], 2.0, 4)
@@ -666,7 +667,7 @@ def test_seeded_coset_span_comes_from_every_term():
 
 def test_seeded_form_from_identity_is_one_block_of_64(toric_l2):
     _, g, _ = toric_l2
-    terms = lindblad._sandwich_terms(g)
+    terms = lindblad._sandwich_terms(g.n_levels, g.H, g.jumps)
     seeded = lindblad._block_form(terms, 256, seeds=seed_indices([np.eye(256) / 256], 256))
     assert len(seeded.support) == 64 and len(np.unique(seeded.labels)) == 1
     full = lindblad._block_form(terms, 256)
@@ -687,7 +688,7 @@ def test_seeded_form_holds_the_full_blocks_of_its_seeds():
     extra = PauliSum(5, [(0.1, PauliString.from_letters("XIIYZ"))]).to_sparse().toarray()
     rho0 = DensityMatrix((np.outer(psi, psi.conj()) + (np.eye(d) + extra) / d) / 2)
     seeds = seed_indices([rho0.mat], d)
-    terms = lindblad._sandwich_terms(g)
+    terms = lindblad._sandwich_terms(g.n_levels, g.H, g.jumps)
     seeded = lindblad._block_form(terms, d, seeds=seeds)
     full = lindblad._block_form(terms, d)
     n = d.bit_length() - 1
@@ -726,7 +727,7 @@ def test_block_form_is_the_oracle_superoperator_in_the_pauli_basis(make):
     U = pauli_basis_columns(d)
     exact = U.conj().T @ build_superoperator(g).toarray() @ U
     assert np.abs(exact.imag).max() < 1e-13
-    terms = lindblad._sandwich_terms(g)
+    terms = lindblad._sandwich_terms(g.n_levels, g.H, g.jumps)
     rng = np.random.default_rng(17)
     for seeds in (None, np.zeros(1, dtype=int), rng.choice(d * d, 3, replace=False)):
         form = lindblad._block_form(terms, d, seeds=seeds)
@@ -893,7 +894,7 @@ def test_steady_state_diagnostics():
     # k = 6 lowest bounds take all 2 blocks
     assert d["refined"] == d["bounded"] == d["blocks"]
     assert d["basis"] == "pauli" and d["max_block"] <= 4 and d["nnz"] > 0
-    form = lindblad._block_form(lindblad._sandwich_terms(g), g.n_levels)
+    form = lindblad._block_form(lindblad._sandwich_terms(g.n_levels, g.H, g.jumps), g.n_levels)
     thresh = 1e-10 * lindblad._superop_scale(form.T)
     assert np.isclose(d["margin"], np.sort(np.abs(ss.eigenvalues))[1] / thresh)
     assert d["margin"] > 100

@@ -5,15 +5,17 @@ import pytest
 
 from stabtherm import lindblad, verify
 from stabtherm.bath import davies_reduction
-from stabtherm.errors import NumericalError
+from stabtherm.errors import NumericalError, ParameterError
 from stabtherm.lindblad import (
     DENSE_BLOCK_LIMIT,
     ROUNDOFF,
     DensityMatrix,
+    JumpOp,
+    LindbladGenerator,
     gibbs_state,
     steady_states,
 )
-from stabtherm.pauli import PauliString
+from stabtherm.pauli import PauliString, PauliSum
 from stabtherm.toric import (
     StabilizerHamiltonian,
     StabilizerTerm,
@@ -31,7 +33,7 @@ from stabtherm.verify import (
     uniqueness_and_attractor_probe,
 )
 
-from oracles import commutant_nullity
+from oracles import build_superoperator, commutant_nullity, commutant_superoperator
 
 
 def decomps(H):
@@ -170,6 +172,51 @@ def test_commutant_count_is_capped_at_max_dim():
     z0 = np.kron(np.eye(2), np.diag([1.0, -1.0]))
     assert commutant_dimension([z0], 4, max_dim=4)[0] == 4
     assert commutant_dimension([z0], 4, max_dim=8)[0] == 8
+
+
+def test_commutant_refuses_operators_of_another_shape():
+    # a 3 x 3 op is no operator on M_4 (it is not read as diag(1, 1, 1, 0)),
+    # and a 4 x 4 op none on M_2
+    with pytest.raises(ParameterError, match="shape"):
+        commutant_dimension([np.eye(3)], 4)
+    with pytest.raises(ParameterError, match="shape"):
+        commutant_dimension([np.eye(4)], 2)
+    x0 = PauliSum.from_string(PauliString.from_letters("XI"))
+    with pytest.raises(ParameterError, match="shape"):
+        commutant_dimension([x0], 8)
+    H = single_vertex_model(1.0)
+    with pytest.raises(ParameterError, match="shape"):
+        ergodicity_check(H, jump_set(H), loop_ops={"X": PauliString.from_letters("XI")})
+    # a PauliString is an operator like its PauliSum: span{I, X} x M_2
+    string = commutant_dimension([PauliString.from_letters("XI")], 4, max_dim=16)[0]
+    assert string == commutant_dimension([x0], 4, max_dim=16)[0] == 8
+
+
+@pytest.mark.parametrize("sizes, basis", [((2, 3), "matrix-unit"), ((1, 3), "pauli")])
+def test_commutant_is_minus_the_lindbladian_of_unit_rate_jumps(sizes, basis, monkeypatch):
+    # M X = sum_O [O^dag, [O, X]] over the ops and their adjoints is -L X for
+    # those ops as rate-1 jumps with no Hamiltonian (the factor-2 dissipator)
+    ops = block_diagonal_set(sizes, 2, np.random.default_rng(8))
+    d = sum(sizes)
+    closed = ops + [m.conj().T for m in ops]
+    g = LindbladGenerator(d, np.zeros((d, d)), tuple(JumpOp(m, 1.0) for m in closed))
+    assert np.abs(commutant_superoperator(ops) + build_superoperator(g).toarray()).max() < 1e-12
+    forms = []
+
+    def record(terms, d, **kwargs):
+        form = lindblad._block_form(terms, d, **kwargs)
+        forms.append((terms, form.basis, form.T.copy()))
+        return form
+
+    monkeypatch.setattr(verify, "_block_form", record)
+    commutant_dimension(ops, d)
+    (terms, form_basis, T), = forms
+    # dense ops reach the block form as ndarrays: every operator but the two I
+    seen = [o for term in terms for o in term]
+    assert sum(isinstance(o, np.ndarray) for o in seen) == len(seen) - 2 == 2 + 2 * len(closed)
+    # negating the form gives the entries of the form of the negated terms
+    negated = lindblad._block_form([(-A, B) for A, B in terms], d, hermitian=True)
+    assert negated.basis == form_basis == basis and (negated.T != -T).nnz == 0
 
 
 def random_unitary(d, rng):
