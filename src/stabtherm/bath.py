@@ -272,6 +272,8 @@ def davies_reduction(
     gamma0*exp(-2*beta*eps_k), T at rate gamma0 for zero-frequency parts.
     gibbs_state(H, beta) is stationary; with full (site, sector) coverage the
     kernel is one-dimensional. ``include`` exists for negative controls.
+    H and the jumps stay PauliSums, so lindblad assembles the generator from
+    their coefficients and realizes no operator as a matrix.
     """
     decomps = tuple(decomps)
     _validate_decomps(H, decomps)
@@ -290,17 +292,17 @@ def davies_reduction(
             tag = f"{d.site}{d.axis}k{ci}"
             if comp.is_zero_mode:
                 if "translate" in include:
-                    jumps.append(JumpOp(comp.translation.to_sparse(), gamma0, f"T{tag}"))
+                    jumps.append(JumpOp(comp.translation, gamma0, f"T{tag}"))
             else:
                 if "lower" in include:
-                    jumps.append(JumpOp(comp.lowering.to_sparse(), gamma0, f"a{tag}"))
+                    jumps.append(JumpOp(comp.lowering, gamma0, f"a{tag}"))
                 if "raise" in include:
                     rate = gamma0 * float(np.exp(-2.0 * beta * comp.epsilon))
-                    jumps.append(JumpOp(comp.raising.to_sparse(), rate, f"ad{tag}"))
+                    jumps.append(JumpOp(comp.raising, rate, f"ad{tag}"))
 
     return LindbladGenerator(
         n_levels=1 << H.n_qubits,
-        H=H.as_sum().to_sparse(),
+        H=H.as_sum(),
         jumps=tuple(jumps),
     )
 

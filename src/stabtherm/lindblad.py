@@ -21,16 +21,17 @@ reported smallest |lambda|, and eigvals runs only on those whose bound can.
 For the L=2 toric Davies generator that is about 60 and 15 of 1024 blocks;
 the diagnostics count them as ``bounded`` and ``refined``.
 
-The basis matrix is assembled in one batched pass over the entries of all
-the sandwich terms' operators, with no sparse matrix per term: one
-Walsh-Hadamard transform for the Pauli coefficients and the product rule
-for the entries (no d x d matrix), one COO outer product for the matrix
-units. Every Pauli-basis entry moves a basis element by a shift, an XOR of
-two terms' Pauli labels, so each coset of the GF(2) span of the shifts is
+The basis matrix is assembled in one batched pass over the sandwich terms'
+operators, with no sparse matrix per term. Pauli sums
+(``bath.davies_reduction`` keeps H and the jumps as PauliSums, and so G) give
+their coefficients as they are, matrices by one Walsh-Hadamard transform; the
+product rule writes the entries (no d x d matrix). The matrix units take one
+csr product. Every Pauli-basis entry moves a basis element by a shift, an XOR
+of two terms' Pauli labels, so each coset of the GF(2) span of the shifts is
 invariant. Evolution seeds the assembly with the basis elements its initial
-states have weight on and writes the map, bit for bit, on their cosets
-alone: from I/d on the L=2 torus, 64 elements and 639 nonzeros instead of
-65536 and 714,751. Steady states and commutants assemble every block.
+states have weight on and writes the map, bit for bit, on their cosets alone:
+from I/d on the L=2 torus, 64 elements and 639 nonzeros instead of 65536 and
+714,751. Steady states and commutants assemble every block.
 
 Those 64 elements are the stabilizer group, an abelian Pauli group: a state
 on it is a function of the syndrome, and ``Sectors`` reads its spectrum, one
@@ -66,7 +67,7 @@ from scipy.sparse.csgraph import connected_components
 from scipy.sparse.linalg import eigs as sparse_eigs, expm_multiply
 
 from .errors import CapacityError, NumericalError, ParameterError
-from .pauli import DENSE_LIMIT, PauliString
+from .pauli import DENSE_LIMIT, PauliString, PauliSum
 
 #: Hilbert-space dimension above which superoperators (either basis) are refused.
 SUPEROP_DIM_LIMIT = 256
@@ -87,8 +88,7 @@ ROUNDOFF = 1e-13
 #: Dense entries per stack of equal-sized blocks (bounds a batch's memory).
 _STACK_ENTRIES = 1 << 22
 #: Dense entries per batch of the eigvalsh bounds, whose temporaries are
-#: twice the batch: 64 blocks of 64. Also the entry products per chunk of the
-#: matrix-unit assembly, whose count grows as the square of dense operators'.
+#: twice the batch: 64 blocks of 64.
 _BOUND_ENTRIES = 1 << 18
 #: A block's Bendixson bound may exceed its computed smallest |lambda| by
 #: rounding (by up to 2.8e-14 at L=2), so blocks are refined up to this
@@ -191,13 +191,13 @@ class DensityMatrix:
 
 @dataclass(frozen=True)
 class JumpOp:
-    """One (K, gamma) dissipation channel, optionally tagged with reset info.
+    """One (K, gamma) dissipation channel, K a matrix or a PauliSum.
 
-    ``reset`` marks single-ancilla-qubit thermal channels for the compiler:
-    a dict with keys qubit, beta, omega and direction ("minus"/"plus").
+    ``reset`` optionally marks single-ancilla-qubit thermal channels for the
+    compiler: a dict with keys qubit, beta, omega and direction ("minus"/"plus").
     """
 
-    op: sparse.spmatrix
+    op: sparse.spmatrix | PauliSum
     rate: float
     label: str = ""
     reset: dict | None = None
@@ -211,31 +211,30 @@ class JumpOp:
 class LindbladGenerator:
     """d rho/dt = -i [H, rho] + sum_k gamma_k D[K_k] rho.
 
-    ``hamiltonian_terms`` optionally carries the symbolic Pauli term list of H
-    (needed by the gate compiler); it is not used by the numerics here.
+    H and each jump's K are kept as PauliSums (on log2(n_levels) qubits) or
+    converted to complex csr matrices. ``hamiltonian_terms`` optionally
+    carries the symbolic Pauli term list of H (needed by the gate compiler);
+    it is not used by the numerics here.
     """
 
     n_levels: int
-    H: sparse.spmatrix
+    H: sparse.spmatrix | PauliSum
     jumps: tuple[JumpOp, ...]
     hamiltonian_terms: tuple[tuple[float, PauliString], ...] | None = None
 
     def __post_init__(self):
-        h = self.H if sparse.issparse(self.H) else sparse.csr_matrix(np.asarray(self.H, dtype=complex))
-        h = h.tocsr().astype(complex)
+        h, *ops = [o if isinstance(o, PauliSum) else sparse.csr_matrix(o, dtype=complex, copy=True)
+                   for o in (self.H, *(j.op for j in self.jumps))]
+        for what, m in zip(["H", *(f"jump {j.label!r}" for j in self.jumps)], [h, *ops]):
+            if ((1 << m.n,) * 2 if isinstance(m, PauliSum) else m.shape) != (self.n_levels,) * 2:
+                raise ParameterError(f"{what} has the wrong shape")
+        defect, size = (((h - h.adjoint()).norm_coeffs(), h.norm_coeffs())
+                        if isinstance(h, PauliSum) else (abs(h - h.conj().T).max(), abs(h).max()))
+        if defect > 1e-12 * max(1.0, size):
+            raise ParameterError(f"H is not Hermitian (defect {defect:.2e})")
         object.__setattr__(self, "H", h)
-        if h.shape != (self.n_levels, self.n_levels):
-            raise ParameterError("H has the wrong shape")
-        herm_defect = abs(h - h.conj().T).max() if h.nnz else 0.0
-        if herm_defect > 1e-12 * max(1.0, abs(h).max()):
-            raise ParameterError(f"H is not Hermitian (defect {herm_defect:.2e})")
-        ops = []
-        for j in self.jumps:
-            k = j.op if sparse.issparse(j.op) else sparse.csr_matrix(np.asarray(j.op, dtype=complex))
-            if k.shape != (self.n_levels, self.n_levels):
-                raise ParameterError(f"jump {j.label!r} has the wrong shape")
-            ops.append(JumpOp(k.tocsr().astype(complex), j.rate, j.label, j.reset))
-        object.__setattr__(self, "jumps", tuple(ops))
+        object.__setattr__(self, "jumps", tuple(
+            JumpOp(k, j.rate, j.label, j.reset) for k, j in zip(ops, self.jumps)))
 
 
 def _check_capacity(d: int) -> None:
@@ -249,19 +248,29 @@ def _check_capacity(d: int) -> None:
 
 def _sandwich_terms(d: int, H, jumps) -> list:
     """Pairs (A, B) with L rho = sum A rho B for the d x d Lindbladian of H
-    (sparse, or None for none) and the ``JumpOp``s: (-iH - G, I),
-    (I, iH - G) and (2 rate K, K^dag) per jump, with G = sum rate K^dag K
-    one product of the jumps stacked once, each row scaled by its rate. Each
-    K stays sparse or dense as it arrives; G is sparse if any K is."""
-    eye = sparse.identity(d, dtype=complex, format="csr")
-    G = sparse.csr_matrix((d, d), dtype=complex)
-    if jumps:
-        ops = [j.op for j in jumps]
-        S = (sparse.vstack(ops, format="csr") if any(map(sparse.issparse, ops))
-             else np.concatenate(ops))
-        G = S.conj().T @ (sparse.diags(np.repeat([j.rate for j in jumps], d)) @ S)
+    (None for none) and the ``JumpOp``s: (-iH - G, I), (I, iH - G) and
+    (2 rate K, K^dag) per jump, with G = sum rate K^dag K. When H and every
+    K are PauliSums (a Davies generator) so is every operator, G by Pauli
+    algebra. Otherwise PauliSums are realized as csr, each K stays sparse or
+    dense, and G is one product of the jumps stacked once as csr (dense if
+    every K is), each row scaled by its rate."""
+    ops = [j.op for j in jumps]
+    given = ops if H is None else [H, *ops]
+    if given and all(isinstance(o, PauliSum) for o in given):
+        eye = PauliSum.from_string(PauliString.identity(given[0].n))
+        G = sum((K.adjoint() * K * j.rate for K, j in zip(ops, jumps)), PauliSum(eye.n))
+        adjoints = [K.adjoint() for K in ops]
+    else:
+        H, *ops = [o.to_sparse() if isinstance(o, PauliSum) else o for o in [H, *ops]]
+        eye = sparse.identity(d, dtype=complex, format="csr")
+        G = sparse.csr_matrix((d, d), dtype=complex)
+        if ops:
+            S = (sparse.vstack([sparse.csr_matrix(o) for o in ops], format="csr")
+                 if any(map(sparse.issparse, ops)) else np.concatenate(ops))
+            G = S.conj().T @ (sparse.diags(np.repeat([j.rate for j in jumps], d)) @ S)
+        adjoints = [K.conj().T for K in ops]
     terms = [(-G, eye), (eye, -G)] if H is None else [(-1j * H - G, eye), (eye, 1j * H - G)]
-    return terms + [(2 * j.rate * j.op, j.op.conj().T) for j in jumps if j.rate]
+    return terms + [(2 * j.rate * K, Kd) for j, K, Kd in zip(jumps, ops, adjoints) if j.rate]
 
 
 def _superop_scale(L: sparse.spmatrix) -> float:
@@ -326,54 +335,56 @@ def _entries(ops):
     return tuple(np.concatenate(p) for p in zip(*parts))
 
 
-def _term_pairs(op: np.ndarray, n_terms: int, step: int | None = None):
+def _term_pairs(op: np.ndarray, n_terms: int):
     """Index pairs (p, q) of every entry p of A_t with every entry q of B_t,
     over the terms (A_t, B_t), for entries labelled by ``op`` (ascending) as
-    operators A_0, B_0, A_1, B_1, ...: term after term, p-major, in chunks of
-    at most ``step`` pairs (default one chunk)."""
+    operators A_0, B_0, A_1, B_1, ...: term after term, p-major."""
     count = np.bincount(op, minlength=2 * n_terms)
     start = np.cumsum(count) - count
     nb = count[1::2]
     sizes = count[0::2] * nb
-    ends = np.cumsum(sizes)
-    total = int(ends[-1])
-    step = step or max(total, 1)
-    for lo in range(0, max(total, 1), step):
-        k = np.arange(lo, min(lo + step, total))
-        t = np.searchsorted(ends, k, side="right")
-        k -= ends[t] - sizes[t]
-        yield start[2 * t] + k // nb[t], start[2 * t + 1] + k % nb[t]
+    t = np.repeat(np.arange(n_terms), sizes)
+    k = np.arange(sizes.sum()) - np.repeat(np.cumsum(sizes) - sizes, sizes)
+    return start[2 * t] + k // nb[t], start[2 * t + 1] + k % nb[t]
 
 
 def _pauli_coefficients(ops, d: int):
-    """The coefficients m[x*d + z] of every d x d matrix M in ``ops``, with
-    M = sum m[x*d + z] X^x Z^z and X^x Z^z |i> = (-1)^(z.i) |i^x>, so that
-    m[x*d + z] = (1/d) sum_i (-1)^(z.i) M[i^x, i]: one Walsh-Hadamard transform
-    of all (operator, x) rows with entries, in chunks of at most _STACK_ENTRIES
-    entries (``_butterfly``). Returns (operator, b, m[b]) above ROUNDOFF of
-    the operator's largest |m|, sorted."""
-    op, row, col, val = _entries(ops)
-    keys, inverse = np.unique(op * d + (row ^ col), return_inverse=True)
-    peak = np.zeros(len(ops))
+    """The coefficients m[x*d + z] of every d x d operator M in ``ops``, with
+    M = sum m[x*d + z] X^x Z^z and X^x Z^z |i> = (-1)^(z.i) |i^x>. A PauliSum
+    or PauliString holds them: its phase-0 term (x, z), the X^x Z^z of
+    ``to_sparse``, is label x*d + z with the stored coefficient. A matrix
+    gives m[x*d + z] = (1/d) sum_i (-1)^(z.i) M[i^x, i]: one Walsh-Hadamard
+    transform of all matrices' (operator, x) rows with entries, in chunks of
+    at most _STACK_ENTRIES entries (``_butterfly``). Returns (operator, b,
+    m[b]) above ROUNDOFF of the operator's largest |m|, sorted."""
+    pauli = np.array([isinstance(o, (PauliSum, PauliString)) for o in ops], dtype=bool)
     found = []
-    step = max(1, _STACK_ENTRIES // d)
-    for lo in range(0, len(keys), step):
-        hi = min(lo + step, len(keys))
-        chunk = (inverse >= lo) & (inverse < hi)
-        m = np.zeros((hi - lo, d), complex)
-        m[inverse[chunk] - lo, col[chunk]] = val[chunk]
-        _butterfly(m)
-        m /= d
-        mag = np.abs(m)
-        row_peak = mag.max(axis=1)
-        np.maximum.at(peak, keys[lo:hi] // d, row_peak)
-        # a superset of the final cut, as no row's largest exceeds its operator's
-        r, z = np.nonzero(mag > ROUNDOFF * row_peak[:, None])
-        found.append((keys[lo + r], z, m[r, z], mag[r, z]))
-    key, z, m, mag = (np.concatenate(f) for f in zip(*found))
-    keep = mag > ROUNDOFF * peak[key // d]
-    key, z = key[keep], z[keep]
-    return key // d, (key % d) * d + z, m[keep]
+    for k in np.flatnonzero(pauli):
+        terms = (ops[k] if isinstance(ops[k], PauliSum) else PauliSum.from_string(ops[k])).terms
+        found.append((np.full(len(terms), k), np.array([s.x * d + s.z for _, s in terms], int),
+                      np.array([c for c, _ in terms], complex)))
+    matrices = np.flatnonzero(~pauli)
+    if matrices.size:
+        op, row, col, val = _entries([ops[k] for k in matrices])
+        keys, inverse = np.unique(matrices[op] * d + (row ^ col), return_inverse=True)
+        step = max(1, _STACK_ENTRIES // d)
+        for lo in range(0, len(keys), step):
+            hi = min(lo + step, len(keys))
+            chunk = (inverse >= lo) & (inverse < hi)
+            m = np.zeros((hi - lo, d), complex)
+            m[inverse[chunk] - lo, col[chunk]] = val[chunk]
+            _butterfly(m)
+            m /= d
+            mag = np.abs(m)
+            # a superset of the final cut, as no row's largest exceeds its operator's
+            r, z = np.nonzero(mag > ROUNDOFF * mag.max(axis=1)[:, None])
+            found.append((keys[lo + r] // d, (keys[lo + r] % d) * d + z, m[r, z]))
+    op, b, m = (np.concatenate(f) for f in zip(*found))
+    peak = np.zeros(len(ops))
+    np.maximum.at(peak, op, np.abs(m))
+    keep = np.flatnonzero(np.abs(m) > ROUNDOFF * peak[op])
+    keep = keep[np.lexsort((b[keep], op[keep]))]
+    return op[keep], b[keep], m[keep]
 
 
 def _gf2_basis(labels) -> list[int]:
@@ -424,7 +435,7 @@ def _pauli_transfer(terms, d: int, seeds=None):
     """
     n = d.bit_length() - 1
     op, b, m = _pauli_coefficients([o for term in terms for o in term], d)
-    p, q = next(_term_pairs(op, len(terms)))
+    p, q = _term_pairs(op, len(terms))
     a, c, w = b[p], b[q], m[p] * m[q]
     za, xc, shift = a & (d - 1), c >> n, a ^ c
     w = w * np.where(np.bitwise_count(za & xc) & 1, -1.0, 1.0)
@@ -673,29 +684,28 @@ def _arpack_block(B: sparse.spmatrix, k: int, thresh: float, scale: float, cap: 
 
 def _matrix_unit_transfer(terms, d: int) -> sparse.csr_matrix:
     """Column-stacking matrix of rho -> sum A rho B, the sum of kron(B^T, A)
-    over the terms, from the COO outer product of the entries of every A and
-    B in chunks of at most _BOUND_ENTRIES products (duplicates summed by each
-    chunk's csr conversion, chunks by csr addition). Cut like the Pauli
-    transfer:
-    operator entries at or below ROUNDOFF of their operator's largest, and
-    assembled entries at or below ROUNDOFF of the magnitude that summed into
-    them."""
+    over the terms. Realigned, it is R[(rA, cA), (rB, cB)] = sum_t
+    A_t[rA, cA] B_t[rB, cB]: one csr product of the A entries (d^2 x terms)
+    with the B entries (terms x d^2), each entry of R then moved to its kron
+    position (cB*d + rA, rB*d + cA). Cut like the Pauli transfer: operator
+    entries at or below ROUNDOFF of their operator's largest, and assembled
+    entries at or below ROUNDOFF of the magnitude that summed into them (the
+    same product of the magnitudes, whose pattern holds R's)."""
     op, row, col, val = _entries([o for term in terms for o in term])
     mag = np.abs(val)
     peak = np.zeros(2 * len(terms))
     np.maximum.at(peak, op, mag)
     keep = mag > ROUNDOFF * peak[op]
-    op, row, col, val, mag = op[keep], row[keep], col[keep], val[keep], mag[keep]
-    shape = (d * d, d * d)
-    T = bound = sparse.csr_matrix(shape)
-    for p, q in _term_pairs(op, len(terms), _BOUND_ENTRIES):
-        # kron(B^T, A)[cB*d + rA, rB*d + cA] = A[rA, cA] B[rB, cB]
-        index = (col[q] * d + row[p], row[q] * d + col[p])
-        T = T + sparse.csr_matrix((val[p] * val[q], index), shape=shape)
-        bound = bound + sparse.csr_matrix((mag[p] * mag[q], index), shape=shape)
-    T = T.tocoo()
-    keep = np.abs(T.data) > ROUNDOFF * np.asarray(bound[T.row, T.col]).ravel()
-    return sparse.csr_matrix((T.data[keep], (T.row[keep], T.col[keep])), shape=shape)
+    op, flat, val, mag = op[keep], row[keep] * d + col[keep], val[keep], mag[keep]
+    a, b, shape = op % 2 == 0, op % 2 == 1, (d * d, len(terms))
+    R, bound = (sparse.csr_matrix((v[a], (flat[a], op[a] // 2)), shape=shape)
+                @ sparse.csr_matrix((v[b], (op[b] // 2, flat[b])), shape=shape[::-1])
+                for v in (val, mag))
+    R = R.tocoo()
+    keep = np.abs(R.data) > ROUNDOFF * np.asarray(bound[R.row, R.col]).ravel()
+    i, j = R.row[keep], R.col[keep]
+    return sparse.csr_matrix((R.data[keep], ((j % d) * d + i // d, (j // d) * d + i % d)),
+                             shape=(d * d, d * d))
 
 
 def _block_form(terms, d: int, hermitian: bool = False, seeds=None) -> _BlockForm:

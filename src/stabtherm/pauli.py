@@ -20,6 +20,7 @@ qubit order, e.g. ``"+1 IXYZ"`` or ``"-i ZZII"``.
 
 from __future__ import annotations
 
+import cmath
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -241,7 +242,7 @@ class PauliSum:
             raise DimensionMismatchError(
                 f"term on {string.n} qubits in a sum on {self.n} qubits"
             )
-        if not np.isfinite(coeff):
+        if not cmath.isfinite(coeff):
             raise ParameterError("coefficients must be finite")
         key = (string.x, string.z)
         self._terms[key] = self._terms.get(key, 0.0) + complex(coeff) * string.phase
@@ -284,11 +285,15 @@ class PauliSum:
     def __sub__(self, other: "PauliSum") -> "PauliSum":
         return self + (other * (-1.0))
 
+    def __neg__(self) -> "PauliSum":
+        return self * (-1.0)
+
     def __mul__(self, other):
         if isinstance(other, PauliSum):
             out = PauliSum(self.n)
+            right = other.terms
             for c1, s1 in self.terms:
-                for c2, s2 in other.terms:
+                for c2, s2 in right:
                     out._add(c1 * c2, s1 * s2)
             return out
         out = PauliSum(self.n)
@@ -312,6 +317,8 @@ class PauliSum:
     def to_dense(self) -> np.ndarray:
         _check_limit(self.n, DENSE_LIMIT, "dense")
         return self.to_sparse().toarray()
+
+    toarray = to_dense  # the sparse-matrix name, for callers holding either kind of operator
 
     def to_sparse(self):
         """CSR realization assembled from every term's entries at once."""

@@ -126,17 +126,23 @@ def lindblad_rhs(H, jumps, rho):
     return out
 
 
+def as_csr(op):
+    """A matrix, or a PauliSum realized by its ``to_sparse``, as csr."""
+    return sparse.csr_matrix(op.to_sparse() if hasattr(op, "to_sparse") else op)
+
+
 def build_superoperator(g):
-    """Sparse column-stacking superoperator of a generator (anything with a
-    sparse ``H`` and ``jumps`` carrying ``op`` and ``rate``), written from
-    the master equation term by term with vec(A rho B) = kron(B^T, A) vec(rho):
+    """Sparse column-stacking superoperator of a generator (anything with an
+    ``H`` and ``jumps`` carrying ``op`` and ``rate``, each a matrix or a
+    PauliSum), written from the master equation term by term with
+    vec(A rho B) = kron(B^T, A) vec(rho):
     -i (I (x) H - H^T (x) I) + sum_k gamma_k (2 conj(K) (x) K
     - I (x) K^dag K - (K^dag K)^T (x) I)."""
-    H = sparse.csr_matrix(g.H)
+    H = as_csr(g.H)
     eye = sparse.identity(H.shape[0], dtype=complex, format="csr")
     L = -1j * (sparse.kron(eye, H) - sparse.kron(H.T, eye))
     for j in g.jumps:
-        K = sparse.csr_matrix(j.op)
+        K = as_csr(j.op)
         KdK = K.conj().T @ K
         L = L + j.rate * (2 * sparse.kron(K.conj(), K)
                           - sparse.kron(eye, KdK) - sparse.kron(KdK.T, eye))

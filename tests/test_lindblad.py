@@ -10,7 +10,7 @@ from scipy.linalg import expm
 from scipy.optimize import linear_sum_assignment
 from scipy.sparse.linalg import eigs as sparse_eigs, expm_multiply
 
-from stabtherm import lindblad
+from stabtherm import cli, lindblad
 from stabtherm.bath import attach_ancillas, davies_reduction, rwa_generator
 from stabtherm.errors import CapacityError, NumericalError, ParameterError
 from stabtherm.lindblad import (
@@ -42,6 +42,7 @@ from stabtherm.toric import (
 )
 
 from oracles import (
+    as_csr,
     build_superoperator,
     dense_pauli,
     lindblad_rhs,
@@ -547,12 +548,15 @@ def test_pauli_coefficients_of_a_batch_match_each_operator(monkeypatch):
     d = 16
     dense = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
     csr = sparse.random(d, d, density=0.2, random_state=rng, format="csr") * (1 - 2j)
-    paulis = PauliSum(4, [(0.7, PauliString.from_letters("XZIY")),
-                          (-1.3j, PauliString.from_letters("IZZX"))]).to_sparse()
+    pauli_sum = PauliSum(4, [(0.7, PauliString.from_letters("XZIY")),
+                             (-1.3j, PauliString.from_letters("IZZX"))])
+    paulis = pauli_sum.to_sparse()
     # entry (0, 1) stored twice: summed, as toarray() does
     repeated = sparse.csr_matrix((np.array([1.0, 2.0, 3j]), np.array([1, 1, 0]),
                                   np.array([0, 2] + [3] * (d - 1))), shape=(d, d))
-    ops = [dense, csr, paulis, csr.conj().T, repeated]  # csr.conj().T is csc
+    # csr.conj().T is csc; the PauliSum and PauliString are read from their terms
+    ops = [dense, csr, paulis, pauli_sum, csr.conj().T, PauliString.from_label("-i YXZI"),
+           repeated]
     op, b, m = lindblad._pauli_coefficients(ops, d)
     i = np.arange(d)
     for k, M in enumerate(ops):
@@ -563,15 +567,20 @@ def test_pauli_coefficients_of_a_batch_match_each_operator(monkeypatch):
         for bb, c in zip(bk, mk):
             x, z = divmod(bb, d)
             rebuilt[i ^ x, i] += c * np.where(np.bitwise_count(z & i) & 1, -1, 1)
-        expected = M.toarray() if sparse.issparse(M) else M
-        assert np.abs(rebuilt - expected).max() < 1e-12
+        assert np.abs(rebuilt - as_csr(M).toarray()).max() < 1e-12
+    # the sum's terms are its realization's Walsh coefficients
+    assert np.array_equal(b[op == 2], b[op == 3]) and np.abs(m[op == 2] - m[op == 3]).max() < 1e-15
+    # a sum's rounding residue (0.1 * 3 / 3 != 0.1) is cut like a matrix's
+    residue = pauli_sum - PauliSum(4, [((0.7 * 3) / 3, PauliString.from_letters("XZIY"))])
+    assert 0 < abs(dict((s.letters, c) for c, s in residue.terms)["XZIY"]) < 1e-15
+    assert len(lindblad._pauli_coefficients([residue], d)[1]) == 1
     # chunks of 3 rows give the same bits
     monkeypatch.setattr(lindblad, "_STACK_ENTRIES", 3 * d)
     for x, y in zip(lindblad._pauli_coefficients(ops, d), (op, b, m)):
         assert np.array_equal(x, y)
 
 
-def test_matrix_unit_transfer_is_the_kron_sum_in_any_chunks(monkeypatch):
+def test_matrix_unit_transfer_is_the_kron_sum():
     rng = np.random.default_rng(31)
     d = 6
     terms = [(rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d)),
@@ -580,13 +589,73 @@ def test_matrix_unit_transfer_is_the_kron_sum_in_any_chunks(monkeypatch):
     expected = sum(np.kron(B.toarray().T, A) for A, B in terms)
     T = lindblad._matrix_unit_transfer(terms, d)
     assert np.abs(T.toarray() - expected).max() < 1e-12
-    monkeypatch.setattr(lindblad, "_BOUND_ENTRIES", 7)  # chunks split terms
-    chunked = lindblad._matrix_unit_transfer(terms, d)
-    assert chunked.nnz == T.nnz and abs(chunked - T).max() < 1e-14
     # terms that cancel up to rounding (0.1 * 3 / 3 != 0.1) leave no entry
     A, B = np.full((d, d), 0.1), terms[0][1]
     assert np.any(A * 3 / 3 != A)
     assert lindblad._matrix_unit_transfer([(A, B), (-(A * 3) / 3, B)], d).nnz == 0
+
+
+def test_davies_path_realizes_no_pauli_sum(tmp_path, monkeypatch):
+    # davies_reduction keeps its PauliSums, and steady states, sector
+    # trajectories and the thermalize command assemble from their terms
+    def refuse(*args, **kwargs):
+        raise AssertionError("a Pauli sum was realized as a matrix")
+
+    for owner in (PauliSum, PauliString):
+        monkeypatch.setattr(owner, "to_sparse", refuse)
+    H = toric_hamiltonian(build_torus(2), 1.0, 1.0)
+    g = davies_reduction(H, full_decomps(H), 1.0, 0.5)
+    assert isinstance(g.H, PauliSum) and all(isinstance(j.op, PauliSum) for j in g.jumps)
+    ss = steady_states(g)
+    assert ss.kernel_dim == 1 and ss.diagnostics["nnz"] == 714751
+    _, populations, _ = lindblad.sector_trajectory(g, 10.0, 3)
+    assert np.allclose(populations.sum(axis=1), 1.0)
+    out = tmp_path / "rows.csv"
+    assert cli.main(["thermalize", "--L", "2", "--t", "10", "--points", "3", "--method",
+                     "krylov", "--observables", "energy,gibbs_distance,A_v,B_p",
+                     "-o", str(out)]) == 0
+    assert len(out.read_text().splitlines()) == 4
+
+
+def test_generator_keeps_pauli_sums_and_checks_them():
+    H = PauliSum(2, [(1.0, PauliString.from_letters("ZZ"))])
+    K = PauliSum(2, [(0.5, PauliString.from_letters("XI")), (0.5j, PauliString.from_letters("YI"))])
+    g = LindbladGenerator(4, H, (JumpOp(K, 0.3),))
+    assert g.H is H and g.jumps[0].op is K
+    with pytest.raises(ParameterError, match="H has the wrong shape"):
+        LindbladGenerator(8, H, ())
+    with pytest.raises(ParameterError, match="jump 'K' has the wrong shape"):
+        LindbladGenerator(4, H, (JumpOp(PauliSum(3, [(1.0, PauliString.identity(3))]), 1.0, "K"),))
+    with pytest.raises(ParameterError, match="not Hermitian"):
+        LindbladGenerator(4, H * 1j, ())
+    # Pauli, mixed (one matrix realizes every sum) and matrix generators
+    # assemble the same form as the oracle
+    mixed = LindbladGenerator(4, H, (JumpOp(K, 0.3), JumpOp(K.to_sparse().toarray(), 0.2)))
+    matrix = LindbladGenerator(4, H.to_sparse(), (JumpOp(K.to_sparse(), 0.3),))
+    U = pauli_basis_columns(4)
+    for gen, pauli in ((g, True), (LindbladGenerator(4, H, ()), True), (mixed, False),
+                       (matrix, False)):
+        terms = lindblad._sandwich_terms(4, gen.H, gen.jumps)
+        assert all(isinstance(o, PauliSum) for t in terms for o in t) == pauli
+        exact = (U.conj().T @ build_superoperator(gen).toarray() @ U).real
+        assert np.abs(lindblad._block_form(terms, 4).T.toarray() - exact).max() < 1e-13
+
+
+def test_pauli_read_sandwich_terms_match_the_walsh_path(toric_l2):
+    # the L=2 Davies terms read from their Pauli sums give the labels and,
+    # to rounding, the coefficients of the Walsh transform of their matrices
+    _, g, _ = toric_l2
+    terms = lindblad._sandwich_terms(g.n_levels, g.H, g.jumps)
+    ops = [o for t in terms for o in t]
+    assert all(isinstance(o, PauliSum) for o in ops)
+    op, b, m = lindblad._pauli_coefficients(ops, 256)
+    walsh = lindblad._pauli_coefficients([o.to_sparse() for o in ops], 256)
+    assert len(op) == 348 and np.array_equal(op, walsh[0]) and np.array_equal(b, walsh[1])
+    peak = np.zeros(len(ops))
+    np.maximum.at(peak, op, np.abs(m))
+    assert (np.abs(m - walsh[2]) <= 1e-14 * peak[op]).all()
+    form = lindblad._block_form(terms, 256)
+    assert form.T.nnz == 714751 and len(np.unique(form.labels)) == 1024
 
 
 def test_trace_product_matches_the_matrix_product():

@@ -161,6 +161,12 @@ def test_projector_product_is_projector():
         assert np.allclose(m, m.conj().T)
 
 
+def test_sum_toarray_is_to_dense():
+    s = PauliSum(3, [(0.5, PauliString.from_letters("XYZ")),
+                     (-2j, PauliString.from_letters("ZIZ"))])
+    assert np.array_equal(s.toarray(), s.to_dense())
+
+
 def test_sparse_matches_dense():
     rng = np.random.default_rng(9)
     for _ in range(50):

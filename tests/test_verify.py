@@ -62,7 +62,9 @@ def five_qubit_code():
 
 
 def jump_set(H, include=("lower", "raise", "translate")):
-    return [j.op for j in davies_reduction(H, decomps(H), 1.0, 0.5, include=include).jumps]
+    """The Davies jumps of H as csr matrices (davies_reduction keeps PauliSums)."""
+    return [j.op.to_sparse()
+            for j in davies_reduction(H, decomps(H), 1.0, 0.5, include=include).jumps]
 
 
 def test_gibbs_satisfies_all_three_conditions(l2):
@@ -172,6 +174,22 @@ def test_commutant_count_is_capped_at_max_dim():
     z0 = np.kron(np.eye(2), np.diag([1.0, -1.0]))
     assert commutant_dimension([z0], 4, max_dim=4)[0] == 4
     assert commutant_dimension([z0], 4, max_dim=8)[0] == 8
+
+
+def test_commutant_stacks_its_ops_and_adjoints_as_csr(monkeypatch):
+    # the adjoints of csr ops are csc; the jumps are stacked as csr for G,
+    # since one csc block sends scipy's vstack down its slower COO path
+    formats = []
+    vstack = lindblad.sparse.vstack
+
+    def recording(blocks, **kwargs):
+        formats.extend(b.format for b in blocks)
+        return vstack(blocks, **kwargs)
+
+    monkeypatch.setattr(lindblad.sparse, "vstack", recording)
+    H = five_qubit_code()
+    assert commutant_dimension([H.as_sum().to_sparse()] + jump_set(H), 32)[0] == 1
+    assert len(formats) == 54 and set(formats) == {"csr"}  # H and 26 jumps, with adjoints
 
 
 def test_commutant_refuses_operators_of_another_shape():
@@ -364,7 +382,8 @@ def test_loop_operators_not_in_commutant_of_full_set(l2):
     loops = loop_operators(lat)
     for label, w in loops.items():
         ws = w.to_sparse()
-        worst = max(float(abs(ws @ j.op - j.op @ ws).max()) for j in gen.jumps)
+        worst = max(float(abs(ws @ K - K @ ws).max())
+                    for K in (j.op.to_sparse() for j in gen.jumps))
         assert worst > 0.1, label
 
 
