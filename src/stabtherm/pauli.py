@@ -290,11 +290,19 @@ class PauliSum:
 
     def __mul__(self, other):
         if isinstance(other, PauliSum):
+            if self.n != other.n:
+                raise DimensionMismatchError(f"cannot multiply {self.n}- and {other.n}-qubit sums")
+            # X^x1 Z^z1 X^x2 Z^z2 = (-1)^{|z1 & x2|} X^(x1^x2) Z^(z1^z2), summed in term order
             out = PauliSum(self.n)
-            right = other.terms
-            for c1, s1 in self.terms:
-                for c2, s2 in right:
-                    out._add(c1 * c2, s1 * s2)
+            left, right = ([(x, z, c) for (x, z), c in sorted(s._terms.items()) if c != 0]
+                           for s in (self, other))
+            for x1, z1, c1 in left:
+                for x2, z2, c2 in right:
+                    sign = _PHASE_VALUES[2 * (z1 & x2).bit_count() % 4]
+                    key = (x1 ^ x2, z1 ^ z2)
+                    out._terms[key] = out._terms.get(key, 0.0) + c1 * c2 * sign
+            if not all(map(cmath.isfinite, out._terms.values())):
+                raise ParameterError("coefficients must be finite")
             return out
         out = PauliSum(self.n)
         for (x, z), c in self._terms.items():

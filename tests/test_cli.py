@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from stabtherm import bath, cli
+from stabtherm import bath, cli, lindblad
 from stabtherm.circuits import GateSchedule
 from stabtherm.cli import main, validate_config
 from stabtherm.errors import ConfigError, ScheduleError
@@ -501,14 +501,20 @@ def test_thermalize_forms_no_dense_state_and_diagonalizes_nothing(tmp_path, monk
     def refuse(*args, **kwargs):
         raise AssertionError("dense work on the thermalize path")
 
+    # krylov runs Arnoldi on the 64-element block, not expm_multiply
     for owner, name in ((np.linalg, "eigh"), (np.linalg, "eigvalsh"),
-                        (DensityMatrix, "__post_init__"), (PauliString, "to_dense")):
+                        (DensityMatrix, "__post_init__"), (PauliString, "to_dense"),
+                        (lindblad, "expm_multiply")):
         monkeypatch.setattr(owner, name, refuse)
-    out = tmp_path / "rows.csv"
-    assert run_cli("thermalize", "--L", "2", "--t", "10", "--points", "3",
-                   "--observables", "energy,gibbs_distance,A_v,B_p", "-o", str(out)) == 0
-    lines = out.read_text().splitlines()
-    assert lines[0] == "t,energy,gibbs_distance,A_v,B_p" and len(lines) == 4
+    rows = []
+    for method in ("expm", "krylov"):
+        out = tmp_path / f"{method}.csv"
+        assert run_cli("thermalize", "--L", "2", "--t", "10", "--points", "3", "--method", method,
+                       "--observables", "energy,gibbs_distance,A_v,B_p", "-o", str(out)) == 0
+        lines = out.read_text().splitlines()
+        assert lines[0] == "t,energy,gibbs_distance,A_v,B_p" and len(lines) == 4
+        rows.append(np.loadtxt(out, delimiter=",", skiprows=1))
+    assert np.abs(rows[0] - rows[1]).max() < 1e-12
 
 
 def test_run_thermalize_records_trajectory_diagnostics(tmp_path):
@@ -519,8 +525,10 @@ def test_run_thermalize_records_trajectory_diagnostics(tmp_path):
     p.write_text(json.dumps(cfg))
     assert run_cli("run", str(p)) == 0
     diag = json.loads((tmp_path / "result.json").read_text())["trajectory"]
-    assert set(diag) == {"support", "blocks", "method", "seconds", "clipped", "smallest"}
+    assert set(diag) == {"support", "blocks", "method", "krylov_dim", "seconds", "clipped",
+                         "smallest"}
     assert diag["method"] == "krylov" and diag["support"] == 2 and diag["blocks"] == 1
+    assert diag["krylov_dim"] == 2
     assert diag["clipped"] == 0 and 0 < diag["smallest"] <= 1 / 16
 
 

@@ -97,6 +97,29 @@ def test_multiply_random_pairs_against_dense_oracle():
             assert np.max(np.abs(r.to_dense() - p.to_dense() @ q.to_dense())) < 1e-12
 
 
+def test_sum_product_rule_matches_string_products():
+    # PauliSum * PauliSum multiplies on the (x, z) keys; its coefficients are
+    # exactly those of the phase-0 string products, Y phases included
+    rng = np.random.default_rng(19)
+
+    def random_sum(n):
+        return PauliSum(n, [(complex(*rng.normal(size=2)),
+                             PauliString(n, int(rng.integers(0, 1 << n)),
+                                         int(rng.integers(0, 1 << n)), int(rng.integers(0, 4))))
+                            for _ in range(int(rng.integers(0, 7)))])
+
+    for _ in range(300):
+        n = int(rng.integers(1, 5))
+        a, b = random_sum(n), random_sum(n)
+        want = PauliSum(n)
+        for c1, s1 in a.terms:
+            for c2, s2 in b.terms:
+                want._add(c1 * c2, s1 * s2)
+        assert (a * b)._terms == want._terms
+    with pytest.raises(DimensionMismatchError):
+        random_sum(2) * random_sum(3)
+
+
 def test_squares_and_adjoints():
     rng = np.random.default_rng(3)
     eye_cache = {}
