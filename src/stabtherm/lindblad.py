@@ -916,8 +916,8 @@ def _propagate(form: _BlockForm, c0: np.ndarray, t: float, points: int, method: 
             E = expm(H * dt)
             for p in range(1, points):
                 y = (E @ y[..., None])[..., 0]
-                cs[p, members] = np.swapaxes(y if V is None else (y[..., None, :] @ V)[..., 0, :],
-                                             1, 2)
+                z = y if V is None else (y[..., None, :] @ V)[..., 0, :]
+                cs[p, members] = np.swapaxes(z, 1, 2)
     except (ValueError, ArithmeticError, np.linalg.LinAlgError) as exc:
         raise NumericalError(f"propagation to t = {t} failed: {exc}") from exc
     return cs, {"support": len(form.support), "blocks": len(touched),
