@@ -1,6 +1,6 @@
 """Lindblad generators on vectorized density matrices: exact time evolution
-(dense exponential, or Krylov: Arnoldi to invariance on each block, with
-expm_multiply above DENSE_BLOCK_LIMIT), steady-state kernels, Gibbs states.
+(dense exponential of each block, or Krylov above a block size), steady-state
+kernels and Gibbs states.
 
 Evolution and steady states work on the superoperator written in an
 orthonormal operator basis: the Hermitian Pauli basis on n qubits (where the
@@ -88,8 +88,8 @@ STEADY_EIGENVALUES = 6
 ROUNDOFF = 1e-13
 #: Dense entries per stack of equal-sized blocks (bounds a batch's memory).
 _STACK_ENTRIES = 1 << 22
-#: Dense entries per batch of the eigvalsh bounds (temporaries twice the
-#: batch) and, per column, of evolution: 64 blocks of 64, kept in cache.
+#: Dense entries per batch of the eigvalsh bounds (whose temporaries are
+#: twice the batch) and of evolution: 64 blocks of 64.
 _BOUND_ENTRIES = 1 << 18
 #: A block's Bendixson bound may exceed its computed smallest |lambda| by
 #: rounding (by up to 2.8e-14 at L=2), so blocks are refined up to this
@@ -856,72 +856,37 @@ def _check_grid(t: float, points: int, method: str) -> None:
         raise ParameterError(f"unknown method {method!r}")
 
 
-def _arnoldi(B: np.ndarray, c0: np.ndarray):
-    """Arnoldi projections of dense blocks B (n_blocks, s, s) for columns c0
-    (n_blocks, s, k): one process per (block, column), Gram-Schmidt applied
-    twice, until h_{j+1,j} <= ROUNDOFF ||B||_1 or s vectors. The Krylov space
-    is then invariant, so exp(B t) c0 = V_m exp(t H_m) beta e_1 exactly; a
-    stopped process keeps zero vectors, so its padded H_m is block
-    triangular. Returns V_m as rows (n_blocks, k, m, s), H_m and beta e_1."""
-    nb, s, k = c0.shape
-    beta = np.linalg.norm(c0, axis=1)[..., None]
-    tol = ROUNDOFF * np.abs(B).sum(axis=1).max(axis=1)[:, None, None]
-    # row vectors: V[b, c, j] is basis vector j, Ht[b, c, j] column j of H_m
-    V = np.zeros((nb, k, s, s), np.result_type(B, c0))
-    Ht = np.zeros_like(V)
-    live = beta > 0
-    V[:, :, 0] = np.swapaxes(c0, 1, 2) / np.where(live, beta, 1)
-    for j in range(s):
-        w = np.swapaxes(B[:, None] @ V[:, :, j, :, None], 2, 3)
-        for _ in range(2):
-            h = w @ V[:, :, :j + 1].conj().swapaxes(2, 3)
-            w -= h @ V[:, :, :j + 1]
-            Ht[:, :, j:j + 1, :j + 1] += h
-        norm = np.linalg.norm(w[:, :, 0], axis=2)[..., None]
-        live &= norm > tol
-        if j + 1 == s or not live.any():
-            break
-        Ht[:, :, j, j + 1] = (norm * live)[..., 0]
-        V[:, :, j + 1] = w[:, :, 0] * (live / np.where(live, norm, 1))
-    return V[:, :, :j + 1], np.swapaxes(Ht[:, :, :j + 1, :j + 1], 2, 3), beta * np.eye(1, j + 1)
-
-
 def _propagate(form: _BlockForm, c0: np.ndarray, t: float, points: int, method: str):
     """The columns c0 (on ``form.support``) at np.linspace(0, t, points),
-    through the blocks some column has weight on, batched by size: stepped
-    with exp(L dt) ("expm") or with exp(H_m dt) of their ``_arnoldi``
-    projections ("krylov", up to DENSE_BLOCK_LIMIT; one expm_multiply
-    (Al-Mohy/Higham) per size above); "auto" is expm up to EXACT_EXPM_LIMIT.
-    Also returns diagnostics support (its size), blocks (touched), method
-    (run) and krylov_dim (the largest Arnoldi m, None if none ran)."""
+    through the blocks some column has weight on, batched by size: each block
+    of at most EXACT_EXPM_LIMIT ("auto") or DENSE_BLOCK_LIMIT ("krylov")
+    elements, and every block under "expm", steps with exp(L dt); larger
+    blocks take one expm_multiply (Al-Mohy/Higham) per size. Also returns
+    diagnostics support (its size), blocks (touched), method (run: "auto"
+    reads as the branches it took)."""
     cs = np.zeros((points,) + c0.shape, c0.dtype)
     cs[0] = c0
     touched = np.unique(form.labels[np.flatnonzero(c0.any(axis=1))])
-    used, krylov_dim, dt = set(), None, t / (points - 1)
+    dense_limit = {"auto": EXACT_EXPM_LIMIT, "krylov": DENSE_BLOCK_LIMIT}.get(method, np.inf)
+    used = set()
     try:
-        for members in form.blocks(touched, _BOUND_ENTRIES // c0.shape[1]):
-            if method == "expm" or (method == "auto" and members.shape[1] <= EXACT_EXPM_LIMIT):
-                used.add("expm")
-                V, H, y = None, form.dense(members)[:, None], np.swapaxes(c0[members], 1, 2)
-            elif members.shape[1] <= DENSE_BLOCK_LIMIT:
-                used.add("krylov")
-                V, H, y = _arnoldi(form.dense(members), c0[members])
-                krylov_dim = max(H.shape[-1], krylov_dim or 0)
+        for members in form.blocks(touched, _BOUND_ENTRIES):
+            if members.shape[1] <= dense_limit:
+                used.add("krylov" if method == "krylov" else "expm")
+                U = expm(form.dense(members) * (t / (points - 1)))
+                v = c0[members]
+                for p in range(1, points):
+                    v = np.einsum("bij,bjk->bik", U, v)
+                    cs[p, members] = v
             else:
                 used.add("krylov")
                 idx = members.ravel()
                 cs[:, idx] = expm_multiply(form.restrict(members), c0[idx], start=0.0, stop=t,
                                            num=points, endpoint=True)
-                continue
-            E = expm(H * dt)
-            for p in range(1, points):
-                y = (E @ y[..., None])[..., 0]
-                z = y if V is None else (y[..., None, :] @ V)[..., 0, :]
-                cs[p, members] = np.swapaxes(z, 1, 2)
     except (ValueError, ArithmeticError, np.linalg.LinAlgError) as exc:
         raise NumericalError(f"propagation to t = {t} failed: {exc}") from exc
     return cs, {"support": len(form.support), "blocks": len(touched),
-                "method": ",".join(sorted(used)), "krylov_dim": krylov_dim}
+                "method": ",".join(sorted(used))}
 
 
 def sector_trajectory(g: LindbladGenerator, t: float, points: int, method: str = "auto"):

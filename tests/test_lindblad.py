@@ -709,17 +709,17 @@ def assert_matches_exponential(g, L, starts, t, points):
 
 
 def refuse_expm_multiply(monkeypatch):
-    """Make lindblad's expm_multiply raise: blocks of at most
-    DENSE_BLOCK_LIMIT elements run Arnoldi instead."""
+    """Make lindblad's expm_multiply raise: krylov steps blocks of at most
+    DENSE_BLOCK_LIMIT elements with their dense exponential."""
     def refuse(*args, **kwargs):
-        raise AssertionError("expm_multiply ran on a block Arnoldi serves")
+        raise AssertionError("expm_multiply ran on a block of at most DENSE_BLOCK_LIMIT")
 
     monkeypatch.setattr(lindblad, "expm_multiply", refuse)
 
 
 def test_seeded_trajectories_match_the_superoperator_exponential(toric_l2, monkeypatch):
     # from I/d (one coset), a loop-coset state (two) and a random state (all);
-    # krylov runs Arnoldi on every block of 64
+    # krylov steps every block of 64 with its dense exponential
     refuse_expm_multiply(monkeypatch)
     lat, g, L = toric_l2
     d = g.n_levels
@@ -734,18 +734,15 @@ def test_seeded_trajectories_match_the_superoperator_exponential(toric_l2, monke
 
 
 def assert_krylov_matches_dense_blocks(form, c0, times):
-    """_propagate's krylov path (Arnoldi on every block) against a dense
-    expm of each block, at every grid point; returns the Arnoldi dimensions."""
-    dims = set()
+    """_propagate's krylov path (batched steps of every block) against a
+    dense expm of each block, at every grid point."""
     for t in times:
         cs, diag = lindblad._propagate(form, c0, t, 3, "krylov")
         assert diag["method"] == "krylov"
-        dims.add(diag["krylov_dim"])
         for members in form.blocks():
             for b, block in zip(members, form.dense(members)):
                 for p, tk in enumerate(np.linspace(0, t, 3)):
                     assert np.abs(cs[p, b] - expm(block * tk) @ c0[b]).max() < 1e-13, (t, p)
-    return dims
 
 
 def test_krylov_matches_dense_exponential_of_each_block(monkeypatch):
@@ -760,14 +757,13 @@ def test_krylov_matches_dense_exponential_of_each_block(monkeypatch):
         form = lindblad._block_form(lindblad._sandwich_terms(g.n_levels, g.H, g.jumps),
                                     g.n_levels, seeds=np.zeros(1, dtype=int))
         c0 = (form.support == 0)[:, None] / np.sqrt(g.n_levels)
-        # at lambda_e = lambda_m the Krylov space of I is invariant after 10 of 64
-        assert assert_krylov_matches_dense_blocks(form, c0, (1.0, 10.0, 100.0)) == {10}
+        assert_krylov_matches_dense_blocks(form, c0, (1.0, 10.0, 100.0))
     rng = np.random.default_rng(47)
     for g in (three_qubit_rwa_composite(), damped_qutrit()):
         d = g.n_levels
         form = lindblad._block_form(lindblad._sandwich_terms(d, g.H, g.jumps), d)
         c0 = np.stack([form.coefficients(random_density(d, rng)) for _ in range(2)], axis=1)
-        assert max(assert_krylov_matches_dense_blocks(form, c0, (1.0, 10.0, 100.0))) >= 2
+        assert_krylov_matches_dense_blocks(form, c0, (1.0, 10.0, 100.0))
 
 
 def test_krylov_above_the_dense_block_limit_runs_expm_multiply(toric_l2, monkeypatch):
@@ -779,7 +775,7 @@ def test_krylov_above_the_dense_block_limit_runs_expm_multiply(toric_l2, monkeyp
     exact, _ = lindblad._propagate(form, c0, 10.0, 3, "expm")
     monkeypatch.setattr(lindblad, "DENSE_BLOCK_LIMIT", 32)
     cs, diag = lindblad._propagate(form, c0, 10.0, 3, "krylov")
-    assert diag["method"] == "krylov" and diag["krylov_dim"] is None
+    assert diag["method"] == "krylov"
     assert np.abs(cs - exact).max() < 1e-13
 
 

@@ -24,13 +24,7 @@ from stabtherm.circuits import (  # noqa: E402
     schedule_superoperator,
     simulate_schedule,
 )
-from stabtherm.lindblad import (  # noqa: E402
-    DensityMatrix,
-    gibbs_state,
-    steady_states,
-    trajectories,
-    vec,
-)
+from stabtherm.lindblad import gibbs_state, steady_states, vec  # noqa: E402
 from stabtherm.pauli import PauliString, PauliSum  # noqa: E402
 from stabtherm.toric import (  # noqa: E402
     StabilizerHamiltonian,
@@ -130,21 +124,6 @@ def test_commutant_block_nullity_matches_dense_oracle(H, beta):
     d = 1 << H.n_qubits
     count, _, diag = commutant_dimension(ops, d, max_dim=d * d)
     assert count == diag["nullity"] == commutant_nullity(ops)
-
-
-@settings(max_examples=25, deadline=None)
-@given(H=stabilizer_hamiltonians(), beta=st.floats(0.0, 1.0), t=st.floats(0.1, 50.0),
-       seed=st.integers(0, 2**32 - 1))
-def test_krylov_trajectories_match_expm(H, beta, t, seed):
-    # Arnoldi to invariance on each block against the dense block exponential,
-    # from I/d (one coset) and a random state (every block)
-    d = 1 << H.n_qubits
-    starts = [DensityMatrix.maximally_mixed(d),
-              DensityMatrix(random_density(d, np.random.default_rng(seed)))]
-    g = _davies(H, beta)
-    pairs = zip(trajectories(g, starts, t, 3, "krylov"), trajectories(g, starts, t, 3, "expm"))
-    for krylov, exact in pairs:
-        assert max(np.abs(a.mat - b.mat).max() for a, b in zip(krylov, exact)) < 1e-12
 
 
 @st.composite
