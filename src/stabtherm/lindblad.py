@@ -16,7 +16,7 @@ A non-Hermitian dense block is screened, bounded, then refined: by
 Bendixson's theorem no eigenvalue of a block B has |lambda| below
 -lambda_max(B + B^dag)/2, and by Gershgorin's that bound is at least the
 screen, the least -(S_ii + sum_{j != i} |S_ij|)/2 over the block's rows of
-S = T + T^dag, read from the sparse matrix. eigvalsh gives the bound only of
+S = T + T^dag, read from the entries of T. eigvalsh gives the bound only of
 the blocks whose screen can reach the kernel, the ambiguity band or the
 reported smallest |lambda|, and eigvals runs only on those whose bound can.
 For the L=2 toric Davies generator that is about 60 and 15 of 1024 blocks;
@@ -26,13 +26,15 @@ The basis matrix is assembled in one batched pass over the sandwich terms'
 operators, with no sparse matrix per term. Pauli sums
 (``bath.davies_reduction`` keeps H and the jumps as PauliSums, and so G) give
 their coefficients as they are, matrices by one Walsh-Hadamard transform; the
-product rule writes the entries (no d x d matrix). The matrix units take one
-csr product. Every Pauli-basis entry moves a basis element by a shift, an XOR
-of two terms' Pauli labels, so each coset of the GF(2) span of the shifts is
-invariant. Evolution seeds the assembly with the basis elements its initial
-states have weight on and writes the map, bit for bit, on their cosets alone:
-from I/d on the L=2 torus, 64 elements and 639 nonzeros instead of 65536 and
-714,751. Steady states and commutants assemble every block.
+product rule writes the entries (no d x d matrix). Every Pauli-basis entry
+moves a basis element by a shift, an XOR of two terms' Pauli labels, so the
+map is kept as its shift diagonals, T = sum_s P_s diag(v_s) (the matrix
+units' one csr product is padded to that layout), with no csr matrix below
+DENSE_BLOCK_LIMIT; each coset of the span of the shifts is invariant.
+Evolution seeds the assembly with the basis elements its initial states have
+weight on and writes the map, bit for bit, on their cosets alone: from I/d on
+the L=2 torus, 64 elements and 639 nonzeros instead of 65536 and 714,751.
+Steady states and commutants assemble every block.
 
 Those 64 elements are the stabilizer group, an abelian Pauli group: a state
 on it is a function of the syndrome, and ``Sectors`` reads its spectrum, one
@@ -259,8 +261,8 @@ def _sandwich_terms(d: int, H, jumps) -> list:
     given = ops if H is None else [H, *ops]
     if given and all(isinstance(o, PauliSum) for o in given):
         eye = PauliSum.from_string(PauliString.identity(given[0].n))
-        G = sum((K.adjoint() * K * j.rate for K, j in zip(ops, jumps)), PauliSum(eye.n))
         adjoints = [K.adjoint() for K in ops]
+        G = sum((Kd * K * j.rate for K, Kd, j in zip(ops, adjoints, jumps)), PauliSum(eye.n))
     else:
         H, *ops = [o.to_sparse() if isinstance(o, PauliSum) else o for o in [H, *ops]]
         eye = sparse.identity(d, dtype=complex, format="csr")
@@ -274,22 +276,18 @@ def _sandwich_terms(d: int, H, jumps) -> list:
     return terms + [(2 * j.rate * K, Kd) for j, K, Kd in zip(jumps, ops, adjoints) if j.rate]
 
 
-def _superop_scale(L: sparse.spmatrix) -> float:
-    """Cheap norm estimate used for kernel thresholds."""
-    mag = abs(L)
-    return float(max(mag.sum(axis=0).max(), mag.sum(axis=1).max(), 1e-300))
-
-
-def _gershgorin_screen(T: sparse.csr_matrix, labels: np.ndarray) -> np.ndarray:
-    """For each block label of T, the minimum over the block's rows i of
-    -(S_ii + sum_{j != i} |S_ij|) / 2, where S = T + T^dag. S is Hermitian and
-    block-diagonal like T, so by Gershgorin's theorem every eigenvalue of a
-    block S_B is at most the largest S_ii + sum_{j != i} |S_ij| of its rows:
-    the screen is at most the block's Bendixson bound -lambda_max(S_B) / 2,
-    read from the sparse entries alone."""
-    S = T + T.conj().T
-    diag = S.diagonal().real
-    reach = diag - np.abs(diag) + np.asarray(abs(S).sum(axis=1)).ravel()
+def _gershgorin_screen(rows, weights, transposed, labels: np.ndarray) -> np.ndarray:
+    """For each block label of T, the minimum over the block's columns i of
+    -(S_ii + sum_{j != i} |S_ij|) / 2, S = T + T^dag: weights + conj(transposed)
+    at (rows, column) on the slots of a ``_BlockForm``. S is Hermitian (its
+    column sums are its row sums) and block-diagonal like T, so by
+    Gershgorin's theorem every eigenvalue of a block S_B is at most the
+    largest of those sums: the screen is at most the block's Bendixson bound
+    -lambda_max(S_B) / 2, read from the entries alone."""
+    reach, cols = np.zeros(rows.shape[1]), np.arange(rows.shape[1])
+    for r, w, t in zip(rows, weights, transposed):  # a diagonal slot adds S_ii, not |S_ii|
+        S = w + t.conj()
+        reach += np.abs(S) + np.where(r == cols, S.real - np.abs(S), 0)
     screen = np.full(labels.max() + 1, np.inf)
     np.minimum.at(screen, labels, -reach / 2)
     return screen
@@ -432,7 +430,10 @@ def _pauli_transfer(terms, d: int, seeds=None):
     Every entry moves an input by a shift, so each coset of the span S of the
     shifts is invariant. The matrix is written on R, every basis element
     (default), or the union of the cosets of the ``seeds``
-    (``_coset_union``). Returns (R, the matrix on R).
+    (``_coset_union``). Returns (R, rows, weights), one row per shift s
+    (ascending): the index rows[k, j] on R of R[j] ^ s (found by searchsorted
+    on cosets) and the weight of T[rows[k, j], j], 0 where cut, with the
+    basis phase i^(w(b) - w(b^s)) folded in.
     """
     n = d.bit_length() - 1
     op, b, m = _pauli_coefficients([o for term in terms for o in term], d)
@@ -444,14 +445,13 @@ def _pauli_transfer(terms, d: int, seeds=None):
     shift, za, xc, w = shift[order], za[order], xc[order], w[order]
     shifts, starts = np.unique(shift, return_index=True)
     support = np.arange(d * d) if seeds is None else _coset_union(shifts, seeds)
-    if not len(shifts):  # the zero map
-        return support, sparse.csr_matrix((len(support), len(support)))
-    position = np.full(d * d, -1)
-    position[support] = np.arange(len(support))
+    rows = np.empty((len(shifts), len(support)), dtype=np.intp)
+    weights = np.zeros((len(shifts), len(support)))
+    bw = _weight(support, n)
     ux, ix = np.unique(support >> n, return_inverse=True)
     uz, iz = np.unique(support & (d - 1), return_inverse=True)
-    rows, cols, vals = [], [], []
-    for s, lo, hi in zip(shifts, starts, np.append(starts[1:], len(shift))):
+    grid = ix * len(uz) + iz  # each element's place on the grid of x- and z-parts
+    for k, (s, lo, hi) in enumerate(zip(shifts, starts, np.append(starts[1:], len(shift)))):
         (ua, ia), (uc, ic) = (np.unique(v[lo:hi], return_inverse=True) for v in (za, xc))
         m = np.zeros((len(ua), len(uc)), complex)  # the pairs' w summed at [za, xc]
         np.add.at(m, (ia, ic), w[lo:hi])
@@ -465,24 +465,22 @@ def _pauli_transfer(terms, d: int, seeds=None):
         outer = np.zeros((len(first), len(uz)), complex)  # [pattern, zb]
         for z, row in zip(ua, inner):
             outer += np.where(np.bitwise_count(z & ux[first]) & 1, -1.0, 1.0)[:, None] * row
-        v = outer[pattern[ix], iz]
-        keep = np.flatnonzero(np.abs(v) > ROUNDOFF * np.abs(w[lo:hi]).sum())
-        rows.append(position[support[keep] ^ s])
-        cols.append(keep)
-        vals.append(v[keep])
-    rows, cols, vals = np.concatenate(rows), np.concatenate(cols), np.concatenate(vals)
-    weight = _weight(support, n)
-    vals = (vals * _I_POWERS[(weight[cols] - weight[rows]) & 3]).real
-    shape = (len(support), len(support))
-    return support, sparse.csr_matrix((vals, (rows, cols)), shape=shape)
+        v = outer[pattern].ravel()[grid]
+        rows[k] = support ^ s if seeds is None else np.searchsorted(support, support ^ s)
+        weights[k] = np.where(np.abs(v) > ROUNDOFF * np.abs(w[lo:hi]).sum(),
+                              (v * _I_POWERS[(bw - bw[rows[k]]) & 3]).real, 0)
+    return support, rows, weights
 
 
 @dataclass(frozen=True)
 class _BlockForm:
     """The superoperator T in an orthonormal operator basis, on an invariant
     set of basis elements (``support``, their basis indices: every element,
-    or the cosets of a seeded form), and the label of the invariant block
-    (connected component of T) of every element.
+    or the cosets of a seeded form), in k slots per column: slot (s, j) is
+    weights[s, j] at (rows[s, j], j), its transposed entry slot (pair[s, j],
+    rows[s, j]); a Pauli slot is a shift, an involution (pair[s] = s). Each
+    element's block (connected component of T) label and position in it,
+    the blocks' sizes, starts and order, and nnz are derived once.
 
     ``coefficients(rho)`` expands a d x d matrix in the basis, on the
     support, and ``vectors(C)`` maps coefficient columns on the support back
@@ -493,39 +491,79 @@ class _BlockForm:
 
     basis: str
     support: np.ndarray
-    T: sparse.csr_matrix
-    labels: np.ndarray
+    rows: np.ndarray
+    weights: np.ndarray
+    pair: np.ndarray
     coefficients: Callable[[np.ndarray], np.ndarray]
     vectors: Callable[[np.ndarray], np.ndarray]
     hermitian: bool
+
+    def __post_init__(self):
+        # T's blocks: weak components of T^T's pattern, no stored zeros (edges)
+        n, live = len(self.support), self.weights.T != 0
+        indptr = np.append(0, np.cumsum(live.sum(axis=1))).astype(np.int32)
+        graph = sparse.csr_matrix((np.ones(indptr[-1]), self.rows.T[live].astype(np.int32),
+                                   indptr), shape=(n, n))
+        labels = connected_components(graph, directed=True, connection="weak")[1]
+        sizes = np.bincount(labels)
+        order, starts = np.argsort(labels, kind="stable"), np.cumsum(sizes) - sizes
+        position = np.empty(n, dtype=np.intp)
+        position[order] = np.arange(n) - np.repeat(starts, sizes)
+        depth = np.zeros(n, dtype=np.intp)  # the slots up to each column's last entry
+        for slot, has in enumerate(live.T, 1):
+            depth[has] = slot
+        self.__dict__.update(labels=labels, sizes=sizes, order=order, starts=starts,
+                             position=position, depth=depth, nnz=int(indptr[-1]))
 
     def blocks(self, among=None, entries: int = _STACK_ENTRIES):
         """Member indices of the blocks labelled in ``among`` (default all),
         as arrays (n_blocks, size) of equal-sized blocks, each array holding
         at most ``entries`` dense entries (or one block)."""
-        order = np.argsort(self.labels, kind="stable")
-        sizes = np.bincount(self.labels)
-        starts = np.cumsum(sizes) - sizes
-        among = np.arange(len(sizes)) if among is None else np.asarray(among)
-        for s in np.unique(sizes[among]):
-            chosen = among[sizes[among] == s]
-            members = order[starts[chosen][:, None] + np.arange(s)]
+        among = np.arange(len(self.sizes)) if among is None else np.asarray(among)
+        for s in np.unique(self.sizes[among]):
+            chosen = among[self.sizes[among] == s]
+            members = self.order[self.starts[chosen][:, None] + np.arange(s)]
             step = max(1, entries // (s * s))
             for i in range(0, len(members), step):
                 yield members[i:i + step]
 
     def restrict(self, members: np.ndarray) -> sparse.csr_matrix:
-        """T restricted to the blocks in ``members``, block after block."""
+        """T on the blocks in ``members``, block after block, as csr."""
         flat = members.ravel()
-        return self.T[flat][:, flat]
+        where = np.empty(len(self.support), dtype=np.intp)
+        where[flat] = np.arange(len(flat))
+        r, c = np.nonzero(self.weights[:, flat])
+        return sparse.csr_matrix((self.weights[r, flat[c]], (where[self.rows[r, flat[c]]], c)),
+                                 shape=(len(flat), len(flat)))
+
+    T = property(lambda self: self.restrict(np.arange(len(self.support))[None]),
+                 doc="T on the whole support as csr, built on demand.")
 
     def dense(self, members: np.ndarray) -> np.ndarray:
-        """The blocks in ``members`` as a dense stack (n_blocks, size, size)."""
+        """The blocks in ``members`` (from ``blocks``) as a dense stack
+        (n_blocks, size, size): one linear-index scatter per slot."""
         nb, s = members.shape
-        sub = self.restrict(members).tocoo()
-        stack = np.zeros((nb, s, s), self.T.dtype)
-        stack[sub.row // s, sub.row % s, sub.col % s] = sub.data
-        return stack
+        cols = members.ravel()
+        stack = np.zeros(nb * s * s, self.weights.dtype)
+        at = np.arange(nb * s) // s * (s * s) + self.position[cols]  # (block, column)
+        depth = self.depth[cols].max()
+        for rows, weights in zip(self.rows[:depth], self.weights[:depth]):
+            w = np.take(weights, cols)
+            live = np.flatnonzero(w)
+            stack[at[live] + s * self.position[np.take(rows, cols[live])]] = w[live]
+        return stack.reshape(nb, s, s)
+
+    def scale(self) -> float:
+        """The larger of T's maximal column and row 1-norms (kernel thresholds)."""
+        mag = np.abs(self.weights)
+        rows = np.bincount(self.rows.ravel(), mag.ravel(), len(self.support))
+        return float(max(mag.sum(axis=0).max(), rows.max(), 1e-300))
+
+    def matvec(self, x: np.ndarray) -> np.ndarray:
+        """T x, read from the columns where x is nonzero."""
+        j = np.flatnonzero(x)
+        y, rows, n = self.weights[:, j] * x[j], self.rows[:, j].ravel(), len(self.support)
+        return np.bincount(rows, y.real.ravel(), n) + 1j * np.bincount(rows, y.imag.ravel(), n)
 
     def kernel(self, thresh: float, scale: float, k: int, cap: int):
         """Kernel of T (|lambda| < thresh), solved block by block.
@@ -567,12 +605,10 @@ class _BlockForm:
                     spectra.append(vals)
             elif self.hermitian:
                 spectra.append(np.linalg.eigvalsh(self.dense(members)).ravel())
-        sizes = np.bincount(self.labels)
         refined, bounded, limit = 0, 0, np.inf
-        if not self.hermitian and sizes.min() <= DENSE_BLOCK_LIMIT:
+        if not self.hermitian and self.sizes.min() <= DENSE_BLOCK_LIMIT:
             # dense blocks come first, as blocks() yields sizes in ascending order
-            dense_spectra, dense_kernel, limit, bounded = self._refine(sizes, thresh, scale,
-                                                                       k, spectra)
+            dense_spectra, dense_kernel, limit, bounded = self._refine(thresh, scale, k, spectra)
             spectra, kernel = dense_spectra + spectra, dense_kernel + kernel
             refined = len(dense_spectra)
         vals = np.concatenate(spectra)
@@ -587,19 +623,18 @@ class _BlockForm:
         n_kernel = (int(np.sum(vals < thresh)) if self.hermitian
                     else sum(v.shape[1] for _, v in kernel))
         margin = float(abs(vals[n_kernel]) / thresh) if n_kernel < len(vals) else None
-        diagnostics = _kernel_diagnostics(self.basis, len(sizes), int(sizes.max()),
-                                          int(self.T.nnz), bounded, refined, margin)
+        diagnostics = _kernel_diagnostics(self.basis, len(self.sizes), int(self.sizes.max()),
+                                          self.nnz, bounded, refined, margin)
         return vals, n_kernel, kernel, diagnostics
 
-    def _refine(self, sizes: np.ndarray, thresh: float, scale: float, k: int, others: list):
+    def _refine(self, thresh: float, scale: float, k: int, others: list):
         """Spectra and kernels of the blocks of at most DENSE_BLOCK_LIMIT
-        elements (``sizes`` by label) of a non-Hermitian form, by screen,
-        bound and refine.
+        elements of a non-Hermitian form, by screen, bound and refine.
 
         By Bendixson's theorem every eigenvalue of a block B has |lambda| >=
         -Re lambda >= bound_B = -lambda_max(B + B^dag) / 2, and by
         Gershgorin's bound_B >= screen_B (``_gershgorin_screen``, from the
-        sparse form). eigvals runs on the original blocks whose bound lies
+        slots). eigvals runs on the original blocks whose bound lies
         within BOUND_SLACK * scale of a limit: first 100 * thresh (every
         kernel and ambiguous eigenvalue) together with the k lowest bounds;
         then the m-th smallest |lambda| found so far, with the ARPACK spectra
@@ -613,10 +648,11 @@ class _BlockForm:
         hold kernel. Returns the spectra and the kernel, in block order, that
         limit, and the number of blocks bounded.
         """
-        dense = np.flatnonzero(sizes <= DENSE_BLOCK_LIMIT)
+        dense = np.flatnonzero(self.sizes <= DENSE_BLOCK_LIMIT)
         slack = BOUND_SLACK * scale
-        screen = _gershgorin_screen(self.T, self.labels)
-        bound = np.full(len(sizes), np.inf)  # inf until computed
+        screen = _gershgorin_screen(self.rows, self.weights, self.weights[self.pair, self.rows],
+                                    self.labels)
+        bound = np.full(len(self.sizes), np.inf)  # inf until computed
 
         def bound_up_to(limit):
             chosen = dense[(screen[dense] <= limit + 2 * slack) & np.isinf(bound[dense])]
@@ -645,7 +681,7 @@ class _BlockForm:
         bound_up_to(reach)
         refine(dense[bound[dense] <= reach + slack])
 
-        order = sorted(found, key=lambda b: (sizes[b], b))  # the order of blocks()
+        order = sorted(found, key=lambda b: (self.sizes[b], b))  # the order of blocks()
         kernel = []
         hit = np.array([b for b in order if (np.abs(found[b]) < thresh).any()], dtype=int)
         for members in self.blocks(hit):
@@ -707,6 +743,22 @@ def _matrix_unit_transfer(terms, d: int) -> sparse.csr_matrix:
                              shape=(d * d, d * d))
 
 
+def _column_layout(T: sparse.csr_matrix):
+    """T as the slots (rows, weights, pair) of a ``_BlockForm``: column j
+    holds T[:, j] on the pattern of T + T^T, padded by zeros at row j."""
+    n, A = T.shape[0], (abs(T) + abs(T.T)).tocsr()  # symmetric: row j is column j
+    A.sort_indices()
+    col = np.repeat(np.arange(n), np.diff(A.indptr))
+    slot = np.arange(A.nnz) - A.indptr[col]
+    k = slot.max(initial=-1) + 1
+    rows, weights = np.tile(np.arange(n), (k, 1)), np.zeros((k, n), T.dtype)
+    pair = np.tile(np.arange(k)[:, None], (1, n))  # a pad is its own transposed slot
+    rows[slot, col], weights[slot, col] = A.indices, np.asarray(T[A.indices, col]).ravel()
+    # the pattern is symmetric: A's transpose holds at (i, j) the slot of (j, i)
+    pair[slot, col] = sparse.csr_matrix((slot, A.indices, A.indptr), shape=(n, n)).T.tocsr().data
+    return rows, weights, pair
+
+
 def _block_form(terms, d: int, hermitian: bool = False, seeds=None) -> _BlockForm:
     """Write rho -> sum A rho B over (A, B) in ``terms`` (d x d matrices) in
     the orthonormal Hermitian Pauli basis sigma_(x,z) = i^|x & z| X^x Z^z /
@@ -726,7 +778,8 @@ def _block_form(terms, d: int, hermitian: bool = False, seeds=None) -> _BlockFor
     if d & (d - 1) == 0:
         # sigma_b = phase_b tau_b
         phase = _I_POWERS[_weight(np.arange(d * d), d.bit_length() - 1) % 4] / np.sqrt(d)
-        support, T = _pauli_transfer(terms, d, seeds)
+        support, rows, weights = _pauli_transfer(terms, d, seeds)
+        pair = np.arange(len(rows))[:, None]  # each shift is an involution
         i = np.arange(d)
         positions = ((i ^ i[:, None]) + d * i).ravel()  # vec index of M[i^x, i]
 
@@ -745,10 +798,9 @@ def _block_form(terms, d: int, hermitian: bool = False, seeds=None) -> _BlockFor
 
         basis = "pauli"
     else:
-        support, T = np.arange(d * d), _matrix_unit_transfer(terms, d)
-        coefficients, vectors, basis = vec, np.asarray, "matrix-unit"
-    _, labels = connected_components(abs(T), directed=True, connection="weak")
-    return _BlockForm(basis, support, T, labels, coefficients, vectors, hermitian)
+        rows, weights, pair = _column_layout(_matrix_unit_transfer(terms, d))
+        support, coefficients, vectors, basis = np.arange(d * d), vec, np.asarray, "matrix-unit"
+    return _BlockForm(basis, support, rows, weights, pair, coefficients, vectors, hermitian)
 
 
 class Sectors:
@@ -1009,9 +1061,8 @@ def steady_states(g: LindbladGenerator) -> SteadyStateResult:
     """
     start = time.perf_counter()
     form = _block_form(_sandwich_terms(g.n_levels, g.H, g.jumps), g.n_levels)
-    T = form.T
-    n = T.shape[0]
-    scale = _superop_scale(T)
+    n = len(form.support)
+    scale = form.scale()
     vals, n_kernel, kernel, diagnostics = form.kernel(KERNEL_TOL * scale, scale,
                                                       STEADY_EIGENVALUES, MAX_KERNEL)
     if n_kernel > MAX_KERNEL:
@@ -1025,7 +1076,7 @@ def steady_states(g: LindbladGenerator) -> SteadyStateResult:
     if n_kernel:
         coeffs, _ = np.linalg.qr(coeffs)
     residual = float(
-        max((np.linalg.norm(T @ coeffs[:, i]) for i in range(n_kernel)), default=0.0)
+        max((np.linalg.norm(form.matvec(coeffs[:, i])) for i in range(n_kernel)), default=0.0)
     ) / scale
     basis = form.vectors(coeffs)
 

@@ -312,10 +312,10 @@ class PauliSum:
     __rmul__ = __mul__
 
     def adjoint(self) -> "PauliSum":
+        # (X^x Z^z)^dag = Z^z X^x = (-1)^{|x & z|} X^x Z^z
         out = PauliSum(self.n)
-        for (x, z), c in self._terms.items():
-            s = PauliString(self.n, x, z, 0).adjoint()
-            out._add(np.conj(c), s)
+        out._terms = {(x, z): complex(c).conjugate() * _PHASE_VALUES[2 * (x & z).bit_count() % 4]
+                      for (x, z), c in self._terms.items()}
         return out
 
     def is_hermitian(self) -> bool:

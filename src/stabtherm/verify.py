@@ -172,9 +172,9 @@ def commutant_dimension(ops, dim: int, max_dim: int = 8) -> tuple[int, np.ndarra
 
     form = _block_form(_sandwich_terms(dim, None, [JumpOp(O, 1.0) for O in mats]), dim,
                        hermitian=True)
-    # M = -L: rounding is symmetric, so negating T gives the bits of the form
-    # of negated terms, without a sparse copy per op
-    np.negative(form.T.data, out=form.T.data)
+    # M = -L: rounding is symmetric, so negating T's weights gives the bits of
+    # the form of negated terms, without a sparse copy per op
+    np.negative(form.weights, out=form.weights)
     vals, nullity, _, diagnostics = form.kernel(thresh, scale, max_dim + 1, max_dim + 1)
     diagnostics = {**diagnostics, "seconds": time.perf_counter() - start, "nullity": nullity}
     return min(nullity, max_dim), vals[:max_dim + 1], diagnostics

@@ -40,6 +40,7 @@ from stabtherm.toric import (
     single_vertex_model,
     toric_hamiltonian,
 )
+from stabtherm.verify import commutant_dimension
 
 from oracles import (
     as_csr,
@@ -360,6 +361,11 @@ def bendixson_bounds(form):
     return np.concatenate(labels), np.concatenate(bounds)
 
 
+def transposed(form):
+    """The entry at (j, rows[s, j]) of each slot (s, j): T^T on the slots."""
+    return form.weights[form.pair, form.rows]
+
+
 def max_matched_distance(a, b):
     """Largest |a_i - b_pi(i)| under the best one-to-one pairing of every a_i
     with a distinct b_j."""
@@ -379,7 +385,7 @@ def test_block_spectra_match_dense_oracle(make, basis):
     # spectrum: a prefix of the oracle's, with nothing skipped below its end
     g = make()
     form = lindblad._block_form(lindblad._sandwich_terms(g.n_levels, g.H, g.jumps), g.n_levels)
-    scale = lindblad._superop_scale(form.T)
+    scale = form.scale()
     vals, kernel_dim, kernel, diagnostics = form.kernel(
         lindblad.KERNEL_TOL * scale, scale, lindblad.STEADY_EIGENVALUES, lindblad.MAX_KERNEL)
     assert diagnostics["basis"] == basis
@@ -402,7 +408,7 @@ def test_block_spectra_match_dense_oracle(make, basis):
 def test_refined_spectrum_prefix_is_that_of_every_dense_block(make, refined):
     g = make()
     form = lindblad._block_form(lindblad._sandwich_terms(g.n_levels, g.H, g.jumps), g.n_levels)
-    scale = lindblad._superop_scale(form.T)
+    scale = form.scale()
     k = lindblad.STEADY_EIGENVALUES
     vals, kernel_dim, _, diagnostics = form.kernel(
         lindblad.KERNEL_TOL * scale, scale, k, lindblad.MAX_KERNEL)
@@ -431,9 +437,9 @@ def test_refined_spectrum_prefix_is_that_of_every_dense_block(make, refined):
 def test_gershgorin_screen_lies_below_every_bendixson_bound(make):
     g = make()
     form = lindblad._block_form(lindblad._sandwich_terms(g.n_levels, g.H, g.jumps), g.n_levels)
-    scale = lindblad._superop_scale(form.T)
+    scale = form.scale()
     labels, bound = bendixson_bounds(form)
-    screen = lindblad._gershgorin_screen(form.T, form.labels)
+    screen = lindblad._gershgorin_screen(form.rows, form.weights, transposed(form), form.labels)
     assert screen.shape == (len(labels),)
     assert np.all(screen[labels] <= bound + 1e-12 * scale)
 
@@ -450,13 +456,14 @@ def test_any_valid_screen_refines_what_bounds_on_every_block_refine(make, monkey
     # rules out no block
     g = make()
     form = lindblad._block_form(lindblad._sandwich_terms(g.n_levels, g.H, g.jumps), g.n_levels)
-    scale = lindblad._superop_scale(form.T)
+    scale = form.scale()
     labels, bound = bendixson_bounds(form)
     exact = np.empty(len(labels))
     exact[labels] = bound
 
     def solve(screen):
-        monkeypatch.setattr(lindblad, "_gershgorin_screen", lambda T, labels: screen)
+        monkeypatch.setattr(lindblad, "_gershgorin_screen",
+                            lambda rows, weights, transposed, labels: screen)
         return form.kernel(lindblad.KERNEL_TOL * scale, scale, lindblad.STEADY_EIGENVALUES,
                            lindblad.MAX_KERNEL)
 
@@ -475,15 +482,42 @@ def test_any_valid_screen_refines_what_bounds_on_every_block_refine(make, monkey
         assert {**diag, "bounded": 0} == {**diagnostics, "bounded": 0}
 
 
+@pytest.mark.parametrize("make", [
+    mini_davies,
+    lambda: mini_davies(("translate",)),
+    three_qubit_rwa_composite,
+    lambda: random_generator(3, 5),
+    damped_qutrit,
+])
+def test_screen_and_scale_from_the_slots_match_the_csr_formulas(make):
+    # the screen from S = T + T^dag and the scale (largest column and row
+    # 1-norm), computed on the csr matrix of the form
+    g = make()
+    form = lindblad._block_form(lindblad._sandwich_terms(g.n_levels, g.H, g.jumps), g.n_levels)
+    T = form.T
+    S = T + T.conj().T
+    diag = S.diagonal().real
+    reach = diag - np.abs(diag) + np.asarray(abs(S).sum(axis=1)).ravel()
+    want = np.full(form.labels.max() + 1, np.inf)
+    np.minimum.at(want, form.labels, -reach / 2)
+    screen = lindblad._gershgorin_screen(form.rows, form.weights, transposed(form), form.labels)
+    assert np.all(np.abs(screen - want) <= 1e-14 * np.abs(want))
+    mag = abs(T)
+    scale = max(mag.sum(axis=0).max(), mag.sum(axis=1).max())
+    assert abs(form.scale() - scale) <= 1e-14 * scale
+
+
 def test_a_screen_from_the_rows_of_t_alone_is_no_bound():
     # Gershgorin on the rows of T bounds T's own spectrum, not lambda_max of
     # its Hermitian part: on the mini Davies model it lies above the bounds
-    # of 40 of the 128 blocks
+    # of 40 of the 128 blocks. The slots of T^T hold T's transposed weights,
+    # so S = 2 T^T sums the rows of 2T
     g = mini_davies()
     form = lindblad._block_form(lindblad._sandwich_terms(16, g.H, g.jumps), 16)
     labels, bound = bendixson_bounds(form)
-    rows_only = lindblad._gershgorin_screen(2 * form.T, form.labels)  # S = 2T
-    assert np.any(rows_only[labels] > bound + 1e-12 * lindblad._superop_scale(form.T))
+    rows_only = lindblad._gershgorin_screen(form.rows, transposed(form), transposed(form),
+                                            form.labels)
+    assert np.any(rows_only[labels] > bound + 1e-12 * form.scale())
 
 
 def test_davies_generator_is_detailed_balanced():
@@ -779,6 +813,45 @@ def test_krylov_above_the_dense_block_limit_runs_expm_multiply(toric_l2, monkeyp
     assert np.abs(cs - exact).max() < 1e-13
 
 
+def test_blocks_up_to_the_dense_limit_build_no_csr(toric_l2, monkeypatch):
+    # steady states, commutants and sector trajectories read every dense
+    # block from the form's slots; only ARPACK and expm_multiply, above
+    # DENSE_BLOCK_LIMIT, take a block's csr matrix
+    lat, g, _ = toric_l2
+    restrict = lindblad._BlockForm.restrict
+
+    def refuse(form, members):
+        raise AssertionError("csr matrix built")
+
+    monkeypatch.setattr(lindblad._BlockForm, "restrict", refuse)
+    ss = steady_states(g)
+    assert ss.kernel_dim == 1
+    assert (ss.diagnostics["nnz"], ss.diagnostics["blocks"]) == (714751, 1024)
+    H = toric_hamiltonian(lat, 1.0, 1.0)
+    decomps = full_decomps(H)
+    translations = [H.as_sum()] + [j.op for j in davies_reduction(
+        H, decomps, 1.0, 0.5, include=("translate",)).jumps]
+    full = [H.as_sum()] + [j.op for j in g.jumps]
+    assert commutant_dimension(translations, 256, max_dim=2)[0] == 2
+    count, _, diag = commutant_dimension(full, 256, max_dim=2)
+    assert count == 1 and (diag["blocks"], diag["max_block"], diag["nnz"]) == (13088, 32, 475135)
+    _, pops, _ = lindblad.sector_trajectory(g, 10.0, 3, "krylov")
+
+    built = []
+
+    def counted(form, members):
+        built.append(members.shape)
+        return restrict(form, members)
+
+    monkeypatch.setattr(lindblad._BlockForm, "restrict", counted)
+    monkeypatch.setattr(lindblad, "DENSE_BLOCK_LIMIT", 32)
+    _, above, _ = lindblad.sector_trajectory(g, 10.0, 3, "krylov")
+    assert built == [(1, 64)] and np.abs(above - pops).max() < 1e-12
+    monkeypatch.setattr(lindblad, "DENSE_BLOCK_LIMIT", 16)  # blocks of up to 32 to ARPACK
+    assert commutant_dimension(translations, 256, max_dim=2)[0] == 2
+    assert len(built) > 1 and all(s > 16 for _, s in built[1:])
+
+
 def test_seeded_coset_span_comes_from_every_term():
     # H = Z with the jump (X + Z)/sqrt(2): G = K^dag K = I, so the
     # Hamiltonian terms shift nothing off {I, Z}, while the jump moves Z to X
@@ -1021,7 +1094,7 @@ def test_steady_state_diagnostics():
     assert d["refined"] == d["bounded"] == d["blocks"]
     assert d["basis"] == "pauli" and d["max_block"] <= 4 and d["nnz"] > 0
     form = lindblad._block_form(lindblad._sandwich_terms(g.n_levels, g.H, g.jumps), g.n_levels)
-    thresh = 1e-10 * lindblad._superop_scale(form.T)
+    thresh = 1e-10 * form.scale()
     assert np.isclose(d["margin"], np.sort(np.abs(ss.eigenvalues))[1] / thresh)
     assert d["margin"] > 100
 

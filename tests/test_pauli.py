@@ -172,6 +172,9 @@ def test_pauli_sum_algebra_against_dense():
         assert np.allclose((a * b).to_dense(), a.to_dense() @ b.to_dense(), atol=1e-12)
         assert np.allclose((a + b).to_dense(), a.to_dense() + b.to_dense(), atol=1e-12)
         assert np.allclose(a.adjoint().to_dense(), a.to_dense().conj().T, atol=1e-12)
+        # the key rule gives each term exactly the string adjoint's coefficient
+        by_string = PauliSum(n, [(np.conj(c), p.adjoint()) for c, p in a.terms])
+        assert a.adjoint()._terms == by_string._terms
 
 
 def test_projector_product_is_projector():
