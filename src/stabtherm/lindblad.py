@@ -30,7 +30,7 @@ product rule writes the entries (no d x d matrix). Every Pauli-basis entry
 moves a basis element by a shift, an XOR of two terms' Pauli labels, so the
 map is kept as its shift diagonals, T = sum_s P_s diag(v_s) (the matrix
 units' one csr product is padded to that layout), with no csr matrix below
-DENSE_BLOCK_LIMIT; each coset of the span of the shifts is invariant.
+DENSE_BLOCK_LIMIT, coset by coset of the span of the shifts (each invariant).
 Evolution seeds the assembly with the basis elements its initial states have
 weight on and writes the map, bit for bit, on their cosets alone: from I/d on
 the L=2 torus, 64 elements and 639 nonzeros instead of 65536 and 714,751.
@@ -286,8 +286,8 @@ def _gershgorin_screen(rows, weights, transposed, labels: np.ndarray) -> np.ndar
     -lambda_max(S_B) / 2, read from the entries alone."""
     reach, cols = np.zeros(rows.shape[1]), np.arange(rows.shape[1])
     for r, w, t in zip(rows, weights, transposed):  # a diagonal slot adds S_ii, not |S_ii|
-        S = w + t.conj()
-        reach += np.abs(S) + np.where(r == cols, S.real - np.abs(S), 0)
+        S, on = w + t.conj(), r == cols  # on a Pauli form, shift 0 alone
+        reach += np.abs(S) + np.where(on, S.real - np.abs(S), 0) if on.any() else np.abs(S)
     screen = np.full(labels.max() + 1, np.inf)
     np.minimum.at(screen, labels, -reach / 2)
     return screen
@@ -400,15 +400,22 @@ def _gf2_basis(labels) -> list[int]:
     return basis
 
 
-def _coset_union(shifts: np.ndarray, seeds: np.ndarray) -> np.ndarray:
-    """The union, ascending, of the cosets b ^ S of the seeds b, where S is
-    the GF(2) span of the integers ``shifts``: a seed reduced by the
-    ``_gf2_basis`` represents its coset."""
-    reps, span = np.unique(seeds), np.zeros(1, dtype=int)
-    for v in _gf2_basis(shifts):
-        reps = np.minimum(reps, reps ^ v)
+def _coset_union(shifts: np.ndarray, seeds, d: int):
+    """The cosets b ^ S of the seeds b (every label below d*d for None), S the
+    GF(2) span of the ``shifts``: support[c * 2^r + t] = rep_c ^ span[t], the
+    representatives (no leading bit set) and S ascending, so each coset is in
+    label order (span[t] is the XOR of span[2^i] over the bits i of t). Returns
+    the support, rows[k] = arange ^ sigma for shift k = span[sigma], and 2^r."""
+    basis, span = _gf2_basis(shifts), np.zeros(1, dtype=int)
+    for v in basis:
         span = np.concatenate([span, span ^ v])
-    return np.sort((np.unique(reps)[:, None] ^ span).ravel())
+    span = np.sort(span)
+    labels = reps = np.arange(d * d) if seeds is None else np.asarray(seeds, dtype=int)
+    for v in basis:  # clears each leading bit in turn
+        reps = np.minimum(reps, reps ^ v)
+    reps = labels[reps == labels] if seeds is None else np.unique(reps)
+    support = (reps[:, None] ^ span).ravel()
+    return support, np.arange(len(support)) ^ np.searchsorted(span, shifts)[:, None], len(span)
 
 
 def _pauli_transfer(terms, d: int, seeds=None):
@@ -429,11 +436,11 @@ def _pauli_transfer(terms, d: int, seeds=None):
 
     Every entry moves an input by a shift, so each coset of the span S of the
     shifts is invariant. The matrix is written on R, every basis element
-    (default), or the union of the cosets of the ``seeds``
-    (``_coset_union``). Returns (R, rows, weights), one row per shift s
-    (ascending): the index rows[k, j] on R of R[j] ^ s (found by searchsorted
-    on cosets) and the weight of T[rows[k, j], j], 0 where cut, with the
-    basis phase i^(w(b) - w(b^s)) folded in.
+    (default) or the cosets of the ``seeds``, in the coset coordinates of
+    ``_coset_union``. Returns (R, rows, weights, 2^r), one row per shift s
+    (ascending): rows[k] = arange ^ sigma_s, the index of R[j] ^ s, and the
+    weight of T[rows[k, j], j], 0 where cut, with the basis phase i^(w(b) -
+    w(b^s)) taken as +-Re or +-Im.
     """
     n = d.bit_length() - 1
     op, b, m = _pauli_coefficients([o for term in terms for o in term], d)
@@ -444,14 +451,13 @@ def _pauli_transfer(terms, d: int, seeds=None):
     order = np.argsort(shift, kind="stable")
     shift, za, xc, w = shift[order], za[order], xc[order], w[order]
     shifts, starts = np.unique(shift, return_index=True)
-    support = np.arange(d * d) if seeds is None else _coset_union(shifts, seeds)
-    rows = np.empty((len(shifts), len(support)), dtype=np.intp)
+    support, rows, coset = _coset_union(shifts, seeds, d)
     weights = np.zeros((len(shifts), len(support)))
-    bw = _weight(support, n)
-    ux, ix = np.unique(support >> n, return_inverse=True)
-    uz, iz = np.unique(support & (d - 1), return_inverse=True)
-    grid = ix * len(uz) + iz  # each element's place on the grid of x- and z-parts
-    for k, (s, lo, hi) in enumerate(zip(shifts, starts, np.append(starts[1:], len(shift)))):
+    bw = _weight(support, n).astype(np.uint8)  # mod 256, as only q mod 4 is read
+    # the grid of x- and z-parts: every one on the full support, where b's place is b
+    (ux, ix), (uz, iz) = ((np.arange(d), p) if seeds is None else np.unique(p, return_inverse=True)
+                          for p in (support >> n, support & (d - 1)))
+    for k, (lo, hi) in enumerate(zip(starts, np.append(starts[1:], len(shift)))):
         (ua, ia), (uc, ic) = (np.unique(v[lo:hi], return_inverse=True) for v in (za, xc))
         m = np.zeros((len(ua), len(uc)), complex)  # the pairs' w summed at [za, xc]
         np.add.at(m, (ia, ic), w[lo:hi])
@@ -465,11 +471,13 @@ def _pauli_transfer(terms, d: int, seeds=None):
         outer = np.zeros((len(first), len(uz)), complex)  # [pattern, zb]
         for z, row in zip(ua, inner):
             outer += np.where(np.bitwise_count(z & ux[first]) & 1, -1.0, 1.0)[:, None] * row
-        v = outer[pattern].ravel()[grid]
-        rows[k] = support ^ s if seeds is None else np.searchsorted(support, support ^ s)
-        weights[k] = np.where(np.abs(v) > ROUNDOFF * np.abs(w[lo:hi]).sum(),
-                              (v * _I_POWERS[(bw - bw[rows[k]]) & 3]).real, 0)
-    return support, rows, weights
+        # the real part of v i^q, v = outer[pattern, zb], is Re v, -Im v, -Re v
+        # or Im v for q = 0..3: one table of those up to the largest q, read at q
+        q = (bw - bw[rows[k]]) & 3
+        table = np.stack([outer.real, -outer.imag, -outer.real, outer.imag][:q.max() + 1])
+        table[:, np.abs(outer) <= ROUNDOFF * np.abs(w[lo:hi]).sum()] = 0
+        np.take(table, q * np.intp(outer.size) + (pattern * len(uz))[ix] + iz, out=weights[k])
+    return support, rows, weights, coset
 
 
 @dataclass(frozen=True)
@@ -479,8 +487,11 @@ class _BlockForm:
     or the cosets of a seeded form), in k slots per column: slot (s, j) is
     weights[s, j] at (rows[s, j], j), its transposed entry slot (pair[s, j],
     rows[s, j]); a Pauli slot is a shift, an involution (pair[s] = s). Each
-    element's block (connected component of T) label and position in it,
-    the blocks' sizes, starts and order, and nnz are derived once.
+    run of ``coset`` elements moves within itself as the first does
+    (rows[:, :coset]): a coset of the shifts (rows = arange ^ sigma), or the
+    whole support of a matrix-unit form. Each element's block (connected
+    component of T, numbered by smallest label) and position in it, the
+    blocks' sizes, starts and order, and nnz are derived once.
 
     ``coefficients(rho)`` expands a d x d matrix in the basis, on the
     support, and ``vectors(C)`` maps coefficient columns on the support back
@@ -494,26 +505,36 @@ class _BlockForm:
     rows: np.ndarray
     weights: np.ndarray
     pair: np.ndarray
+    coset: int
     coefficients: Callable[[np.ndarray], np.ndarray]
     vectors: Callable[[np.ndarray], np.ndarray]
     hermitian: bool
 
     def __post_init__(self):
-        # T's blocks: weak components of T^T's pattern, no stored zeros (edges)
-        n, live = len(self.support), self.weights.T != 0
-        indptr = np.append(0, np.cumsum(live.sum(axis=1))).astype(np.int32)
-        graph = sparse.csr_matrix((np.ones(indptr[-1]), self.rows.T[live].astype(np.int32),
-                                   indptr), shape=(n, n))
-        labels = connected_components(graph, directed=True, connection="weak")[1]
+        # T's blocks: weak components of T^T's pattern, no stored zeros
+        # (edges), found on the distinct patterns of live slots of the cosets
+        # (byte strings, a zero byte ending each) side by side
+        k, m, n = len(self.rows), self.coset, len(self.support)
+        live = self.weights != 0
+        cosets = live.reshape(k, n // m, m).swapaxes(0, 1)  # [coset, slot, element]
+        key = np.c_[np.packbits(cosets.reshape(n // m, -1), axis=1), np.zeros(n // m, np.uint8)]
+        _, first, which = np.unique(key.view(np.dtype((np.void, key.shape[1]))).ravel(),
+                                    return_index=True, return_inverse=True)
+        pattern, node = cosets[first], np.arange(len(first) * m).reshape(-1, 1, m)
+        edges = (np.broadcast_to(node, pattern.shape)[pattern],
+                 (node - node % m + self.rows[:, :m])[pattern])
+        graph = sparse.csr_matrix((np.ones(len(edges[0])), edges), shape=(node.size,) * 2)
+        comp = connected_components(graph, directed=True, connection="weak")[1]
+        lead = np.unique(comp, return_index=True)[1][comp].reshape(-1, m) % m  # first element
+        head = self.support[lead[which] + m * np.arange(n // m)[:, None]]  # its label
+        labels = np.unique(head, return_inverse=True)[1].ravel()
         sizes = np.bincount(labels)
         order, starts = np.argsort(labels, kind="stable"), np.cumsum(sizes) - sizes
         position = np.empty(n, dtype=np.intp)
         position[order] = np.arange(n) - np.repeat(starts, sizes)
-        depth = np.zeros(n, dtype=np.intp)  # the slots up to each column's last entry
-        for slot, has in enumerate(live.T, 1):
-            depth[has] = slot
+        depth = (pattern * np.arange(1, k + 1)[:, None]).max(axis=1, initial=0)[which].ravel()
         self.__dict__.update(labels=labels, sizes=sizes, order=order, starts=starts,
-                             position=position, depth=depth, nnz=int(indptr[-1]))
+                             position=position, depth=depth, nnz=int(np.count_nonzero(live)))
 
     def blocks(self, among=None, entries: int = _STACK_ENTRIES):
         """Member indices of the blocks labelled in ``among`` (default all),
@@ -650,8 +671,10 @@ class _BlockForm:
         """
         dense = np.flatnonzero(self.sizes <= DENSE_BLOCK_LIMIT)
         slack = BOUND_SLACK * scale
-        screen = _gershgorin_screen(self.rows, self.weights, self.weights[self.pair, self.rows],
-                                    self.labels)
+        # T^T on the slots, weights[pair, rows]: a Pauli slot's own row, one take a shift
+        transposed = (self.weights[self.pair, self.rows] if self.pair.shape[1] > 1 else
+                      np.array([np.take(w, r) for w, r in zip(self.weights, self.rows)]))
+        screen = _gershgorin_screen(self.rows, self.weights, transposed, self.labels)
         bound = np.full(len(self.sizes), np.inf)  # inf until computed
 
         def bound_up_to(limit):
@@ -775,32 +798,28 @@ def _block_form(terms, d: int, hermitian: bool = False, seeds=None) -> _BlockFor
     entries there. The matrix-unit form ignores them. No d x d matrix is
     formed: ``vectors`` maps coefficients back by one ``_butterfly``."""
     _check_capacity(d)
-    if d & (d - 1) == 0:
-        # sigma_b = phase_b tau_b
-        phase = _I_POWERS[_weight(np.arange(d * d), d.bit_length() - 1) % 4] / np.sqrt(d)
-        support, rows, weights = _pauli_transfer(terms, d, seeds)
-        pair = np.arange(len(rows))[:, None]  # each shift is an involution
-        i = np.arange(d)
-        positions = ((i ^ i[:, None]) + d * i).ravel()  # vec index of M[i^x, i]
-
-        def coefficients(rho):
-            _, b, m = _pauli_coefficients([rho], d)
-            c = np.zeros(d * d)
-            c[b] = (m / phase[b]).real
-            return c[support]
-
-        def vectors(C):
-            m = np.zeros((C.shape[1], d * d), complex)
-            m[:, support] = C.T * phase[support]
-            out = np.zeros_like(m)  # the butterfly's [k, x, i] is column k's M[i^x, i]
-            out[:, positions] = _butterfly(m.reshape(-1, d, d)).reshape(-1, d * d)
-            return out.T
-
-        basis = "pauli"
-    else:
+    if d & (d - 1):  # one class, the whole support: a single pattern of live slots
         rows, weights, pair = _column_layout(_matrix_unit_transfer(terms, d))
-        support, coefficients, vectors, basis = np.arange(d * d), vec, np.asarray, "matrix-unit"
-    return _BlockForm(basis, support, rows, weights, pair, coefficients, vectors, hermitian)
+        return _BlockForm("matrix-unit", np.arange(d * d), rows, weights, pair, d * d, vec,
+                          np.asarray, hermitian)
+    support, rows, weights, coset = _pauli_transfer(terms, d, seeds)
+    phase = _I_POWERS[_weight(support, d.bit_length() - 1) % 4] / np.sqrt(d)  # of sigma_b / tau_b
+
+    def coefficients(rho):
+        _, b, m = _pauli_coefficients([rho], d)
+        at = np.minimum(np.searchsorted(b, support), len(b) - 1)
+        return np.where(b[at] == support, (m[at] / phase).real, 0)
+
+    def vectors(C):
+        m = np.zeros((C.shape[1], d * d), complex)
+        m[:, support] = C.T * phase
+        out, i = np.zeros_like(m), np.arange(d)  # the butterfly's [k, x, i] is M[i^x, i]
+        out[:, ((i ^ i[:, None]) + d * i).ravel()] = _butterfly(
+            m.reshape(-1, d, d)).reshape(-1, d * d)
+        return out.T
+
+    return _BlockForm("pauli", support, rows, weights, np.arange(len(rows))[:, None], coset,
+                      coefficients, vectors, hermitian)  # each shift is an involution
 
 
 class Sectors:
@@ -1068,16 +1087,17 @@ def steady_states(g: LindbladGenerator) -> SteadyStateResult:
     if n_kernel > MAX_KERNEL:
         raise NumericalError(f"kernel dimension exceeds the cap {MAX_KERNEL}")
 
+    at = np.empty_like(form.support)  # each label's place: QR and norms run in label order
+    at[form.support] = np.arange(n)
     coeffs = np.zeros((n, n_kernel), complex)
     col = 0
     for idx, v in kernel:
         coeffs[idx, col:col + v.shape[1]] = v
         col += v.shape[1]
     if n_kernel:
-        coeffs, _ = np.linalg.qr(coeffs)
-    residual = float(
-        max((np.linalg.norm(form.matvec(coeffs[:, i])) for i in range(n_kernel)), default=0.0)
-    ) / scale
+        coeffs = np.linalg.qr(coeffs[at])[0][form.support]
+    residual = float(max((np.linalg.norm(form.matvec(coeffs[:, i])[at]) for i in range(n_kernel)),
+                         default=0.0)) / scale
     basis = form.vectors(coeffs)
 
     # when degenerate, kernel rotations may hide positive combinations; report

@@ -9,6 +9,7 @@ import itertools
 
 import numpy as np
 from scipy import sparse
+from scipy.sparse.csgraph import connected_components
 
 I2 = np.eye(2, dtype=complex)
 PAULI = {
@@ -235,6 +236,25 @@ def commutant_nullity(ops, tol=1e-7):
     scale = max(np.abs(o.toarray() if hasattr(o, "toarray") else o).max() for o in ops) ** 2
     vals = np.linalg.eigvalsh(commutant_superoperator(ops))
     return int(np.sum(vals < tol * scale * 2 * len(ops)))
+
+
+def slot_graph_blocks(form):
+    """Labels, sizes, order and position of the blocks of a block form, from
+    scipy's connected_components of its slot graph (a live slot (s, j) joins
+    j and rows[s, j]) taken with the elements in label order, which numbers
+    the components by their smallest label. Members of a block come in
+    label order."""
+    n = len(form.support)
+    rank = np.empty(n, dtype=int)  # each element's place in label order
+    rank[np.argsort(form.support)] = np.arange(n)
+    s, j = np.nonzero(form.weights)
+    graph = sparse.csr_matrix((np.ones(len(j)), (rank[j], rank[form.rows[s, j]])), shape=(n, n))
+    labels = connected_components(graph, directed=True, connection="weak")[1][rank]
+    sizes = np.bincount(labels)
+    order = np.lexsort((rank, labels))
+    position = np.empty(n, dtype=int)
+    position[order] = np.arange(n) - np.repeat(np.cumsum(sizes) - sizes, sizes)
+    return labels, sizes, order, position
 
 
 def dense_vertex(G, n, links, pattern):

@@ -1,6 +1,7 @@
 """Lindblad engine: superoperators, evolution, steady states, Gibbs states."""
 
 import itertools
+import random
 import warnings
 
 import numpy as np
@@ -10,7 +11,7 @@ from scipy.linalg import expm
 from scipy.optimize import linear_sum_assignment
 from scipy.sparse.linalg import eigs as sparse_eigs, expm_multiply
 
-from stabtherm import cli, lindblad
+from stabtherm import cli, lindblad, verify
 from stabtherm.bath import attach_ancillas, davies_reduction, rwa_generator
 from stabtherm.errors import CapacityError, NumericalError, ParameterError
 from stabtherm.lindblad import (
@@ -48,6 +49,7 @@ from oracles import (
     dense_pauli,
     lindblad_rhs,
     random_density,
+    slot_graph_blocks,
     toric_partition_sums,
 )
 
@@ -331,6 +333,14 @@ def random_generator(dim, seed):
     H = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
     K = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
     return LindbladGenerator(dim, (H + H.conj().T) / 2, (JumpOp(sparse.csr_matrix(K), 0.4),))
+
+
+def rwa_composite_64():
+    # ZZ with the four ancillas of its full decomposition set
+    H = single_stabilizer_model("ZZ", 1.0)
+    model, _ = attach_ancillas(H, full_decomps(H), beta=1.0, gamma_minus=0.3, g=0.4)
+    assert model.dim == 64
+    return rwa_generator(model)
 
 
 def three_qubit_rwa_composite():
@@ -672,7 +682,8 @@ def test_generator_keeps_pauli_sums_and_checks_them():
         terms = lindblad._sandwich_terms(4, gen.H, gen.jumps)
         assert all(isinstance(o, PauliSum) for t in terms for o in t) == pauli
         exact = (U.conj().T @ build_superoperator(gen).toarray() @ U).real
-        assert np.abs(lindblad._block_form(terms, 4).T.toarray() - exact).max() < 1e-13
+        form = lindblad._block_form(terms, 4)
+        assert np.abs(form.T.toarray() - exact[np.ix_(form.support, form.support)]).max() < 1e-13
 
 
 def test_pauli_read_sandwich_terms_match_the_walsh_path(toric_l2):
@@ -870,10 +881,12 @@ def test_seeded_form_from_identity_is_one_block_of_64(toric_l2):
     seeded = lindblad._block_form(terms, 256, seeds=seed_indices([np.eye(256) / 256], 256))
     assert len(seeded.support) == 64 and len(np.unique(seeded.labels)) == 1
     full = lindblad._block_form(terms, 256)
-    block = np.flatnonzero(full.labels == full.labels[0])
+    at = np.argsort(full.support)  # the full form's index of each label
+    labels = full.labels[at]
+    block = np.flatnonzero(labels == labels[0])
     assert np.array_equal(seeded.support, block)
     assert seeded.T.nnz == 639
-    assert (seeded.T != full.T[block][:, block]).nnz == 0
+    assert (seeded.T != full.T[at[block]][:, at[block]]).nnz == 0
 
 
 def test_seeded_form_holds_the_full_blocks_of_its_seeds():
@@ -894,12 +907,105 @@ def test_seeded_form_holds_the_full_blocks_of_its_seeds():
     grid = len(np.unique(seeded.support >> n)) * len(np.unique(seeded.support & (d - 1)))
     assert grid > len(seeded.support)
     # whole blocks of the full form, every block holding a seed among them
-    inside = np.isin(full.labels, full.labels[seeded.support])
-    assert np.array_equal(np.flatnonzero(inside), seeded.support)
+    at = np.argsort(full.support)  # the full form's index of each label
+    labels = full.labels[at]
+    inside = np.isin(labels, labels[seeded.support])
+    assert np.array_equal(np.flatnonzero(inside), np.sort(seeded.support))
     assert np.isin(seeds, seeded.support).all() and len(seeded.support) < d * d
-    assert (seeded.T != full.T[seeded.support][:, seeded.support]).nnz == 0
-    assert len(np.unique(seeded.labels)) == len(np.unique(full.labels[seeded.support]))
+    assert (seeded.T != full.T[at[seeded.support]][:, at[seeded.support]]).nnz == 0
+    assert len(np.unique(seeded.labels)) == len(np.unique(labels[seeded.support]))
+    # several cosets, each shift an XOR of the coset coordinate: rows = arange ^ sigma
+    assert len(seeded.support) > seeded.coset
+    assert np.array_equal(seeded.rows, np.arange(len(seeded.support)) ^ seeded.rows[:, :1])
     assert_matches_exponential(g, build_superoperator(g), [rho0], 2.0, 3)
+
+
+def assert_blocks_are_the_slot_graph_components(form):
+    """The form's coset-by-coset labelling against connected_components of
+    its whole slot graph: labels, sizes, order and position, and nnz and
+    each column's depth (one past its last live slot)."""
+    labels, sizes, order, position = slot_graph_blocks(form)
+    assert np.array_equal(form.labels, labels) and np.array_equal(form.sizes, sizes)
+    assert np.array_equal(form.order, order) and np.array_equal(form.position, position)
+    live = form.weights != 0
+    assert form.nnz == live.sum()
+    assert np.array_equal(form.depth, np.where(live.any(axis=0),
+                                               len(live) - np.argmax(live[::-1], axis=0), 0))
+
+
+def benchmark_davies_l2(seed):
+    """The L=2 Davies generator at the parameters the davies-steady-l2
+    benchmark workload draws for ``seed``."""
+    rng = random.Random(seed)
+    beta, gamma0 = rng.uniform(0.9, 1.1), rng.uniform(0.45, 0.55)
+    H = toric_hamiltonian(build_torus(2), rng.uniform(0.9, 1.1), rng.uniform(0.9, 1.1))
+    return davies_reduction(H, full_decomps(H), beta, gamma0)
+
+
+def commutant_forms(H, jumps, monkeypatch):
+    """The block forms ergodicity_check builds for the jumps of H: the
+    full-set commutant first, then the eigenspace ones."""
+    forms = []
+
+    def record(*args, **kwargs):
+        forms.append(lindblad._block_form(*args, **kwargs))
+        return forms[-1]
+
+    monkeypatch.setattr(verify, "_block_form", record)
+    verify.ergodicity_check(H, [j.op for j in jumps], max_commutant=2)
+    monkeypatch.undo()
+    return forms
+
+
+def test_coset_labelling_is_the_slot_graph_components(toric_l2, monkeypatch):
+    lat, g, _ = toric_l2
+    for seed in (1, 2, 3):  # 1024 cosets of 64, one block each
+        davies = benchmark_davies_l2(seed)
+        form = lindblad._block_form(lindblad._sandwich_terms(256, davies.H, davies.jumps), 256)
+        assert (form.coset, len(form.sizes)) == (64, 1024)
+        assert_blocks_are_the_slot_graph_components(form)
+    # the commutant forms, where cosets split: the [[5,1,3]] full set and the
+    # L=2 translation-only set, then their eigenspaces (matrix units at 12, 48)
+    code, code_davies = five_qubit_davies()
+    torus = toric_hamiltonian(lat, 1.0, 1.0)
+    translations = davies_reduction(torus, full_decomps(torus), 1.0, 0.5, include=("translate",))
+    for H, jumps in ((code, code_davies.jumps), (torus, translations.jumps)):
+        forms = commutant_forms(H, jumps, monkeypatch)
+        assert len(forms[0].sizes) > len(forms[0].support) // forms[0].coset
+        assert any(form.basis == "matrix-unit" for form in forms)
+        for form in forms:
+            assert_blocks_are_the_slot_graph_components(form)
+    # the RWA composite of ZZ with four ancillas (d = 64), seeded forms of
+    # several cosets, and matrix-unit forms (one class, the whole support)
+    W = loop_operators(lat)["Wx1"].to_sparse().toarray()
+    rho = (np.eye(256) + 0.5 * W) / 256
+    seeded = lindblad._block_form(lindblad._sandwich_terms(256, g.H, g.jumps), 256,
+                                  seeds=seed_indices([rho], 256))
+    assert len(seeded.support) == 2 * seeded.coset == 128
+    assert_blocks_are_the_slot_graph_components(seeded)
+    composite = rwa_composite_64()
+    for gen, seeds in ((composite, None), (composite, np.array([0, 5, 4000])),
+                       (damped_qutrit(), None), (random_generator(3, 5), None)):
+        d = gen.n_levels
+        form = lindblad._block_form(lindblad._sandwich_terms(d, gen.H, gen.jumps), d, seeds=seeds)
+        assert_blocks_are_the_slot_graph_components(form)
+
+
+def test_coset_labelling_of_a_hand_built_form():
+    # two cosets of four, the first holding labels 4..7: shift 1 joins all of
+    # it, shift 2 joins t = 0, 2, so it is one block; the second splits into
+    # {0, 1} and the isolated 2 and 3. Blocks are numbered by smallest label
+    sigma = np.array([0, 1, 2])
+    weights = np.array([[-1.0] * 8,
+                        [0.5, 0.5, 0.5, 0.5, 0.3, 0.3, 0, 0],
+                        [0.2, 0, 0.2, 0, 0, 0, 0, 0]])
+    form = lindblad._BlockForm("pauli", np.array([4, 5, 6, 7, 0, 1, 2, 3]),
+                               np.arange(8) ^ sigma[:, None], weights, np.arange(3)[:, None], 4,
+                               None, None, False)
+    assert np.array_equal(form.labels, [3, 3, 3, 3, 0, 0, 1, 2])
+    assert np.array_equal(form.sizes, [2, 1, 1, 4])
+    assert np.array_equal(form.order, [4, 5, 6, 7, 0, 1, 2, 3])
+    assert_blocks_are_the_slot_graph_components(form)
 
 
 def pauli_basis_columns(d):

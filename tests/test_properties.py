@@ -24,6 +24,7 @@ from stabtherm.circuits import (  # noqa: E402
     schedule_superoperator,
     simulate_schedule,
 )
+from stabtherm import lindblad  # noqa: E402
 from stabtherm.lindblad import gibbs_state, steady_states, vec  # noqa: E402
 from stabtherm.pauli import PauliString, PauliSum  # noqa: E402
 from stabtherm.toric import (  # noqa: E402
@@ -38,6 +39,7 @@ from oracles import (  # noqa: E402
     commutant_nullity,
     random_density,
     simulate_gates,
+    slot_graph_blocks,
 )
 
 
@@ -115,6 +117,21 @@ def test_block_kernel_matches_dense_svd(H, beta):
     gen = _davies(H, beta)
     s = np.linalg.svd(build_superoperator(gen).toarray(), compute_uv=False)
     assert steady_states(gen).kernel_dim == np.sum(s < 1e-9 * s[0])
+
+
+@settings(max_examples=25, deadline=None)
+@given(H=stabilizer_hamiltonians(), beta=st.floats(0.0, 1.0))
+def test_coset_labelling_is_the_slot_graph_components(H, beta):
+    # the Davies form and its identity coset, labelled coset by coset, have
+    # the labels, sizes, order and positions of the slot graph's components
+    gen = _davies(H, beta)
+    d = 1 << H.n_qubits
+    terms = lindblad._sandwich_terms(d, gen.H, gen.jumps)
+    for seeds in (None, np.zeros(1, dtype=int)):
+        form = lindblad._block_form(terms, d, seeds=seeds)
+        for got, want in zip((form.labels, form.sizes, form.order, form.position),
+                             slot_graph_blocks(form)):
+            assert np.array_equal(got, want)
 
 
 @settings(max_examples=25, deadline=None)
