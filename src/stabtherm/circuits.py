@@ -39,29 +39,23 @@ Liouville map, found by running the region's branches once on the 4^|Q|
 basis matrices of Q, when that 4^|Q| x 4^|Q| map is no larger than the
 state (16^|Q| <= 4^n, the rule for fused runs); a wider region keeps its
 gates and branches at run time. A measured reset is thus the same 4 x 4 map
-as THERMAL_RESET on two or more qubits. One kernel, ``_apply_local`` (the
-qubit-to-axis map over ``groups._apply_axes``), applies every map, and one
-loop, ``_ScheduleRunner._run_segment``, runs branches both when lowering a
-region and at run time. The whole-channel views run one segment on the
-stack of all d^2 basis matrices.
+as THERMAL_RESET on two or more qubits. One kernel, ``_apply_local`` (over
+``groups._apply_axes``), applies every map of the plan to a full matrix,
+and one loop, ``_ScheduleRunner._run_segment``, runs branches both when
+lowering a region and on the full state. The whole-channel views run one
+segment on the stack of all d^2 basis matrices.
 
-``simulate_schedule`` first closes the state's support: the set R of
-density-matrix entries that holds the state's nonzero entries and that the
-segment maps into itself. R grows from those entries by running the segment
-on small batches of basis matrices |i><j| of the entries it gains; an image
-entry at or below ``lindblad.ROUNDOFF`` of its column's largest is rounding
-residue and is dropped, every other one joins R. Closing R costs about
-one segment pass per entry, so it is given up once |R| > min(d, steps):
-past d the |R| x |R| map is larger than the state (the rule for regions),
-past steps it costs more than running the steps on the whole state. When
-R closes within that bound, the steps run as one matrix on the |R|
-coefficients: from I/d, a Trotter step whose resets are full dephases its
-ancillas and keeps the state on its d diagonal entries, and a run of d or
-more such steps runs on them. Otherwise (a state with more nonzero
-entries than the bound, e.g. I/d under a single step, or partial resets
-that keep coherence) the steps run the plan on the whole state. Both ways
-are deterministic; the support way differs from the plan only by the
-dropped residue.
+``simulate_schedule`` runs the steps on the state's closed support R, the
+entries that hold its nonzero entries and that the segment maps into
+itself, found by taking the state's 0/1 pattern through each plan entry
+cut at ``lindblad.ROUNDOFF`` of its largest, until R stops growing. A fused
+unitary, cut, is block diagonal and maps each block pair by two products;
+other entries gather along the shifts of their Liouville maps. From I/64 the
+dressed composite's Trotter step with partial resets runs on the 640
+entries of its unitary's diagonal block pairs. With |R| <= min(d, steps)
+the segment is first composed into one |R| x |R| matrix (past d it is
+larger than the state, past steps it costs more than the steps). Only a
+wide region runs the plan on the full state.
 """
 
 from __future__ import annotations
@@ -76,7 +70,7 @@ import numpy as np
 from .errors import ParameterError, ScheduleError
 from .groups import _apply_axes
 from .lindblad import ROUNDOFF, DensityMatrix, LindbladGenerator, _check_temperature
-from .pauli import PauliString
+from .pauli import DENSE_LIMIT, PauliString, _check_limit
 from .serialize import strict_json
 
 ROT1 = "ROT1"
@@ -85,9 +79,6 @@ MEASURE_Z = "MEASURE_Z"
 COND_PULSE = "COND_PULSE"
 THERMAL_RESET = "THERMAL_RESET"
 SAMPLE_BOLTZMANN_BIT = "SAMPLE_BOLTZMANN_BIT"
-
-# basis matrices per segment run while closing a state's support
-_CLOSURE_BATCH = 8
 
 # the fields each gate kind needs
 _NEEDS = {
@@ -182,9 +173,10 @@ class GateSchedule:
     steps: int = 1
 
     def __post_init__(self):
-        if self.n_qubits < 1 or self.n_classical < 0 or self.steps < 1 or self.total_time < 0:
+        if (self.n_qubits < 1 or self.n_classical < 0 or self.steps < 1
+                or not 0 <= self.total_time < math.inf):
             raise ScheduleError("a schedule needs n_qubits >= 1, n_classical >= 0, "
-                                "steps >= 1 and total_time >= 0")
+                                "steps >= 1 and a finite total_time >= 0")
         written: set[int] = set()
         for g in self.gates:
             for q in (g.qubit, g.qubit2):
@@ -346,8 +338,8 @@ def trotterize(g: LindbladGenerator, t: float, n_steps: int,
     arbitrarily-strong-dissipation limit: same steady state, different
     transient).
     """
-    if t < 0:
-        raise ParameterError("t must be nonnegative")
+    if not 0 <= t < math.inf:
+        raise ParameterError(f"t must be finite and nonnegative, got {t}")
     if n_steps < 1:
         raise ParameterError("need at least one Trotter step")
     n_qubits = int(round(math.log2(g.n_levels)))
@@ -486,6 +478,76 @@ def _local_maps(maps, local: dict[int, int], n: int) -> tuple:
     return tuple((op, tuple(local[q % n] + k * (q >= n) for q in qs)) for op, qs in maps)
 
 
+def _move_bits(x: np.ndarray, src, dst) -> np.ndarray:
+    """x with its bit src[m] moved to bit dst[m], its other bits dropped."""
+    return sum(((x >> a) & 1) << b for a, b in zip(src, dst))
+
+
+def _gather(R: np.ndarray, flat: np.ndarray):
+    """The map from coefficients on the ordered support R to those of the
+    flat indices ``flat``, zero off R."""
+    if np.array_equal(R, flat):
+        return lambda v: v
+    order = np.argsort(R)
+    at = order[np.minimum(np.searchsorted(R[order], flat), len(R) - 1)]
+    found = R[at] == flat
+    return (lambda v: v[at]) if found.all() else (lambda v: v[at] * found)
+
+
+def _unitary_stage(u: np.ndarray, qubits: tuple[int, ...], n: int):
+    """u rho u^dag for u on ``qubits`` of n, as a function of an ordered
+    support R: (the image's support, its map on coefficients on R). Cut at
+    ROUNDOFF, u (x) 1 is block diagonal (the components of u's pattern, for
+    each value of the other qubits); the image is every entry of each block
+    pair (a, b) that R meets, u_a X u_b^dag, batched by shape."""
+    d, k = 1 << n, len(qubits)
+    cut = np.abs(u) > ROUNDOFF * np.abs(u).max()
+    label, comp = None, np.arange(1 << k)  # each local state's component, by its smallest
+    while not np.array_equal(label, comp):
+        label = comp
+        comp = np.minimum(label, np.where(cut | cut.T, label, len(label)).min(axis=1))[label]
+    flat, spread = np.arange(d), _move_bits(np.arange(1 << k), range(k), qubits)
+    loc = _move_bits(flat, qubits, range(k))
+    lead = (flat & ~spread[-1]) | spread[comp][loc]
+    members = np.argsort(lead, kind="stable")
+    block, sizes = np.unique(lead, return_inverse=True, return_counts=True)[1:]
+    starts, nb = np.cumsum(sizes) - sizes, len(sizes)
+
+    def lower(R):
+        pair = np.unique(block[R // d] * nb + block[R % d])
+        a, b = pair // nb, pair % nb
+        shape = sizes[a] * (d + 1) + sizes[b]
+        images, products = [], []
+        for key in np.unique(shape):
+            ma, mb = (members[starts[c[shape == key], None] + np.arange(s)]
+                      for c, s in zip((a, b), divmod(int(key), d + 1)))
+            la, lb = loc[ma][:, :, None], loc[mb][:, :, None]
+            images.append((ma[:, :, None] * d + mb[:, None, :]).ravel())
+            products.append((_gather(R, images[-1]), ma.shape + mb.shape[1:],
+                             u[la, la.swapaxes(1, 2)], u[lb.swapaxes(1, 2), lb].conj()))
+        return np.concatenate(images), lambda v: np.concatenate(
+            [(ua @ take(v).reshape(shape) @ ubh).ravel() for take, shape, ua, ubh in products])
+    return lower
+
+
+def _channel_stage(M: np.ndarray, bits: tuple[int, ...]):
+    """A Liouville map M on the flat bits ``bits``, cut at ROUNDOFF, like
+    ``_unitary_stage``: entry o of the image gathers M[l, l ^ s] v[o ^ s]
+    (l its local index) along each shift s of M's pattern."""
+    M = np.where(np.abs(M) > ROUNDOFF * np.abs(M).max(), M, 0)
+    k, local = len(bits), np.arange(len(M))
+    shifts = np.unique((local[:, None] ^ local)[M != 0])[:, None]
+    flip = _move_bits(shifts, range(k), bits)
+
+    def lower(R):
+        loc = _move_bits(R, bits, range(k))
+        image = np.unique((R ^ flip)[M[loc ^ shifts, loc] != 0])
+        loc = _move_bits(image, bits, range(k))
+        terms = [(_gather(R, f), w) for f, w in zip(image ^ flip, M[loc, loc ^ shifts])]
+        return image, lambda v: sum(w * take(v) for take, w in terms)
+    return lower
+
+
 class _ScheduleRunner:
     """Executes a schedule on a stack of matrices (linear channel semantics).
 
@@ -574,51 +636,29 @@ class _ScheduleRunner:
             out = self._run_segment(self._plan, self.n, out)
         return out
 
-    def support_map(self, mat: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
-        """(R, S_R): the smallest set R of entries of the (d, d) ``mat`` that
-        holds its nonzero entries and that the segment maps into itself,
-        and the segment on R as an |R| x |R| matrix over the row-major flat
-        indices R. None when |R| > min(d, steps): S_R would then be larger
-        than the state, or closing R would cost more segment passes than
-        the steps it saves.
+    def on_support(self, mat: np.ndarray):
+        """(R, segment): the segment as a map of coefficients on the closed
+        support R (row-major flat entries) of the (d, d) ``mat``, or None for
+        a zero ``mat`` or a plan that keeps a wide region's branches."""
+        if not mat.any() or any(g is not None and g.kind != THERMAL_RESET
+                                for g, _, _ in self._plan):
+            return None
+        stages = [_unitary_stage(maps[0][0], maps[1][1], self.n) if len(maps) == 2
+                  else _channel_stage(*maps[0]) for _, ((_, _, maps),), _ in self._plan]
+        R0, R = np.zeros(0, dtype=np.int64), np.flatnonzero(mat)
+        while not np.isin(R, R0).all():
+            R0 = np.union1d(R0, R)
+            R, lowered = R0, []
+            for lower in stages:
+                R, apply = lower(R)
+                lowered.append(apply)
+        lowered.append(_gather(R, R0))  # back to R0's order
 
-        R grows from the nonzero entries of ``mat``; the segment runs on
-        the basis matrices of the entries added to R, at most
-        ``_CLOSURE_BATCH`` at a time and at most min(d, steps) in all.
-        Image entries at or below ROUNDOFF of their column's largest are
-        rounding residue and are dropped; every other one joins R.
-        """
-        d = 1 << self.n
-        limit = min(d, self.schedule.steps)
-        support = np.flatnonzero(mat).tolist()
-        if len(support) > limit:
-            return None
-        where = {e: i for i, e in enumerate(support)}
-        rows, cols, vals = [], [], []
-        done = 0
-        while done < len(support) <= limit:
-            batch = support[done:done + _CLOSURE_BATCH]
-            basis = np.zeros((d * d, len(batch)), dtype=complex)
-            basis[batch, np.arange(len(batch))] = 1.0
-            images = self._run_segment(self._plan, self.n, basis.reshape(d, d, -1))
-            images = images.reshape(d * d, -1)
-            mag = np.abs(images)
-            r, c = np.nonzero(mag > ROUNDOFF * mag.max(axis=0))
-            for e in np.unique(r).tolist():
-                if e not in where:
-                    where[e] = len(support)
-                    support.append(e)
-            rows.append(r)
-            cols.append(c + done)
-            vals.append(images[r, c])
-            done += len(batch)
-        if len(support) > limit:
-            return None
-        S = np.zeros((len(support), len(support)), dtype=complex)
-        if rows:
-            S[[where[e] for e in np.concatenate(rows).tolist()], np.concatenate(cols)] = \
-                np.concatenate(vals)
-        return np.array(support, dtype=np.int64), S
+        def segment(v: np.ndarray) -> np.ndarray:
+            for apply in lowered:
+                v = apply(v)
+            return v
+        return R0, segment
 
     @staticmethod
     def _run_segment(plan: list, n: int, mat: np.ndarray) -> np.ndarray:
@@ -631,10 +671,7 @@ class _ScheduleRunner:
 
             def emit(bits_dict: dict[int, int], m: np.ndarray):
                 key = tuple(sorted((b, v) for b, v in bits_dict.items() if b in keep))
-                if key in new:
-                    new[key] = new[key] + m
-                else:
-                    new[key] = m
+                new[key] = new[key] + m if key in new else m
 
             for bits, m in branches.items():
                 assign = dict(bits)
@@ -656,9 +693,10 @@ class _ScheduleRunner:
 def run_schedule(schedule: GateSchedule,
                  rho0: DensityMatrix | np.ndarray) -> tuple[DensityMatrix, int]:
     """``simulate_schedule``'s state, and the number of density-matrix
-    entries its steps ran on: |R| when they ran on the invariant support R
-    (``_ScheduleRunner.support_map``, |R| <= min(d, steps)), d^2 when they
-    ran on the full state."""
+    entries its steps ran on: |R| on the state's closed support R
+    (``_ScheduleRunner.on_support``; composed into an |R| x |R| matrix when
+    |R| <= min(d, steps)), d^2 when a wide region ran the plan."""
+    _check_limit(schedule.n_qubits, DENSE_LIMIT, "dense")
     rho = rho0.mat if isinstance(rho0, DensityMatrix) else np.asarray(rho0, dtype=complex)
     dim = 1 << schedule.n_qubits
     if rho.shape != (dim, dim):
@@ -666,17 +704,20 @@ def run_schedule(schedule: GateSchedule,
             f"state dimension {rho.shape[0]} does not match {schedule.n_qubits} qubits"
         )
     runner = _ScheduleRunner(schedule)
-    closed = runner.support_map(rho)
-    if closed is None:
+    lowered = runner.on_support(rho)
+    if lowered is None:
         out, entries = runner.run(rho), dim * dim
     else:
-        support, S = closed
-        v = rho.reshape(-1)[support]
-        for _ in range(schedule.steps):
-            v = S @ v
-        out = np.zeros(dim * dim, dtype=complex)
-        out[support] = v
-        out, entries = out.reshape(dim, dim), len(support)
+        support, segment = lowered
+        v, entries = rho.reshape(-1)[support], len(support)
+        if entries <= min(dim, schedule.steps):
+            S = np.array([segment(e) for e in np.eye(entries, dtype=complex)])
+            v = v @ np.linalg.matrix_power(S, schedule.steps)
+        else:
+            for _ in range(schedule.steps):
+                v = segment(v)
+        out = np.zeros((dim, dim), dtype=complex)
+        out.flat[support] = v
     out = (out + out.conj().T) / 2
     tr = np.trace(out).real
     if abs(tr - 1.0) > 1e-10:

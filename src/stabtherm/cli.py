@@ -33,7 +33,7 @@ from .lindblad import (
     steady_states,
     trace_product,
 )
-from .pauli import PauliString
+from .pauli import DENSE_LIMIT, PauliString, _check_limit
 from .serialize import (
     config_hash,
     csv_text,
@@ -265,11 +265,10 @@ def cmd_simulate_schedule(args) -> int:
     from .circuits import GateSchedule, run_schedule
 
     sched = GateSchedule.from_jsonl(Path(args.schedule).read_text())
+    _check_limit(sched.n_qubits, DENSE_LIMIT, "dense")
     dim = 1 << sched.n_qubits
     if args.initial == "zero":
-        psi = np.zeros(dim)
-        psi[0] = 1.0
-        rho0 = DensityMatrix.pure(psi)
+        rho0 = DensityMatrix.pure(np.eye(1, dim)[0])
     elif args.initial == "plus":
         rho0 = DensityMatrix.pure(np.ones(dim) / np.sqrt(dim))
     else:  # mixed

@@ -1,11 +1,13 @@
 """Gate compilation, reset channels, schedule simulation, Trotterization."""
 
 import dataclasses
+import math
 
 import numpy as np
 import pytest
 from scipy import sparse
 from scipy.linalg import expm
+from scipy.sparse.csgraph import connected_components
 
 from stabtherm import circuits
 from stabtherm.bath import attach_ancillas, rwa_generator
@@ -368,36 +370,79 @@ def test_full_resets_from_mixed_run_on_the_diagonal(dressed_composite):
     pinned = trotterize(dressed_composite, 4.0, 64, pin_resets=True)
     rho = np.eye(64, dtype=complex) / 64
     for sched in (pinned, _measured_resets(pinned)):
-        support, S = circuits._ScheduleRunner(sched).support_map(rho)
+        support, segment = circuits._ScheduleRunner(sched).on_support(rho)
         assert sorted(support.tolist()) == [65 * i for i in range(64)]
+        S = np.array([segment(e) for e in np.eye(64)])  # row k: the image of entry k
         assert np.abs(S.imag).max() < 1e-15 and S.real.min() > -1e-15
-        assert np.abs(S.sum(axis=0) - 1).max() < 1e-13
+        assert np.abs(S.sum(axis=1) - 1).max() < 1e-13
         out, entries = circuits.run_schedule(sched, rho)
         assert entries == 64
         assert np.abs(out.mat - _state_on_plan(sched, rho)).max() < 1e-13
 
 
-def test_partial_resets_and_full_support_run_on_the_full_state(dressed_composite):
-    # a partial reset keeps part of its ancilla's coherence, so the support
-    # of I/d outgrows d entries; fewer steps than I/d's 64 entries would not
-    # repay closing them; |+><+| starts on all d^2. A rotation on qubit 0 of
-    # 2 spreads |0><0| (x) diag(p, 1 - p) over 8 > d entries, within its 8
-    # steps. All run the plan, bit for bit
+def test_partial_resets_and_full_support_run_on_their_closed_support(dressed_composite):
+    # a partial reset keeps part of its ancilla's coherence: from I/d the
+    # support closes on the 640 entries of the unitary's diagonal block
+    # pairs; |+><+| starts on all d^2; a rotation on qubit 0 of 2 spreads
+    # |0><0| (x) diag(p, 1 - p) over its two 2 x 2 diagonal block pairs. A
+    # measured reset on one qubit of one keeps its branches and runs the
+    # plan, bit for bit
     exact = trotterize(dressed_composite, 1.0, 100)
     pinned = trotterize(dressed_composite, 1.0, 100, pin_resets=True)
     mixed = np.eye(64, dtype=complex) / 64
     plus = np.full((64, 64), 1 / 64, dtype=complex)
     spread = GateSchedule(2, (Gate(ROT1, qubit=0, axis="x", angle=0.4),), steps=8)
-    for sched, rho in ((exact, mixed), (exact, plus),
-                       (dataclasses.replace(pinned, steps=1), mixed),
-                       (dataclasses.replace(pinned, steps=63), mixed),
-                       (pinned, plus), (_measured_resets(pinned), plus),
-                       (spread, np.diag([0.3, 0, 0.7, 0]).astype(complex))):
-        d = len(rho)
-        assert circuits._ScheduleRunner(sched).support_map(rho) is None
+    for sched, rho, size in ((exact, mixed, 640), (exact, plus, 4096),
+                             (dataclasses.replace(pinned, steps=1), mixed, 64),
+                             (dataclasses.replace(pinned, steps=63), mixed, 64),
+                             (pinned, plus, 4096), (_measured_resets(pinned), plus, 4096),
+                             (spread, np.diag([0.3, 0, 0.7, 0]).astype(complex), 8)):
         out, entries = circuits.run_schedule(sched, rho)
-        assert entries == d * d
-        assert np.array_equal(out.mat, _state_on_plan(sched, rho))
+        assert entries == size
+        assert np.abs(out.mat - _state_on_plan(sched, rho)).max() < 1e-13
+    wide = reset_channel(0.7, 1.3, implementation="measured")
+    rho = random_density(2, np.random.default_rng(43))
+    assert circuits._ScheduleRunner(wide).on_support(rho) is None
+    out, entries = circuits.run_schedule(wide, rho)
+    assert entries == 4 and np.array_equal(out.mat, _state_on_plan(wide, rho))
+
+
+def test_exact_trotter_step_runs_on_its_unitary_blocks(dressed_composite):
+    # cut at ROUNDOFF, the fused step unitary is block diagonal with blocks
+    # of 4 and 12; from I/64 the partial resets keep the state on the 640
+    # entries of the diagonal block pairs, found in two passes
+    exact = trotterize(dressed_composite, 60.0, 600)
+    plan = circuits._ScheduleRunner(exact)._plan
+    ((_, ((_, _, ((u, _), _)),), _), *resets) = plan
+    assert len(resets) == 4 and u.shape == (64, 64)
+    cut = np.abs(u) > circuits.ROUNDOFF * np.abs(u).max()
+    sizes = np.bincount(connected_components(sparse.csr_matrix(cut))[1])
+    assert sorted(sizes.tolist()) == [4] * 4 + [12] * 4
+    rho = np.eye(64, dtype=complex) / 64
+    out, entries = circuits.run_schedule(exact, rho)
+    assert entries == 640 == np.sum(sizes ** 2)
+    assert np.abs(out.mat - _state_on_plan(exact, rho)).max() < 1e-13
+
+
+def test_segment_is_composed_only_when_that_repays(dressed_composite, monkeypatch):
+    # |R| <= min(d, steps): one pass on each of R's basis matrices, then
+    # matrix steps; otherwise one pass on the state for each step
+    calls = []
+    on_support = circuits._ScheduleRunner.on_support
+
+    def spy(self, mat):
+        support, segment = on_support(self, mat)
+        return support, lambda v: calls.append(len(v)) or segment(v)
+
+    monkeypatch.setattr(circuits._ScheduleRunner, "on_support", spy)
+    pinned = trotterize(dressed_composite, 4.0, 100, pin_resets=True)
+    mixed = np.eye(64, dtype=complex) / 64
+    for sched, passes in ((pinned, [64] * 64),
+                          (dataclasses.replace(pinned, steps=63), [64] * 63),
+                          (trotterize(dressed_composite, 4.0, 700), [640] * 700)):
+        calls.clear()
+        circuits.run_schedule(sched, mixed)
+        assert calls == passes
 
 
 # -- schedule simulation --------------------------------------------------------
@@ -458,6 +503,20 @@ def test_schedule_jsonl_round_trip(mini_composite):
         out1 = simulate_schedule(sched, rho)
         out2 = simulate_schedule(back, rho)
         assert np.allclose(out1.mat, out2.mat)
+
+
+def test_schedule_total_time_is_finite():
+    sched = GateSchedule(1, (Gate(ROT1, qubit=0, axis="x", angle=0.2),), total_time=2.5, steps=3)
+    assert GateSchedule.from_jsonl(sched.to_jsonl()) == sched
+    for t in (math.nan, math.inf, -1.0):
+        with pytest.raises(ScheduleError, match="finite total_time"):
+            dataclasses.replace(sched, total_time=t)
+
+
+def test_trotterize_rejects_non_finite_t(mini_composite):
+    for t in (math.nan, math.inf, -1.0):
+        with pytest.raises(ParameterError, match="^t must be finite"):
+            trotterize(mini_composite, t, 4)
 
 
 def test_schedule_validation():

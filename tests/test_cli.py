@@ -7,9 +7,9 @@ import numpy as np
 import pytest
 
 from stabtherm import bath, cli, lindblad
-from stabtherm.circuits import GateSchedule
+from stabtherm.circuits import GateSchedule, run_schedule
 from stabtherm.cli import main, validate_config
-from stabtherm.errors import ConfigError, ScheduleError
+from stabtherm.errors import CapacityError, ConfigError, ScheduleError
 from stabtherm.serialize import (
     config_hash,
     group_from_json,
@@ -60,14 +60,14 @@ def test_compile_and_simulate_round_trip(tmp_path, capsys):
 
 
 def test_simulate_schedule_reports_where_the_steps_ran(tmp_path, capsys):
-    # exp(-i phi ZZZZ) keeps |0000><0000| on its one entry; one step does not
-    # repay closing the 16 diagonal entries of I/16; |+> fills all 256
+    # exp(-i phi ZZZZ) is diagonal once cut at ROUNDOFF: it keeps
+    # |0000><0000| on its one entry and I/16 on its 16; |+> fills all 256
     sched_path = tmp_path / "s.jsonl"
     assert run_cli("compile", "--pauli", "ZZZZ", "--phi", "0.3",
                    "--emit-schedule", str(sched_path)) == 0
     capsys.readouterr()
     for initial, purity, where in (("zero", "1.000000", "steps on 1 of 256 entries"),
-                                   ("mixed", "0.062500", "steps on the full state"),
+                                   ("mixed", "0.062500", "steps on 16 of 256 entries"),
                                    ("plus", "1.000000", "steps on the full state")):
         assert run_cli("simulate-schedule", str(sched_path), "--initial", initial) == 0
         assert capsys.readouterr().out.splitlines() == [
@@ -149,6 +149,14 @@ def test_capacity_error_exits_3(tmp_path, monkeypatch):
         p = tmp_path / "cfg.json"
         p.write_text(json.dumps(cfg))
         assert run_cli("run", str(p)) == 3  # L=3 superoperator exceeds capacity
+
+
+def test_oversized_schedule_exits_3_before_building_a_state(tmp_path):
+    p = tmp_path / "s.jsonl"
+    p.write_text(json.dumps({"header": {"n_qubits": 40}}) + "\n")
+    assert run_cli("simulate-schedule", str(p)) == 3
+    with pytest.raises(CapacityError, match="40 qubits"):
+        run_schedule(GateSchedule(40, ()), np.eye(2))
 
 
 def test_verify_ergodicity_records_diagnostics(tmp_path, capsys):

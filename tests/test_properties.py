@@ -19,6 +19,8 @@ from stabtherm.circuits import (  # noqa: E402
     THERMAL_RESET,
     Gate,
     GateSchedule,
+    _cnot_gates,
+    _ScheduleRunner,
     reset_channel,
     run_schedule,
     schedule_superoperator,
@@ -243,7 +245,76 @@ def test_steps_on_the_invariant_support_match_gate_by_gate_oracle(sched, steps, 
         rho[np.diag_indices(d)] = rng.dirichlet(np.ones(d))
     expected = simulate_gates(sched, rho)
     out, entries = run_schedule(sched, rho)
-    assert entries <= min(d, steps) or entries == d * d
+    assert np.count_nonzero(rho) <= entries <= d * d
     assert np.linalg.norm(out.mat - expected) < 1e-12
     vec_out = schedule_superoperator(sched) @ rho.reshape(-1, order="F")
     assert np.linalg.norm(vec_out.reshape(d, d, order="F") - out.mat) < 1e-12
+
+
+@st.composite
+def block_schedules(draw):
+    """Segments of one to three unitary runs, each ended by a partial or a
+    measured reset so that the runs are fused apart, with different block
+    partitions: z-rotations and CPHASEs (blocks of one), CNOTs (blocks of
+    one and of two), rotations about x or y (blocks of two), on a subset of
+    2-4 qubits."""
+    n = draw(st.integers(2, 4))
+    qubit, angle = st.integers(0, n - 1), st.floats(-np.pi, np.pi)
+    gates = []
+    for _ in range(draw(st.integers(1, 3))):
+        for _ in range(draw(st.integers(1, 3))):
+            kind = draw(st.sampled_from(["z", "cphase", "cnot", "rot"]))
+            a, b = draw(st.permutations(range(n)))[:2]
+            if kind == "cphase":
+                gates.append(Gate(CPHASE, qubit=a, qubit2=b, angle=draw(angle)))
+            elif kind == "cnot":
+                gates += _cnot_gates(a, b)
+            else:
+                gates.append(Gate(ROT1, qubit=a, angle=draw(angle),
+                                  axis="z" if kind == "z" else draw(st.sampled_from("xy"))))
+        if draw(st.booleans()):
+            gates.append(Gate(THERMAL_RESET, qubit=draw(qubit), beta=draw(st.floats(0, 3)),
+                              omega=draw(st.floats(0.1, 2)), relax=draw(st.floats(0, 1))))
+        else:
+            gates += reset_channel(draw(st.floats(0, 3)), draw(st.floats(0.1, 2)), draw(qubit), n,
+                                   implementation="measured").gates
+    return GateSchedule(n, tuple(gates), 2, 0.0, draw(st.integers(1, 6)))
+
+
+_CNOT_PARTIAL_RESET = GateSchedule(2, (*_cnot_gates(0, 1),
+                                       Gate(THERMAL_RESET, qubit=1, beta=0.8, omega=1.0,
+                                            relax=0.4)), 0, 0.0, 3)
+
+
+@settings(max_examples=60, deadline=None)
+@given(sched=block_schedules(), pair=st.booleans(),
+       ij=st.tuples(st.integers(0, 15), st.integers(0, 15)), p=st.floats(0.05, 0.95),
+       qubits=st.integers(1, 15), seed=st.integers(0, 2**32 - 1))
+@example(sched=_CNOT_PARTIAL_RESET, pair=True, ij=(0, 0), p=0.4, qubits=1, seed=0)
+def test_steps_on_the_closed_support_match_the_plan_from_coherent_starts(sched, pair, ij, p,
+                                                                         qubits, seed):
+    # a start with coherences meets off-diagonal block pairs, of unequal
+    # shapes where a CNOT splits its unitary into blocks of one and two:
+    # p|i><i| + (1 - p)|j><j| + c|i><j| + h.c., or a pure state on a subset
+    # of the qubits, the others in a random basis state
+    n, d = sched.n_qubits, 1 << sched.n_qubits
+    rng = np.random.default_rng(seed)
+    if pair:
+        i, j = ij[0] % d, (ij[0] + 1 + ij[1] % (d - 1)) % d
+        c = np.sqrt(p * (1 - p)) * rng.uniform() * np.exp(1j * rng.uniform(0, 2 * np.pi))
+        rho = np.zeros((d, d), dtype=complex)
+        rho[[i, j, i, j], [i, j, j, i]] = p, 1 - p, c, np.conj(c)
+    else:
+        local = [q for q in range(n) if qubits >> q & 1] or [0]
+        rest = int(rng.integers(d)) & ~sum(1 << q for q in local)
+        psi = np.zeros(d, dtype=complex)
+        for k in range(1 << len(local)):
+            psi[rest | sum((k >> m & 1) << q for m, q in enumerate(local))] = complex(
+                *rng.normal(size=2))
+        rho = np.outer(psi, psi.conj()) / np.vdot(psi, psi).real
+    out, entries = run_schedule(sched, rho)
+    plan = _ScheduleRunner(sched).run(rho)
+    plan = (plan + plan.conj().T) / 2
+    assert np.count_nonzero(rho) <= entries <= d * d
+    assert np.abs(out.mat - plan / np.trace(plan).real).max() < 1e-12
+    assert np.abs(out.mat - simulate_gates(sched, rho)).max() < 1e-12
