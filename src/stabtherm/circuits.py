@@ -54,8 +54,11 @@ other entries gather along the shifts of their Liouville maps. From I/64 the
 dressed composite's Trotter step with partial resets runs on the 640
 entries of its unitary's diagonal block pairs. With |R| <= min(d, steps)
 the segment is first composed into one |R| x |R| matrix (past d it is
-larger than the state, past steps it costs more than the steps). Only a
-wide region runs the plan on the full state.
+larger than the state, past steps it costs more than the steps). An R of
+all d^2 entries, and a wide region, run the plan on the full state. The
+cut drops, on every step, what an op below ROUNDOFF of its largest entry
+maps out of R, so on R the state can drift from the plan's by up to about
+steps * ROUNDOFF, not only by rounding.
 """
 
 from __future__ import annotations
@@ -496,16 +499,19 @@ def _gather(R: np.ndarray, flat: np.ndarray):
 
 def _unitary_stage(u: np.ndarray, qubits: tuple[int, ...], n: int):
     """u rho u^dag for u on ``qubits`` of n, as a function of an ordered
-    support R: (the image's support, its map on coefficients on R). Cut at
-    ROUNDOFF, u (x) 1 is block diagonal (the components of u's pattern, for
-    each value of the other qubits); the image is every entry of each block
-    pair (a, b) that R meets, u_a X u_b^dag, batched by shape."""
+    support R: (the image's support, a function that builds its map on
+    coefficients on R). Cut at ROUNDOFF, u (x) 1 is block diagonal (the
+    components of u's pattern, for each value of the other qubits); the image
+    is every entry of each block pair (a, b) that R meets, u_a X u_b^dag with
+    u's uncut entries, batched by shape."""
     d, k = 1 << n, len(qubits)
     cut = np.abs(u) > ROUNDOFF * np.abs(u).max()
+    edges = cut | cut.T
     label, comp = None, np.arange(1 << k)  # each local state's component, by its smallest
     while not np.array_equal(label, comp):
         label = comp
-        comp = np.minimum(label, np.where(cut | cut.T, label, len(label)).min(axis=1))[label]
+        low = np.minimum(label, np.where(edges, label, len(label)).min(axis=1))
+        comp = low[low]  # unchanged only once every edge joins equal labels
     flat, spread = np.arange(d), _move_bits(np.arange(1 << k), range(k), qubits)
     loc = _move_bits(flat, qubits, range(k))
     lead = (flat & ~spread[-1]) | spread[comp][loc]
@@ -517,34 +523,42 @@ def _unitary_stage(u: np.ndarray, qubits: tuple[int, ...], n: int):
         pair = np.unique(block[R // d] * nb + block[R % d])
         a, b = pair // nb, pair % nb
         shape = sizes[a] * (d + 1) + sizes[b]
-        images, products = [], []
+        groups = []
         for key in np.unique(shape):
             ma, mb = (members[starts[c[shape == key], None] + np.arange(s)]
                       for c, s in zip((a, b), divmod(int(key), d + 1)))
-            la, lb = loc[ma][:, :, None], loc[mb][:, :, None]
-            images.append((ma[:, :, None] * d + mb[:, None, :]).ravel())
-            products.append((_gather(R, images[-1]), ma.shape + mb.shape[1:],
-                             u[la, la.swapaxes(1, 2)], u[lb.swapaxes(1, 2), lb].conj()))
-        return np.concatenate(images), lambda v: np.concatenate(
-            [(ua @ take(v).reshape(shape) @ ubh).ravel() for take, shape, ua, ubh in products])
+            groups.append((ma, mb, (ma[:, :, None] * d + mb[:, None, :]).ravel()))
+
+        def build():
+            products = []
+            for ma, mb, image in groups:
+                la, lb = loc[ma][:, :, None], loc[mb][:, :, None]
+                products.append((_gather(R, image), ma.shape + mb.shape[1:],
+                                 u[la, la.swapaxes(1, 2)], u[lb.swapaxes(1, 2), lb].conj()))
+            return lambda v: np.concatenate(
+                [(ua @ take(v).reshape(shape) @ ubh).ravel() for take, shape, ua, ubh in products])
+        return np.concatenate([image for _, _, image in groups]), build
     return lower
 
 
 def _channel_stage(M: np.ndarray, bits: tuple[int, ...]):
-    """A Liouville map M on the flat bits ``bits``, cut at ROUNDOFF, like
-    ``_unitary_stage``: entry o of the image gathers M[l, l ^ s] v[o ^ s]
-    (l its local index) along each shift s of M's pattern."""
-    M = np.where(np.abs(M) > ROUNDOFF * np.abs(M).max(), M, 0)
+    """A Liouville map M on the flat bits ``bits``, like ``_unitary_stage``:
+    entry o of the image gathers M[l, l ^ s] v[o ^ s] (l its local index)
+    along each shift s of M's pattern cut at ROUNDOFF."""
+    cut = np.abs(M) > ROUNDOFF * np.abs(M).max()
     k, local = len(bits), np.arange(len(M))
-    shifts = np.unique((local[:, None] ^ local)[M != 0])[:, None]
+    shifts = np.unique((local[:, None] ^ local)[cut])[:, None]
     flip = _move_bits(shifts, range(k), bits)
 
     def lower(R):
         loc = _move_bits(R, bits, range(k))
-        image = np.unique((R ^ flip)[M[loc ^ shifts, loc] != 0])
-        loc = _move_bits(image, bits, range(k))
-        terms = [(_gather(R, f), w) for f, w in zip(image ^ flip, M[loc, loc ^ shifts])]
-        return image, lambda v: sum(w * take(v) for take, w in terms)
+        image = np.unique((R ^ flip)[cut[loc ^ shifts, loc]])
+
+        def build():
+            loc = _move_bits(image, bits, range(k))
+            terms = [(_gather(R, f), w) for f, w in zip(image ^ flip, M[loc, loc ^ shifts])]
+            return lambda v: sum(w * take(v) for take, w in terms)
+        return image, build
     return lower
 
 
@@ -639,20 +653,26 @@ class _ScheduleRunner:
     def on_support(self, mat: np.ndarray):
         """(R, segment): the segment as a map of coefficients on the closed
         support R (row-major flat entries) of the (d, d) ``mat``, or None for
-        a zero ``mat`` or a plan that keeps a wide region's branches."""
-        if not mat.any() or any(g is not None and g.kind != THERMAL_RESET
-                                for g, _, _ in self._plan):
+        a zero ``mat``, an R of all d^2 entries (where the plan's dense
+        products are no slower) or a plan that keeps a wide region's
+        branches. R is found by pattern alone; the stages' maps are built
+        once it has closed."""
+        R = np.flatnonzero(mat)
+        if len(R) in (0, mat.size) or any(g is not None and g.kind != THERMAL_RESET
+                                          for g, _, _ in self._plan):
             return None
         stages = [_unitary_stage(maps[0][0], maps[1][1], self.n) if len(maps) == 2
                   else _channel_stage(*maps[0]) for _, ((_, _, maps),), _ in self._plan]
-        R0, R = np.zeros(0, dtype=np.int64), np.flatnonzero(mat)
+        R0 = np.zeros(0, dtype=np.int64)
         while not np.isin(R, R0).all():
             R0 = np.union1d(R0, R)
-            R, lowered = R0, []
+            if len(R0) == mat.size:
+                return None
+            R, builds = R0, []
             for lower in stages:
-                R, apply = lower(R)
-                lowered.append(apply)
-        lowered.append(_gather(R, R0))  # back to R0's order
+                R, build = lower(R)
+                builds.append(build)
+        lowered = [build() for build in builds] + [_gather(R, R0)]  # back to R0's order
 
         def segment(v: np.ndarray) -> np.ndarray:
             for apply in lowered:
@@ -671,7 +691,10 @@ class _ScheduleRunner:
 
             def emit(bits_dict: dict[int, int], m: np.ndarray):
                 key = tuple(sorted((b, v) for b, v in bits_dict.items() if b in keep))
-                new[key] = new[key] + m if key in new else m
+                if key in new:
+                    new[key] = new[key] + m
+                else:
+                    new[key] = m
 
             for bits, m in branches.items():
                 assign = dict(bits)
@@ -695,7 +718,9 @@ def run_schedule(schedule: GateSchedule,
     """``simulate_schedule``'s state, and the number of density-matrix
     entries its steps ran on: |R| on the state's closed support R
     (``_ScheduleRunner.on_support``; composed into an |R| x |R| matrix when
-    |R| <= min(d, steps)), d^2 when a wide region ran the plan."""
+    |R| <= min(d, steps)), d^2 when R is every entry or a wide region ran
+    the plan. On R the drift from the plan grows with ``steps``, up to about
+    steps * ROUNDOFF (see the module docstring)."""
     _check_limit(schedule.n_qubits, DENSE_LIMIT, "dense")
     rho = rho0.mat if isinstance(rho0, DensityMatrix) else np.asarray(rho0, dtype=complex)
     dim = 1 << schedule.n_qubits

@@ -268,7 +268,9 @@ def cmd_simulate_schedule(args) -> int:
     _check_limit(sched.n_qubits, DENSE_LIMIT, "dense")
     dim = 1 << sched.n_qubits
     if args.initial == "zero":
-        rho0 = DensityMatrix.pure(np.eye(1, dim)[0])
+        psi = np.zeros(dim)
+        psi[0] = 1.0
+        rho0 = DensityMatrix.pure(psi)
     elif args.initial == "plus":
         rho0 = DensityMatrix.pure(np.ones(dim) / np.sqrt(dim))
     else:  # mixed

@@ -383,28 +383,74 @@ def test_full_resets_from_mixed_run_on_the_diagonal(dressed_composite):
 def test_partial_resets_and_full_support_run_on_their_closed_support(dressed_composite):
     # a partial reset keeps part of its ancilla's coherence: from I/d the
     # support closes on the 640 entries of the unitary's diagonal block
-    # pairs; |+><+| starts on all d^2; a rotation on qubit 0 of 2 spreads
-    # |0><0| (x) diag(p, 1 - p) over its two 2 x 2 diagonal block pairs. A
-    # measured reset on one qubit of one keeps its branches and runs the
-    # plan, bit for bit
+    # pairs; a rotation on qubit 0 of 2 spreads |0><0| (x) diag(p, 1 - p)
+    # over its two 2 x 2 diagonal block pairs. |+><+| starts on all d^2,
+    # y-rotations of both qubits close a pure state on 4 entries on all 16,
+    # and a measured reset on one qubit of one keeps its branches: these run
+    # the plan, bit for bit
     exact = trotterize(dressed_composite, 1.0, 100)
     pinned = trotterize(dressed_composite, 1.0, 100, pin_resets=True)
     mixed = np.eye(64, dtype=complex) / 64
     plus = np.full((64, 64), 1 / 64, dtype=complex)
     spread = GateSchedule(2, (Gate(ROT1, qubit=0, axis="x", angle=0.4),), steps=8)
-    for sched, rho, size in ((exact, mixed, 640), (exact, plus, 4096),
+    for sched, rho, size in ((exact, mixed, 640),
                              (dataclasses.replace(pinned, steps=1), mixed, 64),
                              (dataclasses.replace(pinned, steps=63), mixed, 64),
-                             (pinned, plus, 4096), (_measured_resets(pinned), plus, 4096),
                              (spread, np.diag([0.3, 0, 0.7, 0]).astype(complex), 8)):
         out, entries = circuits.run_schedule(sched, rho)
         assert entries == size
         assert np.abs(out.mat - _state_on_plan(sched, rho)).max() < 1e-13
+    rotations = GateSchedule(2, (Gate(ROT1, qubit=1, axis="y", angle=0.3),
+                                 Gate(ROT1, qubit=0, axis="y", angle=0.5)), steps=3)
+    half = np.zeros((4, 4), dtype=complex)
+    half[:2, :2] = 0.5
     wide = reset_channel(0.7, 1.3, implementation="measured")
-    rho = random_density(2, np.random.default_rng(43))
-    assert circuits._ScheduleRunner(wide).on_support(rho) is None
-    out, entries = circuits.run_schedule(wide, rho)
-    assert entries == 4 and np.array_equal(out.mat, _state_on_plan(wide, rho))
+    for sched, rho in ((exact, plus), (pinned, plus), (_measured_resets(pinned), plus),
+                       (rotations, half), (wide, random_density(2, np.random.default_rng(43)))):
+        assert circuits._ScheduleRunner(sched).on_support(rho) is None
+        out, entries = circuits.run_schedule(sched, rho)
+        assert entries == rho.size and np.array_equal(out.mat, _state_on_plan(sched, rho))
+
+
+@pytest.mark.parametrize("cycle", [(0, 2, 3, 1, 4, 5), tuple(range(8)), (7, 0, 6, 1, 5, 2, 4, 3)])
+def test_unitary_blocks_are_the_components_of_long_permutation_cycles(cycle):
+    # a component of diameter 3 or more needs its labels taken through more
+    # than one neighbour of each state. The image of the full diagonal is
+    # every diagonal block pair: (i, j) with i and j in one component of
+    # u (x) 1 on the register
+    perm = np.arange(8)
+    perm[list(cycle)] = np.roll(cycle, -1)
+    u = np.eye(8)[perm].T.astype(complex)  # u|c_m> = |c_{m+1}>
+    for qubits, n in (((0, 1, 2), 3), ((0, 2, 3), 4)):
+        d = 1 << n
+        full = circuits._apply_local(u, qubits, np.eye(d, dtype=complex).reshape((2,) * n + (d,)), n)
+        labels = connected_components(sparse.csr_matrix(np.abs(full.reshape(d, d)) > 0))[1]
+        image = circuits._unitary_stage(u, qubits, n)(np.arange(d) * (d + 1))[0]
+        assert np.array_equal(np.sort(image), np.flatnonzero(labels[:, None] == labels))
+
+
+def test_cut_drift_from_the_plan_stays_below_steps_times_roundoff():
+    # a rotation by less than ROUNDOFF is cut to the identity on the support
+    # of |0><0|: what it moves off R is dropped on every step
+    rho = np.diag([1.0, 0.0]).astype(complex)
+    for steps in (10, 1000):
+        sched = GateSchedule(1, (Gate(ROT1, qubit=0, axis="x", angle=1e-14),), steps=steps)
+        out, entries = circuits.run_schedule(sched, rho)
+        assert entries == 1
+        assert np.abs(out.mat - _state_on_plan(sched, rho)).max() <= steps * circuits.ROUNDOFF
+
+
+def test_fused_cnots_with_a_seven_cycle_match_the_plan():
+    # CNOT(1, 0) CNOT(2, 1) CNOT(0, 2) maps the bits linearly with one
+    # 7-cycle on the nonzero states: one block of 7 and one of 1
+    cnots = circuits._cnot_gates(1, 0) + circuits._cnot_gates(2, 1) + circuits._cnot_gates(0, 2)
+    sched = GateSchedule(3, tuple(cnots), steps=5)
+    for i in range(8):
+        rho = np.zeros((8, 8), dtype=complex)
+        rho[i, i] = 1
+        out, entries = circuits.run_schedule(sched, rho)
+        assert entries == (1 if i == 0 else 49)
+        assert np.abs(out.mat - _state_on_plan(sched, rho)).max() < 1e-13
 
 
 def test_exact_trotter_step_runs_on_its_unitary_blocks(dressed_composite):
