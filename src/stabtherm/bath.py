@@ -111,10 +111,8 @@ class CompositeModel:
 
     def embed_system(self, op: PauliSum) -> PauliSum:
         """Lift a system PauliSum to the composite register."""
-        out = PauliSum(self.n_qubits)
-        for c, s in op.terms:
-            out = out + PauliSum.from_string(PauliString(self.n_qubits, s.x, s.z, s.k), c)
-        return out
+        return PauliSum(self.n_qubits, [(c, PauliString(self.n_qubits, s.x, s.z, s.k))
+                                        for c, s in op.terms])
 
     def ancilla_pauli(self, i: int, axis: str) -> PauliSum:
         return PauliSum.from_string(PauliString.single(self.n_qubits, self.ancilla_qubit(i), axis))
@@ -172,15 +170,11 @@ def _composite_dim_guard(n_qubits: int):
 def _ancilla_jumps(model: CompositeModel) -> list[JumpOp]:
     jumps = []
     for i, a in enumerate(model.ancillas):
-        sm = model.ancilla_sigma_pm(i, "-").to_sparse()
-        sp = model.ancilla_sigma_pm(i, "+").to_sparse()
         q = model.ancilla_qubit(i)
-        jumps.append(JumpOp(sm, a.gamma_minus, f"anc{i}-",
-                            reset={"qubit": q, "beta": model.beta, "omega": a.omega,
-                                   "direction": "minus"}))
-        jumps.append(JumpOp(sp, a.gamma_plus, f"anc{i}+",
-                            reset={"qubit": q, "beta": model.beta, "omega": a.omega,
-                                   "direction": "plus"}))
+        for sign, rate, direction in (("-", a.gamma_minus, "minus"), ("+", a.gamma_plus, "plus")):
+            jumps.append(JumpOp(model.ancilla_sigma_pm(i, sign), rate, f"anc{i}{sign}",
+                                reset={"qubit": q, "beta": model.beta, "omega": a.omega,
+                                       "direction": direction}))
     return jumps
 
 
@@ -195,6 +189,7 @@ def attach_ancillas(
     with Sigma^-/Sigma^+ dissipators at detailed-balance rates (no RWA)."""
     decomps = tuple(decomps)
     _validate_decomps(H, decomps)
+    _check_beta(beta)
     specs, components = _dressing_ancillas(decomps, beta, gamma_minus)
     _composite_dim_guard(H.n_qubits + len(specs))
 
@@ -232,20 +227,11 @@ def rwa_generator(model: CompositeModel) -> LindbladGenerator:
 
 
 def _composite_generator(model: CompositeModel, h_sum: PauliSum) -> LindbladGenerator:
-    """The generator of the Hermitian h_sum with the ancilla dissipators. Its
-    symbolic terms are real-coefficient (a phase folded into the string)."""
-    h_sum = h_sum.simplify()
-    out = []
-    for c, s in h_sum.terms:
-        if abs(c.imag) > 1e-10 * max(1.0, abs(c)):
-            # fold i into the string phase so the compiler sees a real angle
-            out.append((float(c.imag), PauliString(s.n, s.x, s.z, (s.k + 1) % 4)))
-            if abs(c.real) > 1e-10 * max(1.0, abs(c)):
-                out.append((float(c.real), s))
-        else:
-            out.append((float(c.real), s))
-    return LindbladGenerator(n_levels=model.dim, H=h_sum.to_sparse(),
-                             jumps=tuple(_ancilla_jumps(model)), hamiltonian_terms=tuple(out))
+    """The generator of the Hermitian h_sum, simplified, with the ancilla
+    dissipators. H and the jumps stay PauliSums, as in ``davies_reduction``;
+    ``trotterize`` compiles H's terms."""
+    return LindbladGenerator(n_levels=model.dim, H=h_sum.simplify(),
+                             jumps=tuple(_ancilla_jumps(model)))
 
 
 def _validate_decomps(H: StabilizerHamiltonian, decomps: tuple[EigenoperatorDecomposition, ...]):

@@ -66,6 +66,7 @@ from __future__ import annotations
 import itertools
 import json
 import math
+import numbers
 from dataclasses import asdict, dataclass, fields
 
 import numpy as np
@@ -73,7 +74,7 @@ import numpy as np
 from .errors import ParameterError, ScheduleError
 from .groups import _apply_axes
 from .lindblad import ROUNDOFF, DensityMatrix, LindbladGenerator, _check_temperature
-from .pauli import DENSE_LIMIT, PauliString, _check_limit
+from .pauli import DENSE_LIMIT, PauliString, PauliSum, _check_limit
 from .serialize import strict_json
 
 ROT1 = "ROT1"
@@ -96,13 +97,14 @@ _INTEGER_FIELDS = ("qubit", "qubit2", "cbit")
 _HEADER_KEYS = {"n_qubits", "n_classical", "total_time", "steps"}
 
 
-def _number(where: str, v, integral: bool = False):
+def _number(where: str, v, integral: bool = False, error: type[Exception] = ScheduleError):
     """``v`` checked as a JSON number; with ``integral`` it must be whole and
-    comes back as an int (integral floats pass, as JSON Schema's integer allows)."""
+    comes back as an int (integral floats pass, as JSON Schema's integer
+    allows). ``error`` is raised otherwise."""
     expected = "an integer" if integral else "a number"
-    if (isinstance(v, bool) or not isinstance(v, (int, float))
+    if (isinstance(v, bool) or not isinstance(v, numbers.Real)
             or (integral and not float(v).is_integer())):
-        raise ScheduleError(f"{where} must be {expected}, got {v!r}")
+        raise error(f"{where} must be {expected}, got {v!r}")
     return int(v) if integral else float(v)
 
 
@@ -176,6 +178,8 @@ class GateSchedule:
     steps: int = 1
 
     def __post_init__(self):
+        for f in ("n_qubits", "n_classical", "steps", "total_time"):
+            object.__setattr__(self, f, _number(f, getattr(self, f), f != "total_time"))
         if (self.n_qubits < 1 or self.n_classical < 0 or self.steps < 1
                 or not 0 <= self.total_time < math.inf):
             raise ScheduleError("a schedule needs n_qubits >= 1, n_classical >= 0, "
@@ -228,10 +232,8 @@ class GateSchedule:
             raise ScheduleError(f"a header has n_qubits and only {sorted(_HEADER_KEYS)}, "
                                 f"got {sorted(h)}")
         gates = tuple(Gate.from_json(strict_json(ln, ScheduleError)) for ln in lines[1:])
-        return cls(_number("n_qubits", h["n_qubits"], True), gates,
-                   _number("n_classical", h.get("n_classical", 0), True),
-                   _number("total_time", h.get("total_time", 0.0)),
-                   _number("steps", h.get("steps", 1), True))
+        return cls(h["n_qubits"], gates, h.get("n_classical", 0), h.get("total_time", 0.0),
+                   h.get("steps", 1))
 
 
 # ---------------------------------------------------------------------------
@@ -333,23 +335,24 @@ def trotterize(g: LindbladGenerator, t: float, n_steps: int,
                pin_resets: bool = False) -> GateSchedule:
     """First-order product schedule approximating exp(L*t).
 
-    The schedule stores one step and repeats it ``n_steps`` times. Per step: one exact exponential per Hamiltonian Pauli term with angle
-    coeff*dt, then one thermal-relaxation channel per reset-tagged ancilla
-    qubit. By default the relaxation strength equals the exact exp(D*dt) for
-    that ancilla's dissipator pair, so the schedule converges to exp(L*t) at
+    The schedule stores one step and repeats it ``n_steps`` times. Per step:
+    one exact exponential per Pauli term of H, a PauliSum, with angle
+    coeff*dt (an imaginary coefficient's i folded into the string's phase),
+    then one thermal-relaxation channel per reset-tagged ancilla qubit. By
+    default the relaxation strength equals the exact exp(D*dt) for that
+    ancilla's dissipator pair, so the schedule converges to exp(L*t) at
     first order in 1/N; pin_resets=True applies full resets instead (the
     arbitrarily-strong-dissipation limit: same steady state, different
     transient).
     """
     if not 0 <= t < math.inf:
         raise ParameterError(f"t must be finite and nonnegative, got {t}")
+    n_steps = _number("n_steps", n_steps, True, ParameterError)
     if n_steps < 1:
         raise ParameterError("need at least one Trotter step")
-    n_qubits = int(round(math.log2(g.n_levels)))
-    if (1 << n_qubits) != g.n_levels:
-        raise ParameterError("generator dimension is not a power of two")
-    if g.hamiltonian_terms is None:
-        raise ParameterError("generator carries no symbolic Hamiltonian term list")
+    if not isinstance(g.H, PauliSum):
+        raise ParameterError("trotterize compiles the Pauli terms of H, which is not a PauliSum")
+    n_qubits = g.H.n
 
     resets: dict[int, dict] = {}
     for j in g.jumps:
@@ -367,9 +370,18 @@ def trotterize(g: LindbladGenerator, t: float, n_steps: int,
     if t == 0:
         return GateSchedule(n_qubits, (), 0, 0.0, 1)
 
+    terms = []
+    for c, s in g.H.terms:
+        if abs(c.imag) > 1e-10 * max(1.0, abs(c)):
+            # fold i into the string phase so the compiler sees a real angle
+            terms.append((float(c.imag), PauliString(s.n, s.x, s.z, (s.k + 1) % 4)))
+            if abs(c.real) > 1e-10 * max(1.0, abs(c)):
+                terms.append((float(c.real), s))
+        else:
+            terms.append((float(c.real), s))
     dt = t / n_steps
     step_gates: list[Gate] = []
-    for coeff, pstr in g.hamiltonian_terms:
+    for coeff, pstr in terms:
         if abs(coeff) < 1e-15 or pstr.weight == 0:
             continue
         step_gates += list(compile_pauli_exponential(pstr, coeff * dt).gates)

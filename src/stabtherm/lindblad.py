@@ -23,8 +23,8 @@ For the L=2 toric Davies generator that is about 60 and 15 of 1024 blocks;
 the diagnostics count them as ``bounded`` and ``refined``.
 
 The basis matrix is assembled in one batched pass over the sandwich terms'
-operators, with no sparse matrix per term. Pauli sums
-(``bath.davies_reduction`` keeps H and the jumps as PauliSums, and so G) give
+operators, with no sparse matrix per term. Pauli sums (``bath`` keeps H and
+the jumps of the Davies and composite generators as PauliSums, and so G) give
 their coefficients as they are, matrices by one Walsh-Hadamard transform; the
 product rule writes the entries (no d x d matrix). Every Pauli-basis entry
 moves a basis element by a shift, an XOR of two terms' Pauli labels, so the
@@ -215,15 +215,13 @@ class LindbladGenerator:
     """d rho/dt = -i [H, rho] + sum_k gamma_k D[K_k] rho.
 
     H and each jump's K are kept as PauliSums (on log2(n_levels) qubits) or
-    converted to complex csr matrices. ``hamiltonian_terms`` optionally
-    carries the symbolic Pauli term list of H (needed by the gate compiler);
-    it is not used by the numerics here.
+    converted to complex csr matrices. The gate compiler reads H's Pauli
+    terms, so ``trotterize`` needs H as a PauliSum.
     """
 
     n_levels: int
     H: sparse.spmatrix | PauliSum
     jumps: tuple[JumpOp, ...]
-    hamiltonian_terms: tuple[tuple[float, PauliString], ...] | None = None
 
     def __post_init__(self):
         h, *ops = [o if isinstance(o, PauliSum) else sparse.csr_matrix(o, dtype=complex, copy=True)
@@ -253,7 +251,7 @@ def _sandwich_terms(d: int, H, jumps) -> list:
     """Pairs (A, B) with L rho = sum A rho B for the d x d Lindbladian of H
     (None for none) and the ``JumpOp``s: (-iH - G, I), (I, iH - G) and
     (2 rate K, K^dag) per jump, with G = sum rate K^dag K. When H and every
-    K are PauliSums (a Davies generator) so is every operator, G by Pauli
+    K are PauliSums (as ``bath`` builds them) so is every operator, G by Pauli
     algebra. Otherwise PauliSums are realized as csr, each K stays sparse or
     dense, and G is one product of the jumps stacked once as csr (dense if
     every K is), each row scaled by its rate."""

@@ -304,9 +304,12 @@ class PauliSum:
             if not all(map(cmath.isfinite, out._terms.values())):
                 raise ParameterError("coefficients must be finite")
             return out
+        other = complex(other)
+        if not cmath.isfinite(other):
+            raise ParameterError("coefficients must be finite")
         out = PauliSum(self.n)
         for (x, z), c in self._terms.items():
-            out._terms[(x, z)] = c * complex(other)
+            out._terms[(x, z)] = c * other
         return out
 
     __rmul__ = __mul__

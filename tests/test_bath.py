@@ -10,6 +10,14 @@ from stabtherm.bath import (
     rwa_generator,
     rwa_validity_probe,
 )
+from stabtherm.circuits import (
+    THERMAL_RESET,
+    GateSchedule,
+    compile_pauli_exponential,
+    schedule_unitary,
+    simulate_schedule,
+    trotterize,
+)
 from stabtherm.errors import CapacityError, ModelError, ParameterError
 from stabtherm.lindblad import (
     DensityMatrix,
@@ -19,6 +27,7 @@ from stabtherm.lindblad import (
     trace_distance,
     vec,
 )
+from stabtherm.pauli import PauliString, PauliSum
 from stabtherm.toric import (
     build_torus,
     eigenoperator_decomposition,
@@ -85,17 +94,64 @@ def test_rwa_hamiltonian_matches_independent_excitation_build():
     assert np.linalg.norm(gen.H.toarray() - expected) < 1e-12
 
 
-def test_composite_generators_carry_simplified_real_terms():
-    # both composite generators hand the compiler each Pauli string of H
-    # once, with a real nonzero coefficient, and the terms sum to H
+def test_composite_generators_keep_h_as_a_pauli_sum_the_compiler_reads():
+    # both composite generators keep H as a PauliSum, each string once, and
+    # a one-step schedule compiles each term c*S to one block exp(-i dt c S):
+    # with (c S)^2 = |c|^2 and S^2 = sign, r = i sign Tr(S U) / Tr(U) is
+    # tan(|c| dt) c/|c| up to the block's global phase, so its angle divided
+    # by dt gives c back
     H = single_stabilizer_model("ZZ", 1.0)
     model, lab = attach_ancillas(H, full_decomps(H), beta=1.0, gamma_minus=0.3, g=0.4)
+    dt = 0.01
     for gen in (lab, rwa_generator(model)):
-        strings = [(s.x, s.z) for _, s in gen.hamiltonian_terms]
+        assert isinstance(gen.H, PauliSum)
+        strings = [(s.x, s.z) for _, s in gen.H.terms]
         assert len(set(strings)) == len(strings)
-        assert all(isinstance(c, float) and c != 0 for c, _ in gen.hamiltonian_terms)
-        total = sum(c * s.to_sparse() for c, s in gen.hamiltonian_terms)
-        assert abs(total - gen.H).max() < 1e-12
+        gates = [g for g in trotterize(gen, dt, 1).gates if g.kind != THERMAL_RESET]
+        rebuilt = PauliSum(gen.H.n)
+        for c, s in gen.H.terms:
+            hermitian = PauliString(s.n, s.x, s.z, bin(s.x & s.z).count("1"))
+            size = len(compile_pauli_exponential(hermitian, 0.0).gates)
+            block, gates = gates[:size], gates[size:]
+            U = schedule_unitary(GateSchedule(gen.H.n, tuple(block)))
+            S = s.to_dense()
+            r = 1j * s.square_phase() * np.trace(S @ U) / np.trace(U)
+            rebuilt = rebuilt + PauliSum.from_string(s, r / abs(r) * np.arctan(abs(r)) / dt)
+        assert gates == []
+        assert (rebuilt - gen.H).norm_coeffs() < 1e-12
+
+
+def test_composite_path_realizes_no_pauli_sum(monkeypatch):
+    # the composites keep H and the ancilla jumps as PauliSums: building,
+    # compiling, simulating and the steady state read their terms alone
+    def refuse(*args, **kwargs):
+        raise AssertionError("a Pauli sum was realized as a matrix")
+
+    for owner in (PauliSum, PauliString):
+        monkeypatch.setattr(owner, "to_sparse", refuse)
+    H = single_stabilizer_model("ZZ", 1.0)
+    model, lab = attach_ancillas(H, full_decomps(H), beta=1.0, gamma_minus=0.3, g=0.4)
+    rwa = rwa_generator(model)
+    for gen in (lab, rwa):
+        assert isinstance(gen.H, PauliSum) and all(isinstance(j.op, PauliSum) for j in gen.jumps)
+        out = simulate_schedule(trotterize(gen, 1.0, 4), DensityMatrix.maximally_mixed(model.dim))
+        assert abs(np.trace(out.mat) - 1.0) < 1e-12
+    ss = steady_states(rwa)
+    assert ss.kernel_dim == 1
+    assert (ss.diagnostics["blocks"], ss.diagnostics["max_block"], ss.diagnostics["nnz"]) == (
+        100, 80, 18416)
+
+
+def test_composites_refuse_non_finite_couplings_and_invalid_beta():
+    # a NaN or infinite g would otherwise be dropped from H by simplify(),
+    # and a negative beta gives gamma_plus > gamma_minus
+    H = single_stabilizer_model("ZZ", 1.0)
+    for g in (np.nan, np.inf):
+        with pytest.raises(ParameterError, match="finite"):
+            attach_ancillas(H, full_decomps(H), beta=1.0, gamma_minus=0.3, g=g)
+    for beta in (-1.0, np.inf, np.nan):
+        with pytest.raises(ParameterError, match="beta"):
+            attach_ancillas(H, full_decomps(H), beta=beta, gamma_minus=0.3, g=0.4)
 
 
 def test_rwa_mini_gibbs_product_is_stationary():

@@ -36,7 +36,7 @@ from stabtherm.lindblad import (
     steady_states,
     trace_distance,
 )
-from stabtherm.pauli import PauliString
+from stabtherm.pauli import PauliString, PauliSum
 from stabtherm.toric import eigenoperator_decomposition, single_stabilizer_model
 
 from oracles import (
@@ -590,14 +590,16 @@ def test_trotter_error_slope_is_first_order(mini_composite):
 
 
 def test_trotter_commuting_terms_exact_for_any_n():
-    p1 = PauliString.from_letters("ZZ")
-    p2 = PauliString.from_letters("ZI")
-    H = 0.5 * p1.to_dense() + 0.3 * p2.to_dense()
-    g = LindbladGenerator(4, H, (), hamiltonian_terms=((0.5, p1), (0.3, p2)))
-    exact = expm(build_superoperator(g).toarray() * 0.9)
-    for N in (1, 3):
-        S = schedule_superoperator(trotterize(g, 0.9, N))
-        assert np.linalg.norm(S - exact) < 1e-12
+    # XY has one Y = iXZ, so its coefficient on the phase-0 string is
+    # imaginary: trotterize folds the i into the string's phase
+    zz = PauliString.from_letters("ZZ")
+    for other in ("ZI", "XY"):
+        H = PauliSum(2, [(0.5, zz), (0.3, PauliString.from_letters(other))])
+        g = LindbladGenerator(4, H, ())
+        exact = expm(build_superoperator(g).toarray() * 0.9)
+        for N in (1, 3):
+            S = schedule_superoperator(trotterize(g, 0.9, N))
+            assert np.linalg.norm(S - exact) < 1e-12
 
 
 def test_trotter_schedule_stores_one_step(mini_composite):
@@ -624,11 +626,35 @@ def test_trotter_t_zero_is_empty_identity(mini_composite):
 
 def test_trotter_rejects_uncompilable_dissipator():
     K = np.array([[0, 1], [0, 0]], dtype=complex)
-    g = LindbladGenerator(2, np.zeros((2, 2)),
-                          (JumpOp(sparse.csr_matrix(K), 0.5),),
-                          hamiltonian_terms=())
-    with pytest.raises(ParameterError):
+    g = LindbladGenerator(2, PauliSum(1), (JumpOp(sparse.csr_matrix(K), 0.5),))
+    with pytest.raises(ParameterError, match="not a single-ancilla thermal reset"):
         trotterize(g, 1.0, 2)
+
+
+def test_trotter_needs_h_as_a_pauli_sum():
+    H = PauliSum(2, [(0.5, PauliString.from_letters("ZZ"))])
+    with pytest.raises(ParameterError, match="not a PauliSum"):
+        trotterize(LindbladGenerator(4, H.to_sparse(), ()), 1.0, 2)
+    assert len(trotterize(LindbladGenerator(4, H, ()), 1.0, 2).gates) == 11
+
+
+def test_schedule_sizes_are_integers(mini_composite):
+    # a whole float is stored as an int, as from_jsonl reads it back; a
+    # fraction or a bool is refused when the schedule is made
+    rot = (Gate(ROT1, qubit=0, axis="x", angle=0.2),)
+    sched = GateSchedule(1.0, rot, 0.0, 1, 2.0)
+    assert (sched.n_qubits, sched.n_classical, sched.total_time, sched.steps) == (1, 0, 1.0, 2)
+    assert all(type(v) is int for v in (sched.n_qubits, sched.n_classical, sched.steps))
+    assert GateSchedule.from_jsonl(sched.to_jsonl()) == sched
+    out = simulate_schedule(sched, DensityMatrix.pure(np.array([1.0, 0.0])))
+    assert abs(out.mat[0, 0].real - math.cos(0.2) ** 2) < 1e-14  # two steps of angle 0.2
+    for kwargs in ({"steps": 2.5}, {"steps": True}, {"n_classical": 0.5}, {"total_time": "1"}):
+        with pytest.raises(ScheduleError, match="must be"):
+            GateSchedule(1, rot, **kwargs)
+    for n_steps in (2.5, True, "3"):
+        with pytest.raises(ParameterError, match="n_steps"):
+            trotterize(mini_composite, 1.0, n_steps)
+    assert trotterize(mini_composite, 1.0, 5.0) == trotterize(mini_composite, 1.0, 5)
 
 
 def test_trotterized_long_time_reaches_gibbs_product(dressed_composite):

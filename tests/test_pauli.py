@@ -211,3 +211,14 @@ def test_bad_inputs():
         PauliString.from_label("+2 XX")
     with pytest.raises(ParameterError):
         PauliString.from_letters("AB")
+
+
+def test_sum_times_non_finite_scalar_raises():
+    # simplify() would drop a NaN or infinite term, as every comparison with it is false
+    s = PauliSum(2, [(1.0, PauliString.from_letters("ZZ")), (0.5, PauliString.from_letters("XI"))])
+    for c in (np.nan, np.inf, -np.inf, complex(0.0, np.nan)):
+        with pytest.raises(ParameterError, match="finite"):
+            s * c
+        with pytest.raises(ParameterError, match="finite"):
+            c * s
+    assert len((s * 2.0).simplify()) == 2
