@@ -402,11 +402,13 @@ def trotterize(g: LindbladGenerator, t: float, n_steps: int,
 # simulation (channel-sum semantics)
 # ---------------------------------------------------------------------------
 
+_ROT1_PAULIS = {"x": np.array([[0, 1], [1, 0]], dtype=complex),
+                "y": np.array([[0, -1j], [1j, 0]], dtype=complex),
+                "z": np.array([[1, 0], [0, -1]], dtype=complex)}
+
+
 def _rot1_matrix(axis: str, angle: float) -> np.ndarray:
-    paulis = {"x": np.array([[0, 1], [1, 0]], dtype=complex),
-              "y": np.array([[0, -1j], [1j, 0]], dtype=complex),
-              "z": np.array([[1, 0], [0, -1]], dtype=complex)}
-    return math.cos(angle / 2) * np.eye(2) - 1j * math.sin(angle / 2) * paulis[axis]
+    return math.cos(angle / 2) * np.eye(2) - 1j * math.sin(angle / 2) * _ROT1_PAULIS[axis]
 
 
 def _thermal_kraus(beta: float, omega: float, relax: float) -> list[np.ndarray]:

@@ -18,9 +18,13 @@ Bendixson's theorem no eigenvalue of a block B has |lambda| below
 screen, the least -(S_ii + sum_{j != i} |S_ij|)/2 over the block's rows of
 S = T + T^dag, read from the entries of T. eigvalsh gives the bound only of
 the blocks whose screen can reach the kernel, the ambiguity band or the
-reported smallest |lambda|, and eigvals runs only on those whose bound can.
-For the L=2 toric Davies generator that is about 60 and 15 of 1024 blocks;
+reported smallest |lambda|, and eigvals runs only on those whose bound can;
 the diagnostics count them as ``bounded`` and ``refined``.
+
+Steady states split the generator into commuting classes first (for the
+toric Davies generator, the x-jumps with the plaquettes and the z-jumps with
+the vertices): each coset's spectrum is a Kronecker sum of class spectra,
+and the joint form is assembled only on the cosets that hold kernel.
 
 The basis matrix is assembled in one batched pass over the sandwich terms'
 operators, with no sparse matrix per term. Pauli sums (``bath`` keeps H and
@@ -384,18 +388,21 @@ def _pauli_coefficients(ops, d: int):
     return op[keep], b[keep], m[keep]
 
 
+def _echelon(V: np.ndarray) -> np.ndarray:
+    """A basis of the GF(2) span of the integers along the first axis of V,
+    one per trailing index, by elimination: leading bits descending, each
+    vector clear of the earlier leading bits, padded with zeros. b is in the
+    span iff XORing in turn each vector whose leading bit b has leaves 0."""
+    tops = []
+    while V.any():
+        tops.append(V.max(axis=0))
+        V = np.minimum(V, V ^ tops[-1])
+    return np.array(tops, dtype=V.dtype).reshape((len(tops),) + V.shape[1:])
+
+
 def _gf2_basis(labels) -> list[int]:
-    """A basis of the GF(2) span of the integers ``labels`` by elimination,
-    leading bits descending, each vector clear of the earlier leading bits:
-    b is in the span iff XORing in turn each vector whose leading bit b has
-    leaves 0."""
-    basis, rest = [], np.unique(labels)
-    rest = rest[rest > 0]
-    while rest.size:
-        basis.append(int(rest.max()))
-        rest = np.minimum(rest, rest ^ basis[-1])
-        rest = rest[rest > 0]
-    return basis
+    """The ``_echelon`` basis of the span of the integers ``labels``."""
+    return [int(v) for v in _echelon(np.unique(labels))]
 
 
 def _coset_union(shifts: np.ndarray, seeds, d: int):
@@ -633,12 +640,7 @@ class _BlockForm:
         vals = np.concatenate(spectra)
         vals = vals[np.argsort(vals if self.hermitian else np.abs(vals), kind="stable")]
         vals = vals[np.abs(vals) <= limit]
-        ambiguous = vals[(np.abs(vals) >= thresh / 100) & (np.abs(vals) < 100 * thresh)]
-        if ambiguous.size:
-            raise NumericalError(
-                f"|lambda| = {abs(ambiguous[0]):.3e} lies within a factor 100 of the "
-                f"kernel threshold {thresh:.3e}: the kernel dimension is ambiguous"
-            )
+        _check_band(np.abs(vals), thresh)
         n_kernel = (int(np.sum(vals < thresh)) if self.hermitian
                     else sum(v.shape[1] for _, v in kernel))
         margin = float(abs(vals[n_kernel]) / thresh) if n_kernel < len(vals) else None
@@ -710,6 +712,15 @@ class _BlockForm:
             kernel += [(idx, vb[:, np.abs(wb) < thresh]) for idx, wb, vb in zip(members, w, v)]
         bounded = int(np.isfinite(bound).sum())
         return [found[b] for b in order], kernel, max(reach, 100 * thresh), bounded
+
+
+def _check_band(mags: np.ndarray, thresh: float) -> None:
+    """Raise NumericalError, naming the first, if some |lambda| in ``mags``
+    lies within a factor 100 of the kernel threshold on either side."""
+    band = mags[(mags >= thresh / 100) & (mags < 100 * thresh)]
+    if band.size:
+        raise NumericalError(f"|lambda| = {band[0]:.3e} lies within a factor 100 of the "
+                             f"kernel threshold {thresh:.3e}: the kernel dimension is ambiguous")
 
 
 def _kernel_diagnostics(basis: str | None, blocks: int, max_block: int, nnz: int,
@@ -1034,9 +1045,9 @@ class SteadyStateResult:
     eigenvalues: np.ndarray            # the smallest |lambda| of all blocks, ascending
     residual: float                    # max ||L v|| over kernel basis vectors
     # basis, blocks, max_block, nnz (of the basis matrix), bounded and refined
-    # (the dense blocks whose eigvalsh bound and whose eigvals were computed)
-    # and margin, the smallest non-kernel |lambda| over the threshold (None if
-    # none), from _BlockForm.kernel; and seconds
+    # (the dense blocks whose spectrum was bounded and computed) and margin,
+    # the smallest non-kernel |lambda| over the threshold (None if none), as
+    # _BlockForm.kernel gives them; classes (1: the joint path); and seconds
     diagnostics: dict
 
     @property
@@ -1052,21 +1063,112 @@ class SteadyStateResult:
         return self.states[0]
 
 
+def _commuting_classes(H, jumps, d: int) -> list:
+    """The generator's parts, each term of H and each jump of nonzero rate,
+    split into classes when all are PauliSums: (H's terms or None, jumps,
+    span basis) per class. A term shifts labels by its label, a jump by the
+    XORs of its terms' labels. Parts join when their shift spans meet beyond
+    0 or a term of one anticommutes with a shift of the other; a class of
+    span {0} (diagonal) joins another. Right products with S_j then commute
+    with class i's map, so if the class spans S_i are independent the map
+    on b ^ (S_1 + ... + S_k) is the Kronecker sum of the class maps on the
+    b ^ S_i, up to a diagonal phase; if not, there is one class."""
+    one = [(H, jumps, None)]
+    live = [j for j in jumps if j.rate]
+    if not all(isinstance(o, PauliSum) for o in (H, *(j.op for j in live))):
+        return one
+    n, h_terms = d.bit_length() - 1, H.terms  # nonzero terms
+    labels = [[s.x << n | s.z] for _, s in h_terms] + [
+        [s.x << n | s.z for _, s in j.op.terms] for j in live]
+    T = np.zeros((max(map(len, labels), default=1), len(labels)), dtype=int)  # [term, part]
+    used = np.arange(len(T))[:, None] < [len(t) for t in labels]
+    T.T[used.T] = [b for t in labels for b in t]  # the pads, identities, commute with all
+    first = np.where(np.arange(T.shape[1]) < len(h_terms), 0, T[0])
+    B = _echelon(np.where(used, T ^ first, 0))  # each part's span basis, [i, part]
+    rank = np.count_nonzero(B, axis=0)
+    pair = _echelon(np.concatenate(np.broadcast_arrays(B[:, :, None], B[:, None])))
+    anti = ((np.bitwise_count((T >> n)[:, :, None, None] & B & (d - 1))
+             + np.bitwise_count(T[:, :, None, None] & (d - 1) & (B >> n))) & 1).any(axis=(0, 2))
+    join = (np.count_nonzero(pair, axis=0) < rank[:, None] + rank) | anti | anti.T
+    found, which = connected_components(sparse.csr_matrix(join), directed=False)
+    bases = [_gf2_basis(B[:, which == c]) for c in range(found)]
+    kept = [c for c, b in enumerate(bases) if b]
+    if len(kept) < 2 or sum(len(bases[c]) for c in kept) != len(_gf2_basis(B)):
+        return one
+    which, parts = np.where(np.isin(which, kept), which, kept[0]), [*h_terms, *live]
+    return [(PauliSum(n, [parts[p] for p in np.flatnonzero(which[:len(h_terms)] == c)]) or None,
+             tuple(parts[p] for p in np.flatnonzero(which == c) if p >= len(h_terms)), bases[c])
+            for c in kept]
+
+
+def _factored_kernel(classes, d: int):
+    """The kernel count and spectrum of the map split into
+    ``_commuting_classes``, from the class forms seeded with the
+    representatives (no leading bit of S set) of the cosets of the sum S of
+    the class spans. On each coset, at element (t_1, ..., t_k), the spectrum
+    is a Kronecker sum of the class spectra on their cosets, the diagonal is
+    the sum of the class diagonals, each other slot is one class's, and the
+    element's block is the product of its class blocks; so T's scale, nnz
+    and blocks come from the class slots. Returns the scale, the eigenvalues
+    sorted by |lambda|, the kernel count, the representatives of the cosets
+    that hold kernel and ``_BlockForm.kernel``'s diagnostics (bounded =
+    refined = blocks); None if a class block exceeds DENSE_BLOCK_LIMIT or a
+    class form's cosets are not its span's."""
+    lead = sum(1 << (v.bit_length() - 1) for v in _gf2_basis(np.concatenate([
+        basis for *_, basis in classes])))
+    reps = np.flatnonzero((np.arange(d * d) & lead) == 0)
+    spectra, slots, sizes, nnz = [], [], [], 0
+    for i, (H, jumps, basis) in enumerate(classes):
+        f = _block_form(_sandwich_terms(d, H, jumps), d, seeds=reps)
+        if f.sizes.max() > DENSE_BLOCK_LIMIT or f.coset != 1 << len(basis):
+            return None
+        order, m = np.argsort(f.support), f.coset
+        at = order[np.searchsorted(f.support[order], reps)] // m * m + np.arange(m)[:, None]
+        at, grid = at.T, (len(reps),) + tuple(m if j == i else 1 for j in range(len(classes)))
+        spectrum = np.empty(len(f.support), complex)
+        for members in f.blocks():
+            spectrum[members] = np.linalg.eigvals(f.dense(members))
+        on, mag = f.rows == np.arange(len(f.support)), np.abs(f.weights)
+        diag = np.where(on, f.weights, 0).sum(axis=0)
+        # a class element's off-diagonal slots recur at each joint element it is part of
+        nnz += (f.nnz - np.count_nonzero(diag)) * (d * d // len(f.support))
+        spectra.append(spectrum[at].reshape(grid))
+        slots.append(np.stack([diag, np.where(on, 0, mag).sum(axis=0), np.bincount(
+            f.rows[~on], mag[~on], len(on[0]))])[:, at].reshape((3,) + grid))  # off-diagonal 1-norms
+        sizes.append(f.sizes[f.labels[at]].reshape(grid))
+    (diagonal, column, row), spectra, size = sum(slots), sum(spectra), math.prod(sizes)
+    scale = float(max((np.abs(diagonal) + column).max(), (np.abs(diagonal) + row).max(), 1e-300))
+    thresh, mags = KERNEL_TOL * scale, np.abs(spectra)
+    vals = spectra.ravel()[np.argsort(mags, axis=None, kind="stable")]
+    _check_band(np.abs(vals), thresh)
+    n_kernel, blocks = int(np.count_nonzero(mags < thresh)), round((1 / size).sum())
+    hold = (mags < thresh).reshape(len(reps), -1).any(axis=1)
+    return scale, vals, n_kernel, reps[hold] if hold.any() else reps[:1], _kernel_diagnostics(
+        "pauli", blocks, int(size.max()), int(np.count_nonzero(diagonal) + nnz), blocks, blocks,
+        float(abs(vals[n_kernel]) / thresh) if n_kernel < vals.size else None)
+
+
 def steady_states(g: LindbladGenerator) -> SteadyStateResult:
     """Kernel of the superoperator, solved on its invariant blocks.
 
     The superoperator is written in the Hermitian Pauli basis when n_levels
     is a power of two (the matrix units otherwise); its connected components
-    are exact invariant blocks, and ``_BlockForm.kernel`` solves them: dense
-    up to DENSE_BLOCK_LIMIT elements, shift-invert ARPACK above, with k grown
+    are exact invariant blocks. If ``_commuting_classes`` gives k >= 2
+    classes, with blocks of at most DENSE_BLOCK_LIMIT elements, each block's
+    spectrum is a Kronecker sum of class spectra (``_factored_kernel``),
+    exact to rounding, and the kernel vectors come from the joint form on
+    the cosets with kernel alone, which must hold as many (diagnostics
+    ``classes`` = k; ``bounded`` = ``refined`` = ``blocks``). Otherwise
+    (``classes`` = 1) ``_BlockForm.kernel`` solves the whole form: dense up
+    to DENSE_BLOCK_LIMIT elements, shift-invert ARPACK above, with k grown
     until the computed set reaches past the kernel cluster and the ambiguous
     band, so degenerate kernels are reported faithfully. A dense block gets
     an eigvalsh bound only when its Gershgorin screen can reach the reported
-    spectrum, and eigvals only when that Bendixson bound can (diagnostics
-    ``bounded`` and ``refined`` count them). ``eigenvalues`` holds the
-    max(kernel_dim + 4, STEADY_EIGENVALUES) smallest |lambda| of the union
-    of the block spectra (complex, sorted by |lambda|), the same as eigvals
-    of every dense block would give.
+    spectrum, and eigvals only when that Bendixson bound can (``bounded``
+    and ``refined`` count them), as eigvals of every dense block would give.
+    ``eigenvalues`` holds the max(kernel_dim + 4, STEADY_EIGENVALUES)
+    smallest |lambda| of the union of the block spectra (complex, sorted by
+    |lambda|).
 
     Eigenvalues with |lambda| < KERNEL_TOL * ||L|| count as kernel. ||L|| is
     the larger of the maximal column and row 1-norms of the basis matrix, so
@@ -1077,23 +1179,34 @@ def steady_states(g: LindbladGenerator) -> SteadyStateResult:
     is refused; both raise NumericalError.
     """
     start = time.perf_counter()
-    form = _block_form(_sandwich_terms(g.n_levels, g.H, g.jumps), g.n_levels)
-    n = len(form.support)
-    scale = form.scale()
-    vals, n_kernel, kernel, diagnostics = form.kernel(KERNEL_TOL * scale, scale,
-                                                      STEADY_EIGENVALUES, MAX_KERNEL)
+    d, terms = g.n_levels, _sandwich_terms(g.n_levels, g.H, g.jumps)
+    classes = _commuting_classes(g.H, g.jumps, d)
+    split = _factored_kernel(classes, d) if len(classes) > 1 else None
+    if split is None:
+        form = _block_form(terms, d)
+        scale = form.scale()
+        vals, n_kernel, kernel, diagnostics = form.kernel(KERNEL_TOL * scale, scale,
+                                                          STEADY_EIGENVALUES, MAX_KERNEL)
+    else:
+        scale, vals, n_kernel, seeds, diagnostics = split
     if n_kernel > MAX_KERNEL:
-        raise NumericalError(f"kernel dimension exceeds the cap {MAX_KERNEL}")
+        raise NumericalError(f"kernel dimension {n_kernel} exceeds the cap {MAX_KERNEL}")
+    if split is not None:  # the kernel vectors, from the joint form on the cosets that hold kernel
+        form = _block_form(terms, d, seeds=seeds)
+        count, kernel = form.kernel(KERNEL_TOL * scale, scale, STEADY_EIGENVALUES, MAX_KERNEL)[1:3]
+        if count != n_kernel:
+            raise NumericalError(f"the class spectra hold {n_kernel} kernel eigenvalues, "
+                                 f"the joint form {count}")
+    diagnostics["classes"] = 1 if split is None else len(classes)
 
-    at = np.empty_like(form.support)  # each label's place: QR and norms run in label order
-    at[form.support] = np.arange(n)
-    coeffs = np.zeros((n, n_kernel), complex)
+    at = np.argsort(form.support)  # label order: QR and norms run in it
+    coeffs = np.zeros((len(at), n_kernel), complex)
     col = 0
     for idx, v in kernel:
         coeffs[idx, col:col + v.shape[1]] = v
         col += v.shape[1]
     if n_kernel:
-        coeffs = np.linalg.qr(coeffs[at])[0][form.support]
+        coeffs[at] = np.linalg.qr(coeffs[at])[0]
     residual = float(max((np.linalg.norm(form.matvec(coeffs[:, i])[at]) for i in range(n_kernel)),
                          default=0.0)) / scale
     basis = form.vectors(coeffs)
@@ -1112,7 +1225,7 @@ def steady_states(g: LindbladGenerator) -> SteadyStateResult:
         kernel_dim=n_kernel,
         kernel_basis=basis,
         states=tuple(states),
-        eigenvalues=vals[: max(n_kernel + 4, min(STEADY_EIGENVALUES, n))],
+        eigenvalues=vals[: max(n_kernel + 4, min(STEADY_EIGENVALUES, d * d))],
         residual=residual,
         diagnostics={**diagnostics, "seconds": time.perf_counter() - start},
     )

@@ -1135,6 +1135,16 @@ def test_sectors_refuse_anticommuting_support_and_strings_outside_it():
     assert np.allclose(zz.state((np.eye(4) + 0.5 * z.to_dense()) / 4), [[0.75, 0.25]])
 
 
+def joint_kernel(g):
+    """The joint solver on the full form, called directly: the form and
+    ``_BlockForm.kernel``'s (eigenvalues, kernel dimension, kernel,
+    diagnostics) at steady_states' threshold."""
+    form = lindblad._block_form(lindblad._sandwich_terms(g.n_levels, g.H, g.jumps), g.n_levels)
+    scale = form.scale()
+    return form, form.kernel(lindblad.KERNEL_TOL * scale, scale, lindblad.STEADY_EIGENVALUES,
+                             lindblad.MAX_KERNEL)
+
+
 def test_toric_l2_davies_gap(monkeypatch):
     lat = build_torus(2)
     H = toric_hamiltonian(lat, 1.0, 1.0)
@@ -1148,21 +1158,183 @@ def test_toric_l2_davies_gap(monkeypatch):
         return eigvalsh(a, *args, **kwargs)
 
     monkeypatch.setattr(np.linalg, "eigvalsh", counting)
+    _, (_, n_kernel, _, diagnostics) = joint_kernel(g)
+    assert n_kernel == 1
+    # on the joint form, eigvals runs on the 15 blocks whose Bendixson bound
+    # can reach the reported spectrum, not on all 1024
+    assert diagnostics["refined"] == 15
+    # and the Gershgorin screen leaves eigvalsh bounds on 67: the 53 blocks
+    # whose screen is below -1.7, and 14 whose screen equals the sixth
+    # |lambda|, 0.146525, to 1e-14 (their bounds are at least 0.293)
+    assert diagnostics["bounded"] == 67
+    assert sum(stacked) == diagnostics["bounded"]
     ss = steady_states(g)
-    assert ss.kernel_dim == 1
+    assert ss.kernel_dim == 1 and ss.diagnostics["classes"] == 2
     # 1024 blocks of 64, and no rounding residue stored (3,014,656 nonzeros
     # in the computational basis)
     assert ss.diagnostics["blocks"] == 1024 and ss.diagnostics["max_block"] == 64
     assert ss.diagnostics["nnz"] == 714751
-    # eigvals runs on the 15 blocks whose Bendixson bound can reach the
-    # reported spectrum, not on all 1024
-    assert ss.diagnostics["refined"] == 15
-    # and the Gershgorin screen leaves eigvalsh bounds on 67: the 53 blocks
-    # whose screen is below -1.7, and 14 whose screen equals the sixth
-    # |lambda|, 0.146525, to 1e-14 (their bounds are at least 0.293)
-    assert ss.diagnostics["bounded"] == 67
-    assert sum(stacked) == ss.diagnostics["bounded"]
     assert abs(np.sort(np.abs(ss.eigenvalues))[1] - 0.121675) < 1e-6
+
+
+def davies_steady_l2(seed):
+    """The L=2 Davies generator at the benchmark's davies-steady-l2
+    parameters for ``seed``."""
+    rng = random.Random(seed)
+    beta, gamma0, lam_e, lam_m = (rng.uniform(*r) for r in ((0.9, 1.1), (0.45, 0.55),
+                                                           (0.9, 1.1), (0.9, 1.1)))
+    H = toric_hamiltonian(build_torus(2), lam_e, lam_m)
+    return davies_reduction(H, full_decomps(H), beta, gamma0)
+
+
+def assert_same_spectrum(found, joint, tol):
+    """``found`` (sorted by |lambda|) is a prefix of ``joint`` to ``tol``, up
+    to the order of values of one |lambda| (conjugate pairs)."""
+    assert np.abs(np.abs(found) - np.abs(joint[:len(found)])).max() <= tol
+    assert np.abs(found[:, None] - joint[None]).min(axis=1).max() <= tol
+
+
+@pytest.mark.parametrize("seed", range(1, 6))
+def test_factored_l2_steady_state_matches_the_joint_solver(seed):
+    # the two commuting classes' spectra give the joint form's to rounding,
+    # and the kernel vector comes from the joint form on its coset alone
+    g = davies_steady_l2(seed)
+    ss = steady_states(g)
+    form, (vals, n_kernel, kernel, diagnostics) = joint_kernel(g)
+    assert ss.kernel_dim == n_kernel == 1
+    d = ss.diagnostics
+    assert (d["classes"], d["blocks"], d["max_block"], d["nnz"]) == (2, 1024, 64, 714751)
+    # every joint block's spectrum is computed, as the Kronecker sum of two
+    assert d["bounded"] == d["refined"] == d["blocks"]
+    assert_same_spectrum(ss.eigenvalues, vals, 1e-12)
+    assert abs(d["margin"] / diagnostics["margin"] - 1) < 1e-12
+    (members, v), = kernel
+    coeffs = np.zeros((len(form.support), 1), complex)
+    coeffs[members] = v
+    rho = unvec(form.vectors(coeffs)[:, 0])
+    rho = (rho + rho.conj().T) / 2
+    assert trace_distance(ss.state.mat, rho / np.trace(rho)) <= 1e-15
+
+
+def test_factored_path_assembles_no_joint_form(monkeypatch):
+    # the L=2 Davies steady state seeds every Pauli form: the two class
+    # forms on 8192 elements, the joint form on the kernel's coset of 64
+    supports, transfer = [], lindblad._pauli_transfer
+
+    def spy(terms, d, seeds=None):
+        assert seeds is not None, "a Pauli form was assembled on every element"
+        out = transfer(terms, d, seeds)
+        supports.append(len(out[0]))
+        return out
+
+    monkeypatch.setattr(lindblad, "_pauli_transfer", spy)
+    assert steady_states(davies_steady_l2(1)).kernel_dim == 1
+    assert max(supports) <= 8192 and sorted(supports) == [64, 8192, 8192]
+
+
+def test_commuting_classes_split_the_toric_davies_generator_by_stabilizer_type():
+    g = davies_steady_l2(1)
+    classes = lindblad._commuting_classes(g.H, g.jumps, g.n_levels)
+    assert [len(h.terms) + len(jumps) for h, jumps, _ in classes] == [28, 28]
+    kinds = []
+    for h, jumps, basis in classes:
+        # the plaquettes (Z-type) with the x-jumps, X_j times plaquette
+        # projectors; the vertices (X-type) with the z-jumps. Each span is
+        # that type's stabilizer group, of rank 3
+        z_type = all(s.x == 0 for _, s in h.terms)
+        assert z_type or all(s.z == 0 for _, s in h.terms)
+        assert len(basis) == 3 and all((int(b) >> 8 == 0) == z_type for b in basis)
+        assert all((s.x if z_type else s.z).bit_count() == 1
+                   for j in jumps for _, s in j.op.terms)
+        kinds.append(z_type)
+    assert sorted(kinds) == [False, True]
+
+
+def pauli_jump(n, *letters, rate=0.3):
+    return JumpOp(PauliSum(n, [(1.0, PauliString.from_letters(s)) for s in letters]), rate)
+
+
+def test_commuting_classes_join_dependent_spans_and_fold_diagonal_parts():
+    # the first two jumps and the term ZZIII all shift by ZZIII and commute
+    # with each other: their spans are dependent, so they join. The one-term
+    # jump (span {0}) folds into that class, the X-type jump with IIIXX is a
+    # class of its own, and the zero-rate jump, which would join them all,
+    # is no part
+    n = 5
+    jumps = (pauli_jump(n, "ZIIII", "IZIII"), pauli_jump(n, "ZIZII", "IZZII"),
+             pauli_jump(n, "IIIXI", "IIIIX"), pauli_jump(n, "ZIIII"), pauli_jump(n, "XXXXX", rate=0))
+    H = PauliSum(n, [(0.5, PauliString.from_letters(s)) for s in ("ZZIII", "IIIXX")])
+    classes = lindblad._commuting_classes(H, jumps, 1 << n)
+    assert [([s.letters for _, s in h.terms], [jumps.index(j) for j in js], len(b))
+            for h, js, b in classes] == [(["ZZIII"], [0, 1, 3], 1), (["IIIXX"], [2], 1)]
+
+
+def test_commuting_classes_are_one_when_spans_are_dependent_as_a_whole():
+    # shifts ZZI, IZZ and ZIZ: pairwise independent, dependent together
+    jumps = tuple(pauli_jump(3, a, b) for a, b in (("ZII", "IZI"), ("IZI", "IIZ"), ("ZII", "IIZ")))
+    assert len(lindblad._commuting_classes(PauliSum(3), jumps, 8)) == 1
+    assert len(lindblad._commuting_classes(PauliSum(3), jumps[:2], 8)) == 2
+
+
+def test_translation_only_l2_kernel_is_refused_on_the_factored_path():
+    # the class spectra hold 129 kernel eigenvalues (> MAX_KERNEL), as the
+    # joint form does, and steady_states raises
+    H = toric_hamiltonian(build_torus(2), 1.0, 1.0)
+    g = davies_reduction(H, full_decomps(H), 1.0, 0.5, include=("translate",))
+    assert len(lindblad._commuting_classes(g.H, g.jumps, g.n_levels)) == 2
+    assert joint_kernel(g)[1][1] == 129
+    with pytest.raises(NumericalError, match="kernel dimension 129 exceeds the cap 64"):
+        steady_states(g)
+
+
+def test_factored_kernel_threshold_and_band_are_the_joint_ones():
+    # two damped qubits as Pauli sums split into two classes; the kernel
+    # count and the ambiguity band are read from the class spectra
+    def damped(gamma):
+        return LindbladGenerator(4, PauliSum(2), tuple(
+            JumpOp(PauliSum(2, [(0.5, PauliString.single(2, q, "x")),
+                                (0.5j, PauliString.single(2, q, "y"))]), rate)
+            for q, rate in ((0, 1.0), (1, gamma))))
+
+    with pytest.raises(NumericalError, match="ambiguous"):
+        joint_kernel(damped(1e-10))
+    with pytest.raises(NumericalError, match="ambiguous"):
+        steady_states(damped(1e-10))
+    # far below the threshold the slow qubit's whole operator space is kernel
+    for gamma, kernel_dim in ((1e-6, 1), (1e-15, 4)):
+        ss = steady_states(damped(gamma))
+        assert ss.diagnostics["classes"] == 2
+        assert ss.kernel_dim == joint_kernel(damped(gamma))[1][1] == kernel_dim
+
+
+def test_class_form_with_a_cut_shift_takes_the_joint_path():
+    # the first jump's second term lies below ROUNDOFF of its first, so its
+    # class form has no shift IXX and no coset of the class span: the split
+    # (by the terms alone) is two classes, but the joint path runs
+    g = LindbladGenerator(8, PauliSum(3), (
+        JumpOp(PauliSum(3, [(1.0, PauliString.from_letters("IIX")),
+                            (1e-14, PauliString.from_letters("IXI"))]), 0.3),
+        JumpOp(PauliSum(3, [(0.5, PauliString.from_letters("XII")),
+                            (0.5j, PauliString.from_letters("YII"))]), 0.2)))
+    assert len(lindblad._commuting_classes(g.H, g.jumps, g.n_levels)) == 2
+    ss = steady_states(g)
+    _, (vals, n_kernel, _, diagnostics) = joint_kernel(g)
+    assert ss.diagnostics["classes"] == 1 and ss.kernel_dim == n_kernel == 8
+    assert np.array_equal(ss.eigenvalues, vals[:len(ss.eigenvalues)])
+
+
+@pytest.mark.parametrize("make", [lambda: five_qubit_davies()[1], rwa_composite_64,
+                                  three_qubit_rwa_composite, mini_davies])
+def test_unsplit_generators_take_the_joint_path(make):
+    # [[5,1,3]], the d=64 and d=8 RWA composites and the mini vertex do not
+    # split: steady_states is the joint solver, bit for bit
+    g = make()
+    ss = steady_states(g)
+    _, (vals, n_kernel, _, diagnostics) = joint_kernel(g)
+    assert ss.diagnostics["classes"] == 1 and ss.kernel_dim == n_kernel
+    assert np.array_equal(ss.eigenvalues, vals[:len(ss.eigenvalues)])
+    assert {k: v for k, v in ss.diagnostics.items() if k not in ("classes", "seconds")} == \
+        diagnostics
 
 
 def test_blocks_above_the_dense_limit_match_sparse_oracle():
@@ -1195,7 +1367,8 @@ def test_steady_state_diagnostics():
     ss = steady_states(g)
     d = ss.diagnostics
     assert set(d) == {"basis", "blocks", "max_block", "nnz", "bounded", "refined", "seconds",
-                      "margin"}
+                      "margin", "classes"}
+    assert d["classes"] == 1  # its jumps are matrices
     # k = 6 lowest bounds take all 2 blocks
     assert d["refined"] == d["bounded"] == d["blocks"]
     assert d["basis"] == "pauli" and d["max_block"] <= 4 and d["nnz"] > 0

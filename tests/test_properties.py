@@ -2,6 +2,7 @@
 on random gate + reset schedules (1-4 qubits)."""
 
 import dataclasses
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -58,18 +59,19 @@ def _gf2_rank(vectors):
 
 
 @st.composite
-def stabilizer_hamiltonians(draw):
+def stabilizer_hamiltonians(draw, css=False):
     """Random Pauli strings with random signs, kept greedily while they
     commute with those kept and stay independent over GF(2); a signed Pauli
-    string squares to +I (StabilizerHamiltonian checks it)."""
+    string squares to +I (StabilizerHamiltonian checks it). With ``css``
+    the candidates are X-type and Z-type in turn."""
     n = draw(st.integers(2, 4))
     candidates = draw(st.lists(
-        st.tuples(st.text("IXYZ", min_size=n, max_size=n), st.sampled_from(["+1", "-1"]),
-                  st.floats(0.5, 1.5)),
+        st.tuples(st.text("IP" if css else "IXYZ", min_size=n, max_size=n),
+                  st.sampled_from(["+1", "-1"]), st.floats(0.5, 1.5)),
         min_size=1, max_size=8))
     kept, terms = [], []
-    for letters, sign, coupling in candidates:
-        s = PauliString.from_letters(letters, sign)
+    for k, (letters, sign, coupling) in enumerate(candidates):
+        s = PauliString.from_letters(letters.replace("P", "XZ"[k % 2]), sign)
         symplectic = [p.x << n | p.z for p in kept + [s]]
         if all(s.commutes(p) for p in kept) and _gf2_rank(symplectic) == len(kept) + 1:
             kept.append(s)
@@ -119,6 +121,44 @@ def test_block_kernel_matches_dense_svd(H, beta):
     gen = _davies(H, beta)
     s = np.linalg.svd(build_superoperator(gen).toarray(), compute_uv=False)
     assert steady_states(gen).kernel_dim == np.sum(s < 1e-9 * s[0])
+
+
+def _assert_steady_states_match_the_joint_solver(gen):
+    """steady_states against the joint path (the split patched to one
+    class): kernel dimension, eigenvalues to 1e-10 (up to the order of a
+    conjugate pair), states to 1e-12 in trace distance, nnz and blocks."""
+    ss = steady_states(gen)
+    with mock.patch.object(lindblad, "_commuting_classes", lambda H, jumps, d: [(H, jumps, None)]):
+        joint = steady_states(gen)
+    assert joint.diagnostics["classes"] == 1 and ss.kernel_dim == joint.kernel_dim
+    assert np.abs(np.abs(ss.eigenvalues) - np.abs(joint.eigenvalues)).max() <= 1e-10
+    both = np.concatenate([joint.eigenvalues, joint.eigenvalues.conj()])
+    assert np.abs(ss.eigenvalues[:, None] - both).min(axis=1).max() <= 1e-10
+    assert len(ss.states) == len(joint.states)
+    assert all(a.distance(b) <= 1e-12 for a, b in zip(ss.states, joint.states))
+    # the class slots give the joint form's nnz and blocks
+    assert all(ss.diagnostics[k] == joint.diagnostics[k] for k in ("nnz", "blocks", "max_block"))
+    return ss
+
+
+@settings(max_examples=25, deadline=None)
+@given(H=stabilizer_hamiltonians(), beta=st.floats(0.0, 1.0))
+def test_steady_states_match_the_joint_solver(H, beta):
+    _assert_steady_states_match_the_joint_solver(_davies(H, beta))
+
+
+@settings(max_examples=25, deadline=None)
+@given(H=stabilizer_hamiltonians(css=True), beta=st.floats(0.0, 1.0))
+@example(H=StabilizerHamiltonian(4, (StabilizerTerm(1.0, PauliString.from_letters("XXXX")),
+                                     StabilizerTerm(1.0, PauliString.from_letters("ZZZZ")))),
+         beta=0.7)
+def test_css_steady_states_split_and_match_the_joint_solver(H, beta):
+    # with an X-type and a Z-type term the x-jumps and the Z-type terms
+    # split off from the z-jumps and the X-type terms: the factored path
+    kinds = {"x" if t.stabilizer.x else "z" for t in H.terms}
+    hypothesis.assume(kinds == {"x", "z"})
+    ss = _assert_steady_states_match_the_joint_solver(_davies(H, beta))
+    assert ss.diagnostics["classes"] >= 2
 
 
 @settings(max_examples=25, deadline=None)
