@@ -66,7 +66,6 @@ from __future__ import annotations
 import itertools
 import json
 import math
-import numbers
 from dataclasses import asdict, dataclass, fields
 
 import numpy as np
@@ -74,7 +73,7 @@ import numpy as np
 from .errors import ParameterError, ScheduleError
 from .groups import _apply_axes
 from .lindblad import ROUNDOFF, DensityMatrix, LindbladGenerator, _check_temperature
-from .pauli import DENSE_LIMIT, PauliString, PauliSum, _check_limit
+from .pauli import DENSE_LIMIT, PauliString, PauliSum, _check_limit, _number
 from .serialize import strict_json
 
 ROT1 = "ROT1"
@@ -95,17 +94,6 @@ _NEEDS = {
 }
 _INTEGER_FIELDS = ("qubit", "qubit2", "cbit")
 _HEADER_KEYS = {"n_qubits", "n_classical", "total_time", "steps"}
-
-
-def _number(where: str, v, integral: bool = False, error: type[Exception] = ScheduleError):
-    """``v`` checked as a JSON number; with ``integral`` it must be whole and
-    comes back as an int (integral floats pass, as JSON Schema's integer
-    allows). ``error`` is raised otherwise."""
-    expected = "an integer" if integral else "a number"
-    if (isinstance(v, bool) or not isinstance(v, numbers.Real)
-            or (integral and not float(v).is_integer())):
-        raise error(f"{where} must be {expected}, got {v!r}")
-    return int(v) if integral else float(v)
 
 
 @dataclass(frozen=True)
@@ -156,14 +144,14 @@ class Gate:
         d = dict(d)
         for key in _INTEGER_FIELDS + ("angle", "beta", "omega", "relax"):
             if d.get(key) is not None:
-                d[key] = _number(key, d[key], integral=key in _INTEGER_FIELDS)
+                d[key] = _number(key, d[key], key in _INTEGER_FIELDS, ScheduleError)
         cond = d.get("condition")
         if cond is not None:
             if not (isinstance(cond, list)
                     and all(isinstance(p, list) and len(p) == 2 for p in cond)):
                 raise ScheduleError(f"condition must be a list of [bit, value] pairs, got {cond!r}")
-            d["condition"] = tuple((_number("condition", a, True), _number("condition", b, True))
-                                   for a, b in cond)
+            d["condition"] = tuple(tuple(_number("condition", v, True, ScheduleError) for v in p)
+                                   for p in cond)
         return cls(**d)
 
 
@@ -179,7 +167,8 @@ class GateSchedule:
 
     def __post_init__(self):
         for f in ("n_qubits", "n_classical", "steps", "total_time"):
-            object.__setattr__(self, f, _number(f, getattr(self, f), f != "total_time"))
+            object.__setattr__(self, f, _number(f, getattr(self, f), f != "total_time",
+                                                ScheduleError))
         if (self.n_qubits < 1 or self.n_classical < 0 or self.steps < 1
                 or not 0 <= self.total_time < math.inf):
             raise ScheduleError("a schedule needs n_qubits >= 1, n_classical >= 0, "
@@ -347,7 +336,7 @@ def trotterize(g: LindbladGenerator, t: float, n_steps: int,
     """
     if not 0 <= t < math.inf:
         raise ParameterError(f"t must be finite and nonnegative, got {t}")
-    n_steps = _number("n_steps", n_steps, True, ParameterError)
+    n_steps = _number("n_steps", n_steps, True)
     if n_steps < 1:
         raise ParameterError("need at least one Trotter step")
     if not isinstance(g.H, PauliSum):

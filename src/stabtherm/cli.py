@@ -168,11 +168,11 @@ def cmd_decompose(args) -> int:
 
 
 def _thermalize_rows(H, lat, decomps, beta: float, gamma0: float, t: float, points: int,
-                     method: str, names: list[str]) -> tuple[list[list[float]], dict]:
+                     names: list[str]) -> tuple[list[list[float]], dict]:
     """Observables along a Davies trajectory from the maximally mixed state,
     and its diagnostics (``sector_trajectory``)."""
     gen = _davies_generator(H, decomps, beta, gamma0)
-    sectors, pops, diagnostics = sector_trajectory(gen, t, points, method)
+    sectors, pops, diagnostics = sector_trajectory(gen, t, points)
     rows = _observable_rows(names, H, lat, beta, sectors, pops)
     return [[ti] + row for ti, row in zip(np.linspace(0.0, t, points), rows)], diagnostics
 
@@ -181,7 +181,7 @@ def cmd_thermalize(args) -> int:
     H, lat = _build_model(_model_spec_from_args(args))
     names = args.observables.split(",") if args.observables else ["energy"]
     rows, _ = _thermalize_rows(H, lat, _full_decompositions(H), args.beta, args.gamma0, args.t,
-                               args.points, args.method, names)
+                               args.points, names)
     header = ["t"] + names
     if args.output:
         write_csv(args.output, header, rows)
@@ -413,7 +413,7 @@ def cmd_run(args) -> int:
     elif exp == "thermalize":
         rows, result["trajectory"] = _thermalize_rows(
             H, lat, decomps, beta, float(dyn.get("gamma0", 0.5)), float(dyn.get("t", 1.0)),
-            int(dyn.get("points", 11)), dyn.get("method", "auto"), observables)
+            int(dyn.get("points", 11)), observables)
         csv_path = outdir / "thermalize.csv"
         write_csv(csv_path, ["t"] + observables, rows)
         result["csv"] = str(csv_path)
@@ -466,7 +466,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--gamma0", type=float, default=0.5)
     p.add_argument("--t", type=float, default=10.0)
     p.add_argument("--points", type=int, default=11)
-    p.add_argument("--method", default="auto", choices=_METHODS)
+    p.add_argument("--method", default="auto", choices=_METHODS,
+                   help="kept for old command lines; selects nothing (one evolution rule)")
     p.add_argument("--observables", default="energy,gibbs_distance")
     p.add_argument("-o", "--output")
     p.set_defaults(func=cmd_thermalize)

@@ -74,13 +74,12 @@ from scipy.sparse.csgraph import connected_components
 from scipy.sparse.linalg import eigs as sparse_eigs, expm_multiply
 
 from .errors import CapacityError, NumericalError, ParameterError
-from .pauli import DENSE_LIMIT, PauliString, PauliSum
+from .pauli import DENSE_LIMIT, PauliString, PauliSum, _number
 
 #: Hilbert-space dimension above which superoperators (either basis) are refused.
 SUPEROP_DIM_LIMIT = 256
-#: Block size up to which trajectory(method="auto") uses the exact exponential.
-EXACT_EXPM_LIMIT = 4096
-#: Largest invariant block that the kernel solver diagonalizes densely.
+#: Largest invariant block that the kernel solver diagonalizes, and evolution
+#: exponentiates, densely.
 DENSE_BLOCK_LIMIT = 1024
 #: steady_states counts |lambda| < KERNEL_TOL * ||L|| as kernel.
 KERNEL_TOL = 1e-10
@@ -715,11 +714,11 @@ class _BlockForm:
 
 
 def _check_band(mags: np.ndarray, thresh: float) -> None:
-    """Raise NumericalError, naming the first, if some |lambda| in ``mags``
+    """Raise NumericalError, naming the smallest, if some |lambda| in ``mags``
     lies within a factor 100 of the kernel threshold on either side."""
     band = mags[(mags >= thresh / 100) & (mags < 100 * thresh)]
     if band.size:
-        raise NumericalError(f"|lambda| = {band[0]:.3e} lies within a factor 100 of the "
+        raise NumericalError(f"|lambda| = {band.min():.3e} lies within a factor 100 of the "
                              f"kernel threshold {thresh:.3e}: the kernel dimension is ambiguous")
 
 
@@ -884,34 +883,26 @@ class Sectors:
 # time evolution
 # ---------------------------------------------------------------------------
 
-def trajectory(
-    g: LindbladGenerator,
-    rho0: DensityMatrix,
-    t: float,
-    points: int,
-    method: str = "auto",
-) -> list[DensityMatrix]:
+def trajectory(g: LindbladGenerator, rho0: DensityMatrix, t: float,
+               points: int) -> list[DensityMatrix]:
     """States at np.linspace(0, t, points): ``trajectories`` of one state."""
-    return trajectories(g, [rho0], t, points, method)[0]
+    return trajectories(g, [rho0], t, points)[0]
 
 
-def trajectories(
-    g: LindbladGenerator,
-    states: Sequence[DensityMatrix],
-    t: float,
-    points: int,
-    method: str = "auto",
-) -> list[list[DensityMatrix]]:
+def trajectories(g: LindbladGenerator, states: Sequence[DensityMatrix], t: float,
+                 points: int) -> list[list[DensityMatrix]]:
     """For each initial state, its states at np.linspace(0, t, points): one
     ``_propagate`` of their coefficients on the block form seeded with the
     basis elements they have weight on (from I/d on the L=2 torus one coset
-    of 64 elements out of 65536), then ``_finalize_state``. A non-finite t
-    raises ParameterError; a failed or non-finite propagation NumericalError.
-    """
+    of 64 elements out of 65536), then ``_finalize_state``. Each touched
+    block steps by its dense exponential up to DENSE_BLOCK_LIMIT elements,
+    by expm_multiply above. A non-finite t, or points that is not an
+    integer >= 2, raises ParameterError; a failed or non-finite propagation
+    NumericalError."""
     d = g.n_levels
     if any(rho0.dim != d for rho0 in states):
         raise ParameterError("state dimension does not match the generator")
-    _check_grid(t, points, method)
+    points = _check_grid(t, points)
     if t == 0 or not states:
         return [[rho0] * points for rho0 in states]
 
@@ -919,40 +910,39 @@ def trajectories(
     seeds = _pauli_coefficients(mats, d)[1] if d & (d - 1) == 0 else None
     form = _block_form(_sandwich_terms(d, g.H, g.jumps), d, seeds=seeds)
     c0 = np.stack([form.coefficients(m) for m in mats], axis=1)
-    cs = _propagate(form, c0, t, points, method)[0]
+    cs = _propagate(form, c0, t, points)[0]
     vecs = form.vectors(cs[1:].transpose(1, 0, 2).reshape(len(c0), -1))
     vecs = vecs.reshape(d * d, points - 1, len(states))
     return [[rho0] + [_finalize_state(unvec(v)) for v in vecs[:, :, i].T]
             for i, rho0 in enumerate(states)]
 
 
-def _check_grid(t: float, points: int, method: str) -> None:
-    """Raise ParameterError unless t, points and method make a trajectory."""
+def _check_grid(t: float, points: int) -> int:
+    """Raise ParameterError unless t and points make a trajectory; points
+    comes back as an int (an integral float passes)."""
     if not (math.isfinite(t) and t >= 0):
         raise ParameterError(f"t must be finite and nonnegative, got {t}")
+    points = _number("points", points, True)
     if points < 2:
         raise ParameterError(f"a trajectory needs at least 2 points, got {points}")
-    if method not in ("auto", "expm", "krylov"):
-        raise ParameterError(f"unknown method {method!r}")
+    return points
 
 
-def _propagate(form: _BlockForm, c0: np.ndarray, t: float, points: int, method: str):
+def _propagate(form: _BlockForm, c0: np.ndarray, t: float, points: int):
     """The columns c0 (on ``form.support``) at np.linspace(0, t, points),
-    through the blocks some column has weight on, batched by size: each block
-    of at most EXACT_EXPM_LIMIT ("auto") or DENSE_BLOCK_LIMIT ("krylov")
-    elements, and every block under "expm", steps with exp(L dt); larger
-    blocks take one expm_multiply (Al-Mohy/Higham) per size. Also returns
-    diagnostics support (its size), blocks (touched), method (run: "auto"
-    reads as the branches it took)."""
+    through the blocks some column has weight on, batched by size: a block
+    of at most DENSE_BLOCK_LIMIT elements steps with its dense exp(L dt), a
+    larger one takes one expm_multiply (Al-Mohy/Higham) per size. Also
+    returns diagnostics support (its size), blocks (touched) and method, the
+    steps run: "expm" (dense), "krylov" (expm_multiply) or both."""
     cs = np.zeros((points,) + c0.shape, c0.dtype)
     cs[0] = c0
     touched = np.unique(form.labels[np.flatnonzero(c0.any(axis=1))])
-    dense_limit = {"auto": EXACT_EXPM_LIMIT, "krylov": DENSE_BLOCK_LIMIT}.get(method, np.inf)
     used = set()
     try:
         for members in form.blocks(touched, _BOUND_ENTRIES):
-            if members.shape[1] <= dense_limit:
-                used.add("krylov" if method == "krylov" else "expm")
+            if members.shape[1] <= DENSE_BLOCK_LIMIT:
+                used.add("expm")
                 U = expm(form.dense(members) * (t / (points - 1)))
                 v = c0[members]
                 for p in range(1, points):
@@ -969,7 +959,7 @@ def _propagate(form: _BlockForm, c0: np.ndarray, t: float, points: int, method: 
                 "method": ",".join(sorted(used))}
 
 
-def sector_trajectory(g: LindbladGenerator, t: float, points: int, method: str = "auto"):
+def sector_trajectory(g: LindbladGenerator, t: float, points: int):
     """The trajectory from I/d at np.linspace(0, t, points) as ``Sectors``
     populations (rows), with no d x d matrix: the form seeded with I alone
     lives on the span of the map's shifts (for syndrome-dressed Pauli jumps
@@ -977,13 +967,12 @@ def sector_trajectory(g: LindbladGenerator, t: float, points: int, method: str =
     ``_finalize_state``. Returns the Sectors, the populations and the
     ``_propagate`` diagnostics with seconds, clipped and smallest eigenvalue."""
     start = time.perf_counter()
-    _check_grid(t, points, method)
+    points = _check_grid(t, points)
     d = g.n_levels
     if d & (d - 1):
         raise ParameterError("sector populations need a register of qubits")
     form = _block_form(_sandwich_terms(d, g.H, g.jumps), d, seeds=np.zeros(1, dtype=int))
-    cs, diagnostics = _propagate(form, (form.support == 0)[:, None] / np.sqrt(d), t, points,
-                                 method)
+    cs, diagnostics = _propagate(form, (form.support == 0)[:, None] / np.sqrt(d), t, points)
     sectors = Sectors(form.support, d)
     lam = sectors.values(form.support, _weight(form.support, sectors.n),
                          cs[:, :, 0].T / np.sqrt(d))
@@ -1001,14 +990,9 @@ def sector_trajectory(g: LindbladGenerator, t: float, points: int, method: str =
         "seconds": time.perf_counter() - start}
 
 
-def evolve(
-    g: LindbladGenerator,
-    rho0: DensityMatrix,
-    t: float,
-    method: str = "auto",
-) -> DensityMatrix:
+def evolve(g: LindbladGenerator, rho0: DensityMatrix, t: float) -> DensityMatrix:
     """Propagate rho0 for time t: the last state of a two-point trajectory."""
-    return trajectory(g, rho0, t, 2, method)[-1]
+    return trajectory(g, rho0, t, 2)[-1]
 
 
 def _finalize_state(m: np.ndarray) -> DensityMatrix:
@@ -1109,11 +1093,13 @@ def _factored_kernel(classes, d: int):
     is a Kronecker sum of the class spectra on their cosets, the diagonal is
     the sum of the class diagonals, each other slot is one class's, and the
     element's block is the product of its class blocks; so T's scale, nnz
-    and blocks come from the class slots. Returns the scale, the eigenvalues
-    sorted by |lambda|, the kernel count, the representatives of the cosets
-    that hold kernel and ``_BlockForm.kernel``'s diagnostics (bounded =
-    refined = blocks); None if a class block exceeds DENSE_BLOCK_LIMIT or a
-    class form's cosets are not its span's."""
+    and blocks come from the class slots. Returns the scale, the max(kernel
+    + 4, STEADY_EIGENVALUES) smallest eigenvalues as a stable sort of all by
+    |lambda| orders them (only those up to a partition's cut are sorted),
+    the kernel count, the representatives of the cosets that hold kernel
+    and ``_BlockForm.kernel``'s diagnostics (bounded = refined = blocks);
+    None if a class block exceeds DENSE_BLOCK_LIMIT or a class form's
+    cosets are not its span's."""
     lead = sum(1 << (v.bit_length() - 1) for v in _gf2_basis(np.concatenate([
         basis for *_, basis in classes])))
     reps = np.flatnonzero((np.arange(d * d) & lead) == 0)
@@ -1138,10 +1124,12 @@ def _factored_kernel(classes, d: int):
         sizes.append(f.sizes[f.labels[at]].reshape(grid))
     (diagonal, column, row), spectra, size = sum(slots), sum(spectra), math.prod(sizes)
     scale = float(max((np.abs(diagonal) + column).max(), (np.abs(diagonal) + row).max(), 1e-300))
-    thresh, mags = KERNEL_TOL * scale, np.abs(spectra)
-    vals = spectra.ravel()[np.argsort(mags, axis=None, kind="stable")]
-    _check_band(np.abs(vals), thresh)
+    thresh, mags = KERNEL_TOL * scale, np.abs(spectra).ravel()
+    _check_band(mags, thresh)
     n_kernel, blocks = int(np.count_nonzero(mags < thresh)), round((1 / size).sum())
+    k = min(max(n_kernel + 4, STEADY_EIGENVALUES), mags.size)
+    low = np.flatnonzero(mags <= np.partition(mags, k - 1)[k - 1])  # ties at the cut included
+    vals = spectra.ravel()[low[np.argsort(mags[low], kind="stable")[:k]]]
     hold = (mags < thresh).reshape(len(reps), -1).any(axis=1)
     return scale, vals, n_kernel, reps[hold] if hold.any() else reps[:1], _kernel_diagnostics(
         "pauli", blocks, int(size.max()), int(np.count_nonzero(diagonal) + nnz), blocks, blocks,

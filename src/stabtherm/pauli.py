@@ -21,6 +21,7 @@ qubit order, e.g. ``"+1 IXYZ"`` or ``"-i ZZII"``.
 from __future__ import annotations
 
 import cmath
+import numbers
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -52,6 +53,17 @@ def _popcount(v: int) -> int:
 def _check_limit(n: int, limit: int, kind: str) -> None:
     if n > limit:
         raise CapacityError(f"{kind} realization of {n} qubits exceeds the limit {limit}")
+
+
+def _number(where: str, v, integral: bool = False, error: type[Exception] = ParameterError):
+    """``v`` checked as a JSON number; with ``integral`` it must be whole and
+    comes back as an int (integral floats pass, as JSON Schema's integer
+    allows). ``error`` is raised otherwise."""
+    expected = "an integer" if integral else "a number"
+    if (isinstance(v, bool) or not isinstance(v, numbers.Real)
+            or (integral and not float(v).is_integer())):
+        raise error(f"{where} must be {expected}, got {v!r}")
+    return int(v) if integral else float(v)
 
 
 @dataclass(frozen=True)

@@ -47,7 +47,7 @@ from .lindblad import (
     steady_states,
     trajectories,
 )
-from .pauli import PauliString, PauliSum
+from .pauli import PauliString, PauliSum, _number
 from .toric import EigenoperatorDecomposition, StabilizerHamiltonian
 
 #: Eigenspaces above this dimension get no projected-commutant detail.
@@ -157,9 +157,14 @@ def commutant_dimension(ops, dim: int, max_dim: int = 8) -> tuple[int, np.ndarra
     so count == max_dim means "at least max_dim"; the max_dim + 1 smallest
     eigenvalues; and the kernel solver's diagnostics (``bounded`` and
     ``refined`` are 0, as no block needs bounds or eigvals) plus seconds and
-    nullity (exact, except above max_dim when a block went to ARPACK).
+    nullity (exact, except above max_dim when a block went to ARPACK). The
+    identity is always in the commutant, so a max_dim that is not an
+    integer >= 1 raises ParameterError.
     """
     start = time.perf_counter()
+    max_dim = _number("max_dim", max_dim, True)
+    if max_dim < 1:
+        raise ParameterError(f"max_dim must be at least 1, got {max_dim}")
     mats = _as_operators(ops, dim)
     mats = mats + [m.conj().T for m in mats]
     scale = max((float(abs(m).max()) for m in mats), default=0.0) ** 2 * len(mats)
@@ -235,6 +240,7 @@ def ergodicity_check(
     its form (``_as_operators``). ``loop_ops`` (label -> PauliString or
     matrix, also through ``_as_operators``) are checked against the op set:
     a loop operator in the commutant would be a conserved topological charge.
+    ``max_commutant`` is ``commutant_dimension``'s max_dim (an integer >= 1).
 
     Inside each eigenspace of H the reachable generators at depth <= 2 are
     the projected jumps (translations survive, pair creators project to ~0)
@@ -401,7 +407,7 @@ def uniqueness_and_attractor_probe(
     seed: int = 0,
 ) -> AttractorReport:
     """Kernel dimension plus convergence of random initial states, evolved
-    together by ``trajectories`` (``evolve``'s automatic method choice)."""
+    together by ``trajectories``."""
     ss = steady_states(gen)
     rng = np.random.default_rng(seed)
     starts = [random_density_matrix(gen.n_levels, rng) for _ in range(trials)]

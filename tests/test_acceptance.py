@@ -173,8 +173,7 @@ def test_criterion_5_composite_thermalization(mini_composite_factory):
         L = build_superoperator(gen)
         scale = abs(L).max()
         resid = float(np.linalg.norm(L @ vec(target))) / max(scale, 1.0)
-        evolved = evolve(gen, DensityMatrix.maximally_mixed(model.dim), 500.0,
-                         method="krylov")
+        evolved = evolve(gen, DensityMatrix.maximally_mixed(model.dim), 500.0)
         dist = trace_distance(evolved.mat, target)
         ok = ok and resid < 1e-9 and dist < 1e-8
         details.append(f"beta={beta}: resid={resid:.1e} dist={dist:.1e}")

@@ -191,7 +191,7 @@ def test_rwa_mini_reaches_gibbs_product_from_maximally_mixed():
     gen = rwa_generator(model)
     target = model.join(gibbs_state(H.to_dense(), beta).mat,
                         model.thermal_ancilla_state(beta))
-    out = evolve(gen, DensityMatrix.maximally_mixed(model.dim), 400.0, method="krylov")
+    out = evolve(gen, DensityMatrix.maximally_mixed(model.dim), 400.0)
     assert trace_distance(out.mat, target) < 1e-8
 
 

@@ -476,10 +476,8 @@ def test_thermalize_non_finite_or_overflowing_time_exit_codes(capsys):
     for t in ("nan", "inf"):
         assert run_cli("thermalize", "--model", "mini-vertex", "--t", t) == 2
         assert "t must be finite" in capsys.readouterr().err
-    for method in ("krylov", "expm"):
-        assert run_cli("thermalize", "--model", "mini-vertex", "--t", "1e300",
-                       "--method", method) == 4
-        assert "numerical failure" in capsys.readouterr().err
+    assert run_cli("thermalize", "--model", "mini-vertex", "--t", "1e300") == 4
+    assert "numerical failure" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("spec", [{"type": "toric", "L": 2, "lambda_e": 0.9, "lambda_m": 1.1},
@@ -490,39 +488,65 @@ def test_thermalize_rows_match_trajectory_and_dense_observables(spec):
     names = ["energy", "gibbs_distance"] + (["A_v", "B_p"] if lat else [])
     g = cli._davies_generator(H, decomps, 1.2, 0.5)
     gs = gibbs_state(H.to_dense(), 1.2)
-    for method in ("expm", "krylov"):
-        rows, diag = cli._thermalize_rows(H, lat, decomps, 1.2, 0.5, 3.0, 4, method, names)
-        states = trajectory(g, DensityMatrix.maximally_mixed(1 << H.n_qubits), 3.0, 4, method)
-        for row, rho in zip(rows, states):
-            expected = [rho.expectation(H.to_dense()), rho.distance(gs)]
-            if lat:
-                expected += [np.mean([rho.expectation(f(lat, i).to_dense())
-                                      for i in range(len(sites))])
-                             for f, sites in ((vertex_string, lat.vertices),
-                                              (plaquette_string, lat.plaquettes))]
-            assert np.abs(np.array(row[1:]) - expected).max() < 1e-12
-        assert diag["support"] == (64 if lat else 2) and diag["blocks"] == 1
-        assert diag["method"] == method and diag["clipped"] == 0 and diag["smallest"] > 0
+    rows, diag = cli._thermalize_rows(H, lat, decomps, 1.2, 0.5, 3.0, 4, names)
+    states = trajectory(g, DensityMatrix.maximally_mixed(1 << H.n_qubits), 3.0, 4)
+    for row, rho in zip(rows, states):
+        expected = [rho.expectation(H.to_dense()), rho.distance(gs)]
+        if lat:
+            expected += [np.mean([rho.expectation(f(lat, i).to_dense())
+                                  for i in range(len(sites))])
+                         for f, sites in ((vertex_string, lat.vertices),
+                                          (plaquette_string, lat.plaquettes))]
+        assert np.abs(np.array(row[1:]) - expected).max() < 1e-12
+    assert diag["support"] == (64 if lat else 2) and diag["blocks"] == 1
+    assert diag["method"] == "expm" and diag["clipped"] == 0 and diag["smallest"] > 0
 
 
 def test_thermalize_forms_no_dense_state_and_diagonalizes_nothing(tmp_path, monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("dense work on the thermalize path")
 
-    # krylov steps the 64-element block with its dense exponential, not expm_multiply
+    # the 64-element block steps by its dense exponential, not expm_multiply;
+    # --method selects nothing, so every value writes the same bytes
     for owner, name in ((np.linalg, "eigh"), (np.linalg, "eigvalsh"),
                         (DensityMatrix, "__post_init__"), (PauliString, "to_dense"),
                         (lindblad, "expm_multiply")):
         monkeypatch.setattr(owner, name, refuse)
-    rows = []
-    for method in ("expm", "krylov"):
-        out = tmp_path / f"{method}.csv"
-        assert run_cli("thermalize", "--L", "2", "--t", "10", "--points", "3", "--method", method,
+    texts = []
+    for method in ([], ["--method", "krylov"], ["--method", "expm"]):
+        out = tmp_path / "rows.csv"
+        assert run_cli("thermalize", "--L", "2", "--t", "10", "--points", "3", *method,
                        "--observables", "energy,gibbs_distance,A_v,B_p", "-o", str(out)) == 0
-        lines = out.read_text().splitlines()
-        assert lines[0] == "t,energy,gibbs_distance,A_v,B_p" and len(lines) == 4
-        rows.append(np.loadtxt(out, delimiter=",", skiprows=1))
-    assert np.abs(rows[0] - rows[1]).max() < 1e-12
+        texts.append(out.read_text())
+    lines = texts[0].splitlines()
+    assert lines[0] == "t,energy,gibbs_distance,A_v,B_p" and len(lines) == 4
+    assert texts == texts[:1] * 3
+
+
+def test_thermalize_method_expm_exponentiates_no_block_above_the_dense_limit(
+        tmp_path, monkeypatch):
+    # --method expm once took the dense exponential of every touched block,
+    # whatever its size; with the limit at 32 the 64-element block must take
+    # expm_multiply and give the rows of the dense step
+    def run(name):
+        out = tmp_path / name
+        assert run_cli("thermalize", "--L", "2", "--t", "10", "--points", "3", "--method", "expm",
+                       "--observables", "energy,gibbs_distance,A_v,B_p", "-o", str(out)) == 0
+        return np.loadtxt(out, delimiter=",", skiprows=1)
+
+    dense = run("dense.csv")
+    expm = lindblad.expm
+
+    def small_only(a):
+        assert a.shape[-1] <= 32, f"dense exponential of a {a.shape[-1]}-element block"
+        return expm(a)
+
+    monkeypatch.setattr(lindblad, "DENSE_BLOCK_LIMIT", 32)
+    monkeypatch.setattr(lindblad, "expm", small_only)
+    assert np.abs(run("patched.csv") - dense).max() < 1e-12
+    with pytest.raises(SystemExit) as exc:
+        run_cli("thermalize", "--L", "2", "--method", "rk4")
+    assert exc.value.code == 2
 
 
 def test_run_thermalize_records_trajectory_diagnostics(tmp_path):
@@ -534,7 +558,8 @@ def test_run_thermalize_records_trajectory_diagnostics(tmp_path):
     assert run_cli("run", str(p)) == 0
     diag = json.loads((tmp_path / "result.json").read_text())["trajectory"]
     assert set(diag) == {"support", "blocks", "method", "seconds", "clipped", "smallest"}
-    assert diag["method"] == "krylov" and diag["support"] == 2 and diag["blocks"] == 1
+    # the config's method selects nothing: the one block of 2 stepped densely
+    assert diag["method"] == "expm" and diag["support"] == 2 and diag["blocks"] == 1
     assert diag["clipped"] == 0 and 0 < diag["smallest"] <= 1 / 16
 
 

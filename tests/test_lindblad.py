@@ -123,10 +123,9 @@ def test_free_precession_closed_form():
     plus = DensityMatrix.pure(np.array([1.0, 1.0]) / np.sqrt(2))
     sx = np.array([[0, 1], [1, 0]], dtype=complex)
     for t in (0.4, 1.1, 2.7):
-        for method in ("expm", "krylov"):
-            rho = evolve(g, plus, t, method=method)
-            # <sx>(t) = cos(omega t) under H = omega sz/2
-            assert np.isclose(rho.expectation(sx), np.cos(omega * t), atol=1e-8)
+        rho = evolve(g, plus, t)
+        # <sx>(t) = cos(omega t) under H = omega sz/2
+        assert np.isclose(rho.expectation(sx), np.cos(omega * t), atol=1e-8)
 
 
 def test_damped_qubit_closed_form():
@@ -135,9 +134,8 @@ def test_damped_qubit_closed_form():
     g = two_level(gamma, 0.0)
     rho0 = DensityMatrix(np.diag([0.0, 1.0]).astype(complex))
     for t in (0.5, 1.0, 2.0):
-        for method in ("krylov", "expm"):
-            r = evolve(g, rho0, t, method=method)
-            assert np.isclose(r.mat[1, 1].real, np.exp(-2 * gamma * t), atol=1e-7)
+        r = evolve(g, rho0, t)
+        assert np.isclose(r.mat[1, 1].real, np.exp(-2 * gamma * t), atol=1e-7)
 
 
 def test_evolve_matches_dense_exponential_oracle():
@@ -151,9 +149,7 @@ def test_evolve_matches_dense_exponential_oracle():
     t = 1.7
     L = build_superoperator(g).toarray()
     heavy = unvec(expm(L * t) @ vec(rho0.mat))
-    for method in ("expm", "krylov"):
-        out = evolve(g, rho0, t, method=method)
-        assert trace_distance(out.mat, heavy) < 1e-8
+    assert trace_distance(evolve(g, rho0, t).mat, heavy) < 1e-8
 
 
 def test_trajectory_matches_repeated_evolve():
@@ -166,14 +162,13 @@ def test_trajectory_matches_repeated_evolve():
     rho0 = DensityMatrix(random_density(dim, rng))
     t, points = 2.5, 6
     dt = t / (points - 1)
-    for method in ("expm", "krylov"):
-        states = trajectory(g, rho0, t, points, method=method)
-        assert len(states) == points
-        rho = rho0
-        for i, state in enumerate(states):
-            if i > 0:
-                rho = evolve(g, rho, dt, method=method)
-            assert np.abs(state.mat - rho.mat).max() < 1e-10
+    states = trajectory(g, rho0, t, points)
+    assert len(states) == points
+    rho = rho0
+    for i, state in enumerate(states):
+        if i > 0:
+            rho = evolve(g, rho, dt)
+        assert np.abs(state.mat - rho.mat).max() < 1e-10
 
 
 def test_trajectories_of_several_states_match_one_at_a_time():
@@ -189,12 +184,11 @@ def test_trajectories_of_several_states_match_one_at_a_time():
         d = g.n_levels
         starts = [DensityMatrix(random_density(d, rng)), DensityMatrix.maximally_mixed(d),
                   DensityMatrix(random_density(d, rng))]
-        for method in ("expm", "krylov"):
-            together = trajectories(g, starts, 2.0, 3, method=method)
-            assert len(together) == len(starts)
-            for rho0, states in zip(starts, together):
-                alone = trajectory(g, rho0, 2.0, 3, method=method)
-                assert max(np.abs(a.mat - b.mat).max() for a, b in zip(states, alone)) < 1e-12
+        together = trajectories(g, starts, 2.0, 3)
+        assert len(together) == len(starts)
+        for rho0, states in zip(starts, together):
+            alone = trajectory(g, rho0, 2.0, 3)
+            assert max(np.abs(a.mat - b.mat).max() for a, b in zip(states, alone)) < 1e-12
     assert trajectories(qutrit, [], 1.0, 3) == []
 
 
@@ -202,11 +196,10 @@ def test_evolve_preserves_trace_and_hermiticity():
     rng = np.random.default_rng(23)
     g = two_level(0.5, 0.1)
     rho = DensityMatrix(random_density(2, rng))
-    for method in ("expm", "krylov"):
-        out = evolve(g, rho, 3.0, method=method)
-        assert abs(np.trace(out.mat) - 1) < 1e-9
-        assert np.linalg.norm(out.mat - out.mat.conj().T) < 1e-12
-        assert np.linalg.eigvalsh(out.mat).min() > -1e-8
+    out = evolve(g, rho, 3.0)
+    assert abs(np.trace(out.mat) - 1) < 1e-9
+    assert np.linalg.norm(out.mat - out.mat.conj().T) < 1e-12
+    assert np.linalg.eigvalsh(out.mat).min() > -1e-8
 
 
 def test_unitary_only_generator_has_degenerate_kernel():
@@ -565,11 +558,9 @@ def test_trajectory_matches_dense_exponential_on_every_block(make):
     rho0 = DensityMatrix(random_density(g.n_levels, np.random.default_rng(41)))
     L = build_superoperator(g).toarray()
     t, points = 3.0, 4
-    for method in ("expm", "krylov"):
-        states = trajectory(g, rho0, t, points, method=method)
-        for s, tk in zip(states, np.linspace(0, t, points)):
-            exact = unvec(expm(L * tk) @ vec(rho0.mat))
-            assert np.abs(s.mat - exact).max() < 1e-10
+    for s, tk in zip(trajectory(g, rho0, t, points), np.linspace(0, t, points)):
+        exact = unvec(expm(L * tk) @ vec(rho0.mat))
+        assert np.abs(s.mat - exact).max() < 1e-10
 
 
 def test_block_solvers_never_form_the_superoperator(monkeypatch):
@@ -582,9 +573,7 @@ def test_block_solvers_never_form_the_superoperator(monkeypatch):
     zz = single_stabilizer_model("ZZ", 1.0)
     for g in (mini_davies(), davies_reduction(zz, full_decomps(zz), 1.0, 0.5)):
         assert steady_states(g).kernel_dim == 1
-        rho0 = DensityMatrix.maximally_mixed(g.n_levels)
-        for method in ("expm", "krylov"):
-            trajectory(g, rho0, 1.0, 3, method=method)
+        trajectory(g, DensityMatrix.maximally_mixed(g.n_levels), 1.0, 3)
 
 
 def test_pauli_coefficients_of_a_batch_match_each_operator(monkeypatch):
@@ -743,19 +732,18 @@ def seed_indices(mats, d):
 
 
 def assert_matches_exponential(g, L, starts, t, points):
-    """trajectories by both methods against expm_multiply on the oracle's
-    computational-basis superoperator L."""
+    """trajectories against expm_multiply on the oracle's computational-basis
+    superoperator L."""
     exact = expm_multiply(L, np.stack([vec(r.mat) for r in starts], axis=1),
                           start=0.0, stop=t, num=points, endpoint=True)
-    for method in ("expm", "krylov"):
-        for i, states in enumerate(trajectories(g, starts, t, points, method=method)):
-            for s, e in zip(states, exact[:, :, i]):
-                assert np.abs(s.mat - unvec(e)).max() < 1e-12, (method, i)
+    for i, states in enumerate(trajectories(g, starts, t, points)):
+        for s, e in zip(states, exact[:, :, i]):
+            assert np.abs(s.mat - unvec(e)).max() < 1e-12, i
 
 
 def refuse_expm_multiply(monkeypatch):
-    """Make lindblad's expm_multiply raise: krylov steps blocks of at most
-    DENSE_BLOCK_LIMIT elements with their dense exponential."""
+    """Make lindblad's expm_multiply raise: blocks of at most
+    DENSE_BLOCK_LIMIT elements step by their dense exponential."""
     def refuse(*args, **kwargs):
         raise AssertionError("expm_multiply ran on a block of at most DENSE_BLOCK_LIMIT")
 
@@ -764,7 +752,7 @@ def refuse_expm_multiply(monkeypatch):
 
 def test_seeded_trajectories_match_the_superoperator_exponential(toric_l2, monkeypatch):
     # from I/d (one coset), a loop-coset state (two) and a random state (all);
-    # krylov steps every block of 64 with its dense exponential
+    # every block of 64 steps by its dense exponential
     refuse_expm_multiply(monkeypatch)
     lat, g, L = toric_l2
     d = g.n_levels
@@ -778,12 +766,13 @@ def test_seeded_trajectories_match_the_superoperator_exponential(toric_l2, monke
         assert len(seeded.support) == 64 * cosets
 
 
-def assert_krylov_matches_dense_blocks(form, c0, times):
-    """_propagate's krylov path (batched steps of every block) against a
-    dense expm of each block, at every grid point."""
+def assert_steps_match_dense_blocks(form, c0, times, method="expm"):
+    """_propagate (batched dense steps, or expm_multiply above
+    DENSE_BLOCK_LIMIT) against a dense expm of each block, at every grid
+    point; ``method`` is the diagnostic it must report."""
     for t in times:
-        cs, diag = lindblad._propagate(form, c0, t, 3, "krylov")
-        assert diag["method"] == "krylov"
+        cs, diag = lindblad._propagate(form, c0, t, 3)
+        assert diag["method"] == method
         for members in form.blocks():
             for b, block in zip(members, form.dense(members)):
                 for p, tk in enumerate(np.linspace(0, t, 3)):
@@ -802,26 +791,35 @@ def test_krylov_matches_dense_exponential_of_each_block(monkeypatch):
         form = lindblad._block_form(lindblad._sandwich_terms(g.n_levels, g.H, g.jumps),
                                     g.n_levels, seeds=np.zeros(1, dtype=int))
         c0 = (form.support == 0)[:, None] / np.sqrt(g.n_levels)
-        assert_krylov_matches_dense_blocks(form, c0, (1.0, 10.0, 100.0))
+        assert_steps_match_dense_blocks(form, c0, (1.0, 10.0, 100.0))
     rng = np.random.default_rng(47)
     for g in (three_qubit_rwa_composite(), damped_qutrit()):
         d = g.n_levels
         form = lindblad._block_form(lindblad._sandwich_terms(d, g.H, g.jumps), d)
         c0 = np.stack([form.coefficients(random_density(d, rng)) for _ in range(2)], axis=1)
-        assert_krylov_matches_dense_blocks(form, c0, (1.0, 10.0, 100.0))
+        assert_steps_match_dense_blocks(form, c0, (1.0, 10.0, 100.0))
 
 
 def test_krylov_above_the_dense_block_limit_runs_expm_multiply(toric_l2, monkeypatch):
+    # a block above DENSE_BLOCK_LIMIT takes expm_multiply: the L=2 identity
+    # coset (64 elements, limit 32), then every block of two or more
+    # elements (limit 1) of two non-normal generators, the RWA composite
+    # (Pauli basis) and the damped qutrit (matrix units)
     _, g, _ = toric_l2
     d = g.n_levels
     form = lindblad._block_form(lindblad._sandwich_terms(d, g.H, g.jumps), d,
                                 seeds=np.zeros(1, dtype=int))
     c0 = (form.support == 0)[:, None] / np.sqrt(d)
-    exact, _ = lindblad._propagate(form, c0, 10.0, 3, "expm")
     monkeypatch.setattr(lindblad, "DENSE_BLOCK_LIMIT", 32)
-    cs, diag = lindblad._propagate(form, c0, 10.0, 3, "krylov")
-    assert diag["method"] == "krylov"
-    assert np.abs(cs - exact).max() < 1e-13
+    assert_steps_match_dense_blocks(form, c0, (1.0, 10.0, 100.0), "krylov")
+    monkeypatch.setattr(lindblad, "DENSE_BLOCK_LIMIT", 1)
+    rng = np.random.default_rng(53)
+    for g in (three_qubit_rwa_composite(), damped_qutrit()):
+        d = g.n_levels
+        form = lindblad._block_form(lindblad._sandwich_terms(d, g.H, g.jumps), d)
+        assert form.sizes.max() > 1
+        c0 = np.stack([form.coefficients(random_density(d, rng)) for _ in range(2)], axis=1)
+        assert_steps_match_dense_blocks(form, c0, (1.0, 10.0, 100.0), "expm,krylov")
 
 
 def test_blocks_up_to_the_dense_limit_build_no_csr(toric_l2, monkeypatch):
@@ -846,7 +844,7 @@ def test_blocks_up_to_the_dense_limit_build_no_csr(toric_l2, monkeypatch):
     assert commutant_dimension(translations, 256, max_dim=2)[0] == 2
     count, _, diag = commutant_dimension(full, 256, max_dim=2)
     assert count == 1 and (diag["blocks"], diag["max_block"], diag["nnz"]) == (13088, 32, 475135)
-    _, pops, _ = lindblad.sector_trajectory(g, 10.0, 3, "krylov")
+    _, pops, _ = lindblad.sector_trajectory(g, 10.0, 3)
 
     built = []
 
@@ -856,7 +854,7 @@ def test_blocks_up_to_the_dense_limit_build_no_csr(toric_l2, monkeypatch):
 
     monkeypatch.setattr(lindblad._BlockForm, "restrict", counted)
     monkeypatch.setattr(lindblad, "DENSE_BLOCK_LIMIT", 32)
-    _, above, _ = lindblad.sector_trajectory(g, 10.0, 3, "krylov")
+    _, above, _ = lindblad.sector_trajectory(g, 10.0, 3)
     assert built == [(1, 64)] and np.abs(above - pops).max() < 1e-12
     monkeypatch.setattr(lindblad, "DENSE_BLOCK_LIMIT", 16)  # blocks of up to 32 to ARPACK
     assert commutant_dimension(translations, 256, max_dim=2)[0] == 2
@@ -1046,8 +1044,16 @@ def test_trajectories_reject_non_finite_time_and_fail_loudly():
     for t in (np.nan, np.inf, -1.0):
         with pytest.raises(ParameterError, match="t must be"):
             trajectory(g, rho0, t, 3)
+    # points, as trotterize's n_steps: an integral float passes as an int
+    for points in (2.5, True, "3", 1):
+        with pytest.raises(ParameterError, match="points"):
+            trajectory(g, rho0, 1.0, points)
+        with pytest.raises(ParameterError, match="points"):
+            lindblad.sector_trajectory(mini_davies(), 1.0, points)
+    assert len(trajectory(g, rho0, 1.0, 3.0)) == 3
+    assert len(lindblad.sector_trajectory(mini_davies(), 1.0, 3.0)[1]) == 3
     with pytest.raises(NumericalError):
-        trajectory(g, rho0, 1e300, 3, method="krylov")
+        trajectory(g, rho0, 1e300, 3)
     # the trace check alone would pass a NaN state
     with pytest.raises(NumericalError, match="non-finite"):
         lindblad._finalize_state(np.full((2, 2), np.nan))
@@ -1296,10 +1302,12 @@ def test_factored_kernel_threshold_and_band_are_the_joint_ones():
                                 (0.5j, PauliString.single(2, q, "y"))]), rate)
             for q, rate in ((0, 1.0), (1, gamma))))
 
-    with pytest.raises(NumericalError, match="ambiguous"):
+    # both name the smallest |lambda| in the band
+    with pytest.raises(NumericalError, match="ambiguous") as joint:
         joint_kernel(damped(1e-10))
-    with pytest.raises(NumericalError, match="ambiguous"):
+    with pytest.raises(NumericalError, match="ambiguous") as factored:
         steady_states(damped(1e-10))
+    assert str(factored.value) == str(joint.value)
     # far below the threshold the slow qubit's whole operator space is kernel
     for gamma, kernel_dim in ((1e-6, 1), (1e-15, 4)):
         ss = steady_states(damped(gamma))

@@ -176,6 +176,20 @@ def test_commutant_count_is_capped_at_max_dim():
     assert commutant_dimension([z0], 4, max_dim=8)[0] == 8
 
 
+def test_commutant_cap_must_be_an_integer_of_at_least_one():
+    # the identity is always in the commutant, so no cap below 1 can be met:
+    # uncapped by this check, max_commutant=0 would report the ergodic
+    # [[5,1,3]] set as not ergodic with commutant_dim 0, and -1 as -1
+    H = five_qubit_code()
+    jumps = jump_set(H)
+    for cap in (0, -1, 2.5, True):
+        with pytest.raises(ParameterError, match="max_dim"):
+            commutant_dimension([H.as_sum()] + jumps, 32, max_dim=cap)
+        with pytest.raises(ParameterError, match="max_dim"):
+            ergodicity_check(H, jumps, max_commutant=cap)
+    assert commutant_dimension([H.as_sum()] + jumps, 32, max_dim=1.0)[0] == 1
+
+
 def test_commutant_stacks_its_ops_and_adjoints_as_csr(monkeypatch):
     # the adjoints of csr ops are csc; the jumps are stacked as csr for G,
     # since one csc block sends scipy's vstack down its slower COO path
@@ -433,7 +447,7 @@ def test_gibbs_start_stays_put():
     from stabtherm.lindblad import evolve
 
     for t in (0.5, 5.0, 20.0):
-        out = evolve(gen, gs, t, method="expm")
+        out = evolve(gen, gs, t)
         assert out.distance(gs) < 1e-9
 
 
