@@ -20,21 +20,19 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CapacityError, ModelError, ParameterError
+from .errors import ModelError, ParameterError
 from .lindblad import (
     DensityMatrix,
     JumpOp,
     LindbladGenerator,
     _check_beta,
+    _check_capacity,
     thermal_qubit,
     trace_distance,
     trajectory,
 )
-from .pauli import PauliString, PauliSum
+from .pauli import DENSE_LIMIT, PauliString, PauliSum, _check_limit
 from .toric import EigenComponent, EigenoperatorDecomposition, StabilizerHamiltonian
-
-#: Hard cap on composite Hilbert dimension for dense generator assembly.
-COMPOSITE_DIM_LIMIT = 1 << 14
 
 DEFAULT_COUPLING_FRACTION = 0.05  # g = 0.05 * Delta unless overridden
 
@@ -81,7 +79,8 @@ class CompositeModel:
     """System qubits first, ancillas after, in AncillaSpec declaration order.
 
     ``components[i]`` is the Fourier component ancilla i is matched to, and
-    every ancilla is thermal at inverse temperature ``beta``.
+    every ancilla is thermal at inverse temperature ``beta``. Its dense
+    states refuse past DENSE_LIMIT qubits, as ``to_dense`` does.
     """
 
     system: StabilizerHamiltonian
@@ -134,6 +133,7 @@ class CompositeModel:
 
     def thermal_ancilla_state(self, beta: float) -> np.ndarray:
         """Joint thermal state of the ancilla block (little-endian kron order)."""
+        _check_limit(self.n_ancilla, DENSE_LIMIT, "dense")
         out = np.array([[1.0]], dtype=complex)
         for a in self.ancillas:
             out = np.kron(thermal_qubit(beta, a.omega), out)
@@ -141,6 +141,7 @@ class CompositeModel:
 
     def join(self, system_state: np.ndarray, ancilla_state: np.ndarray) -> np.ndarray:
         """Composite state with system on qubits [0, n_system)."""
+        _check_limit(self.n_qubits, DENSE_LIMIT, "dense")
         return np.kron(ancilla_state, system_state)
 
 
@@ -157,14 +158,6 @@ def _dressing_ancillas(
                 dec.site, dec.axis, comp.epsilon, beta, gamma_minus))
             components.append(comp)
     return tuple(specs), tuple(components)
-
-
-def _composite_dim_guard(n_qubits: int):
-    if (1 << n_qubits) > COMPOSITE_DIM_LIMIT:
-        raise CapacityError(
-            f"composite dimension 2^{n_qubits} exceeds the dense limit "
-            f"{COMPOSITE_DIM_LIMIT}; use davies_reduction for system-only runs"
-        )
 
 
 def _ancilla_jumps(model: CompositeModel) -> list[JumpOp]:
@@ -186,12 +179,12 @@ def attach_ancillas(
     g: float | None = None,
 ) -> tuple[CompositeModel, LindbladGenerator]:
     """Lab-frame composite: H_sys - sum (omega/2) Sigma^z + g sum sigma x Sigma^x,
-    with Sigma^-/Sigma^+ dissipators at detailed-balance rates (no RWA)."""
+    with Sigma^-/Sigma^+ dissipators at detailed-balance rates (no RWA): Pauli
+    sums at any size, each dense or superoperator consumer refusing at its limit."""
     decomps = tuple(decomps)
     _validate_decomps(H, decomps)
     _check_beta(beta)
     specs, components = _dressing_ancillas(decomps, beta, gamma_minus)
-    _composite_dim_guard(H.n_qubits + len(specs))
 
     omega_max = max((a.omega for a in specs), default=0.0)
     if g is None:
@@ -329,15 +322,14 @@ def rwa_validity_probe(
 
     The RWA evolution happens in the interaction picture; states are rotated
     back with U0 = exp(-i H0 t), H0 = H_sys - sum (omega/2) Sigma^z, before
-    comparing.
+    comparing. Past the superoperator limit it raises CapacityError first.
     """
     from scipy.linalg import expm as dense_expm
 
     model, lab_gen = attach_ancillas(H, decomps, beta, gamma_minus, g=g)
-    rwa_gen = rwa_generator(model)
     dim = model.dim
-    if dim * dim > 1 << 20:
-        raise CapacityError("probe needs a small composite (dense dual evolution)")
+    _check_capacity(dim)
+    rwa_gen = rwa_generator(model)
 
     sys_part = np.eye(1 << H.n_qubits, dtype=complex) / (1 << H.n_qubits)
     rho0 = DensityMatrix(model.join(sys_part, model.thermal_ancilla_state(beta)))

@@ -763,6 +763,7 @@ def schedule_unitary(schedule: GateSchedule) -> np.ndarray:
     if any(g.kind not in (ROT1, CPHASE) for g in schedule.gates):
         raise ScheduleError("schedule_unitary needs a unitary-only schedule")
     n = schedule.n_qubits
+    _check_limit(n, DENSE_LIMIT, "dense")
     dim = 1 << n
     qubits, u = _fuse(schedule.gates)
     U = _apply_local(u, qubits, np.eye(dim, dtype=complex).reshape((2,) * n + (dim,)), n)
@@ -772,7 +773,8 @@ def schedule_unitary(schedule: GateSchedule) -> np.ndarray:
 def schedule_superoperator(schedule: GateSchedule) -> np.ndarray:
     """Dense column-stacking superoperator of the schedule's channel: one
     segment run on the stack of all dim^2 basis matrices |i><j| (column
-    i + dim*j), raised to the step count."""
+    i + dim*j), raised to the step count (dim^4 entries, checked as 2n qubits)."""
+    _check_limit(2 * schedule.n_qubits, DENSE_LIMIT, "dense")
     dim = 1 << schedule.n_qubits
     basis = np.eye(dim * dim, dtype=complex).reshape(dim, dim, dim * dim).transpose(1, 0, 2)
     runner = _ScheduleRunner(schedule)

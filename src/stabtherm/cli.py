@@ -26,7 +26,6 @@ from .errors import (
 from .lindblad import (
     DensityMatrix,
     Sectors,
-    _check_capacity,
     gibbs_populations,
     gibbs_state,
     sector_trajectory,
@@ -87,16 +86,6 @@ def _model_spec_from_args(args) -> dict:
 def _full_decompositions(H: StabilizerHamiltonian):
     return [eigenoperator_decomposition(H, j, a)
             for j in range(H.n_qubits) for a in ("x", "z")]
-
-
-def _davies_generator(H: StabilizerHamiltonian, decomps, beta: float, gamma0: float):
-    """The full Davies generator of H from its decompositions, after checking
-    that its superoperator is within capacity (building the bath is the slow
-    part of a refusal)."""
-    from .bath import davies_reduction
-
-    _check_capacity(1 << H.n_qubits)
-    return davies_reduction(H, decomps, beta, gamma0)
 
 
 def _observable_rows(names: list[str], H, lat, beta: float, sectors: Sectors,
@@ -171,7 +160,9 @@ def _thermalize_rows(H, lat, decomps, beta: float, gamma0: float, t: float, poin
                      names: list[str]) -> tuple[list[list[float]], dict]:
     """Observables along a Davies trajectory from the maximally mixed state,
     and its diagnostics (``sector_trajectory``)."""
-    gen = _davies_generator(H, decomps, beta, gamma0)
+    from .bath import davies_reduction
+
+    gen = davies_reduction(H, decomps, beta, gamma0)
     sectors, pops, diagnostics = sector_trajectory(gen, t, points)
     rows = _observable_rows(names, H, lat, beta, sectors, pops)
     return [[ti] + row for ti, row in zip(np.linspace(0.0, t, points), rows)], diagnostics
@@ -192,8 +183,10 @@ def cmd_thermalize(args) -> int:
 
 
 def cmd_steady_state(args) -> int:
+    from .bath import davies_reduction
+
     H, lat = _build_model(_model_spec_from_args(args))
-    gen = _davies_generator(H, _full_decompositions(H), args.beta, args.gamma0)
+    gen = davies_reduction(H, _full_decompositions(H), args.beta, args.gamma0)
     ss = steady_states(gen)
     out = {
         "kernel_dim": ss.kernel_dim,
@@ -214,6 +207,7 @@ def cmd_steady_state(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    from .bath import davies_reduction
     from .verify import check_fixed_point_conditions, ergodicity_check
 
     lat = build_torus(args.L)
@@ -228,7 +222,7 @@ def cmd_verify(args) -> int:
     }
     doc = report.to_json()
     if args.ergodicity:
-        gen = _davies_generator(H, decomps, args.beta, args.gamma0)
+        gen = davies_reduction(H, decomps, args.beta, args.gamma0)
         erg = ergodicity_check(H, [j.op for j in gen.jumps],
                                loop_ops=loop_operators(lat))
         ss = steady_states(gen)
@@ -402,7 +396,9 @@ def cmd_run(args) -> int:
         result["fixed_point_report"] = report.to_json()
         result["max_residual"] = report.max_residual()
     elif exp == "steady-state":
-        gen = _davies_generator(H, decomps, beta, float(dyn.get("gamma0", 0.5)))
+        from .bath import davies_reduction
+
+        gen = davies_reduction(H, decomps, beta, float(dyn.get("gamma0", 0.5)))
         ss = steady_states(gen)
         result["kernel_dim"] = ss.kernel_dim
         result["kernel_residual"] = ss.residual

@@ -836,12 +836,14 @@ class Sectors:
     d / 2^r, of P_i = i^|x&z| X^x Z^z over the ``_gf2_basis`` g_1..g_r of R.
     By the product rule of ``_pauli_transfer`` a Hermitian i^e X^x Z^z with
     label in R is eps prod_i P_i^k_i (eps = +-1): eps (-1)^(k.s) on sector
-    s. Anticommuting elements of R raise NumericalError."""
+    s. Anticommuting elements of R raise NumericalError, n > 31 (labels
+    past 62 bits) CapacityError."""
 
     def __init__(self, labels, d: int):
-        if d > 1 << DENSE_LIMIT:
-            raise CapacityError(f"sectors of dimension {d} exceed the limit 2^{DENSE_LIMIT}")
-        self.n, self.basis = d.bit_length() - 1, _gf2_basis(labels)
+        self.n = d.bit_length() - 1
+        if self.n > 31:
+            raise CapacityError(f"sector labels of {self.n} qubits exceed 62 bits")
+        self.basis = _gf2_basis(labels)
         self.multiplicity = d >> len(self.basis)
         g = np.array(self.basis, dtype=int)
         if ((np.bitwise_count((g[:, None] >> self.n) & g)
@@ -851,7 +853,10 @@ class Sectors:
     def values(self, labels, e, a) -> np.ndarray:
         """The eigenvalue on each sector (columns) of the Hermitian
         sum_b a[b, j] i^e_b X^x Z^z for each column j of ``a`` (rows): a
-        ``_butterfly`` of eps a at k. Weight off R above 1e-10 raises."""
+        ``_butterfly`` of eps a at k. Weight off R above 1e-10 raises, a
+        table past 4^DENSE_LIMIT entries (a dense matrix's) CapacityError."""
+        if (entries := a.shape[1] << len(self.basis)) > 4 ** DENSE_LIMIT:
+            raise CapacityError(f"a sector table of {entries} entries exceeds 4^{DENSE_LIMIT}")
         b = np.asarray(labels, dtype=int)
         rest, k, e = b, np.zeros_like(b), np.asarray(e, dtype=int)
         for i, g in enumerate(self.basis):
@@ -1164,9 +1169,11 @@ def steady_states(g: LindbladGenerator) -> SteadyStateResult:
     toric Davies generator at beta = 1, gamma0 = 0.5, lambda = 1 it is 47.7
     against 45.9. An eigenvalue within a factor 100 of the threshold on
     either side makes the decision ambiguous, and a kernel above MAX_KERNEL
-    is refused; both raise NumericalError.
+    is refused; both raise NumericalError. A dimension above
+    SUPEROP_DIM_LIMIT raises CapacityError first.
     """
     start = time.perf_counter()
+    _check_capacity(g.n_levels)
     d, terms = g.n_levels, _sandwich_terms(g.n_levels, g.H, g.jumps)
     classes = _commuting_classes(g.H, g.jumps, d)
     split = _factored_kernel(classes, d) if len(classes) > 1 else None

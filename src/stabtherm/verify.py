@@ -34,14 +34,14 @@ from scipy import sparse
 # verify.lobpcg when it installs, so the name stays bound.
 from scipy.sparse.linalg import lobpcg  # noqa: F401
 
-from .errors import CapacityError, ParameterError
+from .errors import ParameterError
 from .lindblad import (
     ROUNDOFF,
-    SUPEROP_DIM_LIMIT,
     DensityMatrix,
     JumpOp,
     LindbladGenerator,
     _block_form,
+    _check_capacity,
     _kernel_diagnostics,
     _sandwich_terms,
     steady_states,
@@ -251,8 +251,7 @@ def ergodicity_check(
     rounding residue and are zeroed.
     """
     dim = 1 << H.n_qubits
-    if dim > SUPEROP_DIM_LIMIT:
-        raise CapacityError("ergodicity_check is a dense desk-scale verification")
+    _check_capacity(dim)
     mats = _as_operators(jump_ops, dim)
     full_set = [H.as_sum().to_sparse()] + mats
 

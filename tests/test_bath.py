@@ -23,6 +23,7 @@ from stabtherm.lindblad import (
     DensityMatrix,
     evolve,
     gibbs_state,
+    sector_trajectory,
     steady_states,
     trace_distance,
     vec,
@@ -69,11 +70,29 @@ def test_mini_model_single_delta_ancilla_dim_32():
     assert gen.n_levels == 32
 
 
-def test_toric_full_dressing_exceeds_capacity():
+def test_toric_full_dressing_compiles_and_dense_consumers_refuse():
+    # the 40-qubit L=2 dressing is Pauli algebra: it builds and its lab-frame
+    # step compiles to 1- and 2-body gates plus one reset per ancilla; each
+    # consumer that needs a dense or superoperator form refuses at its limit
     lat = build_torus(2)
     H = toric_hamiltonian(lat, 1.0, 1.0)
-    with pytest.raises(CapacityError):
-        attach_ancillas(H, full_decomps(H), beta=1.0, gamma_minus=0.1)
+    decomps = full_decomps(H)
+    model, lab = attach_ancillas(H, decomps, beta=1.0, gamma_minus=0.3)
+    assert (model.n_qubits, model.n_ancilla) == (40, 32)
+    sched = trotterize(lab, 2.0, 20)
+    kinds = [g.kind for g in sched.gates]  # ROT1 and resets on 1 qubit, CPHASE on 2
+    assert {k: kinds.count(k) for k in set(kinds)} == {"ROT1": 632, "CPHASE": 112,
+                                                      THERMAL_RESET: 32}
+    assert [g.qubit for g in sched.gates if g.kind == THERMAL_RESET] == list(range(8, 40))
+    assert GateSchedule.from_jsonl(sched.to_jsonl()) == sched
+    for refused in (lambda: steady_states(lab),
+                    lambda: sector_trajectory(lab, 1.0, 3),
+                    lambda: rwa_validity_probe(H, decomps, 1.0, 0.3, 0.1, 1.0),
+                    lambda: model.thermal_ancilla_state(1.0),
+                    lambda: model.join(np.eye(2), np.eye(2)),
+                    lambda: simulate_schedule(sched, np.eye(2))):
+        with pytest.raises(CapacityError):
+            refused()
 
 
 def test_rwa_hamiltonian_matches_independent_excitation_build():

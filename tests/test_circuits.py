@@ -28,7 +28,7 @@ from stabtherm.circuits import (
     simulate_schedule,
     trotterize,
 )
-from stabtherm.errors import ParameterError, ScheduleError
+from stabtherm.errors import CapacityError, ParameterError, ScheduleError
 from stabtherm.lindblad import (
     DensityMatrix,
     JumpOp,
@@ -269,6 +269,16 @@ def test_choi_matrix_of_known_channels():
     p1 = 1.0 / (1.0 + np.exp(beta * omega))
     C = choi_matrix(reset_channel(beta, omega))
     assert np.linalg.norm(C - np.kron(np.diag([1 - p1, p1]), np.eye(2))) < 1e-13
+
+
+def test_dense_schedule_views_refuse_past_the_dense_limit():
+    # a 40-qubit schedule compiles; its unitary (d^2 entries) and its
+    # superoperator and Choi matrix (d^4) refuse before anything is allocated
+    sched = compile_pauli_exponential(PauliString.from_letters("Z" + "I" * 38 + "Z"), 0.3)
+    assert sched.n_qubits == 40 and len(sched) > 0
+    for view in (schedule_unitary, schedule_superoperator, choi_matrix):
+        with pytest.raises(CapacityError, match="qubits exceeds the limit"):
+            view(sched)
 
 
 def test_superoperator_matches_simulation_through_branches():

@@ -136,12 +136,14 @@ def test_bad_model_l_exits_2(capsys):
     assert run_cli("build-model", "--L", "1") == 2
 
 
-def test_capacity_error_exits_3(tmp_path, monkeypatch):
-    # the capacity check comes before the (slow, 2^18-dimensional) bath
+def test_capacity_error_exits_3(tmp_path, monkeypatch, capsys):
+    # the solvers' capacity check comes before any d^2-sized step (the L=3
+    # bath itself is Pauli algebra, a few ms)
     def refuse(*args, **kwargs):
-        raise AssertionError("the bath was built for a model beyond capacity")
+        raise AssertionError("a d^2-sized step ran for a model beyond capacity")
 
-    monkeypatch.setattr(bath, "davies_reduction", refuse)
+    for name in ("_pauli_transfer", "_commuting_classes", "_factored_kernel"):
+        monkeypatch.setattr(lindblad, name, refuse)
     for experiment in ("steady-state", "thermalize"):
         cfg = {"experiment": experiment, "model": {"type": "toric", "L": 3},
                "dynamics": {"beta": 1.0, "gamma0": 0.5}, "observables": [],
@@ -149,6 +151,27 @@ def test_capacity_error_exits_3(tmp_path, monkeypatch):
         p = tmp_path / "cfg.json"
         p.write_text(json.dumps(cfg))
         assert run_cli("run", str(p)) == 3  # L=3 superoperator exceeds capacity
+    for command in ("steady-state", "thermalize"):
+        assert run_cli(command, "--L", "3") == 3
+    assert capsys.readouterr().err.count("dim 262144 exceeds") == 4
+
+
+def test_gibbs_sweep_reads_the_l3_sectors_and_refuses_l4(tmp_path, capsys):
+    # 2^16 syndrome sectors hold the L=3 sweep; L=4 labels need 64 bits
+    cfg = {"experiment": "gibbs-sweep", "model": {"type": "toric", "L": 3},
+           "beta_grid": [0.5, 1.0], "observables": ["A_v", "B_p", "energy"],
+           "output_dir": str(tmp_path)}
+    p = tmp_path / "sweep.json"
+    p.write_text(json.dumps(cfg))
+    assert run_cli("run", str(p)) == 0
+    rows = json.loads((tmp_path / "result.json").read_text())["rows"]
+    for beta, a_v, b_p, energy in rows:
+        _, av, bp, e = toric_partition_sums(3, 1.0, 1.0, beta)
+        assert np.abs(np.array([a_v, b_p, energy]) - [av, bp, e]).max() < 1e-10
+    cfg["model"]["L"] = 4
+    p.write_text(json.dumps(cfg))
+    assert run_cli("run", str(p)) == 3
+    assert "62 bits" in capsys.readouterr().err
 
 
 def test_oversized_schedule_exits_3_before_building_a_state(tmp_path):
@@ -486,7 +509,7 @@ def test_thermalize_rows_match_trajectory_and_dense_observables(spec):
     H, lat = cli._build_model(spec)
     decomps = cli._full_decompositions(H)
     names = ["energy", "gibbs_distance"] + (["A_v", "B_p"] if lat else [])
-    g = cli._davies_generator(H, decomps, 1.2, 0.5)
+    g = bath.davies_reduction(H, decomps, 1.2, 0.5)
     gs = gibbs_state(H.to_dense(), 1.2)
     rows, diag = cli._thermalize_rows(H, lat, decomps, 1.2, 0.5, 3.0, 4, names)
     states = trajectory(g, DensityMatrix.maximally_mixed(1 << H.n_qubits), 3.0, 4)

@@ -108,6 +108,21 @@ def test_superoperator_capacity():
         evolve(g, DensityMatrix.maximally_mixed(512), 1.0)
 
 
+@pytest.mark.parametrize("L", [3, 4])
+def test_steady_states_refuse_toric_davies_before_any_d2_step(L, monkeypatch):
+    # the capacity check is steady_states' first step: past it, L=3 asks for
+    # 2^36 labels (MemoryError) and L=4 packs 64-bit labels (OverflowError)
+    def refuse(*args, **kwargs):
+        raise AssertionError("a d^2-sized step ran past capacity")
+
+    for name in ("_pauli_transfer", "_commuting_classes", "_factored_kernel"):
+        monkeypatch.setattr(lindblad, name, refuse)
+    H = toric_hamiltonian(build_torus(L), 1.0, 1.0)
+    g = davies_reduction(H, full_decomps(H), 1.0, 0.5)
+    with pytest.raises(CapacityError, match=f"dim {1 << H.n_qubits} "):
+        steady_states(g)
+
+
 def test_two_level_steady_population_ratio():
     g = two_level(1.0, 0.25)
     ss = steady_states(g)
@@ -1139,6 +1154,22 @@ def test_sectors_refuse_anticommuting_support_and_strings_outside_it():
     with pytest.raises(NumericalError, match="off the sector group"):
         zz.state((np.eye(4) + 0.5 * x.to_dense()) / 4)
     assert np.allclose(zz.state((np.eye(4) + 0.5 * z.to_dense()) / 4), [[0.75, 0.25]])
+
+
+def test_sectors_refuse_wide_labels_and_oversized_tables():
+    # labels are 2n-bit int64s, so 32 qubits (L=4) are refused before any is
+    # packed; the L=3 torus' 2^16 sectors hold its stabilizers' table, and a
+    # table of more than 4^DENSE_LIMIT entries is refused before it is filled
+    H4 = toric_hamiltonian(build_torus(4), 1.0, 1.0)
+    with pytest.raises(CapacityError, match="62 bits"):
+        Sectors([(t.stabilizer.x << 32) | t.stabilizer.z for t in H4.terms], 1 << 32)
+    strings = [t.stabilizer for t in toric_hamiltonian(build_torus(3), 1.0, 1.0).terms]
+    sectors = Sectors([(p.x << 18) | p.z for p in strings], 1 << 18)
+    chi = sectors.characters(strings)
+    assert chi.shape == (18, 1 << 16) and sectors.multiplicity == 4
+    assert np.array_equal(np.abs(chi), np.ones_like(chi)) and not chi.sum(axis=1).any()
+    with pytest.raises(CapacityError, match="entries"):
+        sectors.values([0], [0], np.zeros((1, (1 << 12) + 1)))
 
 
 def joint_kernel(g):
