@@ -242,19 +242,15 @@ def _cnot_gates(control: int, target: int) -> list[Gate]:
 
 
 def compile_pauli_exponential(p: PauliString, phi: float) -> GateSchedule:
-    """Exact schedule for exp(-i*phi*P) up to global phase, weight(P) <= 4.
+    """Exact schedule for exp(-i*phi*P) up to global phase, P of any weight >= 1.
 
     X/Y support is rotated into the Z basis by one-qubit conjugation, the
     parity accumulates along a CNOT ladder (CNOT = CPHASE dressed with
     one-qubit rotations), one z-rotation by 2*phi lands on the last support
-    qubit, and the ladder is uncomputed.
+    qubit, and the ladder is uncomputed: 1- and 2-qubit gates only.
     """
     if p.weight < 1:
         raise ParameterError("P must be non-identity (weight >= 1)")
-    if p.weight > 4:
-        raise ParameterError(
-            f"weight {p.weight} > 4 is unsupported (the circuit construction is 4-body)"
-        )
     n_y = bin(p.x & p.z).count("1")
     display_k = (p.k - n_y) % 4
     if display_k == 0:

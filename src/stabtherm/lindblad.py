@@ -155,7 +155,8 @@ def thermal_qubit(beta: float, omega: float) -> np.ndarray:
 
 @dataclass(frozen=True)
 class DensityMatrix:
-    """Validated Hermitian, unit-trace, (numerically) positive matrix."""
+    """Validated Hermitian, unit-trace, (numerically) positive matrix: its
+    Hermitian part plus CLIP_TOL * I has a Cholesky factor."""
 
     mat: np.ndarray
 
@@ -170,8 +171,10 @@ class DensityMatrix:
             raise ParameterError("density matrix is not Hermitian")
         if abs(np.trace(m) - 1.0) > 1e-10:
             raise ParameterError(f"trace is {np.trace(m)}, expected 1")
-        if np.linalg.eigvalsh((m + m.conj().T) / 2).min() < -CLIP_TOL:
-            raise ParameterError("density matrix has a significantly negative eigenvalue")
+        try:  # succeeds iff the smallest eigenvalue is above -CLIP_TOL
+            np.linalg.cholesky((m + m.conj().T) / 2 + CLIP_TOL * np.eye(len(m)))
+        except np.linalg.LinAlgError:
+            raise ParameterError("density matrix has a significantly negative eigenvalue") from None
 
     @property
     def dim(self) -> int:
@@ -1001,10 +1004,10 @@ def evolve(g: LindbladGenerator, rho0: DensityMatrix, t: float) -> DensityMatrix
 
 
 def _finalize_state(m: np.ndarray) -> DensityMatrix:
-    """An evolved state, Hermitized and normalized, its one spectrum that of
-    DensityMatrix's validation: a state it refuses (an eigenvalue below
-    -CLIP_TOL) is clipped to its positive part, with a warning below
-    -POSITIVITY_TOL. Non-finite entries or trace drift raise."""
+    """An evolved state, Hermitized and normalized, checked by DensityMatrix's
+    validation (no spectrum): a state it refuses (an eigenvalue below
+    -CLIP_TOL) is clipped to its positive part by one eigh, with a warning
+    below -POSITIVITY_TOL. Non-finite entries or trace drift raise."""
     if not np.isfinite(m).all():
         raise NumericalError("an evolved state has non-finite entries")
     m = (m + m.conj().T) / 2
@@ -1036,7 +1039,8 @@ class SteadyStateResult:
     # basis, blocks, max_block, nnz (of the basis matrix), bounded and refined
     # (the dense blocks whose spectrum was bounded and computed) and margin,
     # the smallest non-kernel |lambda| over the threshold (None if none), as
-    # _BlockForm.kernel gives them; classes (1: the joint path); and seconds
+    # _BlockForm.kernel gives them; classes (1: the joint path); keys (the
+    # class blocks solved per class, None on the joint path); and seconds
     diagnostics: dict
 
     @property
@@ -1090,39 +1094,63 @@ def _commuting_classes(H, jumps, d: int) -> list:
             for c in kept]
 
 
+def _class_keys(labels, terms, span, n: int) -> np.ndarray:
+    """The key of each Pauli label in ``labels``: its anticommutation bits
+    with a basis of the ``terms``' labels, modulo those of the ``span``'s
+    basis (each leading bit cleared), so one key per coset of the span."""
+    swap = [(v & ((1 << n) - 1)) << n | v >> n for v in _gf2_basis(terms)]  # x, z swapped
+    key, vecs = ((np.bitwise_count(np.asarray(a)[:, None] & swap) & 1)
+                 @ (1 << np.arange(len(swap))) for a in (labels, span))
+    for v in _echelon(vecs):
+        key = np.minimum(key, key ^ v)
+    return key
+
+
 def _factored_kernel(classes, d: int):
     """The kernel count and spectrum of the map split into
-    ``_commuting_classes``, from the class forms seeded with the
-    representatives (no leading bit of S set) of the cosets of the sum S of
-    the class spans. On each coset, at element (t_1, ..., t_k), the spectrum
-    is a Kronecker sum of the class spectra on their cosets, the diagonal is
-    the sum of the class diagonals, each other slot is one class's, and the
+    ``_commuting_classes``, on the cosets of the sum S of the class spans
+    (representatives: the integers with a zero bit inserted at each leading
+    bit of S). On each coset, at element (t_1, ..., t_k), the spectrum is a
+    Kronecker sum of the class spectra on their cosets, the diagonal is the
+    sum of the class diagonals, each other slot is one class's, and the
     element's block is the product of its class blocks; so T's scale, nnz
-    and blocks come from the class slots. Returns the scale, the max(kernel
-    + 4, STEADY_EIGENVALUES) smallest eigenvalues as a stable sort of all by
+    and blocks come from the class slots. A class map on b ^ S_c depends on
+    b only through its ``_class_keys`` key (of the class's term labels and
+    S_c): cosets of one key differ by a Pauli commuting with every term,
+    whose right product maps one coset's map onto the other's up to signs.
+    So each class form is seeded with one representative per key, which
+    each coset's slots are read from. Returns the scale, the max(kernel + 4,
+    STEADY_EIGENVALUES) smallest eigenvalues as a stable sort of all by
     |lambda| orders them (only those up to a partition's cut are sorted),
     the kernel count, the representatives of the cosets that hold kernel
-    and ``_BlockForm.kernel``'s diagnostics (bounded = refined = blocks);
-    None if a class block exceeds DENSE_BLOCK_LIMIT or a class form's
-    cosets are not its span's."""
-    lead = sum(1 << (v.bit_length() - 1) for v in _gf2_basis(np.concatenate([
-        basis for *_, basis in classes])))
-    reps = np.flatnonzero((np.arange(d * d) & lead) == 0)
-    spectra, slots, sizes, nnz = [], [], [], 0
+    and ``_BlockForm.kernel``'s diagnostics (bounded = refined = blocks)
+    with classes and keys (class blocks solved per class); None if a class
+    block exceeds DENSE_BLOCK_LIMIT or a class form's cosets are not its
+    span's."""
+    n, tops = d.bit_length() - 1, sorted(v.bit_length() - 1 for v in _gf2_basis(
+        np.concatenate([basis for *_, basis in classes])))
+    reps = np.arange(d * d >> len(tops))
+    for p in tops:  # ascending, so each inserted bit stays put
+        reps = reps >> p << (p + 1) | reps & ((1 << p) - 1)
+    spectra, slots, sizes, nnz, keys = [], [], [], 0, []
     for i, (H, jumps, basis) in enumerate(classes):
-        f = _block_form(_sandwich_terms(d, H, jumps), d, seeds=reps)
+        key = _class_keys(reps, [s.x << n | s.z for o in (H, *(j.op for j in jumps)) if o
+                                 for _, s in o.terms], basis, n)
+        _, first, inverse = np.unique(key, return_index=True, return_inverse=True)
+        keys.append(len(first))
+        f = _block_form(_sandwich_terms(d, H, jumps), d, seeds=reps[first])
         if f.sizes.max() > DENSE_BLOCK_LIMIT or f.coset != 1 << len(basis):
             return None
         order, m = np.argsort(f.support), f.coset
-        at = order[np.searchsorted(f.support[order], reps)] // m * m + np.arange(m)[:, None]
-        at, grid = at.T, (len(reps),) + tuple(m if j == i else 1 for j in range(len(classes)))
+        at = order[np.searchsorted(f.support[order], reps[first])] // m * m + np.arange(m)[:, None]
+        at, grid = at.T[inverse], (len(reps),) + tuple(m if j == i else 1 for j in range(len(classes)))
         spectrum = np.empty(len(f.support), complex)
         for members in f.blocks():
             spectrum[members] = np.linalg.eigvals(f.dense(members))
         on, mag = f.rows == np.arange(len(f.support)), np.abs(f.weights)
         diag = np.where(on, f.weights, 0).sum(axis=0)
         # a class element's off-diagonal slots recur at each joint element it is part of
-        nnz += (f.nnz - np.count_nonzero(diag)) * (d * d // len(f.support))
+        nnz += np.count_nonzero(np.where(on, 0, f.weights), axis=0)[at].sum() * (d * d // at.size)
         spectra.append(spectrum[at].reshape(grid))
         slots.append(np.stack([diag, np.where(on, 0, mag).sum(axis=0), np.bincount(
             f.rows[~on], mag[~on], len(on[0]))])[:, at].reshape((3,) + grid))  # off-diagonal 1-norms
@@ -1136,9 +1164,10 @@ def _factored_kernel(classes, d: int):
     low = np.flatnonzero(mags <= np.partition(mags, k - 1)[k - 1])  # ties at the cut included
     vals = spectra.ravel()[low[np.argsort(mags[low], kind="stable")[:k]]]
     hold = (mags < thresh).reshape(len(reps), -1).any(axis=1)
-    return scale, vals, n_kernel, reps[hold] if hold.any() else reps[:1], _kernel_diagnostics(
+    return scale, vals, n_kernel, reps[hold] if hold.any() else reps[:1], {**_kernel_diagnostics(
         "pauli", blocks, int(size.max()), int(np.count_nonzero(diagonal) + nnz), blocks, blocks,
-        float(abs(vals[n_kernel]) / thresh) if n_kernel < vals.size else None)
+        float(abs(vals[n_kernel]) / thresh) if n_kernel < vals.size else None),
+        "classes": len(classes), "keys": keys}
 
 
 def steady_states(g: LindbladGenerator) -> SteadyStateResult:
@@ -1151,14 +1180,15 @@ def steady_states(g: LindbladGenerator) -> SteadyStateResult:
     spectrum is a Kronecker sum of class spectra (``_factored_kernel``),
     exact to rounding, and the kernel vectors come from the joint form on
     the cosets with kernel alone, which must hold as many (diagnostics
-    ``classes`` = k; ``bounded`` = ``refined`` = ``blocks``). Otherwise
-    (``classes`` = 1) ``_BlockForm.kernel`` solves the whole form: dense up
-    to DENSE_BLOCK_LIMIT elements, shift-invert ARPACK above, with k grown
-    until the computed set reaches past the kernel cluster and the ambiguous
-    band, so degenerate kernels are reported faithfully. A dense block gets
-    an eigvalsh bound only when its Gershgorin screen can reach the reported
-    spectrum, and eigvals only when that Bendixson bound can (``bounded``
-    and ``refined`` count them), as eigvals of every dense block would give.
+    ``classes`` = k, ``keys``; ``bounded`` = ``refined`` = ``blocks``).
+    Otherwise (``classes`` = 1, ``keys`` None) ``_BlockForm.kernel`` solves
+    the whole form: dense up to DENSE_BLOCK_LIMIT elements, shift-invert
+    ARPACK above, with k grown until the computed set reaches past the
+    kernel cluster and the ambiguous band, so degenerate kernels are
+    reported faithfully. A dense block gets an eigvalsh bound only when its
+    Gershgorin screen can reach the reported spectrum, and eigvals only when
+    that Bendixson bound can (``bounded`` and ``refined`` count them), as
+    eigvals of every dense block would give.
     ``eigenvalues`` holds the max(kernel_dim + 4, STEADY_EIGENVALUES)
     smallest |lambda| of the union of the block spectra (complex, sorted by
     |lambda|).
@@ -1182,6 +1212,7 @@ def steady_states(g: LindbladGenerator) -> SteadyStateResult:
         scale = form.scale()
         vals, n_kernel, kernel, diagnostics = form.kernel(KERNEL_TOL * scale, scale,
                                                           STEADY_EIGENVALUES, MAX_KERNEL)
+        diagnostics.update(classes=1, keys=None)
     else:
         scale, vals, n_kernel, seeds, diagnostics = split
     if n_kernel > MAX_KERNEL:
@@ -1192,7 +1223,6 @@ def steady_states(g: LindbladGenerator) -> SteadyStateResult:
         if count != n_kernel:
             raise NumericalError(f"the class spectra hold {n_kernel} kernel eigenvalues, "
                                  f"the joint form {count}")
-    diagnostics["classes"] = 1 if split is None else len(classes)
 
     at = np.argsort(form.support)  # label order: QR and norms run in it
     coeffs = np.zeros((len(at), n_kernel), complex)
@@ -1207,7 +1237,7 @@ def steady_states(g: LindbladGenerator) -> SteadyStateResult:
     basis = form.vectors(coeffs)
 
     # when degenerate, kernel rotations may hide positive combinations; report
-    # whatever states DensityMatrix accepts (its one spectrum) without failing
+    # whatever states DensityMatrix accepts (its one Cholesky) without failing
     states = []
     for i in range(n_kernel):
         m = unvec(basis[:, i])

@@ -257,6 +257,22 @@ def slot_graph_blocks(form):
     return labels, sizes, order, position
 
 
+def coset_keys(support, coset, labels, n):
+    """For each run of ``coset`` elements of ``support`` (Pauli labels
+    x*2^n + z), the set of its elements' anticommutation patterns with each
+    Pauli label in ``labels``, enumerated bit by bit: two cosets of one span
+    get one set iff their patterns differ by that of a Pauli commuting with
+    every label."""
+    low = (1 << n) - 1
+
+    def pattern(b):
+        return tuple(bin(((b >> n) & g & low) ^ (b & low & (g >> n))).count("1") & 1
+                     for g in labels)
+
+    patterns = [pattern(int(b)) for b in support]
+    return [frozenset(patterns[c:c + coset]) for c in range(0, len(patterns), coset)]
+
+
 def dense_vertex(G, n, links, pattern):
     """A_v on n qudits: (1/|G|) sum_g of the kron product, first qudit most
     significant, of L+^g on a '+' link, L-^g on a '-' link and I elsewhere."""

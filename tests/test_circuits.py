@@ -37,7 +37,12 @@ from stabtherm.lindblad import (
     trace_distance,
 )
 from stabtherm.pauli import PauliString, PauliSum
-from stabtherm.toric import eigenoperator_decomposition, single_stabilizer_model
+from stabtherm.toric import (
+    build_torus,
+    eigenoperator_decomposition,
+    single_stabilizer_model,
+    toric_hamiltonian,
+)
 
 from oracles import (
     build_superoperator,
@@ -126,10 +131,33 @@ def test_gate_set_is_rot1_and_cphase_only():
     assert {g.kind for g in sched.gates} <= {ROT1, CPHASE}
 
 
+@pytest.mark.parametrize("letters, weight", [("XYZIZXI", 5), ("YZXXIZY", 6)])
+def test_weights_five_and_six_compile_exactly(letters, weight):
+    # the CNOT ladder has no weight cap: weights 5 and 6 on 7 qubits
+    p = PauliString.from_letters(letters)
+    assert p.weight == weight
+    rng = np.random.default_rng(weight)
+    for phi in rng.uniform(-np.pi, np.pi, 3):
+        U = schedule_unitary(compile_pauli_exponential(p, phi))
+        assert dist_up_to_phase(U, expm(-1j * phi * p.to_dense())) < 1e-12
+
+
+def test_rwa_generator_on_the_full_l2_dressing_compiles_to_two_qubit_gates():
+    # its H has 96 terms of weight up to 6 on 40 qubits (8 system, 32 ancillas)
+    H = toric_hamiltonian(build_torus(2), 1.0, 1.0)
+    decs = [eigenoperator_decomposition(H, j, a) for j in range(H.n_qubits) for a in ("x", "z")]
+    model, _ = attach_ancillas(H, decs, beta=1.0, gamma_minus=0.3, g=0.4)
+    g = rwa_generator(model)
+    assert g.H.n == 40 and max(s.weight for _, s in g.H.terms) == 6
+    sched = trotterize(g, 2.0, 20)
+    assert sched.n_qubits == 40 and sched.steps == 20
+    assert {gate.kind for gate in sched.gates} == {ROT1, CPHASE, THERMAL_RESET}
+    assert all(gate.qubit2 is None or gate.kind == CPHASE and gate.qubit2 != gate.qubit
+               for gate in sched.gates)
+
+
 def test_weight_limit_and_hermiticity_guard():
-    with pytest.raises(ParameterError):
-        compile_pauli_exponential(PauliString.from_letters("ZZZZZ"), 0.1)
-    with pytest.raises(ParameterError):
+    with pytest.raises(ParameterError, match="weight >= 1"):
         compile_pauli_exponential(PauliString.identity(2), 0.1)
     with pytest.raises(ParameterError):
         # +i XZ is anti-Hermitian; its exponential is not unitary

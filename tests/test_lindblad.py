@@ -302,6 +302,27 @@ def test_density_matrix_validation():
         DensityMatrix(np.full((2, 2), np.nan))  # every comparison with NaN is False
 
 
+@pytest.mark.parametrize("d", [4, 256])
+def test_density_matrix_positivity_boundary_is_minus_clip_tol(d):
+    # the Cholesky check keeps the eigenvalue criterion: a smallest
+    # eigenvalue of -CLIP_TOL / 2 passes, -2 CLIP_TOL does not
+    rng = np.random.default_rng(d)
+    u = np.linalg.qr(rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d)))[0]
+    for low, accepted in ((-0.5 * lindblad.CLIP_TOL, True), (-2 * lindblad.CLIP_TOL, False)):
+        lam = np.full(d, (1 - low) / (d - 1))
+        lam[0] = low
+        rho = (u * lam) @ u.conj().T
+        rho = (rho + rho.conj().T) / 2
+        assert abs(np.linalg.eigvalsh(rho).min() / low - 1) < 1e-6
+        if accepted:
+            DensityMatrix(rho)
+        else:
+            with pytest.raises(ParameterError, match="negative eigenvalue"):
+                DensityMatrix(rho)
+    # a rank-1 pure state: eigenvalue 0 with multiplicity d - 1
+    assert DensityMatrix.pure(u[:, 1]).dim == d
+
+
 def test_gibbs_state_rejects_non_finite_beta():
     for beta in (np.inf, np.nan, -1.0):
         with pytest.raises(ParameterError):
@@ -1241,6 +1262,7 @@ def test_factored_l2_steady_state_matches_the_joint_solver(seed):
     assert ss.kernel_dim == n_kernel == 1
     d = ss.diagnostics
     assert (d["classes"], d["blocks"], d["max_block"], d["nnz"]) == (2, 1024, 64, 714751)
+    assert d["keys"] == [256, 256]
     # every joint block's spectrum is computed, as the Kronecker sum of two
     assert d["bounded"] == d["refined"] == d["blocks"]
     assert_same_spectrum(ss.eigenvalues, vals, 1e-12)
@@ -1255,18 +1277,58 @@ def test_factored_l2_steady_state_matches_the_joint_solver(seed):
 
 def test_factored_path_assembles_no_joint_form(monkeypatch):
     # the L=2 Davies steady state seeds every Pauli form: the two class
-    # forms on 8192 elements, the joint form on the kernel's coset of 64
-    supports, transfer = [], lindblad._pauli_transfer
+    # forms with one representative per key (256 keys of 4 of the 1024
+    # cosets, 2048 elements), the joint form on the kernel's coset of 64
+    supports, seeded, transfer = [], [], lindblad._pauli_transfer
 
     def spy(terms, d, seeds=None):
         assert seeds is not None, "a Pauli form was assembled on every element"
         out = transfer(terms, d, seeds)
         supports.append(len(out[0]))
+        seeded.append(len(seeds))
         return out
 
     monkeypatch.setattr(lindblad, "_pauli_transfer", spy)
-    assert steady_states(davies_steady_l2(1)).kernel_dim == 1
-    assert max(supports) <= 8192 and sorted(supports) == [64, 8192, 8192]
+    ss = steady_states(davies_steady_l2(1))
+    assert ss.kernel_dim == 1 and ss.diagnostics["keys"] == [256, 256]
+    assert max(supports) <= 2048 and sorted(supports) == [64, 2048, 2048]
+    assert sorted(seeded) == [1, 256, 256]
+
+
+def test_factored_kernel_builds_no_index_array_of_every_label(monkeypatch):
+    # the coset representatives come from inserting zero bits, not from
+    # np.arange(d * d): at L=3 that would hold 2^36 labels
+    g = davies_steady_l2(1)
+    d, arange = g.n_levels, np.arange
+    classes = lindblad._commuting_classes(g.H, g.jumps, d)
+
+    def spy(*args, **kwargs):
+        out = arange(*args, **kwargs)
+        assert out.size < d * d, "an index array of every label"
+        return out
+
+    monkeypatch.setattr(np, "arange", spy)
+    assert lindblad._factored_kernel(classes, d)[4]["keys"] == [256, 256]
+
+
+def test_class_keys_are_one_per_coset_and_blind_to_the_other_class():
+    # a key is constant on each coset b ^ S_c, and a product with the other
+    # class's span (which commutes with every term of this class) keeps it
+    g = davies_steady_l2(1)
+    d, n = g.n_levels, 8
+    classes = lindblad._commuting_classes(g.H, g.jumps, d)
+    b = np.random.default_rng(0).integers(0, d * d, 64)
+    for (H, jumps, basis), (*_, other) in zip(classes, classes[::-1]):
+        terms = [s.x << n | s.z for o in (H, *(j.op for j in jumps)) for _, s in o.terms]
+        for vectors in (basis, other):
+            span = np.zeros(1, dtype=int)
+            for v in vectors:
+                span = np.concatenate([span, span ^ v])
+            keys = lindblad._class_keys((b[:, None] ^ span).ravel(), terms, basis, n)
+            assert (keys.reshape(64, 8) == keys[::8, None]).all()
+        # while single-qubit X_j and Z_j, which anticommute with some term, move b off its key
+        singles = [1 << (n + j) for j in range(n)] + [1 << j for j in range(n)]
+        assert len(np.unique(lindblad._class_keys(b[0] ^ np.array(singles), terms, basis, n))) > 1
 
 
 def test_commuting_classes_split_the_toric_davies_generator_by_stabilizer_type():
@@ -1370,10 +1432,11 @@ def test_unsplit_generators_take_the_joint_path(make):
     g = make()
     ss = steady_states(g)
     _, (vals, n_kernel, _, diagnostics) = joint_kernel(g)
-    assert ss.diagnostics["classes"] == 1 and ss.kernel_dim == n_kernel
+    assert ss.diagnostics["classes"] == 1 and ss.diagnostics["keys"] is None
+    assert ss.kernel_dim == n_kernel
     assert np.array_equal(ss.eigenvalues, vals[:len(ss.eigenvalues)])
-    assert {k: v for k, v in ss.diagnostics.items() if k not in ("classes", "seconds")} == \
-        diagnostics
+    assert {k: v for k, v in ss.diagnostics.items()
+            if k not in ("classes", "keys", "seconds")} == diagnostics
 
 
 def test_blocks_above_the_dense_limit_match_sparse_oracle():
@@ -1406,8 +1469,8 @@ def test_steady_state_diagnostics():
     ss = steady_states(g)
     d = ss.diagnostics
     assert set(d) == {"basis", "blocks", "max_block", "nnz", "bounded", "refined", "seconds",
-                      "margin", "classes"}
-    assert d["classes"] == 1  # its jumps are matrices
+                      "margin", "classes", "keys"}
+    assert d["classes"] == 1 and d["keys"] is None  # its jumps are matrices
     # k = 6 lowest bounds take all 2 blocks
     assert d["refined"] == d["bounded"] == d["blocks"]
     assert d["basis"] == "pauli" and d["max_block"] <= 4 and d["nnz"] > 0
