@@ -1,6 +1,7 @@
 """Lindblad generators on vectorized density matrices: exact time evolution
 (dense exponential of each block, or Krylov above a block size), steady-state
-kernels and Gibbs states.
+kernels and Gibbs states. SciPy is imported on first use, by the functions
+that call it: importing this module loads none of it.
 
 Evolution and steady states work on the superoperator written in an
 orthonormal operator basis: the Hermitian Pauli basis on n qubits (where the
@@ -62,19 +63,19 @@ from __future__ import annotations
 
 import contextlib
 import math
+import sys
 import time
 import warnings
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import TYPE_CHECKING, Callable, Sequence
 
 import numpy as np
-from scipy import sparse
-from scipy.linalg import expm
-from scipy.sparse.csgraph import connected_components
-from scipy.sparse.linalg import eigs as sparse_eigs, expm_multiply
 
 from .errors import CapacityError, NumericalError, ParameterError
 from .pauli import DENSE_LIMIT, PauliString, PauliSum, _number
+
+if TYPE_CHECKING:
+    from scipy import sparse
 
 #: Hilbert-space dimension above which superoperators (either basis) are refused.
 SUPEROP_DIM_LIMIT = 256
@@ -124,9 +125,14 @@ def trace_distance(a: np.ndarray, b: np.ndarray) -> float:
     return float(0.5 * np.abs(np.linalg.eigvalsh(diff)).sum())
 
 
+def _issparse(o) -> bool:
+    """scipy.sparse.issparse(o), true only once scipy.sparse is loaded."""
+    return "scipy.sparse" in sys.modules and sys.modules["scipy.sparse"].issparse(o)
+
+
 def trace_product(A, B: np.ndarray) -> complex:
     """Tr(A B) from the entries, without forming the product: A dense or sparse."""
-    if sparse.issparse(A):
+    if _issparse(A):
         return complex(A.multiply(np.asarray(B).T).sum())
     return complex(np.einsum("ij,ji->", A, B))
 
@@ -230,8 +236,11 @@ class LindbladGenerator:
     jumps: tuple[JumpOp, ...]
 
     def __post_init__(self):
+        given = (self.H, *(j.op for j in self.jumps))
+        if not all(isinstance(o, PauliSum) for o in given):
+            from scipy import sparse  # matrix ops only: Pauli sums need no SciPy
         h, *ops = [o if isinstance(o, PauliSum) else sparse.csr_matrix(o, dtype=complex, copy=True)
-                   for o in (self.H, *(j.op for j in self.jumps))]
+                   for o in given]
         for what, m in zip(["H", *(f"jump {j.label!r}" for j in self.jumps)], [h, *ops]):
             if ((1 << m.n,) * 2 if isinstance(m, PauliSum) else m.shape) != (self.n_levels,) * 2:
                 raise ParameterError(f"{what} has the wrong shape")
@@ -268,6 +277,7 @@ def _sandwich_terms(d: int, H, jumps) -> list:
         adjoints = [K.adjoint() for K in ops]
         G = sum((Kd * K * j.rate for K, Kd, j in zip(ops, adjoints, jumps)), PauliSum(eye.n))
     else:
+        from scipy import sparse
         H, *ops = [o.to_sparse() if isinstance(o, PauliSum) else o for o in [H, *ops]]
         eye = sparse.identity(d, dtype=complex, format="csr")
         G = sparse.csr_matrix((d, d), dtype=complex)
@@ -324,9 +334,9 @@ def _entries(ops):
     and duplicates through a canonical csr copy), ndarrays by np.nonzero."""
     parts = []
     for k, o in enumerate(ops):
-        if sparse.issparse(o):
+        if _issparse(o):
             if o.format not in ("csr", "csc") or not o.has_canonical_format:
-                o = sparse.csr_matrix(o, copy=True)
+                o = o.tocsr(copy=True)
                 o.sum_duplicates()
             major = np.repeat(np.arange(len(o.indptr) - 1), np.diff(o.indptr))
             rows, cols = (major, o.indices) if o.format == "csr" else (o.indices, major)
@@ -518,6 +528,7 @@ class _BlockForm:
     hermitian: bool
 
     def __post_init__(self):
+        from scipy.sparse import csgraph, csr_matrix
         # T's blocks: weak components of T^T's pattern, no stored zeros
         # (edges), found on the distinct patterns of live slots of the cosets
         # (byte strings, a zero byte ending each) side by side
@@ -530,8 +541,8 @@ class _BlockForm:
         pattern, node = cosets[first], np.arange(len(first) * m).reshape(-1, 1, m)
         edges = (np.broadcast_to(node, pattern.shape)[pattern],
                  (node - node % m + self.rows[:, :m])[pattern])
-        graph = sparse.csr_matrix((np.ones(len(edges[0])), edges), shape=(node.size,) * 2)
-        comp = connected_components(graph, directed=True, connection="weak")[1]
+        graph = csr_matrix((np.ones(len(edges[0])), edges), shape=(node.size,) * 2)
+        comp = csgraph.connected_components(graph, directed=True, connection="weak")[1]
         lead = np.unique(comp, return_index=True)[1][comp].reshape(-1, m) % m  # first element
         head = self.support[lead[which] + m * np.arange(n // m)[:, None]]  # its label
         labels = np.unique(head, return_inverse=True)[1].ravel()
@@ -557,6 +568,7 @@ class _BlockForm:
 
     def restrict(self, members: np.ndarray) -> sparse.csr_matrix:
         """T on the blocks in ``members``, block after block, as csr."""
+        from scipy import sparse
         flat = members.ravel()
         where = np.empty(len(self.support), dtype=np.intp)
         where[flat] = np.arange(len(flat))
@@ -736,6 +748,7 @@ def _kernel_diagnostics(basis: str | None, blocks: int, max_block: int, nnz: int
 def _arpack_block(B: sparse.spmatrix, k: int, thresh: float, scale: float, cap: int):
     """Smallest-|lambda| eigenpairs of one block by shift-invert ARPACK, k grown
     until the computed set reaches past 100 * thresh (or the cap)."""
+    from scipy.sparse.linalg import eigs
     n = B.shape[0]
     k_req = min(max(k, 2), n - 2)
     # a fixed generic start vector (ones can be orthogonal to a kernel) makes
@@ -743,7 +756,7 @@ def _arpack_block(B: sparse.spmatrix, k: int, thresh: float, scale: float, cap: 
     v0 = np.random.default_rng(0).standard_normal(n)
     while True:
         try:
-            vals, vecs = sparse_eigs(B, k=k_req, sigma=1e-9 * scale, which="LM", v0=v0)
+            vals, vecs = eigs(B, k=k_req, sigma=1e-9 * scale, which="LM", v0=v0)
         except Exception as exc:  # ARPACK failure, singular factorization, ...
             raise NumericalError(f"sparse eigensolve failed: {exc}") from exc
         if np.abs(vals).max() >= 100 * thresh or k_req >= min(cap, n - 2):
@@ -760,6 +773,7 @@ def _matrix_unit_transfer(terms, d: int) -> sparse.csr_matrix:
     entries at or below ROUNDOFF of their operator's largest, and assembled
     entries at or below ROUNDOFF of the magnitude that summed into them (the
     same product of the magnitudes, whose pattern holds R's)."""
+    from scipy import sparse
     op, row, col, val = _entries([o for term in terms for o in term])
     mag = np.abs(val)
     peak = np.zeros(2 * len(terms))
@@ -780,6 +794,7 @@ def _matrix_unit_transfer(terms, d: int) -> sparse.csr_matrix:
 def _column_layout(T: sparse.csr_matrix):
     """T as the slots (rows, weights, pair) of a ``_BlockForm``: column j
     holds T[:, j] on the pattern of T + T^T, padded by zeros at row j."""
+    from scipy import sparse
     n, A = T.shape[0], (abs(T) + abs(T.T)).tocsr()  # symmetric: row j is column j
     A.sort_indices()
     col = np.repeat(np.arange(n), np.diff(A.indptr))
@@ -950,6 +965,7 @@ def _propagate(form: _BlockForm, c0: np.ndarray, t: float, points: int):
     try:
         for members in form.blocks(touched, _BOUND_ENTRIES):
             if members.shape[1] <= DENSE_BLOCK_LIMIT:
+                from scipy.linalg import expm
                 used.add("expm")
                 U = expm(form.dense(members) * (t / (points - 1)))
                 v = c0[members]
@@ -957,6 +973,7 @@ def _propagate(form: _BlockForm, c0: np.ndarray, t: float, points: int):
                     v = np.einsum("bij,bjk->bik", U, v)
                     cs[p, members] = v
             else:
+                from scipy.sparse.linalg import expm_multiply
                 used.add("krylov")
                 idx = members.ravel()
                 cs[:, idx] = expm_multiply(form.restrict(members), c0[idx], start=0.0, stop=t,
@@ -1083,7 +1100,8 @@ def _commuting_classes(H, jumps, d: int) -> list:
     anti = ((np.bitwise_count((T >> n)[:, :, None, None] & B & (d - 1))
              + np.bitwise_count(T[:, :, None, None] & (d - 1) & (B >> n))) & 1).any(axis=(0, 2))
     join = (np.count_nonzero(pair, axis=0) < rank[:, None] + rank) | anti | anti.T
-    found, which = connected_components(sparse.csr_matrix(join), directed=False)
+    from scipy.sparse import csgraph, csr_matrix
+    found, which = csgraph.connected_components(csr_matrix(join), directed=False)
     bases = [_gf2_basis(B[:, which == c]) for c in range(found)]
     kept = [c for c, b in enumerate(bases) if b]
     if len(kept) < 2 or sum(len(bases[c]) for c in kept) != len(_gf2_basis(B)):
@@ -1265,7 +1283,7 @@ def gibbs_populations(energies: np.ndarray, beta: float) -> np.ndarray:
 
 def gibbs_state(H, beta: float) -> DensityMatrix:
     """exp(-beta H)/Z via eigendecomposition, overflow-guarded."""
-    Hd = H.toarray() if sparse.issparse(H) else np.asarray(H, dtype=complex)
+    Hd = H.toarray() if _issparse(H) else np.asarray(H, dtype=complex)
     evals, evecs = np.linalg.eigh(Hd)
     rho = (evecs * gibbs_populations(evals, beta)) @ evecs.conj().T
     return DensityMatrix((rho + rho.conj().T) / 2)

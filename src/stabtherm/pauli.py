@@ -200,8 +200,7 @@ class PauliString:
 
     def to_dense(self) -> np.ndarray:
         """Exact 2^n x 2^n complex matrix (little-endian qubit ordering)."""
-        _check_limit(self.n, DENSE_LIMIT, "dense")
-        return self.to_sparse().toarray()
+        return PauliSum.from_string(self).to_dense()
 
     def to_sparse(self):
         """CSR realization; one nonzero per column, up to SPARSE_LIMIT qubits."""
@@ -338,8 +337,13 @@ class PauliSum:
         return all(abs(c) <= HERMITIAN_TOL for c, _ in diff.terms)
 
     def to_dense(self) -> np.ndarray:
+        """Each term's entries added in term order (no SciPy)."""
         _check_limit(self.n, DENSE_LIMIT, "dense")
-        return self.to_sparse().toarray()
+        out, cols = np.zeros((1 << self.n,) * 2, complex), np.arange(1 << self.n)
+        for c, s in self.terms:
+            rows, vals = s._column_entries()
+            out[rows, cols] += c * vals
+        return out
 
     toarray = to_dense  # the sparse-matrix name, for callers holding either kind of operator
 

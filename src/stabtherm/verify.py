@@ -19,7 +19,8 @@ Lindbladian of the ops as unit-rate jumps with no Hamiltonian, so M takes its
 terms from lindblad's one builder (dense ops stay dense) and goes through its
 block engine and kernel solver: written in the Pauli basis (or the matrix
 units), cut into invariant blocks and diagonalized block by block, exactly,
-with Hermitian eigensolvers since M is Hermitian.
+with Hermitian eigensolvers since M is Hermitian. SciPy is imported on first
+use, as in ``lindblad``.
 """
 
 from __future__ import annotations
@@ -29,10 +30,6 @@ import time
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import sparse
-# Not called here, but the benchmark's tracer (perfbench/tracing.py) wraps
-# verify.lobpcg when it installs, so the name stays bound.
-from scipy.sparse.linalg import lobpcg  # noqa: F401
 
 from .errors import ParameterError
 from .lindblad import (
@@ -42,6 +39,7 @@ from .lindblad import (
     LindbladGenerator,
     _block_form,
     _check_capacity,
+    _issparse,
     _kernel_diagnostics,
     _sandwich_terms,
     steady_states,
@@ -60,6 +58,15 @@ SYSTEMATIC_WORD_LENGTH = 3
 ERGODICITY_SEED = 7
 #: Commutant eigenvalues below COMMUTANT_TOL times the ops' scale count as zero.
 COMMUTANT_TOL = 1e-7
+
+
+def __getattr__(name: str):
+    """scipy.sparse.linalg's ``lobpcg``, imported on first access: not called
+    here, but the benchmark's tracer (perfbench/tracing.py) wraps it."""
+    if name == "lobpcg":
+        from scipy.sparse.linalg import lobpcg
+        return lobpcg
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -127,7 +134,7 @@ def _as_operators(ops, dim: int) -> list:
     PauliString as csr, another sparse matrix as csr, anything else as a
     complex ndarray. An op of another shape raises ParameterError."""
     mats = [o.to_sparse() if isinstance(o, (PauliSum, PauliString))
-            else o.tocsr() if sparse.issparse(o) else np.asarray(o, dtype=complex)
+            else o.tocsr() if _issparse(o) else np.asarray(o, dtype=complex)
             for o in ops]
     for i, m in enumerate(mats):
         if m.shape != (dim, dim):
@@ -250,6 +257,7 @@ def ergodicity_check(
     entries below ROUNDOFF times the largest entry of the unprojected ops are
     rounding residue and are zeroed.
     """
+    from scipy import sparse
     dim = 1 << H.n_qubits
     _check_capacity(dim)
     mats = _as_operators(jump_ops, dim)

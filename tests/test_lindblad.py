@@ -778,12 +778,13 @@ def assert_matches_exponential(g, L, starts, t, points):
 
 
 def refuse_expm_multiply(monkeypatch):
-    """Make lindblad's expm_multiply raise: blocks of at most
-    DENSE_BLOCK_LIMIT elements step by their dense exponential."""
+    """Make expm_multiply raise (patched on scipy.sparse.linalg, where
+    lindblad imports it on first use): blocks of at most DENSE_BLOCK_LIMIT
+    elements step by their dense exponential."""
     def refuse(*args, **kwargs):
         raise AssertionError("expm_multiply ran on a block of at most DENSE_BLOCK_LIMIT")
 
-    monkeypatch.setattr(lindblad, "expm_multiply", refuse)
+    monkeypatch.setattr(sparse.linalg, "expm_multiply", refuse)
 
 
 def test_seeded_trajectories_match_the_superoperator_exponential(toric_l2, monkeypatch):

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from scipy import sparse
 
 from stabtherm import lindblad, verify
 from stabtherm.bath import davies_reduction
@@ -194,13 +195,13 @@ def test_commutant_stacks_its_ops_and_adjoints_as_csr(monkeypatch):
     # the adjoints of csr ops are csc; the jumps are stacked as csr for G,
     # since one csc block sends scipy's vstack down its slower COO path
     formats = []
-    vstack = lindblad.sparse.vstack
+    vstack = sparse.vstack
 
     def recording(blocks, **kwargs):
         formats.extend(b.format for b in blocks)
         return vstack(blocks, **kwargs)
 
-    monkeypatch.setattr(lindblad.sparse, "vstack", recording)
+    monkeypatch.setattr(sparse, "vstack", recording)
     H = five_qubit_code()
     assert commutant_dimension([H.as_sum().to_sparse()] + jump_set(H), 32)[0] == 1
     assert len(formats) == 54 and set(formats) == {"csr"}  # H and 26 jumps, with adjoints
