@@ -327,8 +327,8 @@ def trotterize(g: LindbladGenerator, t: float, n_steps: int,
     default the relaxation strength equals the exact exp(D*dt) for that
     ancilla's dissipator pair, so the schedule converges to exp(L*t) at
     first order in 1/N; pin_resets=True applies full resets instead (the
-    arbitrarily-strong-dissipation limit: same steady state, different
-    transient).
+    arbitrarily-strong-dissipation limit: the RWA frame's steady state, not the
+    lab frame's, whose windows are unital Pauli channels, so I/d stays I/d).
     """
     if not 0 <= t < math.inf:
         raise ParameterError(f"t must be finite and nonnegative, got {t}")
@@ -485,14 +485,16 @@ def _move_bits(x: np.ndarray, src, dst) -> np.ndarray:
     return sum(((x >> a) & 1) << b for a, b in zip(src, dst))
 
 
-def _gather(R: np.ndarray, flat: np.ndarray):
+def _gather(R: np.ndarray, flat: np.ndarray, w=None):
     """The map from coefficients on the ordered support R to those of the
-    flat indices ``flat``, zero off R."""
+    flat indices ``flat``, zero off R (in the weights ``w`` if given)."""
     if np.array_equal(R, flat):
-        return lambda v: v
+        return (lambda v: v) if w is None else (lambda v: w * v)
     order = np.argsort(R)
     at = order[np.minimum(np.searchsorted(R[order], flat), len(R) - 1)]
     found = R[at] == flat
+    if w is not None:
+        return lambda v, w=np.where(found, w, 0): w * v[at]
     return (lambda v: v[at]) if found.all() else (lambda v: v[at] * found)
 
 
@@ -555,8 +557,8 @@ def _channel_stage(M: np.ndarray, bits: tuple[int, ...]):
 
         def build():
             loc = _move_bits(image, bits, range(k))
-            terms = [(_gather(R, f), w) for f, w in zip(image ^ flip, M[loc, loc ^ shifts])]
-            return lambda v: sum(w * take(v) for take, w in terms)
+            terms = [_gather(R, f, w) for f, w in zip(image ^ flip, M[loc, loc ^ shifts])]
+            return lambda v: sum(take(v) for take in terms)
         return image, build
     return lower
 

@@ -365,17 +365,16 @@ def _pauli_coefficients(ops, d: int):
     """The coefficients m[x*d + z] of every d x d operator M in ``ops``, with
     M = sum m[x*d + z] X^x Z^z and X^x Z^z |i> = (-1)^(z.i) |i^x>. A PauliSum
     or PauliString holds them: its phase-0 term (x, z), the X^x Z^z of
-    ``to_sparse``, is label x*d + z with the stored coefficient. A matrix
-    gives m[x*d + z] = (1/d) sum_i (-1)^(z.i) M[i^x, i]: one Walsh-Hadamard
-    transform of all matrices' (operator, x) rows with entries, in chunks of
-    at most _STACK_ENTRIES entries (``_butterfly``). Returns (operator, b,
-    m[b]) above ROUNDOFF of the operator's largest |m|, sorted."""
+    ``to_sparse``, is label x*d + z with the stored coefficient (``arrays``).
+    A matrix gives m[x*d + z] = (1/d) sum_i (-1)^(z.i) M[i^x, i]: one Walsh-
+    Hadamard transform of all matrices' (operator, x) rows with entries, in
+    chunks of at most _STACK_ENTRIES entries (``_butterfly``). Returns
+    (operator, b, m[b]) above ROUNDOFF of the operator's largest |m|, sorted."""
     pauli = np.array([isinstance(o, (PauliSum, PauliString)) for o in ops], dtype=bool)
     found = []
     for k in np.flatnonzero(pauli):
-        terms = (ops[k] if isinstance(ops[k], PauliSum) else PauliSum.from_string(ops[k])).terms
-        found.append((np.full(len(terms), k), np.array([s.x * d + s.z for _, s in terms], int),
-                      np.array([c for c, _ in terms], complex)))
+        b, m = (ops[k] if isinstance(ops[k], PauliSum) else PauliSum.from_string(ops[k])).arrays()
+        found.append((np.full(len(b), k), b, m))
     matrices = np.flatnonzero(~pauli)
     if matrices.size:
         op, row, col, val = _entries([ops[k] for k in matrices])
@@ -435,6 +434,18 @@ def _coset_union(shifts: np.ndarray, seeds, d: int):
     return support, np.arange(len(support)) ^ np.searchsorted(span, shifts)[:, None], len(span)
 
 
+def _ranked(k: np.ndarray, v: np.ndarray, shifts: int, d: int, grid: np.ndarray):
+    """Per shift k, its distinct v < d ascending after zero pads in a (shift,
+    column) table; each entry's column; the counts; the signs (-1)^(v.grid)."""
+    keys, at = np.unique(k * d + v, return_inverse=True)
+    count = np.bincount(keys // d, minlength=shifts)
+    col = np.arange(len(keys)) - np.cumsum(count)[keys // d] + count.max(initial=0)
+    table = np.zeros((shifts, count.max(initial=0)), dtype=int)
+    table[keys // d, col] = keys % d
+    return table, col[at], count, np.where(np.bitwise_count(table[..., None] & grid) & 1,
+                                           np.int8(-1), np.int8(1))
+
+
 def _pauli_transfer(terms, d: int, seeds=None):
     """Real matrix of the Hermiticity-preserving map rho -> sum A rho B over
     (A, B) in ``terms``, on the Hermitian basis i^|x & z| tau_b, where
@@ -448,8 +459,11 @@ def _pauli_transfer(terms, d: int, seeds=None):
     gets sum_za (-1)^(za.xb) sum_xc w (-1)^(zb.xc). The inner sums are rows
     over the z-parts of R; the outer sign depends on xb only through its
     parities with a basis of the span of the za, so the outer sum is taken
-    once per pattern of those parities. Every sum runs elementwise in
-    ascending (za, xc), so an entry's bits do not depend on R.
+    once per pattern of those parities. All shifts go in one pass, in chunks
+    of _BOUND_ENTRIES entries, the sums looping over the columns of (shift,
+    za, xc): each shift's distinct za and xc ascending after zero pads, which
+    add zero to zero. So every entry is summed elementwise in ascending (za,
+    xc), with no BLAS product, and its bits do not depend on R.
 
     Every entry moves an input by a shift, so each coset of the span S of the
     shifts is invariant. The matrix is written on R, every basis element
@@ -467,33 +481,44 @@ def _pauli_transfer(terms, d: int, seeds=None):
     w = w * np.where(np.bitwise_count(za & xc) & 1, -1.0, 1.0)
     order = np.argsort(shift, kind="stable")
     shift, za, xc, w = shift[order], za[order], xc[order], w[order]
-    shifts, starts = np.unique(shift, return_index=True)
+    shifts, starts, k = np.unique(shift, return_index=True, return_inverse=True)
+    cut = ROUNDOFF * np.add.reduceat(np.abs(w), starts)  # of the magnitude summed per shift
     support, rows, coset = _coset_union(shifts, seeds, d)
     weights = np.zeros((len(shifts), len(support)))
     bw = _weight(support, n).astype(np.uint8)  # mod 256, as only q mod 4 is read
     # the grid of x- and z-parts: every one on the full support, where b's place is b
     (ux, ix), (uz, iz) = ((np.arange(d), p) if seeds is None else np.unique(p, return_inverse=True)
                           for p in (support >> n, support & (d - 1)))
-    for k, (lo, hi) in enumerate(zip(starts, np.append(starts[1:], len(shift)))):
-        (ua, ia), (uc, ic) = (np.unique(v[lo:hi], return_inverse=True) for v in (za, xc))
-        m = np.zeros((len(ua), len(uc)), complex)  # the pairs' w summed at [za, xc]
-        np.add.at(m, (ia, ic), w[lo:hi])
-        inner = np.zeros((len(ua), len(uz)), complex)  # [za, zb]
-        for x, col in zip(uc, m.T):
-            inner += col[:, None] * np.where(np.bitwise_count(x & uz) & 1, -1.0, 1.0)
-        # xb's parities with a basis of the span of the za fix every (-1)^(za.xb)
-        pattern = sum(((np.bitwise_count(g & ux) & 1).astype(int) << k
-                       for k, g in enumerate(_gf2_basis(ua))), np.zeros(len(ux), dtype=int))
-        _, first, pattern = np.unique(pattern, return_index=True, return_inverse=True)
-        outer = np.zeros((len(first), len(uz)), complex)  # [pattern, zb]
-        for z, row in zip(ua, inner):
-            outer += np.where(np.bitwise_count(z & ux[first]) & 1, -1.0, 1.0)[:, None] * row
-        # the real part of v i^q, v = outer[pattern, zb], is Re v, -Im v, -Re v
-        # or Im v for q = 0..3: one table of those up to the largest q, read at q
-        q = (bw - bw[rows[k]]) & 3
-        table = np.stack([outer.real, -outer.imag, -outer.real, outer.imag][:q.max() + 1])
-        table[:, np.abs(outer) <= ROUNDOFF * np.abs(w[lo:hi]).sum()] = 0
-        np.take(table, q * np.intp(outer.size) + (pattern * len(uz))[ix] + iz, out=weights[k])
+    # each shift's za and xc, and the signs (-1)^(za.xb) and (-1)^(zb.xc) on the grid
+    (va, ia, na, zsign), (vc, ic, nc, xsign) = (_ranked(k, v, len(shifts), d, grid)
+                                                for v, grid in ((za, ux), (xc, uz)))
+    m = np.zeros((len(shifts), va.shape[1], vc.shape[1]), complex)  # [shift, za, xc]
+    np.add.at(m, (k, ia, ic), w)
+    # xb's parities with the basis of the span of its shift's za fix every
+    # (-1)^(za.xb): one row of the outer sums per pattern of a shift, taken at its first x
+    basis = _echelon(va.T)
+    code = np.tensordot(1 << np.arange(len(basis)), np.bitwise_count(basis[..., None] & ux) & 1, 1)
+    keys, first, pattern = np.unique(np.arange(len(shifts))[:, None] << len(basis) | code,
+                                     return_index=True, return_inverse=True)
+    pattern, owner, rep = pattern.reshape(code.shape), keys >> len(basis), first % len(ux)
+    step = max(1, _BOUND_ENTRIES // max(4 * len(ux) * len(uz), len(support)))  # table, index
+    for lo in range(0, len(shifts), step):
+        s, (u0, u1) = slice(lo, lo + step), np.searchsorted(owner, [lo, lo + step])
+        a0, c0 = va.shape[1] - na[s].max(), vc.shape[1] - nc[s].max()  # the chunk's columns
+        inner = np.zeros((len(va[s]), va.shape[1] - a0, len(uz)), complex)  # [shift, za, zb]
+        for j in range(c0, vc.shape[1]):
+            inner += m[s, a0:, j, None] * xsign[s, None, j]
+        outer, own = np.zeros((u1 - u0, len(uz)), complex), owner[u0:u1]  # [pattern row, zb]
+        for j in range(a0, va.shape[1]):
+            outer += zsign[own, j, rep[u0:u1]][:, None] * inner[own - lo, j - a0]
+        # the real part of v i^q, v = outer[row, zb], is Re v, -Im v, -Re v or
+        # Im v for q = 0..3: one table of those, read at [row, zb, q]
+        table = np.stack([outer.real, -outer.imag, -outer.real, outer.imag], axis=-1)
+        table[np.abs(outer) <= cut[own, None]] = 0
+        flat = np.take((pattern[s] - u0) * (4 * len(uz)), ix, axis=1)
+        flat += 4 * iz
+        flat += (bw - bw[rows[s]]) & 3
+        np.take(table, flat, out=weights[s])
     return support, rows, weights, coset
 
 
@@ -772,7 +797,8 @@ def _matrix_unit_transfer(terms, d: int) -> sparse.csr_matrix:
     position (cB*d + rA, rB*d + cA). Cut like the Pauli transfer: operator
     entries at or below ROUNDOFF of their operator's largest, and assembled
     entries at or below ROUNDOFF of the magnitude that summed into them (the
-    same product of the magnitudes, whose pattern holds R's)."""
+    same product of the magnitudes, whose pattern holds R's): one sparse
+    elementwise comparison."""
     from scipy import sparse
     op, row, col, val = _entries([o for term in terms for o in term])
     mag = np.abs(val)
@@ -784,10 +810,9 @@ def _matrix_unit_transfer(terms, d: int) -> sparse.csr_matrix:
     R, bound = (sparse.csr_matrix((v[a], (flat[a], op[a] // 2)), shape=shape)
                 @ sparse.csr_matrix((v[b], (op[b] // 2, flat[b])), shape=shape[::-1])
                 for v in (val, mag))
-    R = R.tocoo()
-    keep = np.abs(R.data) > ROUNDOFF * np.asarray(bound[R.row, R.col]).ravel()
-    i, j = R.row[keep], R.col[keep]
-    return sparse.csr_matrix((R.data[keep], ((j % d) * d + i // d, (j // d) * d + i % d)),
+    R = R.multiply(abs(R) > ROUNDOFF * bound).tocoo()  # one elementwise cut, no indexing
+    i, j = R.row, R.col
+    return sparse.csr_matrix((R.data, ((j % d) * d + i // d, (j // d) * d + i % d)),
                              shape=(d * d, d * d))
 
 
@@ -1087,13 +1112,12 @@ def _commuting_classes(H, jumps, d: int) -> list:
     live = [j for j in jumps if j.rate]
     if not all(isinstance(o, PauliSum) for o in (H, *(j.op for j in live))):
         return one
-    n, h_terms = d.bit_length() - 1, H.terms  # nonzero terms
-    labels = [[s.x << n | s.z] for _, s in h_terms] + [
-        [s.x << n | s.z for _, s in j.op.terms] for j in live]
+    n, (hb, hm) = d.bit_length() - 1, H.arrays()  # nonzero terms
+    labels = [*hb[:, None], *(j.op.arrays()[0] for j in live)]
     T = np.zeros((max(map(len, labels), default=1), len(labels)), dtype=int)  # [term, part]
     used = np.arange(len(T))[:, None] < [len(t) for t in labels]
-    T.T[used.T] = [b for t in labels for b in t]  # the pads, identities, commute with all
-    first = np.where(np.arange(T.shape[1]) < len(h_terms), 0, T[0])
+    T.T[used.T] = np.concatenate([hb, *labels[len(hb):]])  # pads: identities, commute with all
+    first = np.where(np.arange(T.shape[1]) < len(hb), 0, T[0])
     B = _echelon(np.where(used, T ^ first, 0))  # each part's span basis, [i, part]
     rank = np.count_nonzero(B, axis=0)
     pair = _echelon(np.concatenate(np.broadcast_arrays(B[:, :, None], B[:, None])))
@@ -1106,10 +1130,10 @@ def _commuting_classes(H, jumps, d: int) -> list:
     kept = [c for c, b in enumerate(bases) if b]
     if len(kept) < 2 or sum(len(bases[c]) for c in kept) != len(_gf2_basis(B)):
         return one
-    which, parts = np.where(np.isin(which, kept), which, kept[0]), [*h_terms, *live]
-    return [(PauliSum(n, [parts[p] for p in np.flatnonzero(which[:len(h_terms)] == c)]) or None,
-             tuple(parts[p] for p in np.flatnonzero(which == c) if p >= len(h_terms)), bases[c])
-            for c in kept]
+    which = np.where(np.isin(which, kept), which, kept[0])
+    h, jumps = which[:len(hb)], which[len(hb):]
+    return [(PauliSum.from_arrays(n, hb[h == c], hm[h == c]) or None,
+             tuple(live[p] for p in np.flatnonzero(jumps == c)), bases[c]) for c in kept]
 
 
 def _class_keys(labels, terms, span, n: int) -> np.ndarray:
@@ -1152,8 +1176,8 @@ def _factored_kernel(classes, d: int):
         reps = reps >> p << (p + 1) | reps & ((1 << p) - 1)
     spectra, slots, sizes, nnz, keys = [], [], [], 0, []
     for i, (H, jumps, basis) in enumerate(classes):
-        key = _class_keys(reps, [s.x << n | s.z for o in (H, *(j.op for j in jumps)) if o
-                                 for _, s in o.terms], basis, n)
+        key = _class_keys(reps, np.concatenate([o.arrays()[0] for o in (H, *(j.op for j in jumps))
+                                                if o]), basis, n)
         _, first, inverse = np.unique(key, return_index=True, return_inverse=True)
         keys.append(len(first))
         f = _block_form(_sandwich_terms(d, H, jumps), d, seeds=reps[first])

@@ -23,7 +23,7 @@ from __future__ import annotations
 import cmath
 import numbers
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 
@@ -275,6 +275,23 @@ class PauliSum:
             if c != 0
         ]
 
+    def arrays(self) -> tuple[np.ndarray, np.ndarray]:
+        """The nonzero terms as ascending int64 labels x * 2^n + z and their
+        coefficients, no PauliString per term; n > 31 raises CapacityError."""
+        if self.n > 31:
+            raise CapacityError(f"Pauli labels of {self.n} qubits exceed 62 bits")
+        terms = sorted((x << self.n | z, c) for (x, z), c in self._terms.items() if c != 0)
+        return (np.array([b for b, _ in terms], dtype=np.int64),
+                np.array([c for _, c in terms], dtype=complex))
+
+    @classmethod
+    def from_arrays(cls, n: int, labels, coeffs) -> "PauliSum":
+        """Sum of coeffs[i] X^x Z^z over distinct labels x * 2^n + z (``arrays``)."""
+        out, b = cls(n), np.asarray(labels).tolist()
+        out._terms = dict(zip(zip((v >> n for v in b), (v & ~(-1 << n) for v in b)),
+                              np.asarray(coeffs, complex).tolist()))
+        return out
+
     def simplify(self) -> "PauliSum":
         out = PauliSum(self.n)
         scale = max((abs(c) for c in self._terms.values()), default=0.0)
@@ -348,19 +365,19 @@ class PauliSum:
     toarray = to_dense  # the sparse-matrix name, for callers holding either kind of operator
 
     def to_sparse(self):
-        """CSR realization assembled from every term's entries at once."""
+        """CSR realization, each entry summed in term order (as ``to_dense``)
+        before the csr is built, not in the order of SciPy's in-row sort."""
         from scipy import sparse
 
         _check_limit(self.n, SPARSE_LIMIT, "sparse")
-        dim = 1 << self.n
-        terms = self.terms
-        if not terms:
-            return sparse.csr_matrix((dim, dim), dtype=complex)
-        entries = [s._column_entries() for _, s in terms]
-        rows = np.concatenate([r for r, _ in entries])
-        vals = np.concatenate([c * v for (c, _), (_, v) in zip(terms, entries)])
-        cols = np.tile(np.arange(dim), len(terms))
-        out = sparse.csr_matrix((vals, (rows, cols)), shape=(dim, dim))
+        terms, cols = self.terms, np.arange(1 << self.n)
+        at = {x: i for i, x in enumerate(sorted({s.x for _, s in terms}))}  # a row per x part
+        out = np.zeros((len(at), len(cols)), complex)
+        for c, s in terms:
+            out[at[s.x]] += c * s._column_entries()[1]
+        rows = np.array(list(at), dtype=np.int64)[:, None] ^ cols
+        out = sparse.csr_matrix((out.ravel(), (rows.ravel(), np.tile(cols, len(at)))),
+                                shape=(len(cols),) * 2)
         out.eliminate_zeros()  # terms that cancel leave no stored zeros
         return out
 
@@ -373,20 +390,3 @@ class PauliSum:
         more = "" if len(self) <= 6 else f" + ... [{len(self)} terms]"
         return f"PauliSum({inner}{more})"
 
-
-def projector_product(
-    stabilizers: Sequence[PauliString], signs: Sequence[int]
-) -> PauliSum:
-    """Symbolic expansion of prod_h (I + sign_h * h) / 2 as a PauliSum.
-
-    The stabilizers must be Hermitian involutions for the result to be an
-    orthogonal projector; callers enforce that.
-    """
-    if not stabilizers:
-        raise ParameterError("need at least one stabilizer")
-    n = stabilizers[0].n
-    out = PauliSum(n, [(1.0, PauliString.identity(n))])
-    for h, s in zip(stabilizers, signs):
-        factor = PauliSum(n, [(0.5, PauliString.identity(n)), (0.5 * s, h)])
-        out = out * factor
-    return out

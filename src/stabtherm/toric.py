@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CapacityError, ModelError, ParameterError
-from .pauli import DENSE_LIMIT, PauliString, PauliSum, projector_product
+from .pauli import DENSE_LIMIT, PauliString, PauliSum
 
 #: Energy changes closer than FREQUENCY_TOL times the largest anticommuting
 #: coupling are one Fourier frequency.
@@ -276,7 +276,9 @@ def eigenoperator_decomposition(
 
     The anticommuting stabilizer set S is sandwiched with spectral projectors
     (I +/- h)/2; components are grouped by the energy change 2*epsilon. The
-    component count is at most 2^|S|.
+    component count is at most 2^|S|. The piece of initial eigenvalues s,
+    prod_h (I - s_h h)/2 sigma, is 2^-|S| sum_(T subset S) chi_T(-s) h_T sigma:
+    a bucket's coefficient on h_T sigma, an exact dyadic, sums chi_T(-s).
     """
     sigma = PauliString.single(H.n_qubits, site, axis)
     anti = [t for t in H.terms if not t.stabilizer.commutes(sigma)]
@@ -288,41 +290,33 @@ def eigenoperator_decomposition(
         return EigenoperatorDecomposition(H.n_qubits, site, axis, (comp,))
 
     scale = max(t.coupling for t in anti)
-    stabs = [t.stabilizer for t in anti]
-    coups = np.array([t.coupling for t in anti])
+    tol = FREQUENCY_TOL * scale
+    products = [sigma]  # h_T sigma, bit i of T for the i-th term of S
+    for t in anti:
+        products += [t.stabilizer * p for p in products]
+    # chi_T(-s) summed per (epsilon, direction) over the sign patterns s,
+    # s_h = +1 on the bits of ``plus``, so chi_T(-s) = (-1)^|T & plus|
+    counts: dict[tuple[float, int], list[int]] = {}
+    for plus in range(len(products)):
+        delta_e = 2.0 * sum(t.coupling if plus >> i & 1 else -t.coupling
+                            for i, t in enumerate(anti))  # E_final - E_initial
+        eps = round(abs(delta_e) / 2.0 / tol) * FREQUENCY_TOL * scale
+        direction = 0 if abs(delta_e) <= tol or eps <= tol else (1 if delta_e > 0 else -1)
+        counts[eps, direction] = [c + 1 - 2 * ((T & plus).bit_count() & 1) for T, c in
+                                  enumerate(counts.get((eps, direction), [0] * len(products)))]
 
-    # collect sign-sector pieces, keyed by the rounded energy change
-    buckets: dict[float, dict[int, PauliSum]] = {}
-    for signs in itertools.product((1, -1), repeat=len(anti)):
-        sgn = np.array(signs)
-        # piece supported on initial eigenvalues s_h: (prod_h P_h^{-s_h}) sigma
-        proj = projector_product(stabs, list(-sgn))
-        piece = proj * PauliSum.from_string(sigma)
-        delta_e = 2.0 * float(np.dot(coups, sgn))  # E_final - E_initial
-        eps = abs(delta_e) / 2.0
-        key = round(eps / (FREQUENCY_TOL * scale)) * FREQUENCY_TOL * scale
-        direction = 0 if abs(delta_e) <= FREQUENCY_TOL * scale else (1 if delta_e > 0 else -1)
-        slot = buckets.setdefault(key, {-1: PauliSum.zero(H.n_qubits),
-                                        0: PauliSum.zero(H.n_qubits),
-                                        1: PauliSum.zero(H.n_qubits)})
-        slot[direction] = slot[direction] + piece
+    def piece(eps: float, direction: int) -> PauliSum:
+        row = counts.get((eps, direction), ())
+        return PauliSum(H.n_qubits, [(c / len(products), p) for c, p in zip(row, products)
+                                     if c]).simplify()
 
     components = []
-    for key in sorted(buckets):
-        slot = buckets[key]
-        if key <= FREQUENCY_TOL * scale:
-            T = (slot[0] + slot[1] + slot[-1]).simplify()
-            if len(T) == 0:
-                continue
-            half = T * 0.5
-            components.append(EigenComponent(0.0, half, half))
-        else:
-            lowering = slot[-1].simplify()
-            raising = slot[1].simplify()
-            if len(lowering) == 0 and len(raising) == 0:
-                continue
-            components.append(EigenComponent(float(key), lowering, raising))
-
+    for eps in sorted({eps for eps, _ in counts}):
+        if eps <= tol:
+            if (T := piece(eps, 0)):
+                components.append(EigenComponent(0.0, *[T * 0.5] * 2))  # a = a^dag = T/2
+        elif (pair := (piece(eps, -1), piece(eps, 1)))[0] or pair[1]:
+            components.append(EigenComponent(eps, *pair))
     return EigenoperatorDecomposition(H.n_qubits, site, axis, tuple(components))
 
 

@@ -2,7 +2,10 @@
 
 Everything here uses explicit Kronecker products, direct master-equation
 evaluation, or exhaustive enumeration so the library code under test is
-checked against a second, independent construction path.
+checked against a second, independent construction path. The one exception,
+the eigenoperator decomposition oracle, expands the syndrome projectors by
+the package's PauliSum products (which test_pauli checks against dense
+matrices), one sign pattern at a time.
 """
 
 import itertools
@@ -10,6 +13,9 @@ import itertools
 import numpy as np
 from scipy import sparse
 from scipy.sparse.csgraph import connected_components
+
+from stabtherm.pauli import PauliString, PauliSum
+from stabtherm.toric import FREQUENCY_TOL, EigenComponent, EigenoperatorDecomposition
 
 I2 = np.eye(2, dtype=complex)
 PAULI = {
@@ -308,3 +314,50 @@ def dense_commutator_norm(G, geo):
     b = np.diag(dense_plaquette(G, geo.n_qudits, geo.plaquette_links, geo.plaquette_pattern))
     C = A * b[None, :] - b[:, None] * A
     return float(np.linalg.norm(C) / np.sqrt(len(C)))
+
+
+def projector_product(stabilizers, signs):
+    """Symbolic expansion of prod_h (I + sign_h * h) / 2 as a PauliSum; an
+    orthogonal projector for Hermitian involutions h."""
+    n = stabilizers[0].n
+    out = PauliSum(n, [(1.0, PauliString.identity(n))])
+    for h, s in zip(stabilizers, signs):
+        out = out * PauliSum(n, [(0.5, PauliString.identity(n)), (0.5 * s, h)])
+    return out
+
+
+def decomposition_oracle(H, site, axis):
+    """eigenoperator_decomposition by the expansion itself: for each sign
+    pattern s of the anticommuting stabilizers, the piece
+    prod_h (I - s_h h)/2 sigma added to the bucket of its rounded energy
+    change, one PauliSum product after another."""
+    sigma = PauliString.single(H.n_qubits, site, axis)
+    anti = [t for t in H.terms if not t.stabilizer.commutes(sigma)]
+    if not anti:
+        half = PauliSum.from_string(sigma, 0.5)
+        return EigenoperatorDecomposition(H.n_qubits, site, axis,
+                                          (EigenComponent(0.0, half, half),))
+    scale = max(t.coupling for t in anti)
+    stabs = [t.stabilizer for t in anti]
+    coups = np.array([t.coupling for t in anti])
+    buckets = {}
+    for signs in itertools.product((1, -1), repeat=len(anti)):
+        sgn = np.array(signs)
+        piece = projector_product(stabs, list(-sgn)) * PauliSum.from_string(sigma)
+        delta_e = 2.0 * float(np.dot(coups, sgn))
+        key = round(abs(delta_e) / 2.0 / (FREQUENCY_TOL * scale)) * FREQUENCY_TOL * scale
+        direction = 0 if abs(delta_e) <= FREQUENCY_TOL * scale else (1 if delta_e > 0 else -1)
+        slot = buckets.setdefault(key, {d: PauliSum.zero(H.n_qubits) for d in (-1, 0, 1)})
+        slot[direction] = slot[direction] + piece
+    components = []
+    for key in sorted(buckets):
+        slot = buckets[key]
+        if key <= FREQUENCY_TOL * scale:
+            T = (slot[0] + slot[1] + slot[-1]).simplify()
+            if len(T):
+                components.append(EigenComponent(0.0, T * 0.5, T * 0.5))
+        else:
+            lowering, raising = slot[-1].simplify(), slot[1].simplify()
+            if len(lowering) or len(raising):
+                components.append(EigenComponent(float(key), lowering, raising))
+    return EigenoperatorDecomposition(H.n_qubits, site, axis, tuple(components))

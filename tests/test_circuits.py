@@ -718,6 +718,29 @@ def test_cold_composite_resets_keep_the_model_beta():
     assert np.all(np.isfinite(out.mat))
 
 
+def test_pinned_resets_leave_the_lab_frame_marginal_mixed():
+    # in the lab frame each pinned window is a unital Pauli channel on the
+    # system, so from I/d its marginal stays I/4, away from the RWA fixed
+    # point; exact resets settle at the lab generator's steady state
+    H = single_stabilizer_model("ZZ", 1.0)
+    decs = [eigenoperator_decomposition(H, j, a) for j in (0, 1) for a in ("x", "z")]
+    model, lab = attach_ancillas(H, decs, beta=1.0, gamma_minus=0.3, g=0.4)
+
+    def system(rho):  # the ancillas are qubits 2..5, the high bits
+        return np.einsum("aiaj->ij", rho.reshape(16, 4, 16, 4))
+
+    fixed = system(steady_states(rwa_generator(model)).state.mat)
+    lab_fixed = system(steady_states(lab).state.mat)
+    dt, mixed = 0.2, DensityMatrix.maximally_mixed(lab.n_levels)
+    exact = simulate_schedule(trotterize(lab, 300 * dt, 300), mixed)
+    assert trace_distance(system(exact.mat), lab_fixed) < 5e-3  # first-order Trotter error
+    for steps in (1500, 3000):
+        pinned = system(simulate_schedule(trotterize(lab, steps * dt, steps, pin_resets=True),
+                                          mixed).mat)
+        assert np.abs(pinned - np.eye(4) / 4).max() < 1e-12
+        assert abs(trace_distance(pinned, fixed) - 0.381) < 1e-3
+
+
 def test_pinned_resets_leave_fixed_point_unchanged(dressed_composite):
     # gamma-magnitude insensitivity: at fixed dt the step-channel fixed point
     # agrees with the generator's steady state for exact and pinned resets

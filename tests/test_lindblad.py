@@ -728,6 +728,36 @@ def test_pauli_read_sandwich_terms_match_the_walsh_path(toric_l2):
     assert form.T.nnz == 714751 and len(np.unique(form.labels)) == 1024
 
 
+def test_pauli_reads_and_the_transfer_make_no_pauli_string(toric_l2, monkeypatch):
+    # the terms of a Pauli-sum generator are read as label and coefficient
+    # arrays (PauliSum.arrays), with no PauliString per term
+    _, g, _ = toric_l2
+    terms = lindblad._sandwich_terms(g.n_levels, g.H, g.jumps)
+    made, init = [], PauliString.__post_init__
+
+    def count(self):
+        made.append(self)
+        init(self)
+
+    monkeypatch.setattr(PauliString, "__post_init__", count)
+    lindblad._pauli_coefficients([o for t in terms for o in t], 256)
+    lindblad._pauli_transfer(terms, 256, np.zeros(1, dtype=int))
+    classes = lindblad._commuting_classes(g.H, g.jumps, 256)
+    assert len(classes) == 2 and not made
+
+
+def test_transfer_in_chunks_of_one_shift_gives_the_same_bits(monkeypatch):
+    # the shifts of the five-qubit form go in one chunk, or one at a time
+    _, g = five_qubit_davies()
+    terms = lindblad._sandwich_terms(g.n_levels, g.H, g.jumps)
+    whole = lindblad._pauli_transfer(terms, g.n_levels)
+    assert len(whole[1]) > 1
+    monkeypatch.setattr(lindblad, "_BOUND_ENTRIES", 1)
+    for x, y in zip(lindblad._pauli_transfer(terms, g.n_levels), whole):
+        x, y = np.asarray(x), np.asarray(y)
+        assert x.dtype == y.dtype and x.shape == y.shape and x.tobytes() == y.tobytes()
+
+
 def test_trace_product_matches_the_matrix_product():
     rng = np.random.default_rng(29)
     A = rng.normal(size=(12, 12)) + 1j * rng.normal(size=(12, 12))

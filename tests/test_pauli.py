@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 
 from stabtherm.errors import CapacityError, DimensionMismatchError, ParameterError
-from stabtherm.pauli import PauliString, PauliSum, projector_product
+from stabtherm.pauli import PauliString, PauliSum
 
-from oracles import dense_from_label, dense_pauli, single_site
+from oracles import dense_from_label, dense_pauli, projector_product, single_site
 
 
 def test_multiply_involution():
@@ -200,6 +200,33 @@ def test_sparse_matches_dense():
         p = PauliString(n, int(rng.integers(0, 1 << n)), int(rng.integers(0, 1 << n)),
                         int(rng.integers(0, 4)))
         assert np.allclose(p.to_sparse().toarray(), p.to_dense())
+
+
+def test_sparse_sums_each_entry_in_term_order():
+    # 20 terms share one x part and one more has another, so each row holds
+    # 21 entries, 20 of them at one column: to_sparse sums those in term
+    # order, as to_dense does, not in the order of SciPy's in-row sort
+    rng = np.random.default_rng(41)
+    for _ in range(10):
+        s = PauliSum(5, [(complex(*rng.normal(size=2)), PauliString(5, 0b01101, int(z)))
+                         for z in rng.permutation(32)[:20]]
+                     + [(complex(*rng.normal(size=2)), PauliString(5, 0b10010, 3))])
+        assert len(s) == 21
+        assert s.to_sparse().toarray().tobytes() == s.to_dense().tobytes()
+
+
+def test_arrays_are_the_sorted_nonzero_terms():
+    xyz, ziz = PauliString.from_letters("XYZ"), PauliString.from_letters("ZIZ")
+    s = PauliSum(3, [(2.0, xyz), (0.5j, ziz), (1.0, PauliString.from_letters("XII"))])
+    s = s - PauliSum(3, [(1.0, PauliString.from_letters("XII"))])  # a stored zero
+    b, c = s.arrays()
+    assert b.dtype == np.int64 and np.array_equal(b, np.sort(b))
+    assert [(int(v), complex(m)) for v, m in zip(b, c)] == [
+        (p.x << 3 | p.z, m) for m, p in s.terms]
+    assert PauliSum.from_arrays(3, b, c)._terms == {k: v for k, v in s._terms.items() if v}
+    assert [len(a) for a in PauliSum(3).arrays()] == [0, 0]
+    with pytest.raises(CapacityError, match="62 bits"):
+        PauliSum(32, [(1.0, PauliString.identity(32))]).arrays()
 
 
 def test_bad_inputs():

@@ -43,6 +43,7 @@ from oracles import (  # noqa: E402
     build_superoperator,
     commutant_nullity,
     coset_keys,
+    decomposition_oracle,
     random_density,
     simulate_gates,
     slot_graph_blocks,
@@ -100,6 +101,27 @@ def test_decomposition_reconstructs_sigma_exactly(H):
             dec = eigenoperator_decomposition(H, j, axis)
             diff = dec.reconstruct() - PauliSum.from_string(dec.source_string())
             assert all(c == 0 for c, _ in diff.terms), (j, axis)
+
+
+def _bits(s: PauliSum) -> dict:
+    return {k: np.complex128(c).tobytes() for k, c in s._terms.items()}
+
+
+@settings(max_examples=25, deadline=None)
+@given(H=stabilizer_hamiltonians())
+@example(H=StabilizerHamiltonian(2, tuple(  # dependent terms: ZZ = ZI IZ, and ZI twice
+    StabilizerTerm(c, PauliString.from_letters(s, sign)) for c, s, sign in (
+        (1.0, "ZI", "+1"), (0.5, "ZI", "-1"), (0.7, "ZZ", "+1"), (1.3, "IZ", "-1")))))
+def test_decomposition_is_the_expansion_oracle_bit_for_bit(H):
+    # the Walsh-sign decomposition against the product of projector sums,
+    # pattern by pattern: the same frequencies, keys and complex bits
+    for j in range(H.n_qubits):
+        for axis in "xyz":
+            dec, oracle = eigenoperator_decomposition(H, j, axis), decomposition_oracle(H, j, axis)
+            assert np.array(dec.frequencies).tobytes() == np.array(oracle.frequencies).tobytes()
+            for a, b in zip(dec.components, oracle.components):
+                assert _bits(a.lowering) == _bits(b.lowering)
+                assert _bits(a.raising) == _bits(b.raising)
 
 
 @settings(max_examples=25, deadline=None)
