@@ -72,7 +72,7 @@ import numpy as np
 
 from .errors import ParameterError, ScheduleError
 from .groups import _apply_axes
-from .lindblad import ROUNDOFF, DensityMatrix, LindbladGenerator, _check_temperature
+from .lindblad import ROUNDOFF, DensityMatrix, LindbladGenerator, _check_temperature, _components
 from .pauli import DENSE_LIMIT, PauliString, PauliSum, _check_limit, _number
 from .serialize import strict_json
 
@@ -502,17 +502,11 @@ def _unitary_stage(u: np.ndarray, qubits: tuple[int, ...], n: int):
     """u rho u^dag for u on ``qubits`` of n, as a function of an ordered
     support R: (the image's support, a function that builds its map on
     coefficients on R). Cut at ROUNDOFF, u (x) 1 is block diagonal (the
-    components of u's pattern, for each value of the other qubits); the image
-    is every entry of each block pair (a, b) that R meets, u_a X u_b^dag with
-    u's uncut entries, batched by shape."""
+    ``_components`` of u's pattern, for each value of the other qubits);
+    the image is every entry of each block pair (a, b) that R meets,
+    u_a X u_b^dag with u's uncut entries, batched by shape."""
     d, k = 1 << n, len(qubits)
-    cut = np.abs(u) > ROUNDOFF * np.abs(u).max()
-    edges = cut | cut.T
-    label, comp = None, np.arange(1 << k)  # each local state's component, by its smallest
-    while not np.array_equal(label, comp):
-        label = comp
-        low = np.minimum(label, np.where(edges, label, len(label)).min(axis=1))
-        comp = low[low]  # unchanged only once every edge joins equal labels
+    comp = _components(*np.nonzero(np.abs(u) > ROUNDOFF * np.abs(u).max()), 1 << k)
     flat, spread = np.arange(d), _move_bits(np.arange(1 << k), range(k), qubits)
     loc = _move_bits(flat, qubits, range(k))
     lead = (flat & ~spread[-1]) | spread[comp][loc]

@@ -1,13 +1,13 @@
 """Lindblad generators on vectorized density matrices: exact time evolution
 (dense exponential of each block, or Krylov above a block size), steady-state
-kernels and Gibbs states. SciPy is imported on first use, by the functions
-that call it: importing this module loads none of it.
+kernels and Gibbs states. SciPy is imported on first use: neither importing
+this module nor the steady states of Pauli sums with dense-sized blocks load it.
 
 Evolution and steady states work on the superoperator written in an
 orthonormal operator basis: the Hermitian Pauli basis on n qubits (where the
-matrix is real), the matrix units otherwise. The connected components of
-that matrix are exact invariant blocks; for a stabilizer Hamiltonian with
-Pauli jumps dressed by syndrome projectors each lies in a coset of the
+matrix is real), the matrix units otherwise. Its connected components
+(``_components``) are exact invariant blocks; for a stabilizer Hamiltonian
+with Pauli jumps dressed by syndrome projectors each lies in a coset of the
 stabilizer group. One term builder, ``_sandwich_terms``, writes the map as
 sandwich terms A rho B, and one kernel solver, ``_BlockForm.kernel``,
 decides the kernel block by block; steady states, evolution and ``verify``'s
@@ -316,6 +316,23 @@ def _weight(b, n: int):
     return np.bitwise_count((b >> n) & b & ((1 << n) - 1)).astype(int)
 
 
+def _anticommute(a, b, n: int):
+    """(xa.zb + za.xb) mod 2 of Pauli labels a = xa*2^n + za and b, broadcast."""
+    return np.bitwise_count(a & ((b & ((1 << n) - 1)) << n | b >> n)) & 1  # b's x, z swapped
+
+
+def _components(u, v, n: int) -> np.ndarray:
+    """Each node's component under the edges (u[i], v[i]), named by its least
+    node: rounds of hooking (labels fall to the least across each edge) and
+    pointer jumps label[label] (Shiloach and Vishkin, J. Algorithms 3, 57 (1982))."""
+    label = np.arange(n)
+    u, v = np.concatenate([u, v]), np.concatenate([v, u])
+    while (label[u] != label[v]).any():
+        np.minimum.at(label, np.concatenate([u, label[u]]), np.tile(label[v], 2))
+        label = label[label]
+    return label
+
+
 def _butterfly(m: np.ndarray) -> np.ndarray:
     """In place, sum_j (-1)^(i.j) m[..., j] along the last axis (a power of
     two long). Butterflies (not a BLAS product, which rounds a one-row
@@ -553,10 +570,10 @@ class _BlockForm:
     hermitian: bool
 
     def __post_init__(self):
-        from scipy.sparse import csgraph, csr_matrix
-        # T's blocks: weak components of T^T's pattern, no stored zeros
-        # (edges), found on the distinct patterns of live slots of the cosets
-        # (byte strings, a zero byte ending each) side by side
+        # T's blocks: the components of T's pattern, no stored zeros (edges),
+        # found on the distinct patterns of live slots of the cosets (byte
+        # strings, a zero byte ending each) side by side; head is the label of
+        # the first element, in its coset, of each element's block
         k, m, n = len(self.rows), self.coset, len(self.support)
         live = self.weights != 0
         cosets = live.reshape(k, n // m, m).swapaxes(0, 1)  # [coset, slot, element]
@@ -564,14 +581,10 @@ class _BlockForm:
         _, first, which = np.unique(key.view(np.dtype((np.void, key.shape[1]))).ravel(),
                                     return_index=True, return_inverse=True)
         pattern, node = cosets[first], np.arange(len(first) * m).reshape(-1, 1, m)
-        edges = (np.broadcast_to(node, pattern.shape)[pattern],
-                 (node - node % m + self.rows[:, :m])[pattern])
-        graph = csr_matrix((np.ones(len(edges[0])), edges), shape=(node.size,) * 2)
-        comp = csgraph.connected_components(graph, directed=True, connection="weak")[1]
-        lead = np.unique(comp, return_index=True)[1][comp].reshape(-1, m) % m  # first element
-        head = self.support[lead[which] + m * np.arange(n // m)[:, None]]  # its label
-        labels = np.unique(head, return_inverse=True)[1].ravel()
-        sizes = np.bincount(labels)
+        comp = _components(np.broadcast_to(node, pattern.shape)[pattern],
+                           (node - node % m + self.rows[:, :m])[pattern], node.size)
+        head = self.support[comp.reshape(-1, m)[which] % m + m * np.arange(n // m)[:, None]]
+        _, labels, sizes = np.unique(head.ravel(), return_inverse=True, return_counts=True)
         order, starts = np.argsort(labels, kind="stable"), np.cumsum(sizes) - sizes
         position = np.empty(n, dtype=np.intp)
         position[order] = np.arange(n) - np.repeat(starts, sizes)
@@ -889,8 +902,7 @@ class Sectors:
         self.basis = _gf2_basis(labels)
         self.multiplicity = d >> len(self.basis)
         g = np.array(self.basis, dtype=int)
-        if ((np.bitwise_count((g[:, None] >> self.n) & g)
-             + np.bitwise_count(g[:, None] & (g >> self.n))) & 1).any():
+        if _anticommute(g[:, None], g, self.n).any():
             raise NumericalError("the sector group has anticommuting elements")
 
     def values(self, labels, e, a) -> np.ndarray:
@@ -1102,12 +1114,12 @@ def _commuting_classes(H, jumps, d: int) -> list:
     """The generator's parts, each term of H and each jump of nonzero rate,
     split into classes when all are PauliSums: (H's terms or None, jumps,
     span basis) per class. A term shifts labels by its label, a jump by the
-    XORs of its terms' labels. Parts join when their shift spans meet beyond
-    0 or a term of one anticommutes with a shift of the other; a class of
-    span {0} (diagonal) joins another. Right products with S_j then commute
-    with class i's map, so if the class spans S_i are independent the map
-    on b ^ (S_1 + ... + S_k) is the Kronecker sum of the class maps on the
-    b ^ S_i, up to a diagonal phase; if not, there is one class."""
+    XORs of its terms' labels. Parts join (``_components``) when their shift
+    spans meet beyond 0 or a term of one anticommutes with a shift of the
+    other; a class of span {0} (diagonal) joins another. Right products with
+    S_j then commute with class i's map, so if the class spans S_i are
+    independent the map on b ^ (S_1 + ... + S_k) is the Kronecker sum of the
+    class maps on the b ^ S_i, up to a diagonal phase; if not, one class."""
     one = [(H, jumps, None)]
     live = [j for j in jumps if j.rate]
     if not all(isinstance(o, PauliSum) for o in (H, *(j.op for j in live))):
@@ -1121,13 +1133,11 @@ def _commuting_classes(H, jumps, d: int) -> list:
     B = _echelon(np.where(used, T ^ first, 0))  # each part's span basis, [i, part]
     rank = np.count_nonzero(B, axis=0)
     pair = _echelon(np.concatenate(np.broadcast_arrays(B[:, :, None], B[:, None])))
-    anti = ((np.bitwise_count((T >> n)[:, :, None, None] & B & (d - 1))
-             + np.bitwise_count(T[:, :, None, None] & (d - 1) & (B >> n))) & 1).any(axis=(0, 2))
+    anti = _anticommute(T[:, :, None, None], B, n).any(axis=(0, 2))
     join = (np.count_nonzero(pair, axis=0) < rank[:, None] + rank) | anti | anti.T
-    from scipy.sparse import csgraph, csr_matrix
-    found, which = csgraph.connected_components(csr_matrix(join), directed=False)
-    bases = [_gf2_basis(B[:, which == c]) for c in range(found)]
-    kept = [c for c, b in enumerate(bases) if b]
+    which = _components(*np.nonzero(join), len(join))  # each part's class, by its first part
+    bases = {c: _gf2_basis(B[:, which == c]) for c in np.unique(which).tolist()}
+    kept = [c for c, b in bases.items() if b]
     if len(kept) < 2 or sum(len(bases[c]) for c in kept) != len(_gf2_basis(B)):
         return one
     which = np.where(np.isin(which, kept), which, kept[0])
@@ -1136,16 +1146,12 @@ def _commuting_classes(H, jumps, d: int) -> list:
              tuple(live[p] for p in np.flatnonzero(jumps == c)), bases[c]) for c in kept]
 
 
-def _class_keys(labels, terms, span, n: int) -> np.ndarray:
-    """The key of each Pauli label in ``labels``: its anticommutation bits
-    with a basis of the ``terms``' labels, modulo those of the ``span``'s
-    basis (each leading bit cleared), so one key per coset of the span."""
-    swap = [(v & ((1 << n) - 1)) << n | v >> n for v in _gf2_basis(terms)]  # x, z swapped
-    key, vecs = ((np.bitwise_count(np.asarray(a)[:, None] & swap) & 1)
-                 @ (1 << np.arange(len(swap))) for a in (labels, span))
-    for v in _echelon(vecs):
-        key = np.minimum(key, key ^ v)
-    return key
+def _class_keys(labels, terms, n: int) -> np.ndarray:
+    """Each label's anticommutation bits with a basis of the ``terms``' labels:
+    representatives with no leading bit of the sum of the class spans that
+    share one carry one class map up to signs."""
+    basis = np.array(_gf2_basis(terms), dtype=int)
+    return _anticommute(np.asarray(labels)[:, None], basis, n) @ (1 << np.arange(len(basis)))
 
 
 def _factored_kernel(classes, d: int):
@@ -1157,8 +1163,8 @@ def _factored_kernel(classes, d: int):
     sum of the class diagonals, each other slot is one class's, and the
     element's block is the product of its class blocks; so T's scale, nnz
     and blocks come from the class slots. A class map on b ^ S_c depends on
-    b only through its ``_class_keys`` key (of the class's term labels and
-    S_c): cosets of one key differ by a Pauli commuting with every term,
+    a representative b only through its ``_class_keys`` key (of the class's
+    terms): cosets of one key differ by a Pauli commuting with every term,
     whose right product maps one coset's map onto the other's up to signs.
     So each class form is seeded with one representative per key, which
     each coset's slots are read from. Returns the scale, the max(kernel + 4,
@@ -1177,7 +1183,7 @@ def _factored_kernel(classes, d: int):
     spectra, slots, sizes, nnz, keys = [], [], [], 0, []
     for i, (H, jumps, basis) in enumerate(classes):
         key = _class_keys(reps, np.concatenate([o.arrays()[0] for o in (H, *(j.op for j in jumps))
-                                                if o]), basis, n)
+                                                if o]), n)
         _, first, inverse = np.unique(key, return_index=True, return_inverse=True)
         keys.append(len(first))
         f = _block_form(_sandwich_terms(d, H, jumps), d, seeds=reps[first])

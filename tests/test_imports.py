@@ -1,7 +1,9 @@
 """SciPy is imported on first use: ``import stabtherm`` loads none of it, and
 the numpy-only paths (build-model, decompose, compile, simulate-schedule, the
 gibbs-sweep experiment and the Trotter composites) run with SciPy made
-unimportable, giving the bytes of an ordinary run."""
+unimportable, giving the bytes of an ordinary run. So do the Davies steady
+states (steady-state, verify appendix without --ergodicity and the
+steady-state experiment), but for their ``seconds`` diagnostics."""
 
 import json
 import os
@@ -93,6 +95,18 @@ SWEEPS = {
                     "output_dir": "out3"},
 }
 
+# the Davies steady-state paths: numpy only, their outputs but for ``seconds``
+DAVIES_COMMANDS = [
+    ["steady-state", "--L", "2"],
+    ["steady-state", "--model", "mini-vertex"],
+    ["verify", "appendix", "--model", "toric", "--L", "2", "--beta", "1"],
+    ["run", "steady.json"],
+]
+
+STEADY = {"experiment": "steady-state", "model": {"type": "toric", "L": 2},
+          "dynamics": {"beta": 1.0, "gamma0": 0.5},
+          "observables": ["energy", "A_v", "B_p", "gibbs_distance"], "output_dir": "out"}
+
 
 def python(code: str, *args, cwd=None) -> str:
     """Standard output of ``python -c code args`` in a fresh process on this
@@ -107,6 +121,19 @@ def python(code: str, *args, cwd=None) -> str:
 def tree(root: Path) -> dict:
     return {str(p.relative_to(root)): p.read_bytes() for p in sorted(root.rglob("*"))
             if p.is_file()}
+
+
+def without_seconds(data: bytes):
+    """A JSON document with every ``seconds`` entry dropped, other bytes as
+    they are."""
+    def strip(o):
+        if isinstance(o, dict):
+            return {k: strip(v) for k, v in o.items() if k != "seconds"}
+        return [strip(v) for v in o] if isinstance(o, list) else o
+    try:
+        return strip(json.loads(data))
+    except ValueError:
+        return data
 
 
 def test_import_loads_no_scipy_and_every_module():
@@ -144,3 +171,21 @@ def test_trotter_composite_runs_without_scipy_and_gives_the_same_states():
     plain = python("import sys\n" + TROTTER_COMPOSITE)
     assert len(plain.split()) == 3
     assert python(BLOCK_SCIPY + TROTTER_COMPOSITE + NO_SCIPY_LOADED) == plain
+
+
+def test_davies_steady_states_run_without_scipy_and_match_but_for_seconds(tmp_path):
+    runs = {}
+    for mode, prelude in (("plain", "import sys\n"), ("blocked", BLOCK_SCIPY)):
+        cwd = tmp_path / mode
+        cwd.mkdir()
+        (cwd / "steady.json").write_text(json.dumps(STEADY))
+        # the ordinary run loads no SciPy either
+        codes = python(prelude + RUN_COMMANDS + NO_SCIPY_LOADED, json.dumps(DAVIES_COMMANDS),
+                       cwd=cwd)
+        assert json.loads(codes) == [0] * len(DAVIES_COMMANDS), (mode, codes)
+        runs[mode] = {name: without_seconds(data) for name, data in tree(cwd).items()}
+    plain = runs["plain"]
+    assert plain["stdout0.txt"]["kernel_dim"] == plain["stdout1.txt"]["kernel_dim"] == 1
+    assert plain["out/result.json"]["kernel_dim"] == 1
+    assert b"max_translation" in plain["stdout2.txt"]
+    assert runs["blocked"] == plain

@@ -1342,24 +1342,42 @@ def test_factored_kernel_builds_no_index_array_of_every_label(monkeypatch):
     assert lindblad._factored_kernel(classes, d)[4]["keys"] == [256, 256]
 
 
-def test_class_keys_are_one_per_coset_and_blind_to_the_other_class():
-    # a key is constant on each coset b ^ S_c, and a product with the other
-    # class's span (which commutes with every term of this class) keeps it
+def test_class_keys_share_class_spectra_and_are_blind_to_the_other_class(monkeypatch):
+    # on _factored_kernel's representatives, those of one key carry one
+    # class map up to signs: their cosets b ^ S_c have equal spectra
     g = davies_steady_l2(1)
     d, n = g.n_levels, 8
     classes = lindblad._commuting_classes(g.H, g.jumps, d)
-    b = np.random.default_rng(0).integers(0, d * d, 64)
-    for (H, jumps, basis), (*_, other) in zip(classes, classes[::-1]):
-        terms = [s.x << n | s.z for o in (H, *(j.op for j in jumps)) for _, s in o.terms]
-        for vectors in (basis, other):
-            span = np.zeros(1, dtype=int)
-            for v in vectors:
-                span = np.concatenate([span, span ^ v])
-            keys = lindblad._class_keys((b[:, None] ^ span).ravel(), terms, basis, n)
-            assert (keys.reshape(64, 8) == keys[::8, None]).all()
+    calls, class_keys = [], lindblad._class_keys
+    monkeypatch.setattr(lindblad, "_class_keys",
+                        lambda labels, terms, n: calls.append((labels, terms))
+                        or class_keys(labels, terms, n))
+    assert lindblad._factored_kernel(classes, d)[4]["keys"] == [256, 256]
+    monkeypatch.undo()
+    for (H, jumps, _), (*_, other), (reps, terms) in zip(classes, classes[::-1], calls):
+        keys = class_keys(reps, terms, n)
+        chosen = np.flatnonzero(np.isin(keys, np.unique(keys)[::37]))  # 7 keys, 4 cosets each
+        form = lindblad._block_form(lindblad._sandwich_terms(d, H, jumps), d, seeds=reps[chosen])
+        m, order = form.coset, np.argsort(form.support)
+        at = order[np.searchsorted(form.support[order], reps[chosen])] // m * m
+        spectra = [np.linalg.eigvals(form.restrict((a + np.arange(m))[None]).toarray())
+                   for a in at]
+        for key in np.unique(keys[chosen]):
+            first, *rest = np.flatnonzero(keys[chosen] == key)
+            assert len(rest) == 3
+            for i in rest:
+                assert max_matched_distance(spectra[first], spectra[i]) < 1e-12 * form.scale()
+        # a product with the other class's span (which commutes with every
+        # term of this class) keeps the key
+        b = np.random.default_rng(0).integers(0, d * d, 64)
+        span = np.zeros(1, dtype=int)
+        for v in other:
+            span = np.concatenate([span, span ^ v])
+        moved = class_keys((b[:, None] ^ span).ravel(), terms, n)
+        assert (moved.reshape(64, 8) == moved[::8, None]).all()
         # while single-qubit X_j and Z_j, which anticommute with some term, move b off its key
         singles = [1 << (n + j) for j in range(n)] + [1 << j for j in range(n)]
-        assert len(np.unique(lindblad._class_keys(b[0] ^ np.array(singles), terms, basis, n))) > 1
+        assert len(np.unique(class_keys(b[0] ^ np.array(singles), terms, n))) > 1
 
 
 def test_commuting_classes_split_the_toric_davies_generator_by_stabilizer_type():

@@ -6,6 +6,8 @@ from unittest import mock
 
 import numpy as np
 import pytest
+from scipy import sparse
+from scipy.sparse.csgraph import connected_components
 
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import example, given, settings, strategies as st  # noqa: E402
@@ -249,6 +251,34 @@ def test_coset_labelling_is_the_slot_graph_components(H, beta):
         for got, want in zip((form.labels, form.sizes, form.order, form.position),
                              slot_graph_blocks(form)):
             assert np.array_equal(got, want)
+
+
+@st.composite
+def edge_lists(draw):
+    """A node count n and edges (u, v): random pairs, self-loops and
+    repeats included, and a path through a shuffled run of the nodes,
+    closed into a cycle or not, whose diameter can reach n - 1. Nodes on no
+    edge stay isolated."""
+    n = draw(st.integers(1, 40))
+    node = st.integers(0, n - 1)
+    pairs = draw(st.lists(st.tuples(node, node), max_size=n))
+    run = draw(st.permutations(range(n)))[:draw(st.integers(0, n))]
+    pairs += list(zip(run, run[1:] + run[:1] * draw(st.booleans())))
+    u, v = np.array(pairs, dtype=int).reshape(-1, 2).T
+    return n, u, v
+
+
+@settings(max_examples=200, deadline=None)
+@given(graph=edge_lists())
+@example(graph=(1, np.zeros(0, dtype=int), np.zeros(0, dtype=int)))
+@example(graph=(1, np.zeros(1, dtype=int), np.zeros(1, dtype=int)))
+@example(graph=(6, np.array([0, 5, 4, 3, 2]), np.array([5, 4, 3, 2, 1])))
+def test_components_are_the_csgraph_components_named_by_smallest_node(graph):
+    n, u, v = graph
+    graph = sparse.csr_matrix((np.ones(len(u)), (u, v)), shape=(n, n))
+    labels = connected_components(graph, directed=False)[1]
+    assert np.array_equal(lindblad._components(u, v, n),
+                          np.unique(labels, return_index=True)[1][labels])
 
 
 @settings(max_examples=25, deadline=None)
